@@ -15,16 +15,15 @@ all (state, action) rows allows:
 Each scan costs one pass over the rows and no new weighted-sums pass: the
 sums of the accelerated point follow from the inputs' sums by linearity
 (``sums(alpha * v) = alpha * sums(v)``, and affine combinations likewise).
+A damping weight ``beta`` shortens the step and stays on the same ray, so
+it folds into the step factor and keeps that bookkeeping exact.
 
-A damped variant blends the accelerated point back toward its operand
-with weight ``beta``; since both accelerated point and operand are scalar
-multiples / affine combinations along the same ray, damping folds into an
-effective ``alpha`` and keeps the sums bookkeeping exact.
-
-When enabled, membership checks validate the preconditions (inputs
-dominate their backups) from the sums already in hand, and validate the
-output with one fresh weighted-sums pass; a failed output check falls
-back to the safe input point and flags the step instead of raising.
+Dominance is always judged by ``operators.is_feasible``, the one-step
+backup of the shared row-value kernel.  When enabled, membership checks
+validate the preconditions (inputs dominate their backups) from the sums
+already in hand, and validate the output with one fresh weighted-sums
+pass; a failed output check falls back to the safe input point and flags
+the step instead of raising.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .model import MdpModel
 from .operators import (
     WeightedSums,
     is_feasible,
-    membership_tolerance,
+    require_sums,
     sup_norm,
     weighted_sums,
 )
@@ -78,7 +77,6 @@ class AccelStep:
     point: np.ndarray
     sums: WeightedSums
     alpha: AlphaResult
-    effective_alpha: float
 
 
 def _ratio_guard(v: np.ndarray) -> float:
@@ -88,14 +86,6 @@ def _ratio_guard(v: np.ndarray) -> float:
 def _row_location(m: MdpModel, row: int) -> tuple[int, int]:
     state = int(m.row_state[row])
     return state, int(row - m.state_ptr[state])
-
-
-def _sums_for(m, v, sums):
-    if sums is None:
-        return weighted_sums(m, v)
-    if not sums.matches(v):
-        raise ValueError("weighted sums were computed for a different vector")
-    return sums
 
 
 def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
@@ -119,7 +109,7 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
         raise FeasibilityError(
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
-    s = _sums_for(m, v, sums)
+    s = require_sums(m, v, sums)
     if check_membership and not is_feasible(m, v, sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
     guard = _ratio_guard(v)
@@ -160,8 +150,8 @@ def linear_extension_alpha(
     guard = _ratio_guard(v)
     if sup_norm(u - v) <= guard:
         raise AlreadyConvergedError("direction point coincides with the current point")
-    sv = _sums_for(m, v, sums_v)
-    su = _sums_for(m, u, sums_u)
+    sv = require_sums(m, v, sums_v)
+    su = require_sums(m, u, sums_u)
     if check_membership:
         if not is_feasible(m, v, sums=sv):
             raise FeasibilityError("current point does not dominate its one-step backup")
@@ -181,7 +171,7 @@ def linear_extension_alpha(
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
 
 
-def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, effective, check):
+def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
     """Validate an accelerated point; swap in the fallback when it fails."""
     if check:
         fresh = weighted_sums(m, z)
@@ -191,9 +181,8 @@ def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, effective, check
                 point=safe,
                 sums=WeightedSums(values=fallback_sums.values.copy(), base=safe),
                 alpha=AlphaResult(alpha.alpha, alpha.binding, fallback_used=True),
-                effective_alpha=1.0,
             )
-    return AccelStep(point=z, sums=zsums, alpha=alpha, effective_alpha=effective)
+    return AccelStep(point=z, sums=zsums, alpha=alpha)
 
 
 def apply_projective(m, v, sums=None, beta=0.0, check_membership=True) -> AccelStep:
@@ -204,33 +193,12 @@ def apply_projective(m, v, sums=None, beta=0.0, check_membership=True) -> AccelS
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    s = _sums_for(m, v, sums)
+    s = require_sums(m, v, sums)
     res = projective_alpha(m, v, sums=s, check_membership=check_membership)
     effective = (1.0 - beta) * res.alpha + beta
     z = effective * v
     zsums = WeightedSums(values=effective * s.values, base=z)
-    return _checked(m, z, zsums, v, s, res, effective, check_membership)
-
-
-def apply_beta_variant(m, v, z, beta, check_membership=True) -> np.ndarray:
-    """Blend an accelerated point ``z`` back toward its source ``v``.
-
-    Returns ``(1 - beta) * z + beta * v``.  With ``beta = 0`` the blend
-    is ``z`` itself.  When checks are enabled and the blend fails the
-    dominance test, the unblended ``z`` is returned instead.
-
-    The solver does not call this directly — there the damping folds into
-    the step factor so the sums bookkeeping stays exact — but the blend
-    is useful on its own for nudging a boundary point toward the interior.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if beta == 0.0:
-        return z
-    blended = (1.0 - beta) * z + beta * v
-    if check_membership and not is_feasible(m, blended):
-        return z
-    return blended
+    return _checked(m, z, zsums, v, s, res, check_membership)
 
 
 def apply_linear_extension(
@@ -252,12 +220,12 @@ def apply_linear_extension(
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    sv = _sums_for(m, v, sums_v)
-    su = _sums_for(m, u, sums_u)
+    sv = require_sums(m, v, sums_v)
+    su = require_sums(m, u, sums_u)
     res = linear_extension_alpha(
         m, v, u, sums_v=sv, sums_u=su, alpha_cap=alpha_cap, check_membership=check_membership
     )
     effective = (1.0 - beta) * res.alpha
     z = v + effective * (u - v)
     zsums = WeightedSums(values=sv.values + effective * (su.values - sv.values), base=z)
-    return _checked(m, z, zsums, u, su, res, effective, check_membership)
+    return _checked(m, z, zsums, u, su, res, check_membership)

@@ -138,15 +138,6 @@ def generate(spec: GeneratorSpec) -> MdpModel:
     return _generate_total_reward(spec)
 
 
-def generate_total_reward(spec: GeneratorSpec) -> MdpModel:
-    """Generate a positive undiscounted instance (absorbing family only)."""
-    if spec.family is not GeneratorFamily.TOTAL_REWARD_POSITIVE:
-        raise ValueError(
-            f"generate_total_reward needs the total_reward_positive family, got {spec.family.value}"
-        )
-    return _generate_total_reward(spec)
-
-
 def _generate_dense_or_sparse(spec: GeneratorSpec) -> MdpModel:
     rng = np.random.default_rng(spec.seed)
     n = spec.num_states

@@ -18,11 +18,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-9
+# Types a JSON number parses to; type(True) is bool, so booleans are not numbers here.
+_JSON_NUMBERS = frozenset((int, float))
+# Columns above 2**53 are no state index, and floats no longer hold them exactly.
+_MAX_COLUMN = 2.0**53
 
 
 class RewardMode(str, Enum):
@@ -325,22 +330,10 @@ def absorbing_states(m: MdpModel) -> np.ndarray:
     A state qualifies when every one of its actions is an exact self-loop
     with probability 1 and reward 0.
     """
-    out = []
-    for i in range(m.num_states):
-        ok = True
-        for a in range(m.num_actions(i)):
-            cols, probs = m.action_row(i, a)
-            if not (
-                len(cols) == 1
-                and int(cols[0]) == i
-                and abs(float(probs[0]) - 1.0) <= ROW_SUM_TOL
-                and m.action_reward(i, a) == 0.0
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return np.array(out, dtype=np.int64)
+    ok = (np.diff(m.row_ptr) == 1) & (m.rewards == 0.0)
+    at = m.row_ptr[:-1][ok]
+    ok[ok] = (m.cols[at] == m.row_state[ok]) & (np.abs(m.probs[at] - 1.0) <= ROW_SUM_TOL)
+    return np.flatnonzero(np.minimum.reduceat(ok, m.state_ptr[:-1]))
 
 
 def initial_feasible_point_total_reward(m: MdpModel) -> np.ndarray:
@@ -393,6 +386,36 @@ def _loaded_number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{what} must be a number, got {type(value).__name__}")
     return float(value)
+
+
+def _loaded_pairs(trans, where) -> np.ndarray:
+    """Transition entries as an (n, 2) float array of [column, probability] rows.
+
+    One type scan covers all entries, and the conversion reads the same
+    flattened stream; only a failing row is walked entry by entry, to name
+    the first entry that is not a pair of JSON numbers.
+    """
+    try:
+        numeric = _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(trans)))
+    except TypeError:  # an entry that is not an array
+        numeric = False
+    if not (numeric and set(map(len, trans)) == {2}):
+        for j, pair in enumerate(trans):
+            if type(pair) is not list or len(pair) != 2 or not _JSON_NUMBERS.issuperset(map(type, pair)):
+                raise ModelFormatError(
+                    f"{where}.transitions[{j}] must be a [column, probability] pair of numbers, "
+                    f"got {json.dumps(pair)}"
+                )
+    try:
+        pairs = np.fromiter(chain.from_iterable(trans), np.float64, 2 * len(trans)).reshape(-1, 2)
+    except OverflowError:
+        raise ModelFormatError(f"{where}.transitions has a number too large for a float") from None
+    c = pairs[:, 0]
+    bad = np.flatnonzero((c != np.floor(c)) | (np.abs(c) > _MAX_COLUMN))
+    if bad.size:
+        j = int(bad[0])
+        raise ModelFormatError(f"{where}.transitions[{j}] column {float(c[j])!r} is not an integer index")
+    return pairs
 
 
 def load_model(path) -> MdpModel:
@@ -448,13 +471,8 @@ def load_model(path) -> MdpModel:
                 col_chunks.append(np.empty(0, dtype=np.int64))
                 prob_chunks.append(np.empty(0, dtype=np.float64))
             else:
-                pairs = np.asarray(trans, dtype=np.float64)
-                if pairs.ndim != 2 or pairs.shape[1] != 2:
-                    raise ModelFormatError(f"{where}.transitions entries must be [column, probability] pairs")
-                c = pairs[:, 0]
-                if not np.all(c == np.floor(c)):
-                    raise ModelFormatError(f"{where}.transitions has a non-integer column index")
-                col_chunks.append(c.astype(np.int64))
+                pairs = _loaded_pairs(trans, where)
+                col_chunks.append(pairs[:, 0].astype(np.int64))
                 prob_chunks.append(pairs[:, 1])
                 nnz += pairs.shape[0]
             row_ptr.append(nnz)

@@ -1,17 +1,19 @@
 """Dynamic-programming backup operators and feasibility tests.
 
-Four maximizing backups for discounted models — the standard one-step
-backup, its Jacobi variant (self-loop probability folded into the
-denominator), Gauss-Seidel (in-place sweep in ascending state order), and
-the combined Gauss-Seidel-Jacobi sweep — plus the undiscounted one-step
-backup for total-reward models.
+Every backup is one row-value formula reduced by a maximum over each
+state's rows: row ``k`` of state ``i``, with weighted sum ``s = sum_j
+p(k, j) * v[j]``, is worth ``r + discount * s``, and the Jacobi kinds move
+its self-loop term ``d * v[i]`` into the denominator ``1 - discount * d``.
+Total-reward models have discount 1, so the undiscounted backup is the
+same formula.  ``standard``, ``jacobi`` and ``total`` back up all states
+at once from one sums pass, which callers may precompute and reuse;
+``gs`` and ``gsj`` sweep the states in ascending order, each seeing its
+predecessors' new values, so they take their sums in place.
 
 Every backup is monotone and maps the set of vectors dominating their own
-backup into itself, which is what the descending accelerated iterations
-rely on.  All backups share one dependency on the model: the per-row
-weighted sums ``sum_j p(row, j) * v[j]``.  The simultaneous backups accept
-precomputed sums so callers can reuse a single sums pass per iteration;
-the sweeps are inherently sequential and compute their own.
+backup into itself, which the descending accelerated iterations rely on.
+The greedy policy, which only the final extraction needs, comes from
+``greedy_policy`` rather than from every backup.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class OperatorKind(str, Enum):
     GAUSS_SEIDEL = "gs"
     GAUSS_SEIDEL_JACOBI = "gsj"
     TOTAL_REWARD = "total"
+
+
+_JACOBI_KINDS = (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
 
 
 def sup_norm(v: np.ndarray) -> float:
@@ -70,7 +75,12 @@ def weighted_sums(m: MdpModel, v: np.ndarray) -> WeightedSums:
     return WeightedSums(values=m.row_matrix @ v, base=v)
 
 
-def _require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> WeightedSums:
+def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> WeightedSums:
+    """The weighted sums of ``v``: ``sums`` once its tag matches, else a fresh pass.
+
+    Raises:
+        ValueError: ``sums`` was computed for a different vector.
+    """
     if sums is None:
         return weighted_sums(m, v)
     if not sums.matches(v):
@@ -78,144 +88,90 @@ def _require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> Weig
     return sums
 
 
-def _linear_rows(m: MdpModel, sums_values: np.ndarray) -> np.ndarray:
-    """Row values r + discount * (expected next value)."""
-    return m.rewards + m.discount * sums_values
-
-
-def _jacobi_rows(m: MdpModel, v: np.ndarray, sums_values: np.ndarray) -> np.ndarray:
-    """Row values with the self-loop term moved into the denominator."""
-    diag = m.self_loop_probs
-    denom = 1.0 - m.discount * diag
-    if float(np.min(denom)) < DIAG_GUARD:
+def _check_kind(m: MdpModel, kind: OperatorKind) -> None:
+    """Reject an operator the model's reward mode or self-loops cannot take."""
+    if (kind is OperatorKind.TOTAL_REWARD) != (m.mode is RewardMode.TOTAL_REWARD):
+        raise ValueError(
+            f"the {kind.value} backup is undefined on a {m.mode.value} model; "
+            "total-reward models take only the total backup"
+        )
+    if kind in _JACOBI_KINDS and float(np.min(1.0 - m.discount * m.self_loop_probs)) < DIAG_GUARD:
         raise ArithmeticError(
             "self-loop denominator 1 - discount * p(i,i) below guard; "
             "Jacobi-style backups are not usable on this model"
         )
-    numer = m.rewards + m.discount * (sums_values - diag * v[m.row_state])
-    return numer / denom
+
+
+def _row_values(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray, rows=slice(None)):
+    """Values of the rows ``rows`` given their weighted sums ``sums``."""
+    r = m.rewards[rows]
+    if kind in _JACOBI_KINDS:
+        d = m.self_loop_probs[rows]
+        return (r + m.discount * (sums - d * v[m.row_state[rows]])) / (1.0 - m.discount * d)
+    return r + m.discount * sums
 
 
 def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
 
 
-def _state_argmax(m: MdpModel, row_values: np.ndarray, maxima: np.ndarray) -> np.ndarray:
-    """Per-state index of the first row attaining the state maximum."""
-    cand = np.where(
-        row_values == maxima[m.row_state],
-        np.arange(m.num_rows, dtype=np.int64),
-        m.num_rows,
-    )
-    first = np.minimum.reduceat(cand, m.state_ptr[:-1])
-    return (first - m.state_ptr[:-1]).astype(np.int64)
-
-
-def apply_standard(m, v, sums=None):
-    """One simultaneous backup; returns (new vector, greedy action per state)."""
-    s = _require_sums(m, v, sums)
-    rows = _linear_rows(m, s.values)
-    best = _state_max(m, rows)
-    return best, _state_argmax(m, rows, best)
-
-
-def apply_total_reward(m, v, sums=None):
-    """Undiscounted simultaneous backup for total-reward models."""
-    if m.mode is not RewardMode.TOTAL_REWARD:
-        raise ValueError("total-reward backup requires a total-reward model")
-    s = _require_sums(m, v, sums)
-    rows = m.rewards + s.values
-    best = _state_max(m, rows)
-    return best, _state_argmax(m, rows, best)
-
-
-def apply_jacobi(m, v, sums=None):
-    """Simultaneous backup with per-row self-loop elimination.
-
-    Shares the standard backup's fixed point but contracts at least as
-    fast when self-loops are present.  Only defined for discounted models.
-    """
-    if m.mode is not RewardMode.DISCOUNTED:
-        raise ValueError("Jacobi backup requires a discounted model")
-    s = _require_sums(m, v, sums)
-    rows = _jacobi_rows(m, v, s.values)
-    best = _state_max(m, rows)
-    return best, _state_argmax(m, rows, best)
-
-
-def _sweep(m: MdpModel, v: np.ndarray, divide_diagonal: bool):
+def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
     w = v.astype(np.float64, copy=True)
-    policy = np.zeros(m.num_states, dtype=np.int64)
-    discount = m.discount
-    state_ptr, row_ptr = m.state_ptr, m.row_ptr
-    rewards, cols, probs = m.rewards, m.cols, m.probs
-    diag = m.self_loop_probs if divide_diagonal else None
+    sums = np.empty(m.num_rows)
+    state_ptr, row_ptr, cols, probs = m.state_ptr, m.row_ptr, m.cols, m.probs
     for i in range(m.num_states):
         r0, r1 = state_ptr[i], state_ptr[i + 1]
-        best = -np.inf
-        best_a = 0
-        old = w[i]
         for k in range(r0, r1):
             lo, hi = row_ptr[k], row_ptr[k + 1]
-            s = float(probs[lo:hi] @ w[cols[lo:hi]])
-            if divide_diagonal:
-                d = diag[k]
-                denom = 1.0 - discount * d
-                if denom < DIAG_GUARD:
-                    raise ArithmeticError(
-                        "self-loop denominator 1 - discount * p(i,i) below guard; "
-                        "Jacobi-style backups are not usable on this model"
-                    )
-                val = (rewards[k] + discount * (s - d * old)) / denom
-            else:
-                val = rewards[k] + discount * s
-            if val > best:
-                best = val
-                best_a = k - r0
-        w[i] = best
-        policy[i] = best_a
-    return w, policy
-
-
-def apply_gauss_seidel(m, v):
-    """In-place sweep: states backed up in ascending order, each seeing the
-    already-updated values of its predecessors."""
-    if m.mode is not RewardMode.DISCOUNTED:
-        raise ValueError("Gauss-Seidel backup requires a discounted model")
-    return _sweep(m, v, divide_diagonal=False)
-
-
-def apply_gauss_seidel_jacobi(m, v):
-    """Gauss-Seidel sweep with the self-loop term divided out per row."""
-    if m.mode is not RewardMode.DISCOUNTED:
-        raise ValueError("Gauss-Seidel-Jacobi backup requires a discounted model")
-    return _sweep(m, v, divide_diagonal=True)
-
-
-def apply_operator(m, v, kind, sums=None):
-    """Dispatch one backup of ``v`` under the selected operator.
-
-    Returns (new vector, greedy policy).  ``sums`` is honored by the
-    simultaneous operators and must be None for the sweeps, which cannot
-    reuse sums of the unmodified vector.
-    """
-    kind = OperatorKind(kind)
-    if kind is OperatorKind.STANDARD:
-        return apply_standard(m, v, sums)
-    if kind is OperatorKind.JACOBI:
-        return apply_jacobi(m, v, sums)
-    if kind is OperatorKind.TOTAL_REWARD:
-        return apply_total_reward(m, v, sums)
-    if sums is not None:
-        raise ValueError("sweep operators recompute sums in place; pass sums=None")
-    if kind is OperatorKind.GAUSS_SEIDEL:
-        return apply_gauss_seidel(m, v)
-    return apply_gauss_seidel_jacobi(m, v)
+            sums[k] = probs[lo:hi] @ w[cols[lo:hi]]
+        w[i] = _row_values(m, kind, w, sums[r0:r1], slice(r0, r1)).max()
+    return w
 
 
 def sweep_carries_state(kind) -> bool:
     """True for operators whose backup cannot reuse a precomputed sums pass."""
     return OperatorKind(kind) in (OperatorKind.GAUSS_SEIDEL, OperatorKind.GAUSS_SEIDEL_JACOBI)
+
+
+def apply_operator(m, v, kind, sums=None):
+    """One backup of ``v`` under the selected operator; returns the new vector.
+
+    ``sums`` is honored by the simultaneous operators and must be None for
+    the sweeps, which cannot reuse sums of the unmodified vector.
+
+    Raises:
+        ValueError: an operator the model's reward mode does not take, sums
+            of a different vector, or sums handed to a sweep.
+        ArithmeticError: a Jacobi kind on a model whose self-loop
+            denominator ``1 - discount * p(i,i)`` falls below ``DIAG_GUARD``.
+    """
+    kind = OperatorKind(kind)
+    _check_kind(m, kind)
+    if sweep_carries_state(kind):
+        if sums is not None:
+            raise ValueError("sweep operators recompute sums in place; pass sums=None")
+        return _sweep(m, kind, v)
+    return _state_max(m, _row_values(m, kind, v, require_sums(m, v, sums).values))
+
+
+def _one_step_kind(m: MdpModel) -> OperatorKind:
+    if m.mode is RewardMode.TOTAL_REWARD:
+        return OperatorKind.TOTAL_REWARD
+    return OperatorKind.STANDARD
+
+
+def greedy_policy(m, v) -> np.ndarray:
+    """Per-state index of the first action attaining the one-step backup of ``v``.
+
+    Ties resolve to the lowest action index.
+    """
+    rows = _row_values(m, _one_step_kind(m), v, weighted_sums(m, v).values)
+    cand = np.where(
+        rows == _state_max(m, rows)[m.row_state],
+        np.arange(m.num_rows, dtype=np.int64),
+        m.num_rows,
+    )
+    return np.minimum.reduceat(cand, m.state_ptr[:-1]) - m.state_ptr[:-1]
 
 
 def is_feasible(m, v, tol=None, sums=None):
@@ -227,24 +183,7 @@ def is_feasible(m, v, tol=None, sums=None):
     """
     if tol is None:
         tol = membership_tolerance(v)
-    s = _require_sums(m, v, sums)
-    if m.mode is RewardMode.TOTAL_REWARD:
-        rows = m.rewards + s.values
-    else:
-        rows = _linear_rows(m, s.values)
-    return bool(np.all(_state_max(m, rows) <= v + tol))
-
-
-def is_strictly_feasible(m, v, tol=None, sums=None):
-    """Strict one-step dominance: v > backup of v in every component."""
-    if tol is None:
-        tol = membership_tolerance(v)
-    s = _require_sums(m, v, sums)
-    if m.mode is RewardMode.TOTAL_REWARD:
-        rows = m.rewards + s.values
-    else:
-        rows = _linear_rows(m, s.values)
-    return bool(np.all(_state_max(m, rows) < v - tol))
+    return bool(np.all(apply_operator(m, v, _one_step_kind(m), sums) <= v + tol))
 
 
 def is_feasible_gs(m, v, tol=None):
@@ -255,5 +194,4 @@ def is_feasible_gs(m, v, tol=None):
     """
     if tol is None:
         tol = membership_tolerance(v)
-    w, _ = apply_gauss_seidel(m, v)
-    return bool(np.all(w <= v + tol))
+    return bool(np.all(apply_operator(m, v, OperatorKind.GAUSS_SEIDEL) <= v + tol))

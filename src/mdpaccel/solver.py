@@ -50,6 +50,7 @@ from .model import (
 from .operators import (
     OperatorKind,
     apply_operator,
+    greedy_policy,
     is_feasible,
     sup_norm,
     sweep_carries_state,
@@ -178,13 +179,7 @@ def extract_policy(m: MdpModel, v: np.ndarray) -> np.ndarray:
 
     Ties resolve to the lowest action index.
     """
-    kind = (
-        OperatorKind.TOTAL_REWARD
-        if m.mode is RewardMode.TOTAL_REWARD
-        else OperatorKind.STANDARD
-    )
-    _, policy = apply_operator(m, v, kind)
-    return policy
+    return greedy_policy(m, v)
 
 
 def _resolve_initial(m: MdpModel, config: SolverConfig):
@@ -230,9 +225,9 @@ class _Loop:
     def step(self) -> _Step:
         cfg = self.config
         if sweep_carries_state(cfg.operator):
-            u, _ = apply_operator(self.m, self.w, cfg.operator)
+            u = apply_operator(self.m, self.w, cfg.operator)
         else:
-            u, _ = apply_operator(self.m, self.w, cfg.operator, sums=self.sums)
+            u = apply_operator(self.m, self.w, cfg.operator, sums=self.sums)
         residual = sup_norm(u - self.w)
         if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
             converged = residual <= self.threshold

@@ -33,11 +33,7 @@ from .accelerators import (
 from .generators import GeneratorSpec, generate
 from .model import MdpModel, RewardMode, initial_feasible_point_total_reward
 from .operators import (
-    apply_gauss_seidel,
-    apply_jacobi,
     apply_operator,
-    apply_standard,
-    apply_total_reward,
     is_feasible,
     is_feasible_gs,
     membership_tolerance,
@@ -103,7 +99,7 @@ def exact_fixed_point(m: MdpModel, max_rounds: int = 1000) -> OracleResult:
     else:
         raise RuntimeError("policy iteration failed to settle within its round budget")
 
-    backed, _ = apply_standard(m, v)
+    backed = apply_operator(m, v, "standard")
     residual = sup_norm(backed - v)
     limit = ORACLE_RESIDUAL_SCALE * (1.0 + sup_norm(v))
     if residual > limit:
@@ -293,7 +289,7 @@ class _Trial:
         m = self.tr_model
         v = initial_feasible_point_total_reward(m)
         for _ in range(int(self.rng.integers(0, 3))):
-            v, _ = apply_total_reward(m, v)
+            v = apply_operator(m, v, "total")
         return v + float(self.rng.uniform(0.0, 5.0))
 
 
@@ -302,8 +298,8 @@ def _prop_monotone_backups(t: _Trial) -> bool:
     tol = membership_tolerance(u)
     degenerate = t.has_pure_self_loop_row()
     for kind in ("standard", "jacobi", "gs", "gsj"):
-        bu, _ = apply_operator(t.m, u, kind)
-        bv, _ = apply_operator(t.m, v, kind)
+        bu = apply_operator(t.m, u, kind)
+        bv = apply_operator(t.m, v, kind)
         if not np.all(bu >= bv - tol):
             return False
         if kind in ("jacobi", "gsj") and degenerate:
@@ -315,23 +311,23 @@ def _prop_monotone_backups(t: _Trial) -> bool:
 
 def _prop_feasible_invariant_standard(t: _Trial) -> bool:
     v = t.feasible_point()
-    out, _ = apply_standard(t.m, v)
+    out = apply_operator(t.m, v, "standard")
     return is_feasible(t.m, out)
 
 
 def _prop_sweep_region_invariant(t: _Trial) -> bool:
     v = t.feasible_point()  # region members are also sweep-region members
-    out, _ = apply_gauss_seidel(t.m, v)
+    out = apply_operator(t.m, v, "gs")
     if not is_feasible_gs(t.m, out):
         return False
     cm = _counterexample_model()
-    swept, _ = apply_gauss_seidel(cm, np.array([100.0, 10.0]))
+    swept = apply_operator(cm, np.array([100.0, 10.0]), "gs")
     return is_feasible_gs(cm, swept)
 
 
 def _prop_jacobi_region_identity(t: _Trial) -> bool:
     for v in (t.feasible_point(), t.infeasible_point()):
-        jac, _ = apply_jacobi(t.m, v)
+        jac = apply_operator(t.m, v, "jacobi")
         in_j = bool(np.all(jac <= v + membership_tolerance(v)))
         if is_feasible(t.m, v) != in_j:
             return False
@@ -349,18 +345,18 @@ def _prop_sweep_region_contains_feasible(t: _Trial) -> bool:
 
 def _prop_sweep_image_in_feasible(t: _Trial) -> bool:
     v = t.feasible_point()
-    out, _ = apply_gauss_seidel(t.m, v)
+    out = apply_operator(t.m, v, "gs")
     if not is_feasible(t.m, out):
         return False
     cm = _counterexample_model()
-    swept, _ = apply_gauss_seidel(cm, np.array([100.0, 10.0]))
+    swept = apply_operator(cm, np.array([100.0, 10.0]), "gs")
     return is_feasible(cm, swept)
 
 
 def _prop_splittings_preserve_feasible(t: _Trial) -> bool:
     v = t.feasible_point()
     for kind in ("jacobi", "gs", "gsj"):
-        out, _ = apply_operator(t.m, v, kind)
+        out = apply_operator(t.m, v, kind)
         if not is_feasible(t.m, out):
             return False
     return True
@@ -371,7 +367,7 @@ def _prop_total_reward_invariant(t: _Trial) -> bool:
     v = t.tr_feasible_point()
     if not is_feasible(m, v):
         return False
-    out, _ = apply_total_reward(m, v)
+    out = apply_operator(m, v, "total")
     return is_feasible(m, out)
 
 
@@ -381,7 +377,7 @@ def _prop_dense_strict_decrease(t: _Trial) -> bool:
     v = t.feasible_point()
     if sup_norm(v - t.vstar) <= 1e-6 * t.scale:
         return True
-    out, _ = apply_standard(t.m, v)
+    out = apply_operator(t.m, v, "standard")
     return bool(np.all(out < v))
 
 
@@ -389,8 +385,8 @@ def _prop_contraction(t: _Trial) -> bool:
     n = t.m.num_states
     a = t.rng.normal(scale=t.scale, size=n)
     b = t.rng.normal(scale=t.scale, size=n)
-    ta, _ = apply_standard(t.m, a)
-    tb, _ = apply_standard(t.m, b)
+    ta = apply_operator(t.m, a, "standard")
+    tb = apply_operator(t.m, b, "standard")
     return sup_norm(ta - tb) <= t.m.discount * sup_norm(a - b) + 1e-9 * t.scale
 
 
@@ -404,7 +400,7 @@ def _prop_acceleration_stays_feasible(t: _Trial) -> bool:
     p = apply_projective(t.m, v)
     if p.alpha.fallback_used or not is_feasible(t.m, p.point):
         return False
-    u, _ = apply_standard(t.m, v)
+    u = apply_operator(t.m, v, "standard")
     e = apply_linear_extension(t.m, v, u)
     return (not e.alpha.fallback_used) and is_feasible(t.m, e.point)
 
@@ -415,7 +411,7 @@ def _prop_acceleration_never_exceeds_input(t: _Trial) -> bool:
     p = apply_projective(t.m, v)
     if not np.all(p.point <= v + tol):
         return False
-    u, _ = apply_standard(t.m, v)
+    u = apply_operator(t.m, v, "standard")
     e = apply_linear_extension(t.m, v, u)
     return bool(np.all(e.point <= v + tol))
 
@@ -432,7 +428,7 @@ def _prop_alpha_matches_bisection(t: _Trial) -> bool:
     if abs(closed - by_bisect) > 1e-6:
         return False
 
-    u, _ = apply_standard(t.m, v)
+    u = apply_operator(t.m, v, "standard")
     res = linear_extension_alpha(t.m, v, u)
     hi = max(res.alpha * 4.0, 8.0)
     ray = bisect_alpha(t.m, v, u=u, lo=1.0, hi=hi, membership_tol=probe_tol)
@@ -447,8 +443,8 @@ def _prop_iterate_sandwich(t: _Trial) -> bool:
         plain = start.copy()
         fast = start.copy()
         for _ in range(8):
-            plain, _ = apply_operator(t.m, plain, kind)
-            backed, _ = apply_operator(t.m, fast, kind)
+            plain = apply_operator(t.m, plain, kind)
+            backed = apply_operator(t.m, fast, kind)
             if sup_norm(backed - fast) <= 1e-11 * (1.0 + sup_norm(fast)):
                 break  # accelerated stream already at its fixed point
             if accel == "projective":

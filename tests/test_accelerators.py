@@ -10,7 +10,6 @@ from mdpaccel.accelerators import (
     ALPHA_CAP_DEFAULT,
     AlreadyConvergedError,
     FeasibilityError,
-    apply_beta_variant,
     apply_linear_extension,
     apply_projective,
     linear_extension_alpha,
@@ -18,10 +17,9 @@ from mdpaccel.accelerators import (
 )
 from mdpaccel.model import MdpModel, initial_feasible_point
 from mdpaccel.operators import (
-    apply_gauss_seidel,
-    apply_standard,
+    apply_operator,
     is_feasible,
-    is_strictly_feasible,
+    membership_tolerance,
     weighted_sums,
 )
 
@@ -91,7 +89,7 @@ class TestLinearExtensionAlpha:
     def test_swap_reaches_fixed_point_in_one_scan(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        u, _ = apply_standard(m, v)
+        u = apply_operator(m, v, "standard")
         res = linear_extension_alpha(m, v, u)
         assert res.alpha == pytest.approx(10.0)
         assert res.binding == (0, 0)
@@ -102,7 +100,7 @@ class TestLinearExtensionAlpha:
         for _ in range(25):
             m = random_model(rng, num_states=int(rng.integers(3, 25)))
             v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
-            u, _ = apply_standard(m, v)
+            u = apply_operator(m, v, "standard")
             res = linear_extension_alpha(m, v, u)
             assert res.alpha >= 1.0
             z = v + res.alpha * (u - v)
@@ -112,17 +110,18 @@ class TestLinearExtensionAlpha:
         rng = np.random.default_rng(23)
         m = random_model(rng, num_states=10)
         v = initial_feasible_point(m) * 1.5
-        u, _ = apply_standard(m, v)
+        u = apply_operator(m, v, "standard")
         res = linear_extension_alpha(m, v, u)
         assert res.binding is not None
         z = v + res.alpha * (u - v)
         assert is_feasible(m, z)
-        assert not is_strictly_feasible(m, z)
+        # some state touches the boundary: its backup is not strictly below it
+        assert not np.all(apply_operator(m, z, "standard") < z - membership_tolerance(z))
 
     def test_gauss_seidel_backup_as_direction(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        u, _ = apply_gauss_seidel(m, v)
+        u = apply_operator(m, v, "gs")
         np.testing.assert_allclose(u, [19.0, 18.1])
         res = linear_extension_alpha(m, v, u)
         # the sweep already landed state 1 on its constraint, so the ray
@@ -166,7 +165,7 @@ class TestApplyProjective:
         s = weighted_sums(m, v)
         step = apply_projective(m, v, sums=s)
         np.testing.assert_allclose(step.point, [10.0, 10.0])
-        assert step.effective_alpha == pytest.approx(0.5)
+        np.testing.assert_allclose(step.point, 0.5 * v)
         np.testing.assert_allclose(step.sums.values, 0.5 * s.values)
         assert step.sums.matches(step.point)
         fresh = weighted_sums(m, step.point)
@@ -176,7 +175,7 @@ class TestApplyProjective:
         m = two_state_swap()
         step = apply_projective(m, np.array([20.0, 20.0]), beta=0.5)
         assert step.alpha.alpha == pytest.approx(0.5)
-        assert step.effective_alpha == pytest.approx(0.75)
+        np.testing.assert_allclose(step.point, 0.75 * np.array([20.0, 20.0]))
         np.testing.assert_allclose(step.point, [15.0, 15.0])
         assert is_feasible(m, step.point)
 
@@ -203,7 +202,7 @@ class TestApplyProjective:
         monkeypatch.setattr(accel_mod, "is_feasible", fake_is_feasible)
         step = apply_projective(m, v)
         np.testing.assert_array_equal(step.point, v)
-        assert step.effective_alpha == 1.0
+        assert step.point is not v
         assert step.alpha.fallback_used
         np.testing.assert_allclose(step.sums.values, weighted_sums(m, v).values)
 
@@ -222,7 +221,7 @@ class TestApplyLinearExtension:
     def test_step_carries_affine_sums(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        u, _ = apply_standard(m, v)
+        u = apply_operator(m, v, "standard")
         sv = weighted_sums(m, v)
         su = weighted_sums(m, u)
         step = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
@@ -233,16 +232,16 @@ class TestApplyLinearExtension:
     def test_beta_damping_shortens_step(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        u, _ = apply_standard(m, v)
+        u = apply_operator(m, v, "standard")
         step = apply_linear_extension(m, v, u, beta=0.5)
         assert step.alpha.alpha == pytest.approx(10.0)
-        assert step.effective_alpha == pytest.approx(5.0)
+        np.testing.assert_allclose(step.point, v + 5.0 * (u - v))
         np.testing.assert_allclose(step.point, [15.0, 15.0])
 
     def test_failed_output_check_falls_back_to_direction_point(self, monkeypatch):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        u, _ = apply_standard(m, v)
+        u = apply_operator(m, v, "standard")
         answers = iter([True, True, False])
 
         def fake_is_feasible(*args, **kwargs):
@@ -251,8 +250,8 @@ class TestApplyLinearExtension:
         monkeypatch.setattr(accel_mod, "is_feasible", fake_is_feasible)
         step = apply_linear_extension(m, v, u)
         np.testing.assert_array_equal(step.point, u)
+        assert step.point is not u
         assert step.alpha.fallback_used
-        assert step.effective_alpha == 1.0
 
     def test_capped_step_is_flagged_but_kept_when_feasible(self):
         m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=0.9)
@@ -263,38 +262,6 @@ class TestApplyLinearExtension:
         assert step.point[0] == pytest.approx(60.0 + ALPHA_CAP_DEFAULT)
 
 
-class TestBetaBlend:
-    def test_hand_value(self):
-        m = two_state_swap()
-        v = np.array([20.0, 20.0])
-        z = np.array([10.0, 10.0])
-        out = apply_beta_variant(m, v, z, beta=0.5)
-        np.testing.assert_allclose(out, [15.0, 15.0])
-        assert is_feasible(m, out)  # 15 >= 1 + 0.9 * 15 = 14.5
-
-    def test_beta_zero_returns_z(self):
-        m = two_state_swap()
-        z = np.array([10.0, 10.0])
-        assert apply_beta_variant(m, np.array([20.0, 20.0]), z, beta=0.0) is z
-
-    def test_beta_near_one_approaches_source(self):
-        m = two_state_swap()
-        out = apply_beta_variant(m, np.array([20.0, 20.0]), np.array([10.0, 10.0]), 0.999)
-        np.testing.assert_allclose(out, [19.99, 19.99])
-
-    def test_out_of_range(self):
-        m = two_state_swap()
-        with pytest.raises(ValueError, match="beta"):
-            apply_beta_variant(m, np.zeros(2), np.zeros(2), beta=1.0)
-
-    def test_failed_check_returns_z(self, monkeypatch):
-        m = two_state_swap()
-        monkeypatch.setattr(accel_mod, "is_feasible", lambda *a, **k: False)
-        z = np.array([10.0, 10.0])
-        out = apply_beta_variant(m, np.array([20.0, 20.0]), z, beta=0.5)
-        np.testing.assert_array_equal(out, z)
-
-
 class TestDescent:
     def test_both_operators_never_go_below_the_fixed_point(self):
         rng = np.random.default_rng(24)
@@ -302,12 +269,12 @@ class TestDescent:
             m = random_model(rng, num_states=int(rng.integers(3, 15)))
             star = np.zeros(m.num_states)
             for _ in range(3000):
-                star, _ = apply_standard(m, star)
+                star = apply_operator(m, star, "standard")
             v = initial_feasible_point(m)
             p = apply_projective(m, v)
             assert np.all(p.point >= star - 1e-7)
             assert np.all(p.point <= v + 1e-12)
-            u, _ = apply_standard(m, v)
+            u = apply_operator(m, v, "standard")
             e = apply_linear_extension(m, v, u)
             assert np.all(e.point >= star - 1e-7)
             assert np.all(e.point <= u + 1e-9)

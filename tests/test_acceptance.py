@@ -100,7 +100,7 @@ def test_criterion_02_scan_matches_bisection():
         worst_scale = max(worst_scale, abs(scan.alpha - located))
         fallbacks += scan.fallback_used
 
-        u = apply_operator(m, v, OperatorKind.STANDARD)[0]
+        u = apply_operator(m, v, OperatorKind.STANDARD)
         ray = linear_extension_alpha(m, v, u)
         hi = max(4.0 * ray.alpha, 8.0)
         located = bisect_alpha(m, v, u=u, hi=hi, tol=1e-8, membership_tol=probe)
@@ -378,7 +378,7 @@ def test_criterion_09_caching_overhead_and_identity():
     w = initial_feasible_point(shifted)
     reference = [w - correction]
     for _ in range(cached.iterations):
-        u = apply_operator(shifted, w, OperatorKind.STANDARD)[0]
+        u = apply_operator(shifted, w, OperatorKind.STANDARD)
         if sup_norm(u - w) <= threshold:
             w = u
         else:

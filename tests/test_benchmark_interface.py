@@ -1,0 +1,52 @@
+"""The benchmark tracer still finds every layer it rebinds by module attribute.
+
+``perfbench/tracer.py`` wraps functions at the module-level names the
+solve path looks them up through (``mdpaccel.solver.apply_operator``,
+``mdpaccel.accelerators.is_feasible`` and so on).  A refactor that stops
+calling through one of those names silently drops its span from the bench
+run; this test makes that a Tier-1 failure instead.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import mdpaccel
+import mdpaccel.operators
+import mdpaccel.solver
+from mdpaccel import GeneratorSpec, SolverConfig, generate, solve
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracer
+
+
+def test_tracer_records_every_solve_layer():
+    tracer = load_tracer()
+    m = generate(GeneratorSpec(family="uniform", num_states=6, density=0.5,
+                               action_range=(2, 3), seed=3))
+    configs = (
+        dict(operator="standard"),
+        dict(operator="gs"),
+        dict(operator="standard", accelerator="linear"),
+    )
+    with tracer.Tracer().installed() as t:
+        for options in configs:
+            assert solve(m, SolverConfig(epsilon=1e-3, **options)).converged
+    names = {span[tracer.NAME] for span in t.spans}
+    assert {
+        "operators.backup",
+        "operators.sweep",
+        "operators.weighted_sums",
+        "operators.is_feasible",
+        "solver.extract_policy",
+    } <= names
+    assert mdpaccel.solver.apply_operator is mdpaccel.operators.apply_operator

@@ -9,7 +9,6 @@ from mdpaccel.generators import (
     GeneratorFamily,
     GeneratorSpec,
     generate,
-    generate_total_reward,
 )
 from mdpaccel.model import (
     RewardMode,
@@ -189,14 +188,6 @@ class TestTotalRewardFamily:
         nnz = np.diff(m.row_ptr)[:-1]  # transient rows
         assert np.all(nnz == 5)
         assert validate_model(m) == []
-
-    def test_named_entry_point(self):
-        spec = small("total_reward_positive")
-        assert models_identical(generate_total_reward(spec), generate(spec))
-
-    def test_named_entry_point_rejects_other_families(self):
-        with pytest.raises(ValueError, match="total_reward_positive"):
-            generate_total_reward(small())
 
 
 class TestWeightProperties:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,34 @@ class TestSerialization:
         )
         with pytest.raises(ModelFormatError, match=r"states\[0\].actions\[0\]"):
             load_model(p)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ['[1, "1.0"]', '["1", 1.0]', "[true, 1.0]", "[1, null]", "null", "[1, [1.0]]", "[1, 0.5, 0]", "1"],
+    )
+    def test_load_locates_non_numeric_transition_entry(self, tmp_path, entry):
+        p = tmp_path / "m.json"
+        p.write_text(
+            '{"mode": "discounted", "discount": 0.9, "states": '
+            '[{"actions": [{"reward": 1.0, "transitions": [[0, 0.5], %s]}]}, '
+            '{"actions": [{"reward": 1.0, "transitions": [[1, 1.0]]}]}]}' % entry
+        )
+        with pytest.raises(ModelFormatError, match=r"states\[0\]\.actions\[0\]\.transitions\[1\] "):
+            load_model(p)
+
+    @pytest.mark.parametrize(
+        "column", ["1e300", "-1e300", "1" + "0" * 400], ids=["1e300", "-1e300", "int-1e400"]
+    )
+    def test_load_rejects_huge_column_without_warning(self, tmp_path, column):
+        p = tmp_path / "m.json"
+        p.write_text(
+            '{"mode": "discounted", "discount": 0.9, "states": '
+            '[{"actions": [{"reward": 1.0, "transitions": [[0, 0.5], [%s, 0.5]]}]}]}' % column
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match=r"states\[0\]\.actions\[0\]\.transitions"):
+                load_model(p)
 
     def test_load_validates(self, tmp_path):
         p = tmp_path / "m.json"

@@ -5,37 +5,73 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import MdpModel, RewardMode
 from mdpaccel.operators import (
     OperatorKind,
     WeightedSums,
-    apply_gauss_seidel,
-    apply_gauss_seidel_jacobi,
-    apply_jacobi,
     apply_operator,
-    apply_standard,
-    apply_total_reward,
     is_feasible,
     is_feasible_gs,
-    is_strictly_feasible,
     membership_tolerance,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
 )
+from mdpaccel.solver import extract_policy
 
 from test_model import chain_to_absorbing, random_model, two_state_swap
 
 
-def dense_backup(m, v):
-    """Dense reference backup used as an oracle for the sparse kernels."""
+def dense_backup(m, v, jacobi=False):
+    """Dense reference backup used as an oracle for the sparse kernels.
+
+    With ``jacobi`` each row's self-loop term moves into the denominator.
+    Total-reward models carry discount 1, so the same loop is their
+    undiscounted backup.
+    """
     best = np.full(m.num_states, -np.inf)
     for i in range(m.num_states):
         for a in range(m.num_actions(i)):
             cols, probs = m.action_row(i, a)
-            val = m.action_reward(i, a) + m.discount * float(probs @ v[cols])
+            s = float(probs @ v[cols])
+            r = m.action_reward(i, a)
+            if jacobi:
+                d = float(probs[cols == i].sum())
+                val = (r + m.discount * (s - d * v[i])) / (1.0 - m.discount * d)
+            else:
+                val = r + m.discount * s
             best[i] = max(best[i], val)
     return best
+
+
+def reference_sweep(m, v, divide_diagonal):
+    """Scalar per-row Gauss-Seidel sweep: the loop the sweep kernel replaced.
+
+    Kept as the reference the vectorized per-state row values must match
+    bit for bit, since the per-row dot products are unchanged.
+    """
+    w = v.astype(np.float64, copy=True)
+    discount = m.discount
+    state_ptr, row_ptr = m.state_ptr, m.row_ptr
+    rewards, cols, probs = m.rewards, m.cols, m.probs
+    diag = m.self_loop_probs if divide_diagonal else None
+    for i in range(m.num_states):
+        r0, r1 = state_ptr[i], state_ptr[i + 1]
+        best = -np.inf
+        old = w[i]
+        for k in range(r0, r1):
+            lo, hi = row_ptr[k], row_ptr[k + 1]
+            s = float(probs[lo:hi] @ w[cols[lo:hi]])
+            if divide_diagonal:
+                d = diag[k]
+                val = (rewards[k] + discount * (s - d * old)) / (1.0 - discount * d)
+            else:
+                val = rewards[k] + discount * s
+            if val > best:
+                best = val
+        w[i] = best
+    return w
 
 
 class TestWeightedSums:
@@ -59,26 +95,26 @@ class TestWeightedSums:
         v = np.array([1.0, 2.0])
         s = weighted_sums(m, v)
         with pytest.raises(ValueError, match="different vector"):
-            apply_standard(m, np.array([3.0, 4.0]), sums=s)
+            apply_operator(m, np.array([3.0, 4.0]), "standard", sums=s)
 
     def test_equal_valued_copy_accepted(self):
         m = two_state_swap()
         v = np.array([1.0, 2.0])
         s = weighted_sums(m, v)
-        out, _ = apply_standard(m, v.copy(), sums=s)
+        out = apply_operator(m, v.copy(), "standard", sums=s)
         np.testing.assert_allclose(out, [2.8, 1.9])
 
 
 class TestStandardBackup:
     def test_swap_hand_values(self):
         m = two_state_swap()
-        out, policy = apply_standard(m, np.array([20.0, 20.0]))
+        out = apply_operator(m, np.array([20.0, 20.0]), "standard")
         np.testing.assert_allclose(out, [19.0, 19.0])
-        np.testing.assert_array_equal(policy, [0, 0])
+        np.testing.assert_array_equal(extract_policy(m, np.array([20.0, 20.0])), [0, 0])
 
     def test_fixed_point(self):
         m = two_state_swap()
-        out, _ = apply_standard(m, np.array([10.0, 10.0]))
+        out = apply_operator(m, np.array([10.0, 10.0]), "standard")
         np.testing.assert_allclose(out, [10.0, 10.0])
 
     def test_against_dense_oracle(self):
@@ -86,7 +122,7 @@ class TestStandardBackup:
         for _ in range(20):
             m = random_model(rng, num_states=int(rng.integers(2, 30)))
             v = rng.normal(scale=10.0, size=m.num_states)
-            out, _ = apply_standard(m, v)
+            out = apply_operator(m, v, "standard")
             np.testing.assert_allclose(out, dense_backup(m, v), rtol=0, atol=1e-12)
 
     def test_monotone(self):
@@ -94,8 +130,8 @@ class TestStandardBackup:
         m = random_model(rng)
         v = rng.normal(size=m.num_states)
         w = v + rng.uniform(0.0, 1.0, size=m.num_states)
-        tv, _ = apply_standard(m, v)
-        tw, _ = apply_standard(m, w)
+        tv = apply_operator(m, v, "standard")
+        tw = apply_operator(m, w, "standard")
         assert np.all(tv <= tw + 1e-12)
 
     def test_tie_break_picks_lowest_action(self):
@@ -103,14 +139,14 @@ class TestStandardBackup:
             [[(1.0, [(0, 1.0)]), (1.0, [(0, 1.0)]), (1.0, [(0, 1.0)])]],
             discount=0.9,
         )
-        _, policy = apply_standard(m, np.zeros(1))
-        np.testing.assert_array_equal(policy, [0])
+        np.testing.assert_array_equal(extract_policy(m, np.zeros(1)), [0])
 
     def test_argmax_matches_row_values(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, num_states=12, max_actions=6)
         v = rng.normal(size=m.num_states)
-        out, policy = apply_standard(m, v)
+        out = apply_operator(m, v, "standard")
+        policy = extract_policy(m, v)
         for i in range(m.num_states):
             cols, probs = m.action_row(i, int(policy[i]))
             val = m.action_reward(i, int(policy[i])) + m.discount * float(probs @ v[cols])
@@ -120,44 +156,54 @@ class TestStandardBackup:
 class TestJacobiBackup:
     def test_single_state_jumps_to_fixed_point(self):
         m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=0.9)
-        out, _ = apply_jacobi(m, np.array([123.0]))
+        out = apply_operator(m, np.array([123.0]), "jacobi")
         np.testing.assert_allclose(out, [50.0])
 
     def test_no_self_loops_reduces_to_standard(self):
         m = two_state_swap()
         v = np.array([7.0, -2.0])
-        np.testing.assert_array_equal(apply_jacobi(m, v)[0], apply_standard(m, v)[0])
+        np.testing.assert_array_equal(
+            apply_operator(m, v, "jacobi"), apply_operator(m, v, "standard")
+        )
 
     def test_shared_fixed_point(self):
         rng = np.random.default_rng(8)
         m = random_model(rng, num_states=10)
         v = np.zeros(m.num_states)
         for _ in range(2000):
-            v, _ = apply_standard(m, v)
-        out, _ = apply_jacobi(m, v)
+            v = apply_operator(m, v, "standard")
+        out = apply_operator(m, v, "jacobi")
         np.testing.assert_allclose(out, v, rtol=0, atol=1e-8)
 
     def test_denominator_guard(self):
         m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=1.0 - 1e-13)
-        with pytest.raises(ArithmeticError, match="guard"):
-            apply_jacobi(m, np.array([0.0]))
+        for kind in ("jacobi", "gsj"):
+            with pytest.raises(ArithmeticError, match="guard"):
+                apply_operator(m, np.array([0.0]), kind)
+
+    def test_against_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for density in (0.3, 0.6, 1.0):  # denser rows carry more self-loops
+            m = random_model(rng, num_states=int(rng.integers(2, 30)), density=density)
+            v = rng.normal(scale=10.0, size=m.num_states)
+            out = apply_operator(m, v, "jacobi")
+            np.testing.assert_allclose(out, dense_backup(m, v, jacobi=True), rtol=0, atol=1e-12)
 
     def test_total_reward_model_rejected(self):
         m = chain_to_absorbing()
         with pytest.raises(ValueError):
-            apply_jacobi(m, np.zeros(3))
+            apply_operator(m, np.zeros(3), "jacobi")
 
 
 class TestSweeps:
     def test_gs_swap_hand_values(self):
         m = two_state_swap()
-        out, policy = apply_gauss_seidel(m, np.array([20.0, 20.0]))
+        out = apply_operator(m, np.array([20.0, 20.0]), "gs")
         np.testing.assert_allclose(out, [19.0, 18.1])
-        np.testing.assert_array_equal(policy, [0, 0])
 
     def test_gs_uses_updated_predecessors(self):
         m = two_state_swap()
-        out, _ = apply_gauss_seidel(m, np.array([100.0, 10.0]))
+        out = apply_operator(m, np.array([100.0, 10.0]), "gs")
         np.testing.assert_allclose(out, [10.0, 10.0])
 
     def test_gsj_divides_self_loop(self):
@@ -172,15 +218,13 @@ class TestSweeps:
         # state 0: (1 + 0.8*(0.5*4) - 0) / (1 - 0.4) = 2.6/0.6
         # state 1: 2 + 0.8 * updated w0
         w0 = 2.6 / 0.6
-        out, _ = apply_gauss_seidel_jacobi(m, v)
+        out = apply_operator(m, v, "gsj")
         np.testing.assert_allclose(out, [w0, 2.0 + 0.8 * w0])
 
     def test_gsj_no_self_loops_matches_gs(self):
         m = two_state_swap()
         v = np.array([3.0, 4.0])
-        np.testing.assert_array_equal(
-            apply_gauss_seidel_jacobi(m, v)[0], apply_gauss_seidel(m, v)[0]
-        )
+        np.testing.assert_array_equal(apply_operator(m, v, "gsj"), apply_operator(m, v, "gs"))
 
     def test_sweep_dominated_by_standard_on_feasible_points(self):
         # On points dominating their own backup a sweep descends at least
@@ -188,26 +232,63 @@ class TestSweeps:
         rng = np.random.default_rng(9)
         m = random_model(rng, num_states=15)
         v = np.full(m.num_states, float(np.max(m.rewards)) / (1.0 - m.discount))
-        t, _ = apply_standard(m, v)
-        g, _ = apply_gauss_seidel(m, v)
+        t = apply_operator(m, v, "standard")
+        g = apply_operator(m, v, "gs")
         assert np.all(g <= t + 1e-12)
+
+    @pytest.mark.parametrize("kind, divide_diagonal", [("gs", False), ("gsj", True)])
+    def test_matches_scalar_reference_bit_for_bit(self, kind, divide_diagonal):
+        rng = np.random.default_rng(14)
+        models = [
+            random_model(rng, num_states=int(rng.integers(2, 30)), density=density)
+            for density in (0.2, 0.6, 1.0)
+        ]
+        models.append(  # a pure self-loop row beside a mixed one
+            MdpModel.from_rows(
+                [
+                    [(2.0, [(0, 1.0)]), (1.0, [(0, 0.25), (1, 0.75)])],
+                    [(3.0, [(0, 0.5), (1, 0.5)])],
+                ],
+                discount=0.9,
+            )
+        )
+        models.append(
+            generate(GeneratorSpec(family="uniform", num_states=30, density=1.0, seed=5))
+        )
+        for m in models:
+            assert np.any(m.self_loop_probs > 0.0)
+            for _ in range(3):
+                v = rng.normal(scale=10.0, size=m.num_states)
+                out = apply_operator(m, v, kind)
+                assert np.array_equal(out, reference_sweep(m, v, divide_diagonal))
 
     def test_input_not_mutated(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
-        apply_gauss_seidel(m, v)
+        apply_operator(m, v, "gs")
         np.testing.assert_array_equal(v, [20.0, 20.0])
 
 
 class TestTotalRewardBackup:
     def test_chain_hand_values(self):
         m = chain_to_absorbing()
-        out, _ = apply_total_reward(m, np.zeros(3))
+        out = apply_operator(m, np.zeros(3), "total")
         np.testing.assert_allclose(out, [3.0, 1.0, 0.0])
+
+    def test_against_dense_oracle(self):
+        rng = np.random.default_rng(13)
+        for seed in range(5):
+            spec = GeneratorSpec(
+                family="total_reward_positive", num_states=12, density=0.5, discount=1.0, seed=seed
+            )
+            m = generate(spec)
+            v = rng.uniform(0.0, 50.0, size=m.num_states)
+            out = apply_operator(m, v, "total")
+            np.testing.assert_allclose(out, dense_backup(m, v), rtol=0, atol=1e-12)
 
     def test_discounted_model_rejected(self):
         with pytest.raises(ValueError):
-            apply_total_reward(two_state_swap(), np.zeros(2))
+            apply_operator(two_state_swap(), np.zeros(2), "total")
 
 
 class TestDispatch:
@@ -215,10 +296,9 @@ class TestDispatch:
         m = two_state_swap()
         v = np.array([20.0, 20.0])
         for kind in ("standard", "jacobi", "gs", "gsj"):
-            out, policy = apply_operator(m, v, kind)
+            out = apply_operator(m, v, kind)
             assert out.shape == (2,)
-            assert policy.shape == (2,)
-        out, _ = apply_operator(chain_to_absorbing(), np.zeros(3), OperatorKind.TOTAL_REWARD)
+        out = apply_operator(chain_to_absorbing(), np.zeros(3), OperatorKind.TOTAL_REWARD)
         np.testing.assert_allclose(out, [3.0, 1.0, 0.0])
 
     def test_sweeps_reject_precomputed_sums(self):
@@ -242,9 +322,13 @@ class TestFeasibility:
         assert not is_feasible(m, np.array([0.0, 0.0]))
 
     def test_strict_feasibility(self):
+        # strictly above the fixed point the backup lies strictly below the
+        # point; at the fixed point it does not.
         m = two_state_swap()
-        assert is_strictly_feasible(m, np.array([20.0, 20.0]))
-        assert not is_strictly_feasible(m, np.array([10.0, 10.0]))
+        for v, strict in (([20.0, 20.0], True), ([10.0, 10.0], False)):
+            v = np.array(v)
+            out = apply_operator(m, v, "standard")
+            assert bool(np.all(out < v - membership_tolerance(v))) is strict
 
     def test_sweep_dominance_is_weaker(self):
         # (100, 10) dominates its sweep but not its simultaneous backup.
@@ -281,8 +365,8 @@ class TestSumsReuseSemantics:
         m = random_model(rng, num_states=25, density=0.4)
         v = rng.normal(size=m.num_states)
         s = weighted_sums(m, v)
-        fresh, _ = apply_standard(m, v)
-        reused, _ = apply_standard(m, v, sums=s)
+        fresh = apply_operator(m, v, "standard")
+        reused = apply_operator(m, v, "standard", sums=s)
         assert np.array_equal(fresh, reused)
 
     def test_scaled_sums_reuse(self):

@@ -137,7 +137,7 @@ class TestBisectAlpha:
 
     def test_matches_closed_form_on_random_models(self):
         from mdpaccel.accelerators import linear_extension_alpha, projective_alpha
-        from mdpaccel.operators import apply_standard
+        from mdpaccel.operators import apply_operator
 
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -153,7 +153,7 @@ class TestBisectAlpha:
             assert bisect_alpha(m, v, membership_tol=probe) == pytest.approx(
                 closed, abs=1e-6
             )
-            u, _ = apply_standard(m, v)
+            u = apply_operator(m, v, "standard")
             res = linear_extension_alpha(m, v, u)
             ray = bisect_alpha(
                 m, v, u=u, lo=1.0, hi=max(8.0, 4.0 * res.alpha), membership_tol=probe
