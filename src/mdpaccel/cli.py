@@ -14,9 +14,9 @@ Exit codes: 0 on success (for ``solve``, convergence; for ``verify``,
 all properties passing), 2 when a run hits its iteration budget or the
 arguments are unusable, 1 for invalid input files and failed suites.
 
-The bench runner executes cells concurrently; set ``MDP_ACCEL_THREADS``
-to cap the worker count.  Repeated solves of a cell must agree exactly
-on the iteration count (same model bytes, same arithmetic) — any
+The bench runner executes cells one after another, so no cell's wall
+time includes another cell's work.  Repeated solves of a cell must agree
+exactly on the iteration count (same model bytes, same arithmetic) — any
 disagreement is recorded in that row's ``error`` column.
 """
 
@@ -28,7 +28,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .generators import GeneratorFamily, GeneratorSpec, generate
@@ -288,20 +287,6 @@ def _write_csv(path, rows, append=False) -> None:
         writer.writerows(rows)
 
 
-def _worker_budget(num_cells: int) -> int:
-    budget = min(max(num_cells, 1), os.cpu_count() or 1)
-    raw = os.environ.get("MDP_ACCEL_THREADS")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"MDP_ACCEL_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError("MDP_ACCEL_THREADS must be at least 1")
-        budget = min(budget, cap)
-    return budget
-
-
 def cmd_bench(args) -> int:
     try:
         with open(args.plan, encoding="utf-8") as f:
@@ -319,16 +304,11 @@ def cmd_bench(args) -> int:
         return 2
     try:
         cells = [_parse_cell(raw, i) for i, raw in enumerate(plan.get("cells", []))]
-        workers = _worker_budget(len(cells))
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cells:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(c, repetitions), cells))
-    else:
-        rows = []
+    rows = [_run_cell(cell, repetitions) for cell in cells]
     try:
         _write_csv(output, rows)
     except OSError as exc:

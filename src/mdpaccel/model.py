@@ -3,20 +3,27 @@
 A model is stored in a row-compressed sparse layout: every (state, action)
 pair owns one transition row, rows are grouped by state in ascending state
 order, and each row keeps its nonzero columns strictly increasing.  The
-layout serves every density from one nonzero per row up to fully dense,
-and it fixes the accumulation order of the weighted-sum kernel (ascending
-columns, one accumulator per row) so recomputed sums are bit-stable.
+layout serves every density from one nonzero per row up to fully dense.
+
+It also fixes how every weighted sum ``s = sum_j p(k, j) * v[j]`` is
+accumulated: each row sum is one sequential accumulator over the row's
+columns in ascending order, taken by scipy's CSR matvec kernel.  The
+all-rows matvec of ``row_matrix`` and the Gauss-Seidel sweep's per-state
+blocks (``state_blocks``) both go through that kernel, so a sum recomputed
+for the same vector is bit-identical, whichever operator asks for it.
 
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
-per-row self-loop probabilities) are built lazily and cached.
+its per-state row blocks, the owning state and self-loop probability of
+every row) are built lazily and cached; they depend on the transitions
+only, so a reward-shifted copy shares them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
 
@@ -100,6 +107,7 @@ class MdpModel:
     _row_matrix: sp.csr_matrix | None = field(default=None, repr=False, init=False)
     _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
     _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
+    _state_blocks: tuple | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
@@ -170,6 +178,19 @@ class MdpModel:
                 shape=(self.num_rows, self.num_states),
             )
         return self._row_matrix
+
+    @property
+    def state_blocks(self) -> tuple[sp.csr_matrix, ...]:
+        """Per-state row slices of ``row_matrix``: block i holds state i's rows.
+
+        A block keeps its rows' entries in ``row_matrix``'s order, so
+        ``block @ v`` runs the same kernel as the all-rows matvec over the
+        same stored entries.
+        """
+        if self._state_blocks is None:
+            csr, bounds = self.row_matrix, self.state_ptr.tolist()
+            self._state_blocks = tuple(csr[r0:r1] for r0, r1 in zip(bounds[:-1], bounds[1:]))
+        return self._state_blocks
 
     @property
     def row_state(self) -> np.ndarray:
@@ -279,7 +300,8 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     """Shift every reward by max |reward| so all rewards are nonnegative.
 
     The shift is applied unconditionally, including when rewards are
-    already nonnegative.  Transition rows are shared with the input model.
+    already nonnegative.  Transition rows are shared with the input model,
+    and so are whichever derived views the input has already built.
     Returns the shifted model and the offset; the fixed point moves up by
     offset / (1 - discount).
 
@@ -290,17 +312,10 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     if m.mode is not RewardMode.DISCOUNTED:
         raise ValueError("reward adjustment is only defined for discounted models")
     offset = float(np.max(np.abs(m.rewards))) if m.num_rows else 0.0
-    shifted = MdpModel(
-        num_states=m.num_states,
-        discount=m.discount,
-        mode=m.mode,
-        state_ptr=m.state_ptr,
-        rewards=m.rewards + offset,
-        row_ptr=m.row_ptr,
-        cols=m.cols,
-        probs=m.probs,
-        metadata=m.metadata,
-    )
+    shifted = replace(m, rewards=m.rewards + offset)
+    # every cached view depends on the transitions only, which are shared
+    for view in ("_row_matrix", "_row_state", "_self_loop", "_state_blocks"):
+        setattr(shifted, view, getattr(m, view))
     return shifted, offset
 
 

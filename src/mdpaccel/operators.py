@@ -8,7 +8,9 @@ Total-reward models have discount 1, so the undiscounted backup is the
 same formula.  ``standard``, ``jacobi`` and ``total`` back up all states
 at once from one sums pass, which callers may precompute and reuse;
 ``gs`` and ``gsj`` sweep the states in ascending order, each seeing its
-predecessors' new values, so they take their sums in place.
+predecessors' new values, so they take their sums in place: one matvec
+of the state's row block (``MdpModel.state_blocks``) per state.  Both
+paths accumulate every row sum the same way, as the model module states.
 
 Every backup is monotone and maps the set of vectors dominating their own
 backup into itself, which the descending accelerated iterations rely on.
@@ -69,8 +71,10 @@ class WeightedSums:
 def weighted_sums(m: MdpModel, v: np.ndarray) -> WeightedSums:
     """Compute all per-row weighted sums of ``v`` in one sparse matvec.
 
-    The accumulation order per row is fixed (ascending columns), so
-    recomputing sums for the same vector reproduces them bit for bit.
+    Each row sum is one sequential accumulator over the row's columns in
+    ascending order, taken by scipy's CSR kernel: the same kernel and order
+    the Gauss-Seidel sweep uses per state.  Recomputing sums for the same
+    vector therefore reproduces them bit for bit.
     """
     return WeightedSums(values=m.row_matrix @ v, base=v)
 
@@ -115,16 +119,11 @@ def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
 
 
-def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
-    w = v.astype(np.float64, copy=True)
-    sums = np.empty(m.num_rows)
-    state_ptr, row_ptr, cols, probs = m.state_ptr, m.row_ptr, m.cols, m.probs
-    for i in range(m.num_states):
-        r0, r1 = state_ptr[i], state_ptr[i + 1]
-        for k in range(r0, r1):
-            lo, hi = row_ptr[k], row_ptr[k + 1]
-            sums[k] = probs[lo:hi] @ w[cols[lo:hi]]
-        w[i] = _row_values(m, kind, w, sums[r0:r1], slice(r0, r1)).max()
+def _sweep(m: MdpModel, kind: OperatorKind, v) -> np.ndarray:
+    w = np.array(v, dtype=np.float64)
+    bounds = m.state_ptr.tolist()
+    for i, block in enumerate(m.state_blocks):
+        w[i] = _row_values(m, kind, w, block @ w, slice(bounds[i], bounds[i + 1])).max()
     return w
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -234,19 +235,28 @@ class TestBench:
         assert rows[0]["iterations"] == "3"
         assert rows[1]["error"] == ""
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
+    def test_cells_run_serially_on_the_calling_thread(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
-        plan = write_plan(tmp_path, [UNIFORM_CELL, UNIFORM_CELL], output=out)
-        monkeypatch.setenv("MDP_ACCEL_THREADS", "1")
-        assert main(["bench", str(plan)]) == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 2
+        cells = [UNIFORM_CELL, dict(UNIFORM_CELL, seed=UNIFORM_CELL["seed"] + 1)]
+        plan = write_plan(tmp_path, cells, repetitions=2, output=out)
+        real_solve = cli.solve
+        calls, running = [], []
 
-    def test_bad_thread_cap_env(self, tmp_path, monkeypatch, capsys):
-        plan = write_plan(tmp_path, [UNIFORM_CELL], output=tmp_path / "x.csv")
-        monkeypatch.setenv("MDP_ACCEL_THREADS", "zero")
-        assert main(["bench", str(plan)]) == 2
-        assert "MDP_ACCEL_THREADS" in capsys.readouterr().err
+        def watched_solve(model, config):
+            assert not running, "a solve started while another was running"
+            running.append(model)
+            try:
+                calls.append((threading.get_ident(), model))
+                return real_solve(model, config)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(cli, "solve", watched_solve)
+        assert main(["bench", str(plan)]) == 0
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        models = [model for _, model in calls]
+        # plan order: both repetitions of the first cell, then the second's
+        assert models[0] is models[1] and models[2] is models[3] and models[1] is not models[2]
 
     def test_repetition_mismatch_is_cell_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -94,6 +95,29 @@ class TestConstruction:
                 np.testing.assert_array_equal(dense[m.state_ptr[i] + a], row)
 
 
+    def test_state_blocks_hold_row_matrix_entries_in_order(self):
+        rng = np.random.default_rng(8)
+        m = random_model(rng, num_states=12, max_actions=5, density=0.4)
+        blocks = m.state_blocks
+        assert m.state_blocks is blocks  # built once
+        assert len(blocks) == m.num_states
+        csr = m.row_matrix
+        for i, block in enumerate(blocks):
+            r0, r1 = m.state_ptr[i], m.state_ptr[i + 1]
+            lo, hi = csr.indptr[r0], csr.indptr[r1]
+            assert block.shape == (r1 - r0, m.num_states)
+            np.testing.assert_array_equal(block.indptr, csr.indptr[r0:r1 + 1] - lo)
+            np.testing.assert_array_equal(block.indices, csr.indices[lo:hi])
+            np.testing.assert_array_equal(block.data, csr.data[lo:hi])
+
+    def test_replace_copy_starts_without_derived_views(self):
+        m = random_model(np.random.default_rng(9))
+        m.state_blocks, m.self_loop_probs
+        fresh = dataclasses.replace(m)
+        assert fresh._row_matrix is None and fresh._state_blocks is None
+        assert fresh._row_state is None and fresh._self_loop is None
+
+
 class TestValidation:
     def test_valid_model_has_no_violations(self):
         assert validate_model(two_state_swap()) == []
@@ -171,6 +195,19 @@ class TestRewardShift:
         assert offset == 5.0
         np.testing.assert_array_equal(shifted.rewards, [2.0, 10.0])
         assert shifted.probs is m.probs  # transitions shared, not copied
+
+    def test_shift_shares_built_derived_views(self):
+        m = random_model(np.random.default_rng(10))
+        shifted, _ = adjust_rewards_nonnegative(m)
+        # nothing built on the input, and the shift builds nothing on it
+        assert m._row_matrix is None and m._state_blocks is None
+        assert shifted._row_matrix is None and shifted._state_blocks is None
+        m.state_blocks, m.self_loop_probs
+        shifted, _ = adjust_rewards_nonnegative(m)
+        assert shifted.row_matrix is m.row_matrix
+        assert shifted.state_blocks is m.state_blocks
+        assert shifted.row_state is m.row_state
+        assert shifted.self_loop_probs is m.self_loop_probs
 
     def test_shift_applied_even_when_nonnegative(self):
         m = two_state_swap(1.0, 2.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,24 +47,35 @@ def dense_backup(m, v, jacobi=False):
     return best
 
 
+def scalar_row_sum(m, w, k):
+    """Row ``k``'s weighted sum of ``w`` as one accumulator over ascending columns.
+
+    This is the accumulation contract every kernel row sum follows.
+    """
+    s = 0.0
+    for k_nz in range(m.row_ptr[k], m.row_ptr[k + 1]):
+        s += m.probs[k_nz] * w[m.cols[k_nz]]
+    return s
+
+
 def reference_sweep(m, v, divide_diagonal):
     """Scalar per-row Gauss-Seidel sweep: the loop the sweep kernel replaced.
 
-    Kept as the reference the vectorized per-state row values must match
-    bit for bit, since the per-row dot products are unchanged.
+    Kept as the reference the per-state blocked sweep must match bit for
+    bit: its row sums follow the accumulation contract, one scalar
+    accumulator over ascending columns, and its row values take the
+    kernel's formula.
     """
     w = v.astype(np.float64, copy=True)
     discount = m.discount
-    state_ptr, row_ptr = m.state_ptr, m.row_ptr
-    rewards, cols, probs = m.rewards, m.cols, m.probs
+    state_ptr, rewards = m.state_ptr, m.rewards
     diag = m.self_loop_probs if divide_diagonal else None
     for i in range(m.num_states):
         r0, r1 = state_ptr[i], state_ptr[i + 1]
         best = -np.inf
         old = w[i]
         for k in range(r0, r1):
-            lo, hi = row_ptr[k], row_ptr[k + 1]
-            s = float(probs[lo:hi] @ w[cols[lo:hi]])
+            s = scalar_row_sum(m, w, k)
             if divide_diagonal:
                 d = diag[k]
                 val = (rewards[k] + discount * (s - d * old)) / (1.0 - discount * d)
@@ -89,6 +102,19 @@ class TestWeightedSums:
         a = weighted_sums(m, v).values
         b = weighted_sums(m, v.copy()).values
         assert np.array_equal(a, b)
+
+    def test_matches_scalar_accumulator_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            m = random_model(
+                rng,
+                num_states=int(rng.integers(1, 40)),
+                max_actions=int(rng.integers(1, 6)),
+                density=float(rng.uniform(0.05, 1.0)),
+            )
+            v = rng.normal(scale=10.0, size=m.num_states)
+            expected = np.array([scalar_row_sum(m, v, k) for k in range(m.num_rows)])
+            assert np.array_equal(weighted_sums(m, v).values, expected)
 
     def test_mismatched_sums_rejected(self):
         m = two_state_swap()
@@ -267,6 +293,68 @@ class TestSweeps:
         v = np.array([20.0, 20.0])
         apply_operator(m, v, "gs")
         np.testing.assert_array_equal(v, [20.0, 20.0])
+
+    @pytest.mark.parametrize("kind", ["gs", "gsj"])
+    def test_one_state_model(self, kind):
+        m = MdpModel.from_rows([[(1.0, [(0, 1.0)]), (3.0, [(0, 1.0)])]], discount=0.5)
+        v = np.array([2.0])
+        expected = 6.0 if kind == "gsj" else 4.0  # 3 / (1 - 0.5) and 3 + 0.5 * 2
+        np.testing.assert_array_equal(apply_operator(m, v, kind), [expected])
+        assert np.array_equal(apply_operator(m, v, kind), reference_sweep(m, v, kind == "gsj"))
+
+    @pytest.mark.parametrize("kind", ["gs", "gsj"])
+    def test_single_action_state(self, kind):
+        # state 1 owns one row, between states with several
+        m = MdpModel.from_rows(
+            [
+                [(1.0, [(0, 0.5), (2, 0.5)]), (2.0, [(1, 1.0)])],
+                [(0.5, [(0, 0.25), (1, 0.25), (2, 0.5)])],
+                [(3.0, [(1, 1.0)]), (0.0, [(0, 0.5), (2, 0.5)]), (1.0, [(2, 1.0)])],
+            ],
+            discount=0.9,
+        )
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            v = rng.normal(scale=10.0, size=3)
+            assert np.array_equal(apply_operator(m, v, kind), reference_sweep(m, v, kind == "gsj"))
+
+    def test_integer_and_list_inputs(self):
+        m = random_model(np.random.default_rng(17), num_states=10)
+        ints = np.arange(10, dtype=np.int64) * 3 - 7
+        expected = apply_operator(m, ints.astype(np.float64), "gs")
+        out = apply_operator(m, ints, "gs")
+        assert out.dtype == np.float64 and np.array_equal(out, expected)
+        assert np.array_equal(apply_operator(m, ints.tolist(), "gs"), expected)
+        np.testing.assert_array_equal(ints, np.arange(10) * 3 - 7)
+
+    @pytest.mark.parametrize("kind", ["gs", "gsj"])
+    def test_cache_free_copy_gives_identical_sweep(self, kind):
+        rng = np.random.default_rng(18)
+        m = random_model(rng, num_states=20, density=0.5)
+        v = rng.normal(scale=10.0, size=m.num_states)
+        cached = apply_operator(m, v, kind)
+        assert m._state_blocks is not None
+        fresh = dataclasses.replace(m)
+        assert fresh._state_blocks is None and fresh._row_matrix is None
+        assert np.array_equal(apply_operator(fresh, v, kind), cached)
+        assert np.array_equal(apply_operator(m, v, kind), cached)
+
+    def test_feasible_gs_agrees_with_reference_sweep(self):
+        rng = np.random.default_rng(19)
+        verdicts = set()
+        for trial in range(20):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)))
+            fixed = np.zeros(m.num_states)
+            for _ in range(300):
+                fixed = apply_operator(m, fixed, "standard")
+            # a lift above the fixed point dominates its sweep; noise mostly does not
+            lift = 1.0 if trial % 2 else rng.normal(scale=1.0, size=m.num_states)
+            v = fixed + lift
+            tol = membership_tolerance(v)
+            expected = bool(np.all(reference_sweep(m, v, False) <= v + tol))
+            assert is_feasible_gs(m, v) is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestTotalRewardBackup:
