@@ -15,7 +15,11 @@ parameters, seed) triple pins the instance byte for byte:
 
 Draw order per state: the action count, then all action rewards at once,
 then per action the successor columns and their weights.  Weights are
-drawn as ``1 - uniform(0, 1)`` (never exactly zero) and normalized.
+drawn as ``1 - uniform(0, 1)`` (never exactly zero) and normalized.  Rows
+whose columns need no draw (band windows, full density) take all of a
+state's weights in one block, which consumes the stream exactly as the
+per-action draws would.  The generators assemble the model's arrays
+directly, one chunk per state.
 """
 
 from __future__ import annotations
@@ -118,85 +122,93 @@ class GeneratorSpec:
         return out
 
 
-def _normalized_weights(rng, n: int) -> np.ndarray:
-    w = 1.0 - rng.uniform(0.0, 1.0, size=n)
-    return w / w.sum()
+def _weights(rng, k: int, n: int) -> np.ndarray:
+    """``k`` rows of ``n`` normalized weights, drawn as one block.
+
+    One ``(k, n)`` draw consumes the stream exactly as ``k`` draws of ``n``
+    in a row, and each row is normalized by its own sum, so the block is
+    bit-identical to drawing the rows one at a time.
+    """
+    w = 1.0 - rng.uniform(0.0, 1.0, size=(k, n))
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _support(rng, legal: np.ndarray, nnz: int) -> np.ndarray:
-    if nnz >= len(legal):
-        return legal
-    return np.sort(rng.choice(legal, size=nnz, replace=False))
+def _state_rows(rng, k: int, legal: np.ndarray, size: int, tail=None):
+    """Columns and weights of one state's ``k`` rows, flattened in row order.
+
+    Each row's support is ``size`` columns drawn without replacement from
+    ``legal`` and sorted, followed by the ``tail`` columns.  When ``size``
+    covers all of ``legal`` there is no support draw, so every row has the
+    same columns and the weights of all ``k`` rows come from one block.
+    """
+    if size >= len(legal):
+        cols = legal if tail is None else np.append(legal, tail)
+        return np.tile(cols, k), _weights(rng, k, len(cols)).ravel()
+    col_chunks, prob_chunks = [], []
+    for _ in range(k):
+        cols = np.sort(rng.choice(legal, size=size, replace=False))
+        if tail is not None:
+            cols = np.append(cols, tail)
+        col_chunks.append(cols)
+        prob_chunks.append(_weights(rng, 1, len(cols)).ravel())
+    return np.concatenate(col_chunks), np.concatenate(prob_chunks)
+
+
+def _offsets(counts) -> np.ndarray:
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _assemble(spec: GeneratorSpec, rewards, cols, probs, mode=RewardMode.DISCOUNTED) -> MdpModel:
+    """A model from per-state chunks: state i's action rewards, columns and weights.
+
+    All rows of one state have the same length, so the chunks alone fix
+    ``state_ptr`` and ``row_ptr``.
+    """
+    actions = np.array([len(r) for r in rewards], dtype=np.int64)
+    row_len = np.array([len(c) for c in cols], dtype=np.int64) // actions
+    return MdpModel(
+        num_states=spec.num_states,
+        discount=float(spec.discount),
+        mode=mode,
+        state_ptr=_offsets(actions),
+        rewards=np.concatenate(rewards),
+        row_ptr=_offsets(np.repeat(row_len, actions)),
+        cols=np.concatenate(cols),
+        probs=np.concatenate(probs),
+        metadata=spec.metadata(),
+    )
 
 
 def generate(spec: GeneratorSpec) -> MdpModel:
     """Generate the instance pinned by ``spec``."""
-    if spec.family is GeneratorFamily.UNIFORM:
-        return _generate_dense_or_sparse(spec)
-    if spec.family is GeneratorFamily.BAND:
-        return _generate_band(spec)
-    return _generate_total_reward(spec)
-
-
-def _generate_dense_or_sparse(spec: GeneratorSpec) -> MdpModel:
     rng = np.random.default_rng(spec.seed)
     n = spec.num_states
-    nnz = max(1, int(round(spec.effective_density * n)))
-    all_states = np.arange(n)
     lo, hi = spec.action_range
     rlo, rhi = spec.reward_range
-    states = []
-    for _ in range(n):
+    total = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
+    if spec.family is not GeneratorFamily.BAND:
+        nnz = max(1, int(round(spec.effective_density * n)))
+    rewards, cols, probs = [], [], []
+    for i in range(n - 1 if total else n):
         k = int(rng.integers(lo, hi + 1))
-        rewards = rng.uniform(rlo, rhi, size=k)
-        actions = []
-        for a in range(k):
-            cols = _support(rng, all_states, nnz)
-            probs = _normalized_weights(rng, len(cols))
-            actions.append((float(rewards[a]), list(zip(cols.tolist(), probs.tolist()))))
-        states.append(actions)
-    return MdpModel.from_rows(states, discount=spec.discount, metadata=spec.metadata())
-
-
-def _generate_band(spec: GeneratorSpec) -> MdpModel:
-    rng = np.random.default_rng(spec.seed)
-    n = spec.num_states
-    half = spec.bandwidth // 2
-    lo, hi = spec.action_range
-    rlo, rhi = spec.reward_range
-    states = []
-    for i in range(n):
-        window = np.arange(max(0, i - half), min(n - 1, i + half) + 1)
-        k = int(rng.integers(lo, hi + 1))
-        rewards = rng.uniform(rlo, rhi, size=k)
-        actions = []
-        for a in range(k):
-            probs = _normalized_weights(rng, len(window))
-            actions.append((float(rewards[a]), list(zip(window.tolist(), probs.tolist()))))
-        states.append(actions)
-    return MdpModel.from_rows(states, discount=spec.discount, metadata=spec.metadata())
-
-
-def _generate_total_reward(spec: GeneratorSpec) -> MdpModel:
-    rng = np.random.default_rng(spec.seed)
-    n = spec.num_states
-    terminal = n - 1
-    nnz = max(1, int(round(spec.effective_density * n)))
-    others = np.arange(n - 1)  # candidate non-terminal successors
-    lo, hi = spec.action_range
-    rlo, rhi = spec.reward_range
-    states = []
-    for i in range(n - 1):
-        k = int(rng.integers(lo, hi + 1))
-        rewards = rng.uniform(rlo, rhi, size=k)
-        actions = []
-        for a in range(k):
-            extra = _support(rng, others, min(nnz - 1, n - 1)) if nnz > 1 else np.empty(0, np.int64)
-            cols = np.append(extra, terminal)
-            probs = _normalized_weights(rng, len(cols))
-            actions.append((float(rewards[a]), list(zip(cols.tolist(), probs.tolist()))))
-        states.append(actions)
-    states.append([(0.0, [(terminal, 1.0)])])
-    return MdpModel.from_rows(
-        states, discount=1.0, mode=RewardMode.TOTAL_REWARD, metadata=spec.metadata()
-    )
+        rewards.append(rng.uniform(rlo, rhi, size=k))
+        if spec.family is GeneratorFamily.BAND:
+            half = spec.bandwidth // 2
+            window = np.arange(max(0, i - half), min(n - 1, i + half) + 1)
+            c, p = _state_rows(rng, k, window, len(window))
+        elif total:
+            # nnz - 1 non-terminal successors, then the terminal state itself
+            others = np.arange(n - 1) if nnz > 1 else np.empty(0, np.int64)
+            c, p = _state_rows(rng, k, others, nnz - 1, tail=n - 1)
+        else:
+            c, p = _state_rows(rng, k, np.arange(n), nnz)
+        cols.append(c)
+        probs.append(p)
+    if not total:
+        return _assemble(spec, rewards, cols, probs)
+    rewards.append(np.zeros(1))
+    cols.append(np.array([n - 1]))
+    probs.append(np.ones(1))
+    return _assemble(spec, rewards, cols, probs, RewardMode.TOTAL_REWARD)

@@ -21,11 +21,14 @@ only, so a reward-shifted copy shares them.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -403,38 +406,58 @@ def _loaded_number(value, what):
     return float(value)
 
 
-def _loaded_pairs(trans, where) -> np.ndarray:
+def _loaded_pairs(entries, locate) -> np.ndarray:
     """Transition entries as an (n, 2) float array of [column, probability] rows.
 
-    One type scan covers all entries, and the conversion reads the same
-    flattened stream; only a failing row is walked entry by entry, to name
-    the first entry that is not a pair of JSON numbers.
+    One type scan, one length check, one conversion and one column check
+    cover all entries at once; only on failure is the list walked to find
+    the first bad entry, whose path ``locate(j)`` names.
     """
     try:
-        numeric = _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(trans)))
+        numeric = _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(entries)))
     except TypeError:  # an entry that is not an array
         numeric = False
-    if not (numeric and set(map(len, trans)) == {2}):
-        for j, pair in enumerate(trans):
+    if not (numeric and set(map(len, entries)) == {2}):
+        for j, pair in enumerate(entries):
             if type(pair) is not list or len(pair) != 2 or not _JSON_NUMBERS.issuperset(map(type, pair)):
                 raise ModelFormatError(
-                    f"{where}.transitions[{j}] must be a [column, probability] pair of numbers, "
-                    f"got {json.dumps(pair)}"
+                    f"{locate(j)} must be a [column, probability] pair of numbers, got {json.dumps(pair)}"
                 )
     try:
-        pairs = np.fromiter(chain.from_iterable(trans), np.float64, 2 * len(trans)).reshape(-1, 2)
+        pairs = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries)).reshape(-1, 2)
     except OverflowError:
-        raise ModelFormatError(f"{where}.transitions has a number too large for a float") from None
+        j = next(j for j, pair in enumerate(entries) if max(map(abs, pair)) > sys.float_info.max)
+        raise ModelFormatError(f"{locate(j)} has a number too large for a float") from None
     c = pairs[:, 0]
     bad = np.flatnonzero((c != np.floor(c)) | (np.abs(c) > _MAX_COLUMN))
     if bad.size:
         j = int(bad[0])
-        raise ModelFormatError(f"{where}.transitions[{j}] column {float(c[j])!r} is not an integer index")
+        raise ModelFormatError(f"{locate(j)} column {float(c[j])!r} is not an integer index")
     return pairs
+
+
+def _parsed(text: str):
+    """``json.loads`` with the cyclic collector paused: a JSON document has no cycles.
+
+    Parsing allocates one container per transition entry, and every
+    collection the allocations trigger would scan all of them.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as e:
+        raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_model(path) -> MdpModel:
     """Load and validate a model from a JSON file.
+
+    The rows are checked for shape one by one; their transition entries
+    are then converted in one pass over all of them.
 
     Raises:
         ModelFormatError: unparseable JSON (with line position) or a
@@ -442,11 +465,7 @@ def load_model(path) -> MdpModel:
         ModelValidationError: parseable document violating model invariants.
     """
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+        doc = _parsed(f.read())
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")
     for key in ("mode", "discount", "states"):
@@ -462,12 +481,9 @@ def load_model(path) -> MdpModel:
     if not isinstance(states_doc, list):
         raise ModelFormatError("states must be an array")
 
-    state_ptr = np.zeros(len(states_doc) + 1, dtype=np.int64)
+    state_ptr = [0]
     rewards: list[float] = []
-    row_ptr: list[int] = [0]
-    col_chunks: list[np.ndarray] = []
-    prob_chunks: list[np.ndarray] = []
-    nnz = 0
+    rows: list[list] = []
     for i, sdoc in enumerate(states_doc):
         if not isinstance(sdoc, dict) or "actions" not in sdoc:
             raise ModelFormatError(f"states[{i}] must be an object with an 'actions' field")
@@ -482,26 +498,25 @@ def load_model(path) -> MdpModel:
             trans = adoc["transitions"]
             if not isinstance(trans, list):
                 raise ModelFormatError(f"{where}.transitions must be an array")
-            if len(trans) == 0:
-                col_chunks.append(np.empty(0, dtype=np.int64))
-                prob_chunks.append(np.empty(0, dtype=np.float64))
-            else:
-                pairs = _loaded_pairs(trans, where)
-                col_chunks.append(pairs[:, 0].astype(np.int64))
-                prob_chunks.append(pairs[:, 1])
-                nnz += pairs.shape[0]
-            row_ptr.append(nnz)
-        state_ptr[i + 1] = len(rewards)
+            rows.append(trans)
+        state_ptr.append(len(rewards))
+    row_ptr = [0, *accumulate(map(len, rows))]
 
+    def locate(j: int) -> str:
+        k = bisect_right(row_ptr, j) - 1
+        i = bisect_right(state_ptr, k) - 1
+        return f"states[{i}].actions[{k - state_ptr[i]}].transitions[{j - row_ptr[k]}]"
+
+    pairs = _loaded_pairs(list(chain.from_iterable(rows)), locate)
     m = MdpModel(
         num_states=len(states_doc),
         discount=discount,
         mode=mode,
-        state_ptr=state_ptr,
+        state_ptr=np.array(state_ptr, dtype=np.int64),
         rewards=np.array(rewards, dtype=np.float64),
         row_ptr=np.array(row_ptr, dtype=np.int64),
-        cols=np.concatenate(col_chunks) if col_chunks else np.empty(0, dtype=np.int64),
-        probs=np.concatenate(prob_chunks) if prob_chunks else np.empty(0, dtype=np.float64),
+        cols=pairs[:, 0].astype(np.int64),
+        probs=pairs[:, 1],
         metadata=doc.get("generator"),
     )
     violations = validate_model(m)
@@ -513,27 +528,30 @@ def load_model(path) -> MdpModel:
 def save_model(m: MdpModel, path) -> None:
     """Write a validated model to a JSON file.
 
-    The writer streams state by state so fully dense models do not build a
-    second in-memory copy.  Floats are written with repr precision, so a
-    load of the saved file reproduces every stored value exactly.
+    The writer formats one state at a time: every transition entry of the
+    state in one pass, then one joined string per action, then one write
+    for the whole state, so fully dense models never hold a second copy
+    of more than one state in memory.  Floats are written with repr
+    precision, so a load of the saved file reproduces every stored value
+    exactly.
     """
     violations = validate_model(m)
     if violations:
         raise ModelValidationError(violations)
+    state_ptr, row_ptr, rewards = m.state_ptr.tolist(), m.row_ptr.tolist(), m.rewards.tolist()
     with open(path, "w", encoding="utf-8") as f:
         f.write('{"mode": %s, "discount": %r' % (json.dumps(m.mode.value), m.discount))
         if m.metadata is not None:
             f.write(', "generator": %s' % json.dumps(m.metadata, allow_nan=False))
         f.write(', "states": [')
         for i in range(m.num_states):
-            f.write("," if i else "")
-            f.write('{"actions": [')
-            for a in range(m.num_actions(i)):
-                cols, probs = m.action_row(i, a)
-                body = ",".join(
-                    "[%d,%r]" % (c, p) for c, p in zip(cols.tolist(), probs.tolist())
-                )
-                f.write("," if a else "")
-                f.write('{"reward": %r, "transitions": [%s]}' % (m.action_reward(i, a), body))
-            f.write("]}")
+            k0, k1 = state_ptr[i], state_ptr[i + 1]
+            lo, hi = row_ptr[k0], row_ptr[k1]
+            entries = [f"[{c},{p!r}]" for c, p in zip(m.cols[lo:hi].tolist(), m.probs[lo:hi].tolist())]
+            actions = ",".join(
+                '{"reward": %r, "transitions": [%s]}'
+                % (rewards[k], ",".join(entries[row_ptr[k] - lo:row_ptr[k + 1] - lo]))
+                for k in range(k0, k1)
+            )
+            f.write('%s{"actions": [%s]}' % ("," if i else "", actions))
         f.write("]}\n")

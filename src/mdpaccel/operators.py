@@ -119,8 +119,8 @@ def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
 
 
-def _sweep(m: MdpModel, kind: OperatorKind, v) -> np.ndarray:
-    w = np.array(v, dtype=np.float64)
+def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
+    w = v.copy()
     bounds = m.state_ptr.tolist()
     for i, block in enumerate(m.state_blocks):
         w[i] = _row_values(m, kind, w, block @ w, slice(bounds[i], bounds[i + 1])).max()
@@ -146,6 +146,7 @@ def apply_operator(m, v, kind, sums=None):
     """
     kind = OperatorKind(kind)
     _check_kind(m, kind)
+    v = np.asarray(v, dtype=np.float64)
     if sweep_carries_state(kind):
         if sums is not None:
             raise ValueError("sweep operators recompute sums in place; pass sums=None")

@@ -197,6 +197,9 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
         return m, initial_feasible_point_total_reward(m), 0.0
     if not accelerated:
         return m, np.zeros(m.num_states), 0.0
+    # build the transition matrix on the input, so the shifted copy shares it
+    # and later solves of the same input reuse it
+    m.row_matrix
     shifted, offset = adjust_rewards_nonnegative(m)
     return shifted, initial_feasible_point(shifted), offset
 

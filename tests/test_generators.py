@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,52 @@ class TestDeterminism:
         a = generate(small(seed=7))
         b = generate(small(seed=8))
         assert not models_identical(a, b)
+
+
+def model_digest(m):
+    """SHA-256 over the five stored arrays (little-endian bytes) and the metadata."""
+    h = hashlib.sha256()
+    for a in (m.state_ptr, m.rewards, m.row_ptr, m.cols, m.probs):
+        h.update(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
+    h.update(json.dumps(m.metadata, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+STREAM_SPECS = {
+    "uniform-sparse": dict(family="uniform", num_states=15, density=0.4),
+    "uniform-dense": dict(family="uniform", num_states=15, density=1.0),
+    "band": dict(family="band", num_states=15, bandwidth=5),
+    "total-dense": dict(family="total_reward_positive", num_states=15, discount=1.0),
+    "total-sparse": dict(family="total_reward_positive", num_states=15, density=0.3, discount=1.0),
+}
+
+# Digests of the instances as first generated, through per-action draws and
+# nested (column, probability) lists; any change to the draw order, the
+# weight normalization or the assembled arrays moves them.
+STREAM_DIGESTS = {
+    ("uniform-sparse", 0): "57a9e943bf2db226024e9c5d6a6323b3a394f9f67003dbd7406420020f5da7b4",
+    ("uniform-sparse", 42): "9ea53c6c7dd7a5a19025b625ca81e9911282ede818e555eae8d9f1c9094f4ea4",
+    ("uniform-dense", 0): "5743695b3c392718c83bc04f01e1f19638dc3338e157adae0d9e749a9bbc008e",
+    ("uniform-dense", 42): "d1f928f6d04a694ab829082fd3ca146958c143f4f19612b206ef461f586ee55d",
+    ("band", 0): "cb4fc3778bfe3fe14d797a205da49fe0b891166e25c96b1b2f70f1e4cad81389",
+    ("band", 42): "8c5855a986dd498616516c0341afb2655654fbb197117de39e36cc09cf1fe7c1",
+    ("total-dense", 0): "f20518e8f8da865d013f4ec03565f208af92b9846af8e0c8d67290195480d36d",
+    ("total-dense", 42): "ab500cf35edd21ec4b97ac3d4b4943102f72997a62b67150b8aef2dcf498f616",
+    ("total-sparse", 0): "84e3721d0b469aac899878aa2b79514af3055f2d47d6b0c96e1ab1f340bf2a5e",
+    ("total-sparse", 42): "94322fb77253d9dcc6d22fe561989f0a28e916b725117c98d5dfd5adbb027cc8",
+}
+
+
+class TestStreamPinned:
+    @pytest.mark.parametrize("name,seed", sorted(STREAM_DIGESTS), ids=lambda x: str(x))
+    def test_digest(self, name, seed):
+        spec = GeneratorSpec(seed=seed, action_range=(2, 6), **STREAM_SPECS[name])
+        assert model_digest(generate(spec)) == STREAM_DIGESTS[name, seed]
+
+    def test_digest_sees_one_probability_bit(self):
+        m = generate(GeneratorSpec(seed=0, action_range=(2, 6), **STREAM_SPECS["band"]))
+        m.probs[7] = np.nextafter(m.probs[7], 2.0)
+        assert model_digest(m) != STREAM_DIGESTS["band", 0]
 
 
 class TestUniformFamily:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import (
     MdpModel,
     ModelFormatError,
@@ -293,6 +295,53 @@ class TestTotalRewardStart:
             initial_feasible_point_total_reward(two_state_swap())
 
 
+def reference_save_model(m, path):
+    """The per-row JSON writer the per-state writer replaced.
+
+    Kept as the byte reference ``save_model`` must reproduce: one write per
+    fragment, every row reached through ``action_row``/``action_reward``.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{"mode": %s, "discount": %r' % (json.dumps(m.mode.value), m.discount))
+        if m.metadata is not None:
+            f.write(', "generator": %s' % json.dumps(m.metadata, allow_nan=False))
+        f.write(', "states": [')
+        for i in range(m.num_states):
+            f.write("," if i else "")
+            f.write('{"actions": [')
+            for a in range(m.num_actions(i)):
+                cols, probs = m.action_row(i, a)
+                body = ",".join("[%d,%r]" % (c, p) for c, p in zip(cols.tolist(), probs.tolist()))
+                f.write("," if a else "")
+                f.write('{"reward": %r, "transitions": [%s]}' % (m.action_reward(i, a), body))
+            f.write("]}")
+        f.write("]}\n")
+
+
+def model_text_with_entry(entry, state, action, index):
+    """A three-state document, two actions per state and three transition
+    entries per action, with ``entry`` in place of one entry."""
+    states = []
+    for i in range(3):
+        actions = []
+        for a in range(2):
+            trans = ["[0, 0.25]", "[1, 0.25]", "[2, 0.5]"]
+            if (i, a) == (state, action):
+                trans[index] = entry
+            actions.append('{"reward": 1.0, "transitions": [%s]}' % ", ".join(trans))
+        states.append('{"actions": [%s]}' % ", ".join(actions))
+    return '{"mode": "discounted", "discount": 0.9, "states": [%s]}' % ", ".join(states)
+
+
+# Every position a bad entry is planted at: the first state's first action,
+# and a later state, action and entry.
+BAD_ENTRY_POSITIONS = [(0, 0, 1), (1, 1, 2)]
+
+
+def bad_entry_path(state, action, index):
+    return rf"states\[{state}\]\.actions\[{action}\]\.transitions\[{index}\] "
+
+
 class TestSerialization:
     def test_round_trip_bit_identity(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -357,6 +406,10 @@ class TestSerialization:
         )
         with pytest.raises(ModelFormatError, match=r"states\[0\].actions\[0\]"):
             load_model(p)
+        for where in BAD_ENTRY_POSITIONS:
+            p.write_text(model_text_with_entry("[1.5, 0.25]", *where))
+            with pytest.raises(ModelFormatError, match=bad_entry_path(*where) + "column 1.5 "):
+                load_model(p)
 
     @pytest.mark.parametrize(
         "entry",
@@ -371,6 +424,10 @@ class TestSerialization:
         )
         with pytest.raises(ModelFormatError, match=r"states\[0\]\.actions\[0\]\.transitions\[1\] "):
             load_model(p)
+        for where in BAD_ENTRY_POSITIONS:
+            p.write_text(model_text_with_entry(entry, *where))
+            with pytest.raises(ModelFormatError, match=bad_entry_path(*where) + "must be"):
+                load_model(p)
 
     @pytest.mark.parametrize(
         "column", ["1e300", "-1e300", "1" + "0" * 400], ids=["1e300", "-1e300", "int-1e400"]
@@ -385,6 +442,10 @@ class TestSerialization:
             warnings.simplefilter("error")
             with pytest.raises(ModelFormatError, match=r"states\[0\]\.actions\[0\]\.transitions"):
                 load_model(p)
+            for where in BAD_ENTRY_POSITIONS:
+                p.write_text(model_text_with_entry(f"[{column}, 0.25]", *where))
+                with pytest.raises(ModelFormatError, match=bad_entry_path(*where)):
+                    load_model(p)
 
     def test_load_validates(self, tmp_path):
         p = tmp_path / "m.json"
@@ -408,3 +469,82 @@ class TestSerialization:
         p.write_text('{"mode": "avg", "discount": 0.9, "states": []}')
         with pytest.raises(ModelFormatError, match="mode"):
             load_model(p)
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            '{"mode": "discounted",\n "discount": }\n',
+            '{"mode": "discounted", "discount": 0.9, "states": [{"actions": 3}]}',
+        ],
+        ids=["valid", "json-error", "format-error"],
+    )
+    def test_load_leaves_collector_state_as_found(self, tmp_path, collecting, text):
+        p = tmp_path / "m.json"
+        if text is None:
+            save_model(two_state_swap(), p)
+        else:
+            p.write_text(text)
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            if text is None:
+                load_model(p)
+            else:
+                with pytest.raises(ModelFormatError):
+                    load_model(p)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestWriterBytes:
+    """``save_model`` writes exactly the bytes of the per-row reference writer."""
+
+    def assert_same_bytes(self, m, tmp_path):
+        save_model(m, tmp_path / "m.json")
+        reference_save_model(m, tmp_path / "ref.json")
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        m = random_model(
+            rng,
+            num_states=int(rng.integers(1, 25)),
+            max_actions=int(rng.integers(1, 6)),
+            density=float(rng.uniform(0.05, 1.0)),
+        )
+        if seed % 2:
+            m.metadata = {"family": "uniform", "seed": seed, "reward_range": [1.0, 1e-17]}
+        self.assert_same_bytes(m, tmp_path)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(family="band", num_states=20, bandwidth=7),
+            dict(family="total_reward_positive", num_states=12, density=0.5, discount=1.0),
+        ],
+        ids=["band", "total-reward"],
+    )
+    def test_generated_models_with_metadata(self, tmp_path, spec):
+        self.assert_same_bytes(generate(GeneratorSpec(seed=3, action_range=(1, 4), **spec)), tmp_path)
+
+    def test_awkward_floats(self, tmp_path):
+        m = MdpModel.from_rows(
+            [[(0.1 + 0.2, [(0, 1.0 / 3.0), (1, 2.0 / 3.0)]), (-0.0, [(1, 1.0)])], [(1e-17, [(1, 1.0)])]],
+            discount=0.1 + 0.7,
+        )
+        self.assert_same_bytes(m, tmp_path)
+
+    def test_golden_two_state_swap(self, tmp_path):
+        m = two_state_swap(1.0, 2.0)
+        m.metadata = {"family": "uniform", "num_states": 2, "seed": 0}
+        save_model(m, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == (
+            '{"mode": "discounted", "discount": 0.9, '
+            '"generator": {"family": "uniform", "num_states": 2, "seed": 0}, "states": ['
+            '{"actions": [{"reward": 1.0, "transitions": [[1,1.0]]}]},'
+            '{"actions": [{"reward": 2.0, "transitions": [[0,1.0]]}]}]}\n'
+        )

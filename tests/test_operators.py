@@ -389,6 +389,18 @@ class TestDispatch:
         out = apply_operator(chain_to_absorbing(), np.zeros(3), OperatorKind.TOTAL_REWARD)
         np.testing.assert_allclose(out, [3.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("kind", [k.value for k in OperatorKind])
+    @pytest.mark.parametrize("form", ["list", "int-array", "int-list"])
+    def test_list_and_integer_inputs(self, kind, form):
+        if kind == "total":
+            m, v = chain_to_absorbing(), np.array([4.0, 2.0, 0.0])
+        else:
+            m, v = random_model(np.random.default_rng(21), num_states=9), np.arange(9.0) * 3 - 7
+        given = {"list": v.tolist(), "int-array": v.astype(np.int64), "int-list": v.astype(int).tolist()}
+        out = apply_operator(m, given[form], kind)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, apply_operator(m, v, kind))
+
     def test_sweeps_reject_precomputed_sums(self):
         m = two_state_swap()
         v = np.array([1.0, 1.0])

@@ -8,7 +8,7 @@ import pytest
 import mdpaccel.accelerators as accel_mod
 import mdpaccel.solver as solver_mod
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import MdpModel, RewardMode
+from mdpaccel.model import MdpModel, RewardMode, adjust_rewards_nonnegative
 from mdpaccel.operators import OperatorKind, weighted_sums
 from mdpaccel.solver import (
     AcceleratorKind,
@@ -176,6 +176,31 @@ class TestAcceleratedRuns:
         )
         with pytest.raises(SolverConfigError, match="dominate"):
             solve(m, cfg)
+
+
+class TestSharedRowMatrix:
+    def test_accelerated_solves_build_the_matrix_once(self, monkeypatch):
+        m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
+        built, shifted = [], []
+        getter = MdpModel.row_matrix.fget
+
+        def counting_getter(model):
+            if model._row_matrix is None:
+                built.append(model)
+            return getter(model)
+
+        def recording_shift(model):
+            out = adjust_rewards_nonnegative(model)
+            shifted.append(out[0])
+            return out
+
+        monkeypatch.setattr(MdpModel, "row_matrix", property(counting_getter))
+        monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
+        for accelerator in (AcceleratorKind.PROJECTIVE, AcceleratorKind.LINEAR_EXTENSION):
+            assert solve(m, SolverConfig(accelerator=accelerator)).converged
+        assert built == [m]
+        assert len(shifted) == 2
+        assert all(s.row_matrix is m.row_matrix for s in shifted)
 
 
 class TestTotalReward:
