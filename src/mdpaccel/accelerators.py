@@ -24,6 +24,17 @@ validate the preconditions (inputs dominate their backups) from the sums
 already in hand, and validate the output with one fresh weighted-sums
 pass; a failed output check falls back to the safe input point and flags
 the step instead of raising.
+
+A checked step therefore costs one fresh sums pass, for its output, and
+one one-step backup per point it tests: the projective step tests its
+input and its output; the linear extension tests ``v``, ``u`` and its
+output, but a caller holding the one-step backup of ``v`` (the value
+iteration loop, whose ``u`` is that backup) hands it down as
+``v_backup``, together with the residual ``sup_norm(u - v)``, and the
+step backs up only ``u`` and the output.  The scans spread per-state
+values over the rows with ``np.repeat`` over ``MdpModel.row_counts`` and
+divide only the rows that can bound the step, with one masked
+``np.divide``.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import numpy as np
 
 from .model import MdpModel
 from .operators import (
+    MEMBERSHIP_TOL_SCALE,
     WeightedSums,
     is_feasible,
     require_sums,
@@ -79,10 +91,6 @@ class AccelStep:
     alpha: AlphaResult
 
 
-def _ratio_guard(v: np.ndarray) -> float:
-    return RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
-
-
 def _row_location(m: MdpModel, row: int) -> tuple[int, int]:
     state = int(m.row_state[row])
     return state, int(row - m.state_ptr[state])
@@ -105,30 +113,39 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
         FeasibilityError: negative rewards, or (with checks enabled) a
             ``v`` that does not dominate its backup.
     """
-    if m.num_rows and float(np.min(m.rewards)) < 0.0:
+    if m.num_rows and float(m.rewards.min()) < 0.0:
         raise FeasibilityError(
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
     s = require_sums(m, v, sums)
-    if check_membership and not is_feasible(m, v, sums=s):
+    scale = 1.0 + sup_norm(v)
+    if check_membership and not is_feasible(m, v, tol=MEMBERSHIP_TOL_SCALE * scale, sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
-    guard = _ratio_guard(v)
-    q = v[m.row_state] - m.discount * s.values
+    guard = RATIO_GUARD_SCALE * scale
+    q = v.repeat(m.row_counts)
+    q -= m.discount * s.values
     tight = q <= guard
-    if bool(np.any(tight & (m.rewards > guard))):
-        return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
-    valid = ~tight
-    if not bool(np.any(valid)):
-        return AlphaResult(alpha=0.0, binding=None)
-    ratios = np.full(m.num_rows, -np.inf)
-    ratios[valid] = m.rewards[valid] / q[valid]
-    row = int(np.argmax(ratios))
+    if tight.any():
+        if (tight & (m.rewards > guard)).any():
+            return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
+        if tight.all():
+            return AlphaResult(alpha=0.0, binding=None)
+    ratios = np.divide(m.rewards, q, out=np.full(m.num_rows, -np.inf), where=~tight)
+    row = int(ratios.argmax())
     alpha = min(1.0, max(0.0, float(ratios[row])))
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
 
 
 def linear_extension_alpha(
-    m, v, u, sums_v=None, sums_u=None, alpha_cap=ALPHA_CAP_DEFAULT, check_membership=True
+    m,
+    v,
+    u,
+    sums_v=None,
+    sums_u=None,
+    alpha_cap=ALPHA_CAP_DEFAULT,
+    check_membership=True,
+    v_backup=None,
+    residual=None,
 ) -> AlphaResult:
     """Largest step along ``v + alpha * (u - v)`` that keeps dominance.
 
@@ -142,29 +159,39 @@ def linear_extension_alpha(
     ``u`` itself is always admissible).  When no row bounds the step the
     result is ``alpha_cap`` with the fallback flag set.
 
+    A caller that already holds the one-step backup of ``v`` (when ``u``
+    is that backup) passes it as ``v_backup``, and the precondition check
+    on ``v`` compares it instead of backing ``v`` up again; ``residual``,
+    when given, is ``sup_norm(u - v)``.
+
     Raises:
         AlreadyConvergedError: ``u`` and ``v`` coincide to guard tolerance.
         FeasibilityError: with checks enabled, an endpoint that does not
             dominate its backup.
     """
-    guard = _ratio_guard(v)
-    if sup_norm(u - v) <= guard:
+    scale = 1.0 + sup_norm(v)
+    guard = RATIO_GUARD_SCALE * scale
+    if (sup_norm(u - v) if residual is None else residual) <= guard:
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     if check_membership:
-        if not is_feasible(m, v, sums=sv):
+        if not is_feasible(m, v, tol=MEMBERSHIP_TOL_SCALE * scale, sums=sv, backup=v_backup):
             raise FeasibilityError("current point does not dominate its one-step backup")
         if not is_feasible(m, u, sums=su):
             raise FeasibilityError("direction point does not dominate its one-step backup")
-    c = v[m.row_state] - m.rewards - m.discount * sv.values
-    d = (u - v)[m.row_state] - m.discount * (su.values - sv.values)
-    binding = d < -guard
-    if not bool(np.any(binding)):
+    c = v.repeat(m.row_counts)
+    c -= m.rewards
+    c -= m.discount * sv.values
+    # -d, the exact negation of d: the rows with -d above the guard bind
+    neg_d = su.values - sv.values
+    neg_d *= m.discount
+    neg_d -= (u - v).repeat(m.row_counts)
+    binding = neg_d > guard
+    if not binding.any():
         return AlphaResult(alpha=float(alpha_cap), binding=None, fallback_used=True)
-    ratios = np.full(m.num_rows, np.inf)
-    ratios[binding] = c[binding] / -d[binding]
-    row = int(np.argmin(ratios))
+    ratios = np.divide(c, neg_d, out=np.full(m.num_rows, np.inf), where=binding)
+    row = int(ratios.argmin())
     alpha = max(1.0, float(ratios[row]))
     if alpha >= alpha_cap:
         return AlphaResult(alpha=float(alpha_cap), binding=_row_location(m, row), fallback_used=True)
@@ -210,6 +237,8 @@ def apply_linear_extension(
     beta=0.0,
     alpha_cap=ALPHA_CAP_DEFAULT,
     check_membership=True,
+    v_backup=None,
+    residual=None,
 ) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
@@ -217,15 +246,21 @@ def apply_linear_extension(
     small ``beta`` the extended point still moves at least toward ``u``,
     and by convexity of the dominance region it remains admissible.  A
     failed output check falls back to ``u`` (already a valid descent).
+    ``v_backup`` and ``residual`` pass what the caller already holds to
+    ``linear_extension_alpha``.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     res = linear_extension_alpha(
-        m, v, u, sums_v=sv, sums_u=su, alpha_cap=alpha_cap, check_membership=check_membership
+        m, v, u, sums_v=sv, sums_u=su, alpha_cap=alpha_cap, check_membership=check_membership,
+        v_backup=v_backup, residual=residual,
     )
     effective = (1.0 - beta) * res.alpha
     z = v + effective * (u - v)
-    zsums = WeightedSums(values=sv.values + effective * (su.values - sv.values), base=z)
+    zvalues = su.values - sv.values
+    zvalues *= effective
+    zvalues += sv.values
+    zsums = WeightedSums(values=zvalues, base=z)
     return _checked(m, z, zsums, u, su, res, check_membership)

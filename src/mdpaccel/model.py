@@ -14,9 +14,9 @@ for the same vector is bit-identical, whichever operator asks for it.
 
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
-its per-state row blocks, the owning state and self-loop probability of
-every row) are built lazily and cached; they depend on the transitions
-only, so a reward-shifted copy shares them.
+its per-state row blocks, every state's row count, the owning state and
+self-loop probability of every row) are built lazily and cached; they
+depend on the transitions only, so a reward-shifted copy shares them.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ class MdpModel:
     probs: np.ndarray
     metadata: dict | None = None
     _row_matrix: sp.csr_matrix | None = field(default=None, repr=False, init=False)
+    _row_counts: np.ndarray | None = field(default=None, repr=False, init=False)
     _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
     _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
     _state_blocks: tuple | None = field(default=None, repr=False, init=False)
@@ -196,11 +197,21 @@ class MdpModel:
         return self._state_blocks
 
     @property
+    def row_counts(self) -> np.ndarray:
+        """Number of rows (actions) of every state.
+
+        ``np.repeat(x, m.row_counts)`` spreads a per-state vector over the
+        rows, the same values as ``x[m.row_state]`` without an index gather.
+        """
+        if self._row_counts is None:
+            self._row_counts = np.diff(self.state_ptr)
+        return self._row_counts
+
+    @property
     def row_state(self) -> np.ndarray:
         """Owning state index of every row."""
         if self._row_state is None:
-            counts = np.diff(self.state_ptr)
-            self._row_state = np.repeat(np.arange(self.num_states, dtype=np.int64), counts)
+            self._row_state = np.repeat(np.arange(self.num_states, dtype=np.int64), self.row_counts)
         return self._row_state
 
     @property
@@ -317,7 +328,7 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     offset = float(np.max(np.abs(m.rewards))) if m.num_rows else 0.0
     shifted = replace(m, rewards=m.rewards + offset)
     # every cached view depends on the transitions only, which are shared
-    for view in ("_row_matrix", "_row_state", "_self_loop", "_state_blocks"):
+    for view in ("_row_matrix", "_row_counts", "_row_state", "_self_loop", "_state_blocks"):
         setattr(shifted, view, getattr(m, view))
     return shifted, offset
 

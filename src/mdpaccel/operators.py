@@ -45,7 +45,7 @@ _JACOBI_KINDS = (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
 
 
 def sup_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def membership_tolerance(v: np.ndarray) -> float:
@@ -112,11 +112,18 @@ def _row_values(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray
     if kind in _JACOBI_KINDS:
         d = m.self_loop_probs[rows]
         return (r + m.discount * (sums - d * v[m.row_state[rows]])) / (1.0 - m.discount * d)
-    return r + m.discount * sums
+    out = m.discount * sums
+    out += r
+    return out
 
 
 def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
+
+
+def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Simultaneous backup of ``v`` from its sums, for a kind already vetted."""
+    return _state_max(m, _row_values(m, kind, v, sums))
 
 
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
@@ -127,9 +134,12 @@ def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
     return w
 
 
+_SWEEP_KINDS = (OperatorKind.GAUSS_SEIDEL, OperatorKind.GAUSS_SEIDEL_JACOBI)
+
+
 def sweep_carries_state(kind) -> bool:
     """True for operators whose backup cannot reuse a precomputed sums pass."""
-    return OperatorKind(kind) in (OperatorKind.GAUSS_SEIDEL, OperatorKind.GAUSS_SEIDEL_JACOBI)
+    return OperatorKind(kind) in _SWEEP_KINDS
 
 
 def apply_operator(m, v, kind, sums=None):
@@ -147,14 +157,15 @@ def apply_operator(m, v, kind, sums=None):
     kind = OperatorKind(kind)
     _check_kind(m, kind)
     v = np.asarray(v, dtype=np.float64)
-    if sweep_carries_state(kind):
+    if kind in _SWEEP_KINDS:
         if sums is not None:
             raise ValueError("sweep operators recompute sums in place; pass sums=None")
         return _sweep(m, kind, v)
-    return _state_max(m, _row_values(m, kind, v, require_sums(m, v, sums).values))
+    return _backup(m, kind, v, require_sums(m, v, sums).values)
 
 
-def _one_step_kind(m: MdpModel) -> OperatorKind:
+def one_step_kind(m: MdpModel) -> OperatorKind:
+    """The backup that dominance is measured against: ``total`` or ``standard``."""
     if m.mode is RewardMode.TOTAL_REWARD:
         return OperatorKind.TOTAL_REWARD
     return OperatorKind.STANDARD
@@ -165,7 +176,7 @@ def greedy_policy(m, v) -> np.ndarray:
 
     Ties resolve to the lowest action index.
     """
-    rows = _row_values(m, _one_step_kind(m), v, weighted_sums(m, v).values)
+    rows = _row_values(m, one_step_kind(m), v, weighted_sums(m, v).values)
     cand = np.where(
         rows == _state_max(m, rows)[m.row_state],
         np.arange(m.num_rows, dtype=np.int64),
@@ -174,16 +185,22 @@ def greedy_policy(m, v) -> np.ndarray:
     return np.minimum.reduceat(cand, m.state_ptr[:-1]) - m.state_ptr[:-1]
 
 
-def is_feasible(m, v, tol=None, sums=None):
+def is_feasible(m, v, tol=None, sums=None, backup=None):
     """Test one-step dominance: v >= (backup of v) componentwise.
 
     Uses the standard backup for discounted models and the undiscounted
     backup for total-reward models — dominance is always measured against
     the one-step operator, whatever backup a solver happens to run.
+    ``tol`` defaults to ``membership_tolerance(v)``.  A caller that already
+    holds the one-step backup of ``v`` passes it as ``backup``, and the test
+    compares it instead of backing ``v`` up again.
     """
+    v = np.asarray(v, dtype=np.float64)
     if tol is None:
         tol = membership_tolerance(v)
-    return bool(np.all(apply_operator(m, v, _one_step_kind(m), sums) <= v + tol))
+    if backup is None:
+        backup = _backup(m, one_step_kind(m), v, require_sums(m, v, sums).values)
+    return bool((backup <= v + tol).all())
 
 
 def is_feasible_gs(m, v, tol=None):
@@ -192,6 +209,7 @@ def is_feasible_gs(m, v, tol=None):
     A strictly weaker requirement than one-step dominance — there are
     vectors that dominate their sweep but not their simultaneous backup.
     """
+    v = np.asarray(v, dtype=np.float64)
     if tol is None:
         tol = membership_tolerance(v)
     return bool(np.all(apply_operator(m, v, OperatorKind.GAUSS_SEIDEL) <= v + tol))

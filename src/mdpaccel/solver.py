@@ -17,6 +17,20 @@ holds for every operator/accelerator pairing.  Membership checks, when
 enabled, cost one additional validation pass per accelerated iteration;
 disabling them removes that cost without changing the iterate sequence.
 
+Backups per iteration.  Every iteration runs one backup ``u = T(w)`` of
+the configured operator.  With membership checks an accelerated
+iteration adds the one-step backups its dominance tests need, all from
+sums already in hand: one of the scan's input point (``u`` for both
+accelerators) and one of the accelerated point, from the validation
+pass.  The linear extension also tests the current iterate ``w``; when
+the configured operator is the one-step backup (``standard``, or
+``total`` on total-reward models) the step reuses ``u`` for that test,
+and the residual ``sup_norm(u - w)`` for the scan's degeneracy test, so
+an accelerated iteration costs two fresh sums passes and three backups.
+The Jacobi and sweep operators back ``w`` up once more, from its carried
+sums.  Without checks the step adds neither passes nor backups to the
+sums pass at ``u`` and the loop's own backup.
+
 Stopping.  Discounted runs stop when the backup residual in the
 componentwise maximum norm falls below ``stopping_threshold(epsilon,
 discount) / num_states`` — the accuracy bound is split evenly across
@@ -52,6 +66,7 @@ from .operators import (
     apply_operator,
     greedy_policy,
     is_feasible,
+    one_step_kind,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
@@ -197,9 +212,13 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
         return m, initial_feasible_point_total_reward(m), 0.0
     if not accelerated:
         return m, np.zeros(m.num_states), 0.0
-    # build the transition matrix on the input, so the shifted copy shares it
-    # and later solves of the same input reuse it
-    m.row_matrix
+    # build the views the run reads on the input, so the shifted copy shares
+    # them and later solves of the same input reuse them
+    m.row_matrix, m.row_state
+    if config.operator in (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI):
+        m.self_loop_probs
+    if sweep_carries_state(config.operator):
+        m.state_blocks
     shifted, offset = adjust_rewards_nonnegative(m)
     return shifted, initial_feasible_point(shifted), offset
 
@@ -220,40 +239,44 @@ class _Loop:
         self.config = config
         self.w = start
         self.threshold = threshold
-        self.carry_sums = (not sweep_carries_state(config.operator)) or (
-            config.accelerator is AcceleratorKind.LINEAR_EXTENSION
-        )
+        self.sweep = sweep_carries_state(config.operator)
+        self.carry_sums = not self.sweep or config.accelerator is AcceleratorKind.LINEAR_EXTENSION
         self.sums = weighted_sums(self.m, self.w) if self.carry_sums else None
+        # when the loop runs the one-step backup, its u is the backup the
+        # linear scan's precondition check on w compares against
+        self.u_is_one_step = config.operator is one_step_kind(solve_model)
 
     def step(self) -> _Step:
-        cfg = self.config
-        if sweep_carries_state(cfg.operator):
-            u = apply_operator(self.m, self.w, cfg.operator)
+        cfg, m, w = self.config, self.m, self.w
+        if self.sweep:
+            u = apply_operator(m, w, cfg.operator)
         else:
-            u = apply_operator(self.m, self.w, cfg.operator, sums=self.sums)
-        residual = sup_norm(u - self.w)
+            u = apply_operator(m, w, cfg.operator, sums=self.sums)
+        residual = sup_norm(u - w)
         if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
             converged = residual <= self.threshold
             self.w = u
             if self.carry_sums:
-                self.sums = None if converged else weighted_sums(self.m, u)
+                self.sums = None if converged else weighted_sums(m, u)
             return _Step(u, residual, None, converged)
-        s_u = weighted_sums(self.m, u)
+        s_u = weighted_sums(m, u)
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
             accel = apply_projective(
-                self.m, u, sums=s_u, beta=cfg.beta, check_membership=cfg.membership_checks
+                m, u, sums=s_u, beta=cfg.beta, check_membership=cfg.membership_checks
             )
         else:
             try:
                 accel = apply_linear_extension(
-                    self.m,
-                    self.w,
+                    m,
+                    w,
                     u,
                     sums_v=self.sums,
                     sums_u=s_u,
                     beta=cfg.beta,
                     alpha_cap=cfg.alpha_cap,
                     check_membership=cfg.membership_checks,
+                    v_backup=u if self.u_is_one_step else None,
+                    residual=residual,
                 )
             except AlreadyConvergedError:
                 # Residual above the stopping threshold but below the

@@ -8,6 +8,8 @@ import pytest
 import mdpaccel.accelerators as accel_mod
 from mdpaccel.accelerators import (
     ALPHA_CAP_DEFAULT,
+    RATIO_GUARD_SCALE,
+    AlphaResult,
     AlreadyConvergedError,
     FeasibilityError,
     apply_linear_extension,
@@ -20,10 +22,103 @@ from mdpaccel.operators import (
     apply_operator,
     is_feasible,
     membership_tolerance,
+    sup_norm,
     weighted_sums,
 )
 
 from test_model import chain_to_absorbing, random_model, two_state_swap
+
+
+def reference_location(m, row):
+    state = int(m.row_state[row])
+    return state, row - int(m.state_ptr[state])
+
+
+def reference_projective_alpha(m, v, s):
+    """The projective scan written with index and boolean gathers."""
+    guard = RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
+    q = v[m.row_state] - m.discount * s
+    tight = q <= guard
+    if np.any(tight & (m.rewards > guard)):
+        return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
+    valid = ~tight
+    if not np.any(valid):
+        return AlphaResult(alpha=0.0, binding=None)
+    ratios = np.full(m.num_rows, -np.inf)
+    ratios[valid] = m.rewards[valid] / q[valid]
+    row = int(np.argmax(ratios))
+    return AlphaResult(min(1.0, max(0.0, float(ratios[row]))), reference_location(m, row))
+
+
+def reference_linear_alpha(m, v, u, sv, su, cap=ALPHA_CAP_DEFAULT):
+    """The linear-extension scan written with index and boolean gathers."""
+    guard = RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
+    if sup_norm(u - v) <= guard:
+        raise AlreadyConvergedError("coincident")
+    c = v[m.row_state] - m.rewards - m.discount * sv
+    d = (u - v)[m.row_state] - m.discount * (su - sv)
+    binding = d < -guard
+    if not np.any(binding):
+        return AlphaResult(alpha=float(cap), binding=None, fallback_used=True)
+    ratios = np.full(m.num_rows, np.inf)
+    ratios[binding] = c[binding] / -d[binding]
+    row = int(np.argmin(ratios))
+    alpha = max(1.0, float(ratios[row]))
+    if alpha >= cap:
+        return AlphaResult(float(cap), reference_location(m, row), fallback_used=True)
+    return AlphaResult(alpha, reference_location(m, row))
+
+
+def scan_cases(seed, count):
+    """Random models with dominating and arbitrary points, plus hand cases
+    whose rows are tight, fall back, or bind nowhere."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = random_model(rng, num_states=int(rng.integers(2, 20)))
+        v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+        yield m, v, apply_operator(m, v, "standard")
+        yield m, rng.normal(size=m.num_states) * 10, rng.normal(size=m.num_states) * 10
+    yield two_state_swap(0.0, 0.0), np.array([5.0, 5.0]), np.array([4.5, 4.5])
+    yield two_state_swap(), np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    yield chain_to_absorbing(), np.array([6.0, 6.0, 0.0]), np.array([6.0, 1.0, 0.0])
+    yield MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=0.9), np.array([60.0]), np.array([61.0])
+
+
+class TestScansMatchReference:
+    """The scans give the same result, bit for bit, as the gather formulas."""
+
+    def test_projective(self):
+        for m, v, _ in scan_cases(30, 40):
+            s = weighted_sums(m, v).values
+            assert projective_alpha(m, v, check_membership=False) == reference_projective_alpha(m, v, s)
+
+    def test_linear_extension(self):
+        for m, v, u in scan_cases(31, 40):
+            sv, su = weighted_sums(m, v).values, weighted_sums(m, u).values
+            try:
+                expected = reference_linear_alpha(m, v, u, sv, su)
+            except AlreadyConvergedError:
+                with pytest.raises(AlreadyConvergedError):
+                    linear_extension_alpha(m, v, u, check_membership=False)
+                continue
+            assert linear_extension_alpha(m, v, u, check_membership=False) == expected
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_steps_carry_the_reference_points_and_sums(self, beta):
+        for m, v, u in scan_cases(32, 20):
+            sv, su = weighted_sums(m, v), weighted_sums(m, u)
+            p = apply_projective(m, v, sums=sv, beta=beta, check_membership=False)
+            f = (1.0 - beta) * p.alpha.alpha + beta
+            assert np.array_equal(p.point, f * v)
+            assert np.array_equal(p.sums.values, f * sv.values)
+            try:
+                e = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, beta=beta,
+                                           check_membership=False)
+            except AlreadyConvergedError:
+                continue
+            f = (1.0 - beta) * e.alpha.alpha
+            assert np.array_equal(e.point, v + f * (u - v))
+            assert np.array_equal(e.sums.values, sv.values + f * (su.values - sv.values))
 
 
 class TestProjectiveAlpha:
@@ -156,6 +251,38 @@ class TestLinearExtensionAlpha:
         res = linear_extension_alpha(m, v, u)
         assert res.alpha >= 1.0
         assert is_feasible(m, v + res.alpha * (u - v))
+
+
+class TestHeldQuantities:
+    """``v_backup`` and ``residual`` stand in for passes the scan would run."""
+
+    def test_held_backup_and_residual_change_nothing(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            m = random_model(rng, num_states=int(rng.integers(3, 20)))
+            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+            u = apply_operator(m, v, "standard")
+            sv, su = weighted_sums(m, v), weighted_sums(m, u)
+            plain = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
+            held = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su,
+                                          v_backup=u, residual=sup_norm(u - v))
+            assert held.alpha == plain.alpha
+            assert np.array_equal(held.point, plain.point)
+            assert np.array_equal(held.sums.values, plain.sums.values)
+
+    def test_held_backup_is_what_the_check_compares(self):
+        m = two_state_swap()
+        v = np.array([20.0, 20.0])
+        u = apply_operator(m, v, "standard")
+        with pytest.raises(FeasibilityError, match="current point"):
+            linear_extension_alpha(m, v, u, v_backup=v + 1.0)
+
+    def test_held_residual_is_what_the_degeneracy_test_reads(self):
+        m = two_state_swap()
+        v = np.array([20.0, 20.0])
+        u = apply_operator(m, v, "standard")
+        with pytest.raises(AlreadyConvergedError):
+            linear_extension_alpha(m, v, u, residual=0.0)
 
 
 class TestApplyProjective:

@@ -37,6 +37,8 @@ def test_tracer_records_every_solve_layer():
         dict(operator="standard"),
         dict(operator="gs"),
         dict(operator="standard", accelerator="linear"),
+        dict(operator="standard", accelerator="projective"),
+        dict(operator="jacobi", accelerator="projective"),
     )
     with tracer.Tracer().installed() as t:
         for options in configs:
@@ -48,5 +50,15 @@ def test_tracer_records_every_solve_layer():
         "operators.weighted_sums",
         "operators.is_feasible",
         "solver.extract_policy",
+        "accelerators.apply_projective",
+        "accelerators.projective_alpha",
+        "accelerators.apply_linear_extension",
+        "accelerators.linear_extension_alpha",
     } <= names
+    # the output check's fresh sums pass, which the bench counts as check_sums
+    assert any(
+        span[tracer.NAME] == "operators.weighted_sums" and span[tracer.PARENT] >= 0
+        and t.spans[span[tracer.PARENT]][tracer.NAME].startswith("accelerators.")
+        for span in t.spans
+    )
     assert mdpaccel.solver.apply_operator is mdpaccel.operators.apply_operator

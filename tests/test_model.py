@@ -112,12 +112,20 @@ class TestConstruction:
             np.testing.assert_array_equal(block.indices, csr.indices[lo:hi])
             np.testing.assert_array_equal(block.data, csr.data[lo:hi])
 
+    def test_row_counts_spread_like_the_row_state_gather(self):
+        m = random_model(np.random.default_rng(11), num_states=9, max_actions=5)
+        assert m.row_counts.tolist() == [m.num_actions(i) for i in range(m.num_states)]
+        assert m.row_counts is m.row_counts  # built once
+        x = np.arange(m.num_states) * 1.5
+        assert np.array_equal(np.repeat(x, m.row_counts), x[m.row_state])
+
     def test_replace_copy_starts_without_derived_views(self):
         m = random_model(np.random.default_rng(9))
         m.state_blocks, m.self_loop_probs
         fresh = dataclasses.replace(m)
         assert fresh._row_matrix is None and fresh._state_blocks is None
         assert fresh._row_state is None and fresh._self_loop is None
+        assert fresh._row_counts is None
 
 
 class TestValidation:
@@ -209,6 +217,7 @@ class TestRewardShift:
         assert shifted.row_matrix is m.row_matrix
         assert shifted.state_blocks is m.state_blocks
         assert shifted.row_state is m.row_state
+        assert shifted.row_counts is m.row_counts
         assert shifted.self_loop_probs is m.self_loop_probs
 
     def test_shift_applied_even_when_nonnegative(self):

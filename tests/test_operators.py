@@ -452,6 +452,23 @@ class TestFeasibility:
         s = weighted_sums(m, v)
         assert is_feasible(m, v, sums=s)
 
+    def test_held_backup_replaces_the_backup_pass(self):
+        m = two_state_swap()
+        v = np.array([20.0, 20.0])
+        held = apply_operator(m, v, "standard")
+        assert is_feasible(m, v, backup=held) is is_feasible(m, v) is True
+        # the held vector is what gets compared, not a fresh backup
+        assert not is_feasible(m, v, backup=v + 1.0)
+
+    @pytest.mark.parametrize("check", [is_feasible, is_feasible_gs], ids=["one-step", "gs"])
+    @pytest.mark.parametrize("form", ["list", "int-array", "int-list"])
+    def test_list_and_integer_inputs(self, check, form):
+        m = two_state_swap()
+        for v in ([20, 20], [0, 0], [100, 10]):
+            v = np.array(v, dtype=np.float64)
+            given = {"list": v.tolist(), "int-array": v.astype(np.int64), "int-list": v.astype(int).tolist()}
+            assert check(m, given[form]) is check(m, v)
+
 
 class TestSupNorm:
     def test_values(self):

@@ -7,9 +7,19 @@ import pytest
 
 import mdpaccel.accelerators as accel_mod
 import mdpaccel.solver as solver_mod
+from mdpaccel.accelerators import (
+    AlreadyConvergedError,
+    apply_linear_extension,
+    apply_projective,
+)
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import MdpModel, RewardMode, adjust_rewards_nonnegative
-from mdpaccel.operators import OperatorKind, weighted_sums
+from mdpaccel.model import (
+    MdpModel,
+    RewardMode,
+    adjust_rewards_nonnegative,
+    initial_feasible_point,
+)
+from mdpaccel.operators import OperatorKind, apply_operator, sup_norm, weighted_sums
 from mdpaccel.solver import (
     AcceleratorKind,
     SolverConfig,
@@ -178,6 +188,114 @@ class TestAcceleratedRuns:
             solve(m, cfg)
 
 
+def reference_solve(m, cfg):
+    """The solve loop on a discounted model, written with the public
+    layered functions only, none of them given a held backup or residual.
+
+    Returns the residuals, final value, policy and acceleration outcomes,
+    and how many scans raised ``AlreadyConvergedError``.
+    """
+    accelerated = cfg.accelerator is not AcceleratorKind.NONE
+    model, offset = adjust_rewards_nonnegative(m) if accelerated else (m, 0.0)
+    w = initial_feasible_point(model) if accelerated else np.zeros(m.num_states)
+    threshold = stopping_threshold(cfg.epsilon, m.discount) / m.num_states
+    sweep = cfg.operator in (OperatorKind.GAUSS_SEIDEL, OperatorKind.GAUSS_SEIDEL_JACOBI)
+    carry = not sweep or cfg.accelerator is AcceleratorKind.LINEAR_EXTENSION
+    sums = weighted_sums(model, w) if carry else None
+    residuals, alphas, already = [], [], 0
+    for _ in range(cfg.max_iterations):
+        if sweep:
+            u = apply_operator(model, w, cfg.operator)
+        else:
+            u = apply_operator(model, w, cfg.operator, sums=sums)
+        residual = sup_norm(u - w)
+        residuals.append(residual)
+        if residual <= threshold or not accelerated:
+            w = u
+            alphas.append(None)
+            if residual <= threshold:
+                break
+            sums = weighted_sums(model, u) if carry else None
+            continue
+        s_u = weighted_sums(model, u)
+        if cfg.accelerator is AcceleratorKind.PROJECTIVE:
+            step = apply_projective(model, u, sums=s_u, beta=cfg.beta,
+                                    check_membership=cfg.membership_checks)
+        else:
+            try:
+                step = apply_linear_extension(model, w, u, sums_v=sums, sums_u=s_u, beta=cfg.beta,
+                                              alpha_cap=cfg.alpha_cap,
+                                              check_membership=cfg.membership_checks)
+            except AlreadyConvergedError:
+                already += 1
+                w, sums = u, (s_u if carry else None)
+                alphas.append(None)
+                continue
+        w, sums = step.point, (step.sums if carry else None)
+        alphas.append(step.alpha)
+    value = w - offset / (1.0 - m.discount) if offset else w.copy()
+    return np.asarray(residuals), value, extract_policy(model, w), alphas, already
+
+
+def pinned_models():
+    return [
+        generate(GeneratorSpec(family="uniform", num_states=14, density=0.5, discount=0.95,
+                               action_range=(2, 5), seed=41)),
+        generate(GeneratorSpec(family="uniform", num_states=10, density=1.0, discount=0.9,
+                               action_range=(2, 4), seed=42)),
+        generate(GeneratorSpec(family="band", num_states=16, bandwidth=3, discount=0.97,
+                               action_range=(2, 5), seed=43)),
+    ]
+
+
+def assert_same_run(m, cfg):
+    expected = reference_solve(m, cfg)
+    res = solve(m, cfg)
+    assert np.array_equal(res.residuals, expected[0])
+    assert np.array_equal(res.final_value, expected[1])
+    assert np.array_equal(res.final_policy, expected[2])
+    assert res.alphas == expected[3]
+    return expected
+
+
+class TestIterateSequencePinned:
+    """``solve`` runs the same iterates as the layered functions called plainly."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
+    def test_matches_reference_solve(self, operator, accelerator, checks, beta):
+        for m in pinned_models():
+            cfg = SolverConfig(operator=operator, accelerator=accelerator,
+                               membership_checks=checks, beta=beta)
+            assert_same_run(m, cfg)
+
+    @pytest.mark.parametrize("operator", ["standard", "gs"])
+    def test_degenerate_scans_and_fallbacks(self, operator):
+        # at epsilon 1e-8 the stopping threshold lies below the scan's
+        # degeneracy guard, so late scans raise AlreadyConvergedError
+        m = generate(GeneratorSpec(family="uniform", num_states=10, density=0.5, discount=0.9,
+                                   action_range=(2, 4), seed=0))
+        cfg = SolverConfig(operator=operator, accelerator="linear", epsilon=1e-8)
+        alphas, already = assert_same_run(m, cfg)[3:]
+        assert already > 0
+        assert any(a is not None and a.fallback_used for a in alphas)
+
+    @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
+    def test_only_the_one_step_backup_is_handed_down(self, monkeypatch, operator):
+        held = []
+
+        def recording_extension(m, v, u, **kwargs):
+            held.append(kwargs["v_backup"] is u if operator == "standard" else kwargs["v_backup"] is None)
+            return apply_linear_extension(m, v, u, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "apply_linear_extension", recording_extension)
+        cfg = SolverConfig(operator=operator, accelerator="linear", max_iterations=5)
+        solve(pinned_models()[0], cfg)
+        assert held and all(held)
+
+
 class TestSharedRowMatrix:
     def test_accelerated_solves_build_the_matrix_once(self, monkeypatch):
         m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
@@ -201,6 +319,28 @@ class TestSharedRowMatrix:
         assert built == [m]
         assert len(shifted) == 2
         assert all(s.row_matrix is m.row_matrix for s in shifted)
+
+    def test_shifted_copies_share_the_inputs_row_views(self, monkeypatch):
+        m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
+        shifted = []
+
+        def recording_shift(model):
+            out = adjust_rewards_nonnegative(model)
+            shifted.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
+        for operator in ("standard", "jacobi", "gsj"):
+            cfg = SolverConfig(operator=operator, accelerator=AcceleratorKind.PROJECTIVE)
+            assert solve(m, cfg).converged
+        assert m._row_state is not None and m._self_loop is not None
+        assert m._state_blocks is not None
+        assert all(s._row_state is m._row_state for s in shifted)
+        assert all(s._row_counts is m._row_counts for s in shifted)
+        # the Jacobi runs build the self-loops on the input, the sweep its blocks
+        assert shifted[1]._self_loop is m._self_loop
+        assert shifted[2]._self_loop is m._self_loop
+        assert shifted[2]._state_blocks is m._state_blocks
 
 
 class TestTotalReward:
@@ -312,6 +452,10 @@ class TestSumsPassBudget:
         s, a = self.run(monkeypatch, "standard", "linear", checks=False)
         assert (s, a) == (6, 0)
 
+    def test_standard_linear_checked(self, monkeypatch):
+        s, a = self.run(monkeypatch, "standard", "linear", checks=True)
+        assert (s, a) == (6, 5)  # the held backup of w costs no pass
+
     def test_sweep_projective(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "projective", checks=False)
         assert (s, a) == (5, 0)  # sweeps carry no setup sums
@@ -319,6 +463,10 @@ class TestSumsPassBudget:
     def test_sweep_linear(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "linear", checks=False)
         assert (s, a) == (6, 0)
+
+    def test_sweep_linear_checked(self, monkeypatch):
+        s, a = self.run(monkeypatch, "gs", "linear", checks=True)
+        assert (s, a) == (6, 5)  # w's check backs up from its carried sums
 
     def test_sweep_plain(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "none", checks=False)
