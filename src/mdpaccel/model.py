@@ -15,8 +15,10 @@ for the same vector is bit-identical, whichever operator asks for it.
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
 its per-state row blocks, every state's row count, the owning state and
-self-loop probability of every row) are built lazily and cached; they
-depend on the transitions only, so a reward-shifted copy shares them.
+self-loop probability of every row, the Jacobi denominators, and the row
+statistics the rounding bound reads) are built lazily and cached.  All but
+``max_abs_reward`` depend on the transitions and discount only, so a
+reward-shifted copy shares them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-9
+# Unit roundoff of float64: a rounded operation's relative error is at most this.
+UNIT_ROUNDOFF = 2.0**-53
 # Types a JSON number parses to; type(True) is bool, so booleans are not numbers here.
 _JSON_NUMBERS = frozenset((int, float))
 # Columns above 2**53 are no state index, and floats no longer hold them exactly.
@@ -112,6 +116,10 @@ class MdpModel:
     _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
     _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
     _state_blocks: tuple | None = field(default=None, repr=False, init=False)
+    _jacobi: tuple | None = field(default=None, repr=False, init=False)
+    _max_row_nnz: int | None = field(default=None, repr=False, init=False)
+    _row_sum_deviation: float | None = field(default=None, repr=False, init=False)
+    _max_abs_reward: float | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
@@ -226,6 +234,50 @@ class MdpModel:
             self._self_loop = out
         return self._self_loop
 
+    @property
+    def jacobi_denominator(self) -> tuple[np.ndarray, float]:
+        """Per-row ``1 - discount * p(i,i)`` of the Jacobi backups, and its minimum.
+
+        The minimum is inf for a model without rows.
+        """
+        if self._jacobi is None:
+            denominator = 1.0 - self.discount * self.self_loop_probs
+            self._jacobi = denominator, float(denominator.min()) if denominator.size else math.inf
+        return self._jacobi
+
+    @property
+    def max_row_nnz(self) -> int:
+        """Most stored entries in any row."""
+        if self._max_row_nnz is None:
+            self._max_row_nnz = int(np.diff(self.row_ptr).max()) if self.num_rows else 0
+        return self._max_row_nnz
+
+    @property
+    def row_sum_deviation(self) -> float:
+        """Upper bound on ``|sum_j p(k, j) - 1|`` over rows, for the exact sums.
+
+        Each row is summed by the CSR kernel; the measured deviation is
+        raised by ``2 * max_row_nnz * u * max sum`` (``u`` the unit
+        roundoff), which bounds the summation's rounding.  Inf when any
+        probability is negative, where a row sum no longer bounds how far a
+        row's weighted sum can move; NaN when a probability is NaN.
+        """
+        if self._row_sum_deviation is None:
+            if self.probs.size and float(self.probs.min()) < 0.0:
+                self._row_sum_deviation = math.inf
+            else:
+                sums = self.row_matrix @ np.ones(self.num_states)
+                slack = 2.0 * self.max_row_nnz * UNIT_ROUNDOFF * float(sums.max(initial=0.0))
+                self._row_sum_deviation = float(np.abs(sums - 1.0).max(initial=0.0)) + slack
+        return self._row_sum_deviation
+
+    @property
+    def max_abs_reward(self) -> float:
+        """Largest reward magnitude."""
+        if self._max_abs_reward is None:
+            self._max_abs_reward = float(np.abs(self.rewards).max()) if self.num_rows else 0.0
+        return self._max_abs_reward
+
 
 def models_identical(a: MdpModel, b: MdpModel) -> bool:
     """True when every stored field of the two models matches exactly."""
@@ -315,9 +367,9 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
 
     The shift is applied unconditionally, including when rewards are
     already nonnegative.  Transition rows are shared with the input model,
-    and so are whichever derived views the input has already built.
-    Returns the shifted model and the offset; the fixed point moves up by
-    offset / (1 - discount).
+    and so are whichever reward-independent derived views the input has
+    already built.  Returns the shifted model and the offset; the fixed
+    point moves up by offset / (1 - discount).
 
     Raises:
         ValueError: for total-reward models, where a uniform shift changes
@@ -327,8 +379,11 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
         raise ValueError("reward adjustment is only defined for discounted models")
     offset = float(np.max(np.abs(m.rewards))) if m.num_rows else 0.0
     shifted = replace(m, rewards=m.rewards + offset)
-    # every cached view depends on the transitions only, which are shared
-    for view in ("_row_matrix", "_row_counts", "_row_state", "_self_loop", "_state_blocks"):
+    # these views depend on the transitions and discount only, which are shared
+    for view in (
+        "_row_matrix", "_row_counts", "_row_state", "_self_loop", "_state_blocks",
+        "_jacobi", "_max_row_nnz", "_row_sum_deviation",
+    ):
         setattr(shifted, view, getattr(m, view))
     return shifted, offset
 

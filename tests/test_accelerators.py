@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,14 +19,17 @@ from mdpaccel.accelerators import (
     linear_extension_alpha,
     projective_alpha,
 )
+from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import MdpModel, initial_feasible_point
 from mdpaccel.operators import (
+    WeightedSums,
     apply_operator,
     is_feasible,
     membership_tolerance,
     sup_norm,
     weighted_sums,
 )
+from mdpaccel.solver import SolverConfig, solve
 
 from test_model import chain_to_absorbing, random_model, two_state_swap
 
@@ -405,3 +410,146 @@ class TestDescent:
             e = apply_linear_extension(m, v, u)
             assert np.all(e.point >= star - 1e-7)
             assert np.all(e.point <= u + 1e-9)
+
+
+def screened_verdict(m, z, p, p_sums):
+    rows = accel_mod._rows_to_check(m, z, p, p_sums)
+    return is_feasible(m, z, sums=weighted_sums(m, z, rows=rows)), rows
+
+
+def full_verdict(m, z):
+    return is_feasible(m, z, sums=weighted_sums(m, z))
+
+
+def descended_point(m, rng):
+    """A dominating point some backups below the constant start."""
+    p = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+    for _ in range(int(rng.integers(0, 30))):
+        p = apply_operator(m, p, "standard")
+    return p
+
+
+def reward_reaching(a, target):
+    """A reward ``r`` with ``a + r == target`` in floating point."""
+    r = target - a
+    while a + r < target:
+        r = np.nextafter(r, np.inf)
+    while a + r > target:
+        r = np.nextafter(r, -np.inf)
+    assert a + r == target
+    return r
+
+
+class TestScreenedOutputCheck:
+    """The output check's verdict from screened rows is the all-rows verdict."""
+
+    def test_random_feasible_and_infeasible_points(self):
+        rng = np.random.default_rng(50)
+        verdicts = []
+        for _ in range(60):
+            m = random_model(rng, num_states=int(rng.integers(2, 25)),
+                             density=float(rng.uniform(0.1, 1.0)),
+                             discount=float(rng.choice([0.5, 0.9, 0.995])))
+            p = descended_point(m, rng)
+            sp = weighted_sums(m, p)
+            u = apply_operator(m, p, "standard")
+            scale = sup_norm(p)
+            candidates = [
+                projective_alpha(m, p, sums=sp).alpha * p,
+                p + float(rng.uniform(1.0, 50.0)) * (u - p),
+                p + rng.normal(size=m.num_states) * scale * 1e-3,
+                p - rng.uniform(0.0, 1.0, size=m.num_states) * scale * 1e-6,
+                p + rng.uniform(0.0, 1.0, size=m.num_states) * scale * 1e-9,
+                rng.normal(size=m.num_states) * scale,
+            ]
+            for z in candidates:
+                verdict, _ = screened_verdict(m, z, p, sp)
+                assert verdict is full_verdict(m, z)
+                verdicts.append(verdict)
+        assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_binding_row_tight_and_one_ulp_off(self, ulps):
+        rng = np.random.default_rng(51 + ulps)
+        for _ in range(40):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)), discount=0.995)
+            p = descended_point(m, rng)
+            sp = weighted_sums(m, p)
+            z = projective_alpha(m, p, sums=sp).alpha * p
+            a = m.discount * weighted_sums(m, z).values
+            t = (z + membership_tolerance(z)).repeat(m.row_counts)
+            k = int(np.argmax(a + m.rewards - t))
+            target = t[k]
+            for _ in range(abs(ulps)):
+                target = np.nextafter(target, np.inf * ulps)
+            rewards = m.rewards.copy()
+            rewards[k] = reward_reaching(a[k], target)
+            tight = dataclasses.replace(m, rewards=rewards)
+            verdict, rows = screened_verdict(tight, z, p, sp)
+            assert verdict is full_verdict(tight, z)
+            if ulps >= 0:
+                assert k in rows
+            if ulps > 0:
+                assert not verdict
+
+    def test_non_finite_points_check_every_row(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            m = random_model(rng, num_states=int(rng.integers(2, 15)))
+            p = descended_point(m, rng)
+            sp = weighted_sums(m, p)
+            for bad in (np.nan, np.inf, -np.inf):
+                z = p.copy()
+                z[int(rng.integers(m.num_states))] = bad
+                with np.errstate(invalid="ignore"):
+                    verdict, rows = screened_verdict(m, z, p, sp)
+                    assert rows is None
+                    assert verdict is full_verdict(m, z)
+
+    def test_sums_derived_by_linearity_check_every_row(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            m = random_model(rng, num_states=int(rng.integers(2, 15)))
+            p = descended_point(m, rng)
+            derived = WeightedSums(values=0.5 * weighted_sums(m, 2.0 * p).values, base=p,
+                                   from_kernel=False)
+            for z in (0.99 * p, p + 1.0):
+                verdict, rows = screened_verdict(m, z, p, derived)
+                assert rows is None
+                assert verdict is full_verdict(m, z)
+            step = apply_projective(m, p)
+            assert not step.sums.from_kernel
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, [(0, 1.0), (1, 1.0)]), (0.5, [(1, 2.0)])],
+        [(1.0, [(0, 1.5), (1, -0.5)]), (0.5, [(1, 1.0)])],
+    ], ids=["row-sums-2", "negative-probability"])
+    def test_unvalidated_models(self, rows):
+        m = MdpModel.from_rows([rows, [(2.0, [(0, 0.5), (1, 0.5)])]], discount=0.9)
+        rng = np.random.default_rng(54)
+        # (-100, -60) dominates its backup where rows sum to 2, so there the
+        # rows pass near p and fail only where z moves them
+        for _ in range(200):
+            p = np.array([-100.0, -60.0]) + rng.uniform(-2.0, 2.0, size=2)
+            sp = weighted_sums(m, p)
+            z = p + rng.normal(size=2) * float(rng.choice([1e-9, 1e-3, 1.0, 10.0]))
+            verdict, screened = screened_verdict(m, z, p, sp)
+            assert verdict is full_verdict(m, z)
+            if m.probs.min() < 0.0:
+                assert screened is None
+
+    def test_dense_model_computes_under_one_percent_of_rows(self, monkeypatch):
+        m = generate(GeneratorSpec(family="uniform", num_states=40, density=1.0,
+                                   discount=0.995, seed=5))
+        computed = []
+
+        def counting_sums(model, v, rows=None):
+            computed.append(model.num_rows if rows is None else len(rows))
+            return weighted_sums(model, v, rows=rows)
+
+        monkeypatch.setattr(accel_mod, "weighted_sums", counting_sums)
+        for accelerator in ("projective", "linear"):
+            computed.clear()
+            assert solve(m, SolverConfig(accelerator=accelerator)).converged
+            assert computed
+            assert sum(computed) < 0.01 * len(computed) * m.num_rows

@@ -84,6 +84,22 @@ class TestConstruction:
         np.testing.assert_array_equal(m.row_state, [0, 0, 1])
         np.testing.assert_allclose(m.self_loop_probs, [1.0, 0.0, 0.7])
 
+    def test_row_statistics(self):
+        m = MdpModel.from_rows(
+            [
+                [(-4.0, [(0, 0.25), (1, 0.75 + 1e-10)]), (1.0, [(1, 1.0)])],
+                [(2.5, [(0, 0.1), (1, 0.2), (2, 0.7)])],
+                [(0.0, [(2, 1.0)])],
+            ],
+            discount=0.5,
+        )
+        assert m.max_row_nnz == 3
+        assert m.max_abs_reward == 4.0
+        assert 1e-10 <= m.row_sum_deviation < 1.1e-10
+        assert m.row_sum_deviation is m.row_sum_deviation  # built once
+        negative = dataclasses.replace(m, probs=np.where(m.probs == 0.1, -0.1, m.probs))
+        assert negative.row_sum_deviation == np.inf
+
     def test_row_matrix_matches_dense(self):
         rng = np.random.default_rng(7)
         m = random_model(rng)
@@ -219,6 +235,16 @@ class TestRewardShift:
         assert shifted.row_state is m.row_state
         assert shifted.row_counts is m.row_counts
         assert shifted.self_loop_probs is m.self_loop_probs
+
+    def test_shift_shares_the_transition_statistics_not_the_reward_bound(self):
+        m = random_model(np.random.default_rng(12))
+        m.jacobi_denominator, m.row_sum_deviation, m.max_abs_reward
+        shifted, offset = adjust_rewards_nonnegative(m)
+        assert shifted.jacobi_denominator is m.jacobi_denominator
+        assert shifted._row_sum_deviation == m.row_sum_deviation
+        assert shifted._max_row_nnz == m.max_row_nnz
+        assert shifted._max_abs_reward is None
+        assert shifted.max_abs_reward == float(np.abs(m.rewards + offset).max())
 
     def test_shift_applied_even_when_nonnegative(self):
         m = two_state_swap(1.0, 2.0)

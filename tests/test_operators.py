@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import MdpModel, RewardMode
+from mdpaccel.model import ROW_SUM_TOL, MdpModel, RewardMode, adjust_rewards_nonnegative
 from mdpaccel.operators import (
     OperatorKind,
     WeightedSums,
@@ -16,6 +17,7 @@ from mdpaccel.operators import (
     is_feasible,
     is_feasible_gs,
     membership_tolerance,
+    row_value_error,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
@@ -115,6 +117,33 @@ class TestWeightedSums:
             v = rng.normal(scale=10.0, size=m.num_states)
             expected = np.array([scalar_row_sum(m, v, k) for k in range(m.num_rows)])
             assert np.array_equal(weighted_sums(m, v).values, expected)
+
+    def test_row_subset_matches_all_rows_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            m = random_model(rng, num_states=int(rng.integers(1, 30)),
+                             density=float(rng.uniform(0.05, 1.0)))
+            v = rng.normal(scale=1e3, size=m.num_states)
+            full = weighted_sums(m, v).values
+            for rows in (
+                np.arange(0),
+                np.arange(m.num_rows),
+                np.sort(rng.choice(m.num_rows, size=int(rng.integers(1, m.num_rows + 1)),
+                                   replace=False)),
+                # few enough rows to be gathered rather than taken from the all-rows pass
+                np.sort(rng.choice(m.num_rows, size=max(1, m.num_rows // 16), replace=False)),
+            ):
+                part = weighted_sums(m, v, rows=rows)
+                assert part.rows is rows and part.base is v and part.from_kernel
+                assert np.array_equal(part.values, full[rows])
+        assert np.array_equal(weighted_sums(m, v.tolist(), rows=rows).values, full[rows])
+
+    def test_partial_sums_rejected_where_all_rows_are_needed(self):
+        m = two_state_swap()
+        v = np.array([1.0, 2.0])
+        part = weighted_sums(m, v, rows=np.array([1]))
+        with pytest.raises(ValueError, match="only some rows"):
+            apply_operator(m, v, "standard", sums=part)
 
     def test_mismatched_sums_rejected(self):
         m = two_state_swap()
@@ -219,6 +248,25 @@ class TestJacobiBackup:
         m = chain_to_absorbing()
         with pytest.raises(ValueError):
             apply_operator(m, np.zeros(3), "jacobi")
+
+    def test_matches_the_gathered_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for density in (0.3, 0.6, 1.0):
+            m = random_model(rng, num_states=int(rng.integers(2, 30)), density=density)
+            v = rng.normal(scale=10.0, size=m.num_states)
+            s, d = weighted_sums(m, v).values, m.self_loop_probs
+            rows = (m.rewards + m.discount * (s - d * v[m.row_state])) / (1.0 - m.discount * d)
+            expected = np.maximum.reduceat(rows, m.state_ptr[:-1])
+            assert np.array_equal(apply_operator(m, v, "jacobi"), expected)
+
+    def test_denominator_is_one_view_shared_by_shifted_copies(self):
+        m = random_model(np.random.default_rng(14), density=1.0)
+        denominator, least = m.jacobi_denominator
+        assert m.jacobi_denominator[0] is denominator
+        assert np.array_equal(denominator, 1.0 - m.discount * m.self_loop_probs)
+        assert least == denominator.min()
+        shifted, _ = adjust_rewards_nonnegative(m)
+        assert shifted.jacobi_denominator is m.jacobi_denominator
 
 
 class TestSweeps:
@@ -460,6 +508,22 @@ class TestFeasibility:
         # the held vector is what gets compared, not a fresh backup
         assert not is_feasible(m, v, backup=v + 1.0)
 
+    def test_partial_sums_judge_only_their_rows(self):
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            m = random_model(rng, num_states=int(rng.integers(2, 15)))
+            v = rng.normal(scale=20.0, size=m.num_states)
+            full = weighted_sums(m, v).values
+            rows = np.sort(rng.choice(m.num_rows, size=int(rng.integers(0, m.num_rows + 1)),
+                                      replace=False))
+            values = m.discount * full + m.rewards
+            expected = bool((values[rows] <= (v + membership_tolerance(v))[m.row_state[rows]]).all())
+            assert is_feasible(m, v, sums=weighted_sums(m, v, rows=rows)) is expected
+        assert is_feasible(m, v, sums=weighted_sums(m, v, rows=np.arange(m.num_rows))) is \
+            is_feasible(m, v)
+        with pytest.raises(ValueError, match="different vector"):
+            is_feasible(m, v + 1.0, sums=weighted_sums(m, v, rows=rows))
+
     @pytest.mark.parametrize("check", [is_feasible, is_feasible_gs], ids=["one-step", "gs"])
     @pytest.mark.parametrize("form", ["list", "int-array", "int-list"])
     def test_list_and_integer_inputs(self, check, form):
@@ -468,6 +532,74 @@ class TestFeasibility:
             v = np.array(v, dtype=np.float64)
             given = {"list": v.tolist(), "int-array": v.astype(np.int64), "int-list": v.astype(int).tolist()}
             assert check(m, given[form]) is check(m, v)
+
+
+class TestRowValueError:
+    """The stated rounding bound holds against exact rational arithmetic."""
+
+    @staticmethod
+    def exact_row_values(m, v):
+        discount = Fraction(m.discount)
+        out = []
+        for k in range(m.num_rows):
+            lo, hi = m.row_ptr[k], m.row_ptr[k + 1]
+            s = sum((Fraction(p) * Fraction(x) for p, x in zip(m.probs[lo:hi], v[m.cols[lo:hi]])),
+                    Fraction(0))
+            out.append(Fraction(m.rewards[k]) + discount * s)
+        return out
+
+    def assert_within_bound(self, m, v):
+        # the one-step row value, evaluated as the kernels evaluate it
+        computed = m.discount * weighted_sums(m, v).values + m.rewards
+        e = Fraction(row_value_error(m, sup_norm(v)))
+        worst = max(abs(Fraction(c) - x) for c, x in zip(computed, self.exact_row_values(m, v)))
+        assert worst <= e
+        exact_sums = [sum(map(Fraction, m.probs[m.row_ptr[k]:m.row_ptr[k + 1]]), Fraction(0))
+                      for k in range(m.num_rows)]
+        assert max(abs(s - 1) for s in exact_sums) <= Fraction(m.row_sum_deviation)
+        return worst, e
+
+    @staticmethod
+    def perturbed(m, rng):
+        """``m`` with every row scaled to sum to about 1 +- ROW_SUM_TOL."""
+        scale = 1.0 + rng.choice([-1.0, 1.0], size=m.num_rows) * ROW_SUM_TOL
+        return dataclasses.replace(m, probs=m.probs * np.repeat(scale, np.diff(m.row_ptr)))
+
+    def test_random_models(self):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            m = random_model(rng, num_states=int(rng.integers(2, 25)),
+                             density=float(rng.uniform(0.1, 1.0)),
+                             discount=float(rng.uniform(0.0, 0.999)))
+            if rng.random() < 0.5:
+                m = self.perturbed(m, rng)
+            magnitude = 10.0 ** rng.uniform(4.0, 6.0)
+            v = rng.uniform(-1.0, 1.0, size=m.num_states) * magnitude
+            self.assert_within_bound(m, v)
+
+    def test_large_one_signed_values(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            m = self.perturbed(random_model(rng, num_states=20, density=1.0, discount=0.995), rng)
+            self.assert_within_bound(m, rng.uniform(1e5, 1e6, size=m.num_states))
+
+    def test_total_reward_models(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            base = random_model(rng, num_states=int(rng.integers(2, 20)), density=0.7)
+            m = dataclasses.replace(base, discount=1.0, mode=RewardMode.TOTAL_REWARD)
+            if rng.random() < 0.5:
+                m = self.perturbed(m, rng)
+            self.assert_within_bound(m, rng.uniform(1e4, 1e6, size=m.num_states))
+
+    def test_bound_is_not_finite_where_it_cannot_hold(self):
+        m = random_model(np.random.default_rng(43))
+        assert not np.isfinite(row_value_error(m, np.inf))
+        assert not np.isfinite(row_value_error(m, np.nan))
+        assert row_value_error(m, 1e308) == np.inf  # a row value could overflow
+        negative = dataclasses.replace(m, probs=np.where(np.arange(m.probs.size) == 0, -0.5, m.probs))
+        assert negative.row_sum_deviation == np.inf
+        assert not np.isfinite(row_value_error(negative, 1.0))
 
 
 class TestSupNorm:

@@ -343,6 +343,24 @@ class TestSharedRowMatrix:
         assert shifted[2]._state_blocks is m._state_blocks
 
 
+    def test_checked_solves_measure_the_row_sums_once(self, monkeypatch):
+        m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
+        shifted = []
+
+        def recording_shift(model):
+            out = adjust_rewards_nonnegative(model)
+            shifted.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
+        assert solve(m, SolverConfig(accelerator="projective", membership_checks=False)).converged
+        assert m._row_sum_deviation is None
+        for accelerator in ("projective", "linear"):
+            assert solve(m, SolverConfig(accelerator=accelerator)).converged
+        assert m._row_sum_deviation is not None
+        assert all(s._row_sum_deviation == m._row_sum_deviation for s in shifted[1:])
+
+
 class TestTotalReward:
     def test_chain_plain(self):
         m = chain_to_absorbing()
@@ -410,9 +428,9 @@ class _SumsCounter:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, m, v):
+    def __call__(self, m, v, rows=None):
         self.calls += 1
-        return weighted_sums(m, v)
+        return weighted_sums(m, v, rows=rows)
 
 
 def counted_solve(monkeypatch, m, cfg):
