@@ -27,7 +27,8 @@ the step instead of raising.
 
 The screen (``_rows_to_check``) bounds every row's one-step value at the
 output from the kernel sums at the step's input, the sums the step
-already holds, and takes fresh sums only for the rows whose bound the
+already holds, starting from the row values the input's membership test
+formed from them, and takes fresh sums only for the rows whose bound the
 membership tolerance cannot clear: about 0.1-0.6% of the rows on the
 benchmark models.  The bound covers the rounding of both values
 (``operators.row_value_error``), so the verdict, and with it every
@@ -60,6 +61,7 @@ from .operators import (
     MEMBERSHIP_TOL_SCALE,
     WeightedSums,
     is_feasible,
+    one_step_row_values,
     require_sums,
     row_value_error,
     sup_norm,
@@ -241,9 +243,8 @@ def _rows_to_check(m, z, p, p_sums):
     margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
     if not math.isfinite(margin):
         return None
-    bound = m.discount * p_sums.values
-    bound += m.rewards
-    bound += margin
+    # the precondition check on p formed these row values; they are read, not rebuilt
+    bound = one_step_row_values(m, p_sums) + margin
     # z + tol as is_feasible forms it, tol = membership_tolerance(z)
     return np.flatnonzero(bound > (z + MEMBERSHIP_TOL_SCALE * (1.0 + z_norm)).repeat(m.row_counts))
 

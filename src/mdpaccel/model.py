@@ -5,20 +5,17 @@ pair owns one transition row, rows are grouped by state in ascending state
 order, and each row keeps its nonzero columns strictly increasing.  The
 layout serves every density from one nonzero per row up to fully dense.
 
-It also fixes how every weighted sum ``s = sum_j p(k, j) * v[j]`` is
-accumulated: each row sum is one sequential accumulator over the row's
-columns in ascending order, taken by scipy's CSR matvec kernel.  The
-all-rows matvec of ``row_matrix`` and the Gauss-Seidel sweep's per-state
-blocks (``state_blocks``) both go through that kernel, so a sum recomputed
-for the same vector is bit-identical, whichever operator asks for it.
+Every weighted sum ``s = sum_j p(k, j) * v[j]`` runs scipy's CSR matvec
+kernel over ``row_matrix``'s stored entries; ``operators._kernel``, the
+one entry to it, states how a row sum is accumulated.
 
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
-its per-state row blocks, every state's row count, the owning state and
-self-loop probability of every row, the Jacobi denominators, and the row
-statistics the rounding bound reads) are built lazily and cached.  All but
-``max_abs_reward`` depend on the transitions and discount only, so a
-reward-shifted copy shares them.
+every state's row count, the owning state and self-loop probability of
+every row, the Jacobi denominators, and the row statistics the rounding
+bound reads) are built lazily and cached.  All but ``max_abs_reward``
+depend on the transitions and discount only, so a reward-shifted copy
+shares them.
 """
 
 from __future__ import annotations
@@ -115,7 +112,6 @@ class MdpModel:
     _row_counts: np.ndarray | None = field(default=None, repr=False, init=False)
     _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
     _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
-    _state_blocks: tuple | None = field(default=None, repr=False, init=False)
     _jacobi: tuple | None = field(default=None, repr=False, init=False)
     _max_row_nnz: int | None = field(default=None, repr=False, init=False)
     _row_sum_deviation: float | None = field(default=None, repr=False, init=False)
@@ -190,19 +186,6 @@ class MdpModel:
                 shape=(self.num_rows, self.num_states),
             )
         return self._row_matrix
-
-    @property
-    def state_blocks(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-state row slices of ``row_matrix``: block i holds state i's rows.
-
-        A block keeps its rows' entries in ``row_matrix``'s order, so
-        ``block @ v`` runs the same kernel as the all-rows matvec over the
-        same stored entries.
-        """
-        if self._state_blocks is None:
-            csr, bounds = self.row_matrix, self.state_ptr.tolist()
-            self._state_blocks = tuple(csr[r0:r1] for r0, r1 in zip(bounds[:-1], bounds[1:]))
-        return self._state_blocks
 
     @property
     def row_counts(self) -> np.ndarray:
@@ -381,8 +364,8 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     shifted = replace(m, rewards=m.rewards + offset)
     # these views depend on the transitions and discount only, which are shared
     for view in (
-        "_row_matrix", "_row_counts", "_row_state", "_self_loop", "_state_blocks",
-        "_jacobi", "_max_row_nnz", "_row_sum_deviation",
+        "_row_matrix", "_row_counts", "_row_state", "_self_loop", "_jacobi",
+        "_max_row_nnz", "_row_sum_deviation",
     ):
         setattr(shifted, view, getattr(m, view))
     return shifted, offset

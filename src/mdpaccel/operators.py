@@ -8,10 +8,10 @@ Total-reward models have discount 1, so the undiscounted backup is the
 same formula.  ``standard``, ``jacobi`` and ``total`` back up all states
 at once from one sums pass, which callers may precompute and reuse;
 ``gs`` and ``gsj`` sweep the states in ascending order, each seeing its
-predecessors' new values, so they take their sums in place: one matvec
-of the state's row block (``MdpModel.state_blocks``) per state.  Both
-paths accumulate every row sum the same way, as the model module states,
-and so does a sums pass restricted to some rows.
+predecessors' new values, so they take their sums in place, one kernel
+pass over the state's rows per state.  Every sum, whether of all rows, of
+some rows or of one state's rows, comes from the one kernel entry
+``_kernel``, which states how a row sum is accumulated.
 
 Every backup is monotone and maps the set of vectors dominating their own
 backup into itself, which the descending accelerated iterations rely on.
@@ -26,11 +26,13 @@ check uses it to skip the rows that bound clears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr_matrix @ vector
+# csr_matvec is the kernel behind csr_matrix @ vector, csr_row_index the
+# row gather behind csr_matrix[rows]; tests pin both to those public forms
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from .model import UNIT_ROUNDOFF, MdpModel, RewardMode
 
@@ -69,50 +71,119 @@ class WeightedSums:
     lets consumers assert they were handed sums for the vector they are
     about to back up.  ``from_kernel`` is False for sums derived from other
     sums by linearity: their rounding is not the CSR kernel's, so
-    ``row_value_error`` does not cover them.
+    ``row_value_error`` does not cover them.  ``values`` is never changed
+    in place once the sums exist, so what is derived from it, the one-step
+    row values, is formed once per model (``one_step_row_values``).
     """
 
     values: np.ndarray
     base: np.ndarray
     rows: np.ndarray | None = None
     from_kernel: bool = True
+    _one_step: tuple | None = field(default=None, repr=False, compare=False)
 
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
 
 
-def weighted_sums(m: MdpModel, v: np.ndarray, rows: np.ndarray | None = None) -> WeightedSums:
-    """Compute the per-row weighted sums of ``v`` in one sparse matvec.
+# A row subset of at most this share of the rows is gathered; a larger one
+# takes the all-rows pass and keeps its values at the rows.  On the three
+# benchmark models a gather of a quarter of the rows took 0.76-0.82 of the
+# all-rows pass, and of a third 0.87-1.33.
+GATHER_MAX_SHARE = 1 / 4
 
-    Each row sum is one sequential accumulator over the row's columns in
-    ascending order, taken by scipy's CSR kernel: the same kernel and order
-    the Gauss-Seidel sweep uses per state.  Recomputing sums for the same
-    vector therefore reproduces them bit for bit.
 
-    ``rows``, ascending row indices, restricts the pass to those rows: they
-    are gathered into a compact CSR matrix, entries in stored order, which
-    goes through the same kernel, so each sum equals its all-rows value bit
-    for bit and costs only its own row's work.  Gathering costs about ten
-    times the kernel per entry, so for more than a sixteenth of the rows
-    the all-rows pass runs instead and its values at ``rows`` are kept.
+def _kernel(m: MdpModel, v):
+    """The one entry to the CSR kernel behind every weighted sum, bound to ``v``.
+
+    Every weighted sum ``s = sum_j p(k, j) * v[j]`` that a backup, a scan
+    or a check reads is taken here, by scipy's ``csr_matvec``, the kernel
+    behind ``csr_matrix @ v``: row ``k``'s sum is one sequential
+    accumulator that starts from ``out[k]`` and adds the row's stored
+    products in ascending column order.  Every caller starts from a zeroed
+    ``out``, so the all-rows pass, a pass over gathered rows and the
+    Gauss-Seidel sweep's per-state passes accumulate each row the same way,
+    and a sum recomputed for the same vector is bit-identical whichever
+    path asks for it.
+
+    The kernel reads raw memory, so ``v`` is checked here, as scipy's
+    wrapper checked it: it must be one-dimensional with ``num_states``
+    entries, and is converted to C-contiguous float64 (a copy only when it
+    is not one already).
+
+    Returns ``(x, accumulate)``: ``x`` is the vector the kernel reads, and
+    ``accumulate(indptr, out, indices, data)`` adds to each ``out[k]`` the
+    sum of the row ``indptr[k]:indptr[k + 1]`` delimits in ``indices`` and
+    ``data``, which default to ``row_matrix``'s.
+
+    Raises:
+        ValueError: ``v`` is not a vector of ``num_states`` entries.
     """
+    x = np.asarray(v)
+    if x.shape != (m.num_states,):
+        raise ValueError(f"vector of shape {x.shape} given for a model of {m.num_states} states")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    csr, n = m.row_matrix, m.num_states
+
+    def accumulate(indptr, out, indices=csr.indices, data=csr.data):
+        csr_matvec(len(out), n, indptr, indices, data, x, out)
+
+    return x, accumulate
+
+
+def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
+    """``rows`` checked for the kernel's row gather, in ``row_matrix``'s index dtype.
+
+    Raises:
+        ValueError: ``rows`` is not a one-dimensional sequence of integers
+            inside ``[0, num_rows)``.
+    """
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(
+            f"row indices must be a 1-D integer sequence, got shape {idx.shape} of {idx.dtype}"
+        )
+    if idx.size:
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= m.num_rows:
+            raise ValueError(f"row index {int(lo if lo < 0 else hi)} outside [0, {m.num_rows})")
+    return idx.astype(m.row_matrix.indptr.dtype, copy=False)
+
+
+def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
+    """Compute the per-row weighted sums of ``v`` in one kernel pass.
+
+    ``rows``, integer row indices (a list or an array of any integer
+    dtype), restricts the pass to those rows: scipy's row gather
+    ``csr_row_index`` copies their entries, in stored order, into a compact
+    CSR matrix that goes through the same kernel, so each sum equals its
+    all-rows value bit for bit and costs only its own row's work.  For more
+    than ``GATHER_MAX_SHARE`` of the rows the all-rows pass runs instead
+    and its values at ``rows`` are kept.
+
+    Raises:
+        ValueError: ``v`` is not a vector of ``num_states`` entries, or
+            ``rows`` holds something other than row indices.
+    """
+    _, accumulate = _kernel(m, v)
     csr = m.row_matrix
+    if rows is not None:
+        idx = _kernel_rows(m, rows)
+        if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
+            ptr = csr.indptr
+            sub_ptr = np.zeros(len(idx) + 1, dtype=ptr.dtype)
+            np.cumsum(ptr[idx + 1] - ptr[idx], out=sub_ptr[1:])
+            indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
+            data = np.empty(sub_ptr[-1])
+            csr_row_index(len(idx), idx, ptr, csr.indices, csr.data, indices, data)
+            values = np.zeros(len(idx))
+            accumulate(sub_ptr, values, indices, data)
+            return WeightedSums(values=values, base=v, rows=rows)
+    values = np.zeros(m.num_rows)
+    accumulate(csr.indptr, values)
     if rows is None:
-        return WeightedSums(values=csr @ v, base=v)
-    if 16 * len(rows) > m.num_rows:
-        return WeightedSums(values=(csr @ v)[rows], base=v, rows=rows)
-    starts = csr.indptr[rows]
-    counts = csr.indptr[rows + 1] - starts
-    ptr = np.zeros(len(rows) + 1, dtype=csr.indptr.dtype)
-    np.cumsum(counts, out=ptr[1:])
-    take = np.arange(ptr[-1], dtype=ptr.dtype)
-    take += np.repeat(starts - ptr[:-1], counts)
-    values = np.zeros(len(rows))
-    csr_matvec(
-        len(rows), m.num_states, ptr, csr.indices[take], csr.data[take],
-        np.ascontiguousarray(v, dtype=np.float64), values,
-    )
-    return WeightedSums(values=values, base=v, rows=rows)
+        return WeightedSums(values=values, base=v)
+    return WeightedSums(values=values[idx], base=v, rows=rows)
 
 
 def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> WeightedSums:
@@ -197,6 +268,19 @@ def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
 
 
+def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
+    """The one-step row values ``r + discount * s`` of all-rows ``sums``.
+
+    They are formed once per sums and model, and kept with the sums: the
+    membership check of a point and the screen of an accelerated step from
+    that point read the same values.  The caller must not change them.
+    """
+    held = sums._one_step
+    if held is None or held[0] is not m:
+        held = sums._one_step = (m, _row_values(m, one_step_kind(m), None, sums.values))
+    return held[1]
+
+
 def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Simultaneous backup of ``v`` from its sums, for a kind already vetted."""
     own = v.repeat(m.row_counts) if kind in _JACOBI_KINDS else None
@@ -204,12 +288,16 @@ def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray) ->
 
 
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
-    w = v.copy()
-    bounds = m.state_ptr.tolist()
+    # the kernel reads w as the sweep writes it; every state's rows
+    # accumulate into their own zeroed slice of one buffer
+    w, accumulate = _kernel(m, np.array(v, dtype=np.float64))
+    indptr, bounds = m.row_matrix.indptr, m.state_ptr.tolist()
+    sums = np.zeros(m.num_rows)
     jacobi = kind in _JACOBI_KINDS
-    for i, block in enumerate(m.state_blocks):
-        own = w[i] if jacobi else None
-        w[i] = _row_values(m, kind, own, block @ w, slice(bounds[i], bounds[i + 1])).max()
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        s = sums[lo:hi]
+        accumulate(indptr[lo:hi + 1], s)
+        w[i] = _row_values(m, kind, w[i] if jacobi else None, s, slice(lo, hi)).max()
     return w
 
 
@@ -272,7 +360,9 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
     the one-step operator, whatever backup a solver happens to run.
     ``tol`` defaults to ``membership_tolerance(v)``.  A caller that already
     holds the one-step backup of ``v`` passes it as ``backup``, and the test
-    compares it instead of backing ``v`` up again.
+    compares it instead of backing ``v`` up again.  The row values it forms
+    from all-rows ``sums`` stay with them (``one_step_row_values``), for the
+    screen of an accelerated step from ``v``.
 
     Sums over some rows only (``weighted_sums(m, v, rows=...)``) test those
     rows only: a caller passes them when a bound has cleared every other
@@ -292,7 +382,7 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
         values = _row_values(m, one_step_kind(m), None, sums.values, sums.rows)
         return bool((values <= (v + tol)[m.row_state[sums.rows]]).all())
     if backup is None:
-        backup = _backup(m, one_step_kind(m), v, require_sums(m, v, sums).values)
+        backup = _state_max(m, one_step_row_values(m, require_sums(m, v, sums)))
     return bool((backup <= v + tol).all())
 
 

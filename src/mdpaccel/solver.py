@@ -224,8 +224,6 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
         m.row_sum_deviation
     if config.operator in (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI):
         m.jacobi_denominator
-    if sweep_carries_state(config.operator):
-        m.state_blocks
     shifted, offset = adjust_rewards_nonnegative(m)
     return shifted, initial_feasible_point(shifted), offset
 

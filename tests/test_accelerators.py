@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mdpaccel.accelerators as accel_mod
+import mdpaccel.operators as operators_mod
 from mdpaccel.accelerators import (
     ALPHA_CAP_DEFAULT,
     RATIO_GUARD_SCALE,
@@ -288,6 +289,40 @@ class TestHeldQuantities:
         u = apply_operator(m, v, "standard")
         with pytest.raises(AlreadyConvergedError):
             linear_extension_alpha(m, v, u, residual=0.0)
+
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_screen_reads_the_row_values_the_input_check_formed(self, monkeypatch, accelerator):
+        rng = np.random.default_rng(26)
+        formed, screened = [], []
+        real = operators_mod._row_values
+
+        def recording_row_values(m, kind, own, sums, rows=slice(None)):
+            out = real(m, kind, own, sums, rows)
+            if out.size == m.num_rows:
+                formed.append(out)
+            return out
+
+        def recording_screen_values(m, sums):
+            out = operators_mod.one_step_row_values(m, sums)
+            screened.append(out)
+            return out
+
+        monkeypatch.setattr(operators_mod, "_row_values", recording_row_values)
+        monkeypatch.setattr(accel_mod, "one_step_row_values", recording_screen_values)
+        for _ in range(10):
+            m = random_model(rng, num_states=int(rng.integers(3, 20)))
+            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+            u = apply_operator(m, v, "standard")
+            sv, su = weighted_sums(m, v), weighted_sums(m, u)
+            formed.clear(), screened.clear()
+            if accelerator == "projective":
+                apply_projective(m, u, sums=su)
+            else:
+                apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, v_backup=u)
+            # one all-rows pass of row values, at the step's input u, which the screen reuses
+            assert len(formed) == 1 and len(screened) == 1
+            assert screened[0] is formed[0]
 
 
 class TestApplyProjective:

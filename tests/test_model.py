@@ -113,21 +113,6 @@ class TestConstruction:
                 np.testing.assert_array_equal(dense[m.state_ptr[i] + a], row)
 
 
-    def test_state_blocks_hold_row_matrix_entries_in_order(self):
-        rng = np.random.default_rng(8)
-        m = random_model(rng, num_states=12, max_actions=5, density=0.4)
-        blocks = m.state_blocks
-        assert m.state_blocks is blocks  # built once
-        assert len(blocks) == m.num_states
-        csr = m.row_matrix
-        for i, block in enumerate(blocks):
-            r0, r1 = m.state_ptr[i], m.state_ptr[i + 1]
-            lo, hi = csr.indptr[r0], csr.indptr[r1]
-            assert block.shape == (r1 - r0, m.num_states)
-            np.testing.assert_array_equal(block.indptr, csr.indptr[r0:r1 + 1] - lo)
-            np.testing.assert_array_equal(block.indices, csr.indices[lo:hi])
-            np.testing.assert_array_equal(block.data, csr.data[lo:hi])
-
     def test_row_counts_spread_like_the_row_state_gather(self):
         m = random_model(np.random.default_rng(11), num_states=9, max_actions=5)
         assert m.row_counts.tolist() == [m.num_actions(i) for i in range(m.num_states)]
@@ -137,9 +122,9 @@ class TestConstruction:
 
     def test_replace_copy_starts_without_derived_views(self):
         m = random_model(np.random.default_rng(9))
-        m.state_blocks, m.self_loop_probs
+        m.row_matrix, m.self_loop_probs
         fresh = dataclasses.replace(m)
-        assert fresh._row_matrix is None and fresh._state_blocks is None
+        assert fresh._row_matrix is None
         assert fresh._row_state is None and fresh._self_loop is None
         assert fresh._row_counts is None
 
@@ -226,12 +211,11 @@ class TestRewardShift:
         m = random_model(np.random.default_rng(10))
         shifted, _ = adjust_rewards_nonnegative(m)
         # nothing built on the input, and the shift builds nothing on it
-        assert m._row_matrix is None and m._state_blocks is None
-        assert shifted._row_matrix is None and shifted._state_blocks is None
-        m.state_blocks, m.self_loop_probs
+        assert m._row_matrix is None
+        assert shifted._row_matrix is None
+        m.row_matrix, m.self_loop_probs
         shifted, _ = adjust_rewards_nonnegative(m)
         assert shifted.row_matrix is m.row_matrix
-        assert shifted.state_blocks is m.state_blocks
         assert shifted.row_state is m.row_state
         assert shifted.row_counts is m.row_counts
         assert shifted.self_loop_probs is m.self_loop_probs

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import ROW_SUM_TOL, MdpModel, RewardMode, adjust_rewards_nonnegative
 from mdpaccel.operators import (
+    GATHER_MAX_SHARE,
     OperatorKind,
     WeightedSums,
     apply_operator,
     is_feasible,
     is_feasible_gs,
     membership_tolerance,
+    one_step_row_values,
     row_value_error,
     sup_norm,
     sweep_carries_state,
@@ -158,6 +163,136 @@ class TestWeightedSums:
         s = weighted_sums(m, v)
         out = apply_operator(m, v.copy(), "standard", sums=s)
         np.testing.assert_allclose(out, [2.8, 1.9])
+
+
+class TestKernelInputChecks:
+    """Every sums path rejects what the raw kernel must not read, with one verdict."""
+
+    @staticmethod
+    def model():
+        return random_model(np.random.default_rng(60), num_states=60, max_actions=3, density=0.1)
+
+    @staticmethod
+    def row_sets(m):
+        """No rows given, then a set below and a set above the gather cutoff."""
+        few = [3, 7]
+        many = list(range(0, m.num_rows, 2))
+        assert len(few) <= GATHER_MAX_SHARE * m.num_rows < len(many)
+        return [None, few, many]
+
+    @pytest.mark.parametrize("shape", [(59,), (61,), (6, 10), (60, 1), ()])
+    def test_wrong_vector_shape_raises_on_every_path(self, shape):
+        m = self.model()
+        v = np.ones(shape)
+        for rows in self.row_sets(m):
+            with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
+                weighted_sums(m, v, rows=rows)
+        for kind in ("standard", "gs", "gsj"):
+            with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
+                apply_operator(m, v, kind)
+
+    @pytest.mark.parametrize("bad", [-1, "past-the-end"])
+    def test_row_index_outside_the_rows_raises_on_both_sides_of_the_cutoff(self, bad):
+        m = self.model()
+        v = np.arange(m.num_states, dtype=np.float64)
+        index = m.num_rows if bad == "past-the-end" else bad
+        for rows in self.row_sets(m)[1:]:
+            for given in (rows + [index], np.array(rows + [index])):
+                with pytest.raises(ValueError, match=f"row index {index} outside"):
+                    weighted_sums(m, v, rows=given)
+
+    @pytest.mark.parametrize("rows", [[0.0, 1.0], [[0, 1]], [True, False]],
+                             ids=["floats", "2-D", "booleans"])
+    def test_non_index_rows_raise(self, rows):
+        m = self.model()
+        with pytest.raises(ValueError, match="row indices"):
+            weighted_sums(m, np.ones(m.num_states), rows=rows)
+
+    @pytest.mark.parametrize("dtype", ["list", np.int8, np.uint8, np.int16, np.uint16,
+                                       np.int32, np.uint32, np.int64, np.uint64])
+    def test_lists_and_every_integer_dtype_accepted(self, dtype):
+        m = self.model()
+        v = np.random.default_rng(61).normal(size=m.num_states)
+        full = weighted_sums(m, v).values
+        for rows in self.row_sets(m)[1:]:
+            if dtype == np.int8 and max(rows) > 127:
+                continue
+            given = rows if dtype == "list" else np.array(rows, dtype=dtype)
+            part = weighted_sums(m, v, rows=given)
+            assert part.rows is given
+            assert np.array_equal(part.values, full[rows])
+        assert weighted_sums(m, v, rows=[]).values.shape == (0,)
+
+
+class TestScipyKernelPins:
+    """scipy's private kernels equal its public matvec and row indexing bit for bit.
+
+    ``operators`` calls ``csr_matvec`` and ``csr_row_index`` directly; a
+    scipy release that changes either one fails here rather than in the
+    iterates.
+    """
+
+    @staticmethod
+    def matrices(index_dtype):
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            rows, cols = int(rng.integers(1, 80)), int(rng.integers(1, 60))
+            a = sp.random(rows, cols, density=float(rng.uniform(0.01, 0.9)), format="csr",
+                          random_state=rng)
+            a.indices = a.indices.astype(index_dtype)
+            a.indptr = a.indptr.astype(index_dtype)
+            yield a, rng.normal(scale=float(rng.choice([1.0, 1e3, 1e8])), size=cols), rng
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_matvec_and_row_gather_equal_the_public_forms(self, index_dtype):
+        for a, v, rng in self.matrices(index_dtype):
+            assert a.indices.dtype == index_dtype and a.indptr.dtype == index_dtype
+            n_rows, n_cols = a.shape
+            out = np.zeros(n_rows)
+            csr_matvec(n_rows, n_cols, a.indptr, a.indices, a.data, v, out)
+            assert np.array_equal(out, a @ v)
+
+            rows = rng.integers(0, n_rows, size=int(rng.integers(1, 2 * n_rows))).astype(index_dtype)
+            ptr = np.zeros(len(rows) + 1, dtype=index_dtype)
+            np.cumsum(a.indptr[rows + 1] - a.indptr[rows], out=ptr[1:])
+            indices, data = np.empty(ptr[-1], dtype=index_dtype), np.empty(ptr[-1])
+            csr_row_index(len(rows), rows, a.indptr, a.indices, a.data, indices, data)
+            gathered = a[rows]
+            assert np.array_equal(indices, gathered.indices) and np.array_equal(data, gathered.data)
+            out = np.zeros(len(rows))
+            csr_matvec(len(rows), n_cols, ptr, indices, data, v, out)
+            assert np.array_equal(out, gathered @ v)
+
+            # the sweep's form: one row range, its indptr slice over the whole arrays
+            lo = int(rng.integers(0, n_rows))
+            hi = int(rng.integers(lo, n_rows)) + 1
+            out = np.zeros(hi - lo)
+            csr_matvec(hi - lo, n_cols, a.indptr[lo:hi + 1], a.indices, a.data, v, out)
+            assert np.array_equal(out, a[lo:hi] @ v)
+
+    def test_matvec_accumulates_into_its_output(self):
+        a, v, _ = next(self.matrices(np.int32))
+        start = np.linspace(-1.0, 1.0, a.shape[0])
+        out = start.copy()
+        csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, v, out)
+        for k in range(a.shape[0]):
+            acc = float(start[k])
+            for jj in range(a.indptr[k], a.indptr[k + 1]):
+                acc += float(a.data[jj]) * float(v[a.indices[jj]])
+            assert out[k] == acc
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_weighted_sums_follow_the_row_matrix_index_dtype(self, index_dtype):
+        rng = np.random.default_rng(63)
+        m = random_model(rng, num_states=30, density=0.3)
+        csr = m.row_matrix
+        csr.indices, csr.indptr = csr.indices.astype(index_dtype), csr.indptr.astype(index_dtype)
+        v = rng.normal(size=m.num_states)
+        full = weighted_sums(m, v).values
+        assert np.array_equal(full, csr @ v)
+        for rows in ([1, 4], np.arange(0, m.num_rows, 2, dtype=np.int64)):
+            assert np.array_equal(weighted_sums(m, v, rows=rows).values, full[rows])
+        assert np.array_equal(apply_operator(m, v, "gs"), reference_sweep(m, v, False))
 
 
 class TestStandardBackup:
@@ -381,9 +516,9 @@ class TestSweeps:
         m = random_model(rng, num_states=20, density=0.5)
         v = rng.normal(scale=10.0, size=m.num_states)
         cached = apply_operator(m, v, kind)
-        assert m._state_blocks is not None
+        assert m._row_matrix is not None
         fresh = dataclasses.replace(m)
-        assert fresh._state_blocks is None and fresh._row_matrix is None
+        assert fresh._row_matrix is None
         assert np.array_equal(apply_operator(fresh, v, kind), cached)
         assert np.array_equal(apply_operator(m, v, kind), cached)
 
@@ -606,6 +741,26 @@ class TestSupNorm:
     def test_values(self):
         assert sup_norm(np.array([-3.0, 2.0])) == 3.0
         assert sup_norm(np.array([])) == 0.0
+
+
+class TestOneStepRowValues:
+    def test_formed_once_per_sums_and_model(self):
+        rng = np.random.default_rng(64)
+        m = random_model(rng, num_states=12)
+        v = rng.normal(size=m.num_states)
+        s = weighted_sums(m, v)
+        values = one_step_row_values(m, s)
+        expected = m.discount * s.values
+        expected += m.rewards
+        assert np.array_equal(values, expected)
+        assert one_step_row_values(m, s) is values
+        assert is_feasible(m, v, sums=s) is is_feasible(m, v)
+        assert one_step_row_values(m, s) is values  # the check read them, formed nothing new
+        # the same sums on a model with other rewards give that model's values
+        shifted, _ = adjust_rewards_nonnegative(m)
+        other = one_step_row_values(shifted, s)
+        assert other is not values
+        assert np.array_equal(other, m.discount * s.values + shifted.rewards)
 
 
 class TestSumsReuseSemantics:

@@ -263,7 +263,7 @@ class TestIterateSequencePinned:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
-    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    @pytest.mark.parametrize("accelerator", ["none", "projective", "linear"])
     @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
     def test_matches_reference_solve(self, operator, accelerator, checks, beta):
         for m in pinned_models():
@@ -334,13 +334,13 @@ class TestSharedRowMatrix:
             cfg = SolverConfig(operator=operator, accelerator=AcceleratorKind.PROJECTIVE)
             assert solve(m, cfg).converged
         assert m._row_state is not None and m._self_loop is not None
-        assert m._state_blocks is not None
+        assert m._row_matrix is not None
         assert all(s._row_state is m._row_state for s in shifted)
         assert all(s._row_counts is m._row_counts for s in shifted)
-        # the Jacobi runs build the self-loops on the input, the sweep its blocks
+        # the Jacobi runs build the self-loops on the input, every run its matrix
         assert shifted[1]._self_loop is m._self_loop
         assert shifted[2]._self_loop is m._self_loop
-        assert shifted[2]._state_blocks is m._state_blocks
+        assert shifted[2]._row_matrix is m._row_matrix
 
 
     def test_checked_solves_measure_the_row_sums_once(self, monkeypatch):
