@@ -36,6 +36,15 @@ fallback and iterate, is the all-rows one bit for bit.  Every row is
 checked when the input's sums were derived by linearity, when a point is
 not finite, or when the model has a negative probability.
 
+The projective scan and step also take ``operators.ScreenedSums``, which
+bound every row's sum and hold exact sums only for the rows asked for.
+The scan then takes exact sums only for the rows whose bounds leave them
+unsure of the guard or able to reach the largest ratio
+(``_screened_projective_alpha``), and the output check's screen starts
+from the upper bounds of the input's row values; all-rows sums are the
+zero-width case of that screen.  The results are the all-rows ones bit
+for bit.
+
 A checked step therefore costs one screened sums pass, for its output,
 and one one-step backup per point it tests: the projective step tests
 its input and the screened rows of its output; the linear extension
@@ -44,21 +53,22 @@ the one-step backup of ``v`` (the value iteration loop, whose ``u`` is
 that backup) hands it down as ``v_backup``, together with the residual
 ``sup_norm(u - v)``, and the step backs up only ``u`` and the output's
 rows.  The scans spread per-state
-values over the rows with ``np.repeat`` over ``MdpModel.row_counts`` and
-divide only the rows that can bound the step, with one masked
-``np.divide``.
+values over the rows with ``np.repeat`` over ``MdpModel.row_counts``,
+and from all-rows sums divide only the rows that can bound the step,
+with one masked ``np.divide``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import MdpModel
 from .operators import (
     MEMBERSHIP_TOL_SCALE,
+    ScreenedSums,
     WeightedSums,
     is_feasible,
     one_step_row_values,
@@ -137,6 +147,8 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     if check_membership and not is_feasible(m, v, tol=MEMBERSHIP_TOL_SCALE * scale, sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
     guard = RATIO_GUARD_SCALE * scale
+    if isinstance(s, ScreenedSums):
+        return _screened_projective_alpha(m, v, s, guard)
     q = v.repeat(m.row_counts)
     q -= m.discount * s.values
     tight = q <= guard
@@ -149,6 +161,44 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     row = int(ratios.argmax())
     alpha = min(1.0, max(0.0, float(ratios[row])))
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
+
+
+def _screened_projective_alpha(m, v, s, guard) -> AlphaResult:
+    """The projective scan from screened sums, bit for bit the all-rows scan.
+
+    A row's slack ``q = v_i - discount * s`` falls as its sum rises, so the
+    sums' bounds bound it, and a row whose lower bound clears the guard is
+    surely not tight.  Among those rows, whose ratio ``reward / q`` is
+    bounded the same way, the largest lower bound is a floor under the
+    scan's maximum; a row whose upper bound falls short of it can neither
+    attain nor tie it.  Every other row takes its exact sum, so the
+    tight-row rules, the maximum ratio and the first row attaining it are
+    the all-rows ones.
+    """
+    lo, hi = s.bounds()
+    spread = v.repeat(m.row_counts)
+    q_lo = spread - m.discount * hi
+    loose = q_lo > guard
+    rewards = m.rewards
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio_lo = rewards / (spread - m.discount * lo)
+        reach = rewards / q_lo
+    if not loose.all():
+        ratio_lo[~loose] = -np.inf
+        reach[~loose] = np.inf
+    rows = np.flatnonzero(reach >= ratio_lo.max())
+    q = spread[rows] - m.discount * s.take(m, rows)
+    # the rows not taken are not tight
+    tight = q <= guard
+    if tight.any():
+        if (tight & (rewards[rows] > guard)).any():
+            return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
+        if rows.size == m.num_rows and tight.all():
+            return AlphaResult(alpha=0.0, binding=None)
+    ratios = np.divide(rewards[rows], q, out=np.full(rows.size, -np.inf), where=~tight)
+    k = int(ratios.argmax())
+    alpha = min(1.0, max(0.0, float(ratios[k])))
+    return AlphaResult(alpha=alpha, binding=_row_location(m, int(rows[k])))
 
 
 def linear_extension_alpha(
@@ -243,8 +293,11 @@ def _rows_to_check(m, z, p, p_sums):
     margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
     if not math.isfinite(margin):
         return None
-    # the precondition check on p formed these row values; they are read, not rebuilt
-    bound = one_step_row_values(m, p_sums) + margin
+    if isinstance(p_sums, ScreenedSums):
+        bound = p_sums.one_step_upper(m) + margin
+    else:
+        # the precondition check on p formed these row values; they are read, not rebuilt
+        bound = one_step_row_values(m, p_sums) + margin
     # z + tol as is_feasible forms it, tol = membership_tolerance(z)
     return np.flatnonzero(bound > (z + MEMBERSHIP_TOL_SCALE * (1.0 + z_norm)).repeat(m.row_counts))
 
@@ -260,12 +313,13 @@ def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
         fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, fallback_point, fallback_sums))
         if not is_feasible(m, z, sums=fresh):
             safe = fallback_point.copy()
+            if isinstance(fallback_sums, ScreenedSums):
+                sums = replace(fallback_sums, base=safe)
+            else:
+                sums = WeightedSums(values=fallback_sums.values.copy(), base=safe,
+                                    from_kernel=fallback_sums.from_kernel)
             return AccelStep(
-                point=safe,
-                sums=WeightedSums(
-                    values=fallback_sums.values.copy(), base=safe,
-                    from_kernel=fallback_sums.from_kernel,
-                ),
+                point=safe, sums=sums,
                 alpha=AlphaResult(alpha.alpha, alpha.binding, fallback_used=True),
             )
     return AccelStep(point=z, sums=zsums, alpha=alpha)
@@ -283,8 +337,7 @@ def apply_projective(m, v, sums=None, beta=0.0, check_membership=True) -> AccelS
     res = projective_alpha(m, v, sums=s, check_membership=check_membership)
     effective = (1.0 - beta) * res.alpha + beta
     z = effective * v
-    zsums = WeightedSums(values=effective * s.values, base=z, from_kernel=False)
-    return _checked(m, z, zsums, v, s, res, check_membership)
+    return _checked(m, z, s.scaled(effective, z), v, s, res, check_membership)
 
 
 def apply_linear_extension(

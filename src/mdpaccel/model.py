@@ -165,18 +165,6 @@ class MdpModel:
     def num_rows(self) -> int:
         return len(self.rewards)
 
-    def num_actions(self, state: int) -> int:
-        return int(self.state_ptr[state + 1] - self.state_ptr[state])
-
-    def action_reward(self, state: int, action: int) -> float:
-        return float(self.rewards[self.state_ptr[state] + action])
-
-    def action_row(self, state: int, action: int):
-        """Return (columns, probabilities) for one (state, action) row."""
-        k = self.state_ptr[state] + action
-        lo, hi = self.row_ptr[k], self.row_ptr[k + 1]
-        return self.cols[lo:hi], self.probs[lo:hi]
-
     @property
     def row_matrix(self) -> sp.csr_matrix:
         """Sparse (num_rows x num_states) matrix of all transition rows."""
@@ -209,12 +197,9 @@ class MdpModel:
     def self_loop_probs(self) -> np.ndarray:
         """Per-row probability of staying in the owning state (0 when absent)."""
         if self._self_loop is None:
-            nnz_per_row = np.diff(self.row_ptr)
-            owner = np.repeat(np.arange(self.num_rows, dtype=np.int64), nnz_per_row)
-            hit = self.cols == self.row_state[owner]
-            out = np.zeros(self.num_rows, dtype=np.float64)
-            out[owner[hit]] = self.probs[hit]
-            self._self_loop = out
+            # scipy's element lookup reads each row's own-state entry in place
+            own = self.row_matrix[np.arange(self.num_rows), self.row_state]
+            self._self_loop = np.asarray(own, dtype=np.float64).ravel()
         return self._self_loop
 
     @property

@@ -20,13 +20,23 @@ The greedy policy, which only the final extraction needs, comes from
 
 ``row_value_error`` states how far a computed one-step row value can be
 from the exact value of the stored numbers; the accelerated step's output
-check uses it to skip the rows that bound clears.
+check uses it to skip the rows that bound clears.  ``sum_error`` states
+the same for a weighted sum.
+
+``ScreenedSums`` stand in for the all-rows sums of a point where taking
+them all costs more than bounding them: they hold a certified interval
+on every row's sum, which ``drifted_sums`` forms from the sums at the
+previous point, and exact sums only for the rows a consumer asked for.
+The simultaneous backups, ``is_feasible`` and ``greedy_policy`` accept
+them and take exact sums only for the rows their intervals cannot
+settle, so every maximum, first row attaining it and verdict is the
+all-rows one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -84,6 +94,85 @@ class WeightedSums:
 
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
+
+    def scaled(self, factor: float, point: np.ndarray) -> WeightedSums:
+        """The sums of ``point = factor * base`` by linearity: ``factor * values``."""
+        return WeightedSums(values=factor * self.values, base=point, from_kernel=False)
+
+
+@dataclass
+class ScreenedSums:
+    """Per-row sums of ``base``, exact only for the rows a consumer asked for.
+
+    They stand for ``factor * weighted_sums(m, source).values``, the sums the
+    all-rows path holds for ``base``: the kernel sums of ``source`` itself
+    when ``factor`` is 1, and their scaling when ``base`` is the projective
+    step's point ``factor * source``.  ``lo`` and ``hi`` bound every row's
+    kernel sum at ``source``; where ``known`` is set the sum was taken and
+    ``lo == hi`` holds it.  The factor is never negative, and a rounded
+    product is monotone, so ``factor * lo`` and ``factor * hi`` bound every
+    row's sum as the all-rows path forms it.
+
+    A consumer reads the bounds, asks ``take`` for the rows they cannot
+    settle, and decides from those rows as it would from all of them; the
+    bounds are shared by every sums of one ``source`` and tighten as rows
+    are taken.  ``drifted_sums`` forms them.
+    """
+
+    base: np.ndarray
+    source: np.ndarray
+    factor: float
+    lo: np.ndarray
+    hi: np.ndarray
+    known: np.ndarray
+
+    @property
+    def from_kernel(self) -> bool:
+        return self.factor == 1.0
+
+    def matches(self, v: np.ndarray) -> bool:
+        return self.base is v or np.array_equal(self.base, v)
+
+    def scaled(self, factor: float, point: np.ndarray) -> ScreenedSums:
+        """The sums of ``point = factor * base``, for ``factor`` in [0, 1].
+
+        Raises:
+            ValueError: these sums are themselves scaled; the all-rows path
+                would round the two scalings one after the other.
+        """
+        if self.factor != 1.0:
+            raise ValueError("screened sums are scaled once, from the kernel sums")
+        return replace(self, base=point, factor=factor)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on every row's sum at ``base``."""
+        if self.factor == 1.0:
+            return self.lo, self.hi
+        return self.factor * self.lo, self.factor * self.hi
+
+    def take(self, m: MdpModel, rows: np.ndarray) -> np.ndarray:
+        """The sums at ``base`` of ``rows``, ascending indices, exactly as all rows have them.
+
+        Rows not taken before come from one ``weighted_sums`` call at
+        ``source``; past ``GATHER_MAX_SHARE`` of the rows that call is the
+        all-rows pass, and every row is kept.
+        """
+        missing = rows[~self.known[rows]]
+        if missing.size:
+            if missing.size > GATHER_MAX_SHARE * m.num_rows:
+                missing = slice(None)
+                got = weighted_sums(m, self.source).values
+            else:
+                got = weighted_sums(m, self.source, rows=missing).values
+            self.lo[missing] = got
+            self.hi[missing] = got
+            self.known[missing] = True
+        values = self.lo[rows]
+        return values if self.factor == 1.0 else self.factor * values
+
+    def one_step_upper(self, m: MdpModel) -> np.ndarray:
+        """Upper bounds on the one-step row values at ``base``, from the current bounds."""
+        return _row_values(m, one_step_kind(m), None, self.bounds()[1])
 
 
 # A row subset of at most this share of the rows is gathered; a larger one
@@ -197,9 +286,88 @@ def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> Weigh
         return weighted_sums(m, v)
     if not sums.matches(v):
         raise ValueError("weighted sums were computed for a different vector")
-    if sums.rows is not None:
+    if isinstance(sums, WeightedSums) and sums.rows is not None:
         raise ValueError("weighted sums cover only some rows")
     return sums
+
+
+def drifted_sums(m: MdpModel, x: np.ndarray, sums, y: np.ndarray):
+    """The sums of ``y``, bounded from the sums held at ``x`` without a kernel pass.
+
+    ``sums`` are ``ScreenedSums`` at ``x`` or all-rows kernel sums of ``x``
+    (the zero vector's are exactly zero, which starts a run).  With ``D =
+    y - x``, no negative probability and every row sum within ``rho`` of
+    1, the exact sum of row ``k`` moves from ``x`` to ``y`` by ``sum_j
+    p(k, j) * D_j``, which lies in ``[min D - |min D| * rho, max D + |max
+    D| * rho]``, and itself lies in ``[min y - |min y| * rho, max y + |max
+    y| * rho]``.  The held sums lie within ``e = sum_error(m, norm)`` of
+    the exact sums at ``x``, and the kernel sums of ``y`` within ``e`` of
+    theirs, where ``norm`` is the largest sup norm of ``x``, ``y`` and the
+    vector the held sums were taken at.  So every kernel sum of ``y`` lies
+    in the held bounds widened by that drift and ``10e``, clamped into the
+    second interval widened by ``2e``.  Of the ``10e``, ``2e`` covers the
+    two sums and ``8e`` the rounding of ``D``, of the shift and of its
+    addition to the held bounds: at most about ten roundings on magnitudes
+    below ``3 * (1 + rho) * norm + 2e``, since every held bound was clamped
+    the same way, where ``e >= 3u * (1 + rho) * norm``.
+
+    Returns ``ScreenedSums`` of ``y`` with no row taken, or the all-rows
+    sums of ``y`` when no bound is certified: ``sums`` derived by
+    linearity (``from_kernel`` False) or over some rows, a negative
+    discount, or a bound that is not finite (non-finite points, rewards or
+    probabilities, or a negative probability).
+    """
+    if isinstance(sums, ScreenedSums):
+        lo, hi = sums.bounds()
+        held = sums.source
+    elif sums.from_kernel and sums.rows is None:
+        lo = hi = sums.values
+        held = x
+    else:
+        return weighted_sums(m, y)
+    if not y.size:
+        return weighted_sums(m, y)
+    d = y - x
+    low, high, y_low, y_high = float(d.min()), float(d.max()), float(y.min()), float(y.max())
+    norm = max(sup_norm(held), sup_norm(x), -y_low, y_high)
+    # a NaN in d or y fails the test through the extremes of d
+    if not (m.discount >= 0.0 and math.isfinite(row_value_error(m, norm + high - low))):
+        return weighted_sums(m, y)
+    rho, e = m.row_sum_deviation, sum_error(m, norm)
+    lo = lo + (low - abs(low) * rho - 10.0 * e)
+    hi = hi + (high + abs(high) * rho + 10.0 * e)
+    np.maximum(lo, y_low - abs(y_low) * rho - 2.0 * e, out=lo)
+    np.minimum(hi, y_high + abs(y_high) * rho + 2.0 * e, out=hi)
+    return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi,
+                        known=np.zeros(m.num_rows, dtype=bool))
+
+
+def _rounding_bound(m: MdpModel, scale: float) -> float:
+    """``gamma(N + 2) * scale + (N + 2) * eta``, inf when ``4 * scale`` is not finite."""
+    n = m.max_row_nnz + 2
+    if not math.isfinite(4.0 * scale):
+        return math.inf
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * scale + n * 2.0**-1074
+
+
+def sum_error(m: MdpModel, norm: float) -> float:
+    """Bound on the rounding error of one weighted sum as the kernels form it.
+
+    A sum ``s`` of a vector ``u`` with ``sup_norm(u) <= norm`` taken by the
+    CSR kernel, and that sum scaled as ``f * s`` for a factor ``f`` in
+    [0, 1] (the sums of the point ``f * u`` the projective step carries),
+    lie within
+
+        e = gamma(N + 2) * (1 + rho) * norm + (N + 2) * eta
+
+    of the exact weighted sum of ``u``, or of the computed ``f * u``.  The
+    kernel sum reaches ``N`` roundings; the scaling adds one to the sum and
+    one to every entry of the point, and a factor above 1 by a rounding of
+    its own is inside the slack of ``gamma(N + 2)`` over ``gamma(N) + 2u``.
+    The symbols are ``row_value_error``'s.  Returns inf when ``rho`` or
+    ``norm`` is not finite, which includes a negative probability.
+    """
+    return _rounding_bound(m, (1.0 + m.row_sum_deviation) * norm)
 
 
 def row_value_error(m: MdpModel, norm: float) -> float:
@@ -227,11 +395,7 @@ def row_value_error(m: MdpModel, norm: float) -> float:
     ``norm`` and the discount is not finite, which includes a model with a
     negative probability.
     """
-    n = m.max_row_nnz + 2
-    scale = m.max_abs_reward + m.discount * (1.0 + m.row_sum_deviation) * norm
-    if not math.isfinite(4.0 * scale):
-        return math.inf
-    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * scale + n * 2.0**-1074
+    return _rounding_bound(m, m.max_abs_reward + m.discount * (1.0 + m.row_sum_deviation) * norm)
 
 
 def _check_kind(m: MdpModel, kind: OperatorKind) -> None:
@@ -255,12 +419,14 @@ def _row_values(m: MdpModel, kind: OperatorKind, own, sums: np.ndarray, rows=sli
     rows (or one scalar when the rows are one state's); only the Jacobi
     kinds read it.
     """
-    r = m.rewards[rows]
     if kind in _JACOBI_KINDS:
-        d = m.self_loop_probs[rows]
-        return (r + m.discount * (sums - d * own)) / m.jacobi_denominator[0][rows]
+        out = sums - m.self_loop_probs[rows] * own
+        out *= m.discount
+        out += m.rewards[rows]
+        out /= m.jacobi_denominator[0][rows]
+        return out
     out = m.discount * sums
-    out += r
+    out += m.rewards[rows]
     return out
 
 
@@ -281,10 +447,32 @@ def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
     return held[1]
 
 
-def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _screened_row_values(m: MdpModel, kind: OperatorKind, own, sums: ScreenedSums) -> np.ndarray:
+    """Every row's value where it can attain its state's maximum, -inf elsewhere.
+
+    A row value is monotone in the row's sum (the discount is not negative,
+    the Jacobi denominators positive), and a rounded operation is
+    monotone, so the row-value formula at the sums' bounds bounds each
+    computed value.  A state's maximum is at least the largest lower bound
+    among its rows; a row whose upper bound falls short of it can neither
+    attain that maximum nor tie it.  The other rows take their exact sums,
+    so the state maxima and the first rows attaining them are the all-rows
+    ones.
+    """
+    lo, hi = sums.bounds()
+    floor = _state_max(m, _row_values(m, kind, own, lo)).repeat(m.row_counts)
+    rows = np.flatnonzero(_row_values(m, kind, own, hi) >= floor)
+    out = np.full(m.num_rows, -np.inf)
+    out[rows] = _row_values(m, kind, None if own is None else own[rows], sums.take(m, rows), rows)
+    return out
+
+
+def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
     """Simultaneous backup of ``v`` from its sums, for a kind already vetted."""
     own = v.repeat(m.row_counts) if kind in _JACOBI_KINDS else None
-    return _state_max(m, _row_values(m, kind, own, sums))
+    if isinstance(sums, ScreenedSums):
+        return _state_max(m, _screened_row_values(m, kind, own, sums))
+    return _state_max(m, _row_values(m, kind, own, sums.values))
 
 
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
@@ -294,10 +482,17 @@ def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
     indptr, bounds = m.row_matrix.indptr, m.state_ptr.tolist()
     sums = np.zeros(m.num_rows)
     jacobi = kind in _JACOBI_KINDS
+    discount, rewards = m.discount, m.rewards
     for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         s = sums[lo:hi]
         accumulate(indptr[lo:hi + 1], s)
-        w[i] = _row_values(m, kind, w[i] if jacobi else None, s, slice(lo, hi)).max()
+        if jacobi:
+            w[i] = _row_values(m, kind, w[i], s, slice(lo, hi)).max()
+        else:
+            # the standard row values, formed in place in the state's slice
+            s *= discount
+            s += rewards[lo:hi]
+            w[i] = np.maximum.reduce(s)
     return w
 
 
@@ -314,6 +509,8 @@ def apply_operator(m, v, kind, sums=None):
 
     ``sums`` is honored by the simultaneous operators and must be None for
     the sweeps, which cannot reuse sums of the unmodified vector.
+    ``ScreenedSums`` take exact sums only for the rows that can attain a
+    state's maximum, and give the all-rows backup bit for bit.
 
     Raises:
         ValueError: an operator the model's reward mode does not take, sums
@@ -328,7 +525,7 @@ def apply_operator(m, v, kind, sums=None):
         if sums is not None:
             raise ValueError("sweep operators recompute sums in place; pass sums=None")
         return _sweep(m, kind, v)
-    return _backup(m, kind, v, require_sums(m, v, sums).values)
+    return _backup(m, kind, v, require_sums(m, v, sums))
 
 
 def one_step_kind(m: MdpModel) -> OperatorKind:
@@ -338,12 +535,21 @@ def one_step_kind(m: MdpModel) -> OperatorKind:
     return OperatorKind.STANDARD
 
 
-def greedy_policy(m, v) -> np.ndarray:
+def greedy_policy(m, v, sums=None) -> np.ndarray:
     """Per-state index of the first action attaining the one-step backup of ``v``.
 
-    Ties resolve to the lowest action index.
+    Ties resolve to the lowest action index.  ``sums``, the kernel sums of
+    ``v`` over all rows or screened, stand in for a fresh all-rows pass.
+
+    Raises:
+        ValueError: ``sums`` were computed for a different vector.
     """
-    rows = _row_values(m, one_step_kind(m), None, weighted_sums(m, v).values)
+    kind = one_step_kind(m)
+    s = require_sums(m, v, sums)
+    if isinstance(s, ScreenedSums):
+        rows = _screened_row_values(m, kind, None, s)
+    else:
+        rows = _row_values(m, kind, None, s.values)
     cand = np.where(
         rows == _state_max(m, rows)[m.row_state],
         np.arange(m.num_rows, dtype=np.int64),
@@ -364,6 +570,8 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
     from all-rows ``sums`` stay with them (``one_step_row_values``), for the
     screen of an accelerated step from ``v``.
 
+    ``ScreenedSums`` test exactly only the rows whose upper bound does not
+    clear ``v + tol``; the verdict is the all-rows one.
     Sums over some rows only (``weighted_sums(m, v, rows=...)``) test those
     rows only: a caller passes them when a bound has cleared every other
     row, as the accelerated step's output check does.  A state's backup is
@@ -376,6 +584,10 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
     v = np.asarray(v, dtype=np.float64)
     if tol is None:
         tol = membership_tolerance(v)
+    if backup is None and isinstance(sums, ScreenedSums):
+        # the rows whose upper bound clears v + tol pass; the others are judged exactly
+        rows = np.flatnonzero(sums.one_step_upper(m) > (v + tol).repeat(m.row_counts))
+        sums = WeightedSums(values=sums.take(m, rows), base=sums.base, rows=rows)
     if backup is None and sums is not None and sums.rows is not None:
         if not sums.matches(v):
             raise ValueError("weighted sums were computed for a different vector")

@@ -23,8 +23,10 @@ from mdpaccel.accelerators import (
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import MdpModel, initial_feasible_point
 from mdpaccel.operators import (
+    ScreenedSums,
     WeightedSums,
     apply_operator,
+    drifted_sums,
     is_feasible,
     membership_tolerance,
     sup_norm,
@@ -125,6 +127,111 @@ class TestScansMatchReference:
             f = (1.0 - beta) * e.alpha.alpha
             assert np.array_equal(e.point, v + f * (u - v))
             assert np.array_equal(e.sums.values, sv.values + f * (su.values - sv.values))
+
+
+def screened_at(m, v, rng, spread):
+    """Screened sums of ``v``, drifted from the kernel sums of a point ``spread`` away."""
+    x = v + rng.normal(size=m.num_states) * spread * (1.0 + sup_norm(v))
+    sums = drifted_sums(m, x, weighted_sums(m, x), v)
+    assert isinstance(sums, ScreenedSums)
+    return sums
+
+
+class TestScreenedScanMatchesReference:
+    """From screened sums the projective scan and step are the all-rows ones, bit for bit."""
+
+    SPREADS = (0.0, 1e-9, 1e-3, 1.0)
+
+    def test_projective(self):
+        rng = np.random.default_rng(34)
+        for m, v, _ in scan_cases(34, 40):
+            expected = reference_projective_alpha(m, v, weighted_sums(m, v).values)
+            for spread in self.SPREADS:
+                s = screened_at(m, v, rng, spread)
+                assert projective_alpha(m, v, sums=s, check_membership=False) == expected
+
+    def test_tight_rows_near_the_guard(self):
+        # an absorbing zero-reward row is tight; with reward it makes the scan fall back
+        rng = np.random.default_rng(35)
+        for reward in (0.0, 1e-13, 1e-6, 1.0):
+            m = MdpModel.from_rows(
+                [[(1.0, [(0, 0.5), (1, 0.5)]), (2.0, [(1, 1.0)])], [(reward, [(1, 1.0)])]],
+                discount=0.9,
+            )
+            for top in (0.0, 1e-13, 1e-12, 1e-11):
+                v = np.array([30.0, top])
+                expected = reference_projective_alpha(m, v, weighted_sums(m, v).values)
+                for spread in self.SPREADS:
+                    s = screened_at(m, v, rng, spread)
+                    assert projective_alpha(m, v, sums=s, check_membership=False) == expected
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_precondition_row_at_the_tolerance(self, ulps):
+        rng = np.random.default_rng(37 + ulps)
+        for _ in range(30):
+            m = random_model(rng, num_states=int(rng.integers(2, 15)), discount=0.995)
+            u = descended_point(m, rng)
+            a = m.discount * weighted_sums(m, u).values
+            t = (u + membership_tolerance(u)).repeat(m.row_counts)
+            k = int(np.argmax(a + m.rewards - t))
+            target = t[k]
+            for _ in range(abs(ulps)):
+                target = np.nextafter(target, np.inf * ulps)
+            rewards = m.rewards.copy()
+            rewards[k] = reward_reaching(a[k], target)
+            tight = dataclasses.replace(m, rewards=rewards)
+            for spread in self.SPREADS:
+                s = screened_at(tight, u, rng, spread)
+                assert is_feasible(tight, u, sums=s) is is_feasible(tight, u) is (ulps <= 0)
+
+    def test_output_check_from_screened_sums(self):
+        rng = np.random.default_rng(38)
+        verdicts = []
+        for _ in range(40):
+            m = random_model(rng, num_states=int(rng.integers(2, 25)),
+                             density=float(rng.uniform(0.1, 1.0)),
+                             discount=float(rng.choice([0.5, 0.9, 0.995])))
+            p = descended_point(m, rng)
+            u = apply_operator(m, p, "standard")
+            scale = sup_norm(p)
+            for spread in self.SPREADS:
+                sp = screened_at(m, p, rng, spread)
+                for z in (projective_alpha(m, p, sums=weighted_sums(m, p)).alpha * p,
+                          p + float(rng.uniform(1.0, 50.0)) * (u - p),
+                          p - rng.uniform(0.0, 1.0, size=m.num_states) * scale * 1e-6,
+                          rng.normal(size=m.num_states) * scale):
+                    verdict, _ = screened_verdict(m, z, p, sp)
+                    assert verdict is full_verdict(m, z)
+                    verdicts.append(verdict)
+        assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_checked_steps(self, beta):
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)),
+                             discount=float(rng.choice([0.9, 0.995])))
+            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+            for _ in range(int(rng.integers(1, 20))):
+                v = apply_operator(m, v, "standard")
+            candidates = (v, v - rng.uniform(size=m.num_states) * 1e-3 * sup_norm(v))
+            for u in candidates:
+                all_rows = weighted_sums(m, u)
+                try:
+                    expected = apply_projective(m, u, sums=all_rows, beta=beta)
+                except FeasibilityError:
+                    expected = None
+                for spread in self.SPREADS:
+                    s = screened_at(m, u, rng, spread)
+                    if expected is None:
+                        with pytest.raises(FeasibilityError):
+                            apply_projective(m, u, sums=s, beta=beta)
+                        continue
+                    step = apply_projective(m, u, sums=s, beta=beta)
+                    assert step.alpha == expected.alpha
+                    assert np.array_equal(step.point, expected.point)
+                    every = np.arange(m.num_rows)
+                    assert np.array_equal(step.sums.take(m, every), expected.sums.values)
 
 
 class TestProjectiveAlpha:

@@ -119,6 +119,17 @@ class TestSolve:
         assert code == 2
         assert "total-reward" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, field", [
+        ("--eps", "nan", "epsilon"),
+        ("--alpha-cap", "0", "alpha_cap"),
+    ])
+    def test_bad_solver_setting_exits_2_naming_it(self, tmp_path, capsys, option, value, field):
+        path = tmp_path / "m.json"
+        save_model(two_state_swap(), path)
+        code = main(["solve", str(path), option, value])
+        assert code == 2
+        assert f"error: {field}" in capsys.readouterr().err
+
     def test_total_reward_operator_defaults(self, tmp_path, capsys):
         path = tmp_path / "tr.json"
         save_model(chain_to_absorbing(), path)

@@ -21,6 +21,8 @@ from mdpaccel.model import (
     validate_model,
 )
 
+from test_model import action_row, num_actions
+
 
 class TestSpecValidation:
     def test_uniform_requires_density(self):
@@ -181,8 +183,8 @@ class TestBandFamily:
         assert validate_model(m) == []
         half = 7 // 2
         for i in range(m.num_states):
-            for a in range(m.num_actions(i)):
-                cols, _ = m.action_row(i, a)
+            for a in range(num_actions(m, i)):
+                cols, _ = action_row(m, i, a)
                 assert cols.min() >= max(0, i - half)
                 assert cols.max() <= min(m.num_states - 1, i + half)
 
@@ -191,7 +193,7 @@ class TestBandFamily:
         m = generate(spec)
         half = 7 // 2
         i = 15
-        cols, _ = m.action_row(i, 0)
+        cols, _ = action_row(m, i, 0)
         np.testing.assert_array_equal(cols, np.arange(i - half, i + half + 1))
 
     def test_metadata_has_bandwidth(self):
@@ -212,8 +214,8 @@ class TestTotalRewardFamily:
         m = generate(small("total_reward_positive"))
         terminal = m.num_states - 1
         for i in range(terminal):
-            for a in range(m.num_actions(i)):
-                cols, probs = m.action_row(i, a)
+            for a in range(num_actions(m, i)):
+                cols, probs = action_row(m, i, a)
                 assert cols[-1] == terminal
                 assert probs[-1] > 0.0
 

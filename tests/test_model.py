@@ -38,6 +38,23 @@ def two_state_swap(r1=1.0, r2=1.0, discount=0.9):
     )
 
 
+def num_actions(m, state):
+    """Number of actions of ``state``."""
+    return int(m.state_ptr[state + 1] - m.state_ptr[state])
+
+
+def action_reward(m, state, action):
+    """Reward of one (state, action) row."""
+    return float(m.rewards[m.state_ptr[state] + action])
+
+
+def action_row(m, state, action):
+    """(columns, probabilities) of one (state, action) row."""
+    k = m.state_ptr[state] + action
+    lo, hi = m.row_ptr[k], m.row_ptr[k + 1]
+    return m.cols[lo:hi], m.probs[lo:hi]
+
+
 def random_model(rng, num_states=8, max_actions=4, density=0.6, discount=0.9):
     states = []
     for i in range(num_states):
@@ -63,13 +80,13 @@ class TestConstruction:
         )
         assert m.num_states == 2
         assert m.num_rows == 3
-        assert m.num_actions(0) == 2
-        assert m.num_actions(1) == 1
+        assert num_actions(m, 0) == 2
+        assert num_actions(m, 1) == 1
         np.testing.assert_array_equal(m.state_ptr, [0, 2, 3])
         np.testing.assert_array_equal(m.row_ptr, [0, 2, 3, 4])
         np.testing.assert_array_equal(m.cols, [0, 1, 1, 0])
-        assert m.action_reward(1, 0) == 3.0
-        cols, probs = m.action_row(0, 0)
+        assert action_reward(m, 1, 0) == 3.0
+        cols, probs = action_row(m, 0, 0)
         np.testing.assert_array_equal(cols, [0, 1])
         np.testing.assert_array_equal(probs, [0.5, 0.5])
 
@@ -106,8 +123,8 @@ class TestConstruction:
         dense = m.row_matrix.toarray()
         assert dense.shape == (m.num_rows, m.num_states)
         for i in range(m.num_states):
-            for a in range(m.num_actions(i)):
-                cols, probs = m.action_row(i, a)
+            for a in range(num_actions(m, i)):
+                cols, probs = action_row(m, i, a)
                 row = np.zeros(m.num_states)
                 row[cols] = probs
                 np.testing.assert_array_equal(dense[m.state_ptr[i] + a], row)
@@ -115,7 +132,7 @@ class TestConstruction:
 
     def test_row_counts_spread_like_the_row_state_gather(self):
         m = random_model(np.random.default_rng(11), num_states=9, max_actions=5)
-        assert m.row_counts.tolist() == [m.num_actions(i) for i in range(m.num_states)]
+        assert m.row_counts.tolist() == [num_actions(m, i) for i in range(m.num_states)]
         assert m.row_counts is m.row_counts  # built once
         x = np.arange(m.num_states) * 1.5
         assert np.array_equal(np.repeat(x, m.row_counts), x[m.row_state])
@@ -328,11 +345,11 @@ def reference_save_model(m, path):
         for i in range(m.num_states):
             f.write("," if i else "")
             f.write('{"actions": [')
-            for a in range(m.num_actions(i)):
-                cols, probs = m.action_row(i, a)
+            for a in range(num_actions(m, i)):
+                cols, probs = action_row(m, i, a)
                 body = ",".join("[%d,%r]" % (c, p) for c, p in zip(cols.tolist(), probs.tolist()))
                 f.write("," if a else "")
-                f.write('{"reward": %r, "transitions": [%s]}' % (m.action_reward(i, a), body))
+                f.write('{"reward": %r, "transitions": [%s]}' % (action_reward(m, i, a), body))
             f.write("]}")
         f.write("]}\n")
 

@@ -13,23 +13,34 @@ from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import ROW_SUM_TOL, MdpModel, RewardMode, adjust_rewards_nonnegative
+import mdpaccel.operators as operators_mod
 from mdpaccel.operators import (
     GATHER_MAX_SHARE,
     OperatorKind,
+    ScreenedSums,
     WeightedSums,
     apply_operator,
+    drifted_sums,
     is_feasible,
     is_feasible_gs,
     membership_tolerance,
     one_step_row_values,
     row_value_error,
+    sum_error,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
 )
 from mdpaccel.solver import extract_policy
 
-from test_model import chain_to_absorbing, random_model, two_state_swap
+from test_model import (
+    action_reward,
+    action_row,
+    chain_to_absorbing,
+    num_actions,
+    random_model,
+    two_state_swap,
+)
 
 
 def dense_backup(m, v, jacobi=False):
@@ -41,10 +52,10 @@ def dense_backup(m, v, jacobi=False):
     """
     best = np.full(m.num_states, -np.inf)
     for i in range(m.num_states):
-        for a in range(m.num_actions(i)):
-            cols, probs = m.action_row(i, a)
+        for a in range(num_actions(m, i)):
+            cols, probs = action_row(m, i, a)
             s = float(probs @ v[cols])
-            r = m.action_reward(i, a)
+            r = action_reward(m, i, a)
             if jacobi:
                 d = float(probs[cols == i].sum())
                 val = (r + m.discount * (s - d * v[i])) / (1.0 - m.discount * d)
@@ -338,8 +349,8 @@ class TestStandardBackup:
         out = apply_operator(m, v, "standard")
         policy = extract_policy(m, v)
         for i in range(m.num_states):
-            cols, probs = m.action_row(i, int(policy[i]))
-            val = m.action_reward(i, int(policy[i])) + m.discount * float(probs @ v[cols])
+            cols, probs = action_row(m, i, int(policy[i]))
+            val = action_reward(m, i, int(policy[i])) + m.discount * float(probs @ v[cols])
             assert val == pytest.approx(out[i], abs=1e-12)
 
 
@@ -735,6 +746,101 @@ class TestRowValueError:
         negative = dataclasses.replace(m, probs=np.where(np.arange(m.probs.size) == 0, -0.5, m.probs))
         assert negative.row_sum_deviation == np.inf
         assert not np.isfinite(row_value_error(negative, 1.0))
+
+
+class TestScreenedBounds:
+    """The bounds the screened sums rest on hold against exact rational arithmetic."""
+
+    @staticmethod
+    def exact_sums(m, v):
+        return [sum((Fraction(p) * Fraction(x) for p, x in zip(m.probs[lo:hi], v[m.cols[lo:hi]])),
+                    Fraction(0))
+                for lo, hi in zip(m.row_ptr[:-1], m.row_ptr[1:])]
+
+    @staticmethod
+    def models(rng, count):
+        for _ in range(count):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)),
+                             density=float(rng.uniform(0.1, 1.0)),
+                             discount=float(rng.choice([0.5, 0.9, 0.995])))
+            yield TestRowValueError.perturbed(m, rng) if rng.random() < 0.5 else m
+
+    def test_kernel_and_scaled_sums_within_sum_error(self):
+        rng = np.random.default_rng(70)
+        for m in self.models(rng, 25):
+            u = rng.uniform(-1.0, 1.0, size=m.num_states) * 10.0 ** rng.uniform(0.0, 6.0)
+            e = Fraction(sum_error(m, sup_norm(u)))
+            kernel = weighted_sums(m, u).values
+            assert max(abs(Fraction(k) - x) for k, x in zip(kernel, self.exact_sums(m, u))) <= e
+            for beta in (0.0, 0.3, 0.7):
+                for alpha in (0.0, float(rng.uniform()), 1.0):
+                    # the projective step's factor and the sums it carries
+                    f = (1.0 - beta) * alpha + beta
+                    scaled = f * kernel
+                    exact = self.exact_sums(m, f * u)
+                    assert max(abs(Fraction(k) - x) for k, x in zip(scaled, exact)) <= e
+
+    def drifts(self, m, rng):
+        """(x, held sums at x, y) triples: kernel sums, the zero start and scaled sums."""
+        x = rng.uniform(0.5, 1.0, size=m.num_states) * 10.0 ** rng.uniform(0.0, 5.0)
+        shift = float(rng.normal()) * sup_norm(x)
+        for y in (x + shift, 0.99 * x, apply_operator(m, x, "standard"),
+                  x + rng.normal(size=m.num_states) * sup_norm(x) * 1e-6,
+                  rng.normal(size=m.num_states) * sup_norm(x)):
+            yield x, weighted_sums(m, x), y
+        zero = np.zeros(m.num_states)
+        yield zero, WeightedSums(np.zeros(m.num_rows), zero), np.full(m.num_states, shift)
+        # the projective loop: sums at u scaled to z = f * u, then a backup of z
+        u = apply_operator(m, x, "standard")
+        held = drifted_sums(m, x, weighted_sums(m, x), u)
+        f = float(rng.uniform(0.3, 1.0))
+        z = f * u
+        yield z, held.scaled(f, z), apply_operator(m, z, "standard")
+
+    def test_drift_holds_every_kernel_and_exact_sum(self):
+        rng = np.random.default_rng(71)
+        for m in self.models(rng, 25):
+            for x, held, y in self.drifts(m, rng):
+                d = drifted_sums(m, x, held, y)
+                assert isinstance(d, ScreenedSums) and not d.known.any()
+                kernel = weighted_sums(m, y).values
+                assert (d.lo <= kernel).all() and (kernel <= d.hi).all()
+                exact = self.exact_sums(m, y)
+                assert all(Fraction(a) <= x <= Fraction(b) for a, x, b in zip(d.lo, exact, d.hi))
+
+    def test_jacobi_row_value_bounds(self):
+        rng = np.random.default_rng(72)
+        checked = 0
+        for m in self.models(rng, 30):
+            if m.jacobi_denominator[1] < 1e-12:
+                continue
+            for x, held, y in self.drifts(m, rng):
+                d = drifted_sums(m, x, held, y)
+                for v in (x, y):
+                    own = v.repeat(m.row_counts)
+                    low = operators_mod._row_values(m, OperatorKind.JACOBI, own, d.lo)
+                    high = operators_mod._row_values(m, OperatorKind.JACOBI, own, d.hi)
+                    # every sum between the bounds, the kernel's and the endpoints' neighbours
+                    inside = [weighted_sums(m, y).values, d.lo, d.hi,
+                              np.minimum(np.nextafter(d.lo, np.inf), d.hi),
+                              np.maximum(np.nextafter(d.hi, -np.inf), d.lo)]
+                    inside += [d.lo + rng.uniform(size=m.num_rows) * (d.hi - d.lo) for _ in range(4)]
+                    for sums in inside:
+                        sums = np.clip(sums, d.lo, d.hi)
+                        value = operators_mod._row_values(m, OperatorKind.JACOBI, own, sums)
+                        assert (low <= value).all() and (value <= high).all()
+                    # in exact arithmetic, the Jacobi value of the exact sum lies
+                    # between its values at the bounds
+                    exact = self.exact_sums(m, y)
+                    for k in range(m.num_rows):
+                        den = Fraction(m.jacobi_denominator[0][k])
+                        loop = Fraction(m.self_loop_probs[k]) * Fraction(own[k])
+                        value = (Fraction(m.rewards[k]) + Fraction(m.discount) * (exact[k] - loop)) / den
+                        at = [(Fraction(m.rewards[k]) + Fraction(m.discount) * (Fraction(b) - loop)) / den
+                              for b in (d.lo[k], d.hi[k])]
+                        assert at[0] <= value <= at[1]
+                    checked += 1
+        assert checked > 100
 
 
 class TestSupNorm:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mdpaccel.accelerators as accel_mod
+import mdpaccel.operators as operators_mod
 import mdpaccel.solver as solver_mod
 from mdpaccel.accelerators import (
     AlreadyConvergedError,
@@ -21,11 +22,13 @@ from mdpaccel.model import (
 )
 from mdpaccel.operators import OperatorKind, apply_operator, sup_norm, weighted_sums
 from mdpaccel.solver import (
+    SCREEN_MIN_ROW_NNZ,
     AcceleratorKind,
     SolverConfig,
     SolverConfigError,
     algorithm_label,
     extract_policy,
+    screens_sums,
     solve,
     stopping_threshold,
 )
@@ -245,6 +248,9 @@ def pinned_models():
                                action_range=(2, 4), seed=42)),
         generate(GeneratorSpec(family="band", num_states=16, bandwidth=3, discount=0.97,
                                action_range=(2, 5), seed=43)),
+        # dense rows: its projective runs carry screened sums
+        generate(GeneratorSpec(family="uniform", num_states=SCREEN_MIN_ROW_NNZ, density=1.0,
+                               discount=0.95, action_range=(5, 12), seed=44)),
     ]
 
 
@@ -270,6 +276,15 @@ class TestIterateSequencePinned:
             cfg = SolverConfig(operator=operator, accelerator=accelerator,
                                membership_checks=checks, beta=beta)
             assert_same_run(m, cfg)
+
+    @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
+    def test_only_dense_projective_runs_screen(self, operator):
+        dense = pinned_models()[-1]
+        for accelerator in ("none", "projective", "linear"):
+            cfg = SolverConfig(operator=operator, accelerator=accelerator)
+            expected = accelerator == "projective" and operator in ("standard", "jacobi")
+            assert screens_sums(dense, cfg) is expected
+            assert not any(screens_sums(m, cfg) for m in pinned_models()[:-1])
 
     @pytest.mark.parametrize("operator", ["standard", "gs"])
     def test_degenerate_scans_and_fallbacks(self, operator):
@@ -409,6 +424,27 @@ class TestConfigValidation:
         with pytest.raises(SolverConfigError, match="max_iterations"):
             solve(two_state_swap(), SolverConfig(max_iterations=0))
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1.0])
+    def test_epsilon_finite_and_positive(self, epsilon):
+        with pytest.raises(SolverConfigError, match="epsilon"):
+            solve(two_state_swap(), SolverConfig(epsilon=epsilon))
+
+    @pytest.mark.parametrize("alpha_cap", [0.0, -5.0, np.nan, 0.5])
+    def test_alpha_cap_at_least_one(self, alpha_cap):
+        cfg = SolverConfig(accelerator="linear", alpha_cap=alpha_cap)
+        with pytest.raises(SolverConfigError, match="alpha_cap"):
+            solve(two_state_swap(), cfg)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True])
+    def test_max_iterations_integer(self, max_iterations):
+        with pytest.raises(SolverConfigError, match="max_iterations"):
+            solve(two_state_swap(), SolverConfig(max_iterations=max_iterations))
+
+    def test_boundary_values_accepted(self):
+        cfg = SolverConfig(accelerator="linear", alpha_cap=1.0, max_iterations=np.int64(5),
+                           epsilon=1e300)
+        assert solve(two_state_swap(), cfg).iterations >= 1
+
     def test_beta_range(self):
         with pytest.raises(SolverConfigError, match="beta"):
             solve(two_state_swap(), SolverConfig(beta=1.0))
@@ -493,6 +529,38 @@ class TestSumsPassBudget:
     def test_plain_iteration(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "none", checks=False)
         assert (s, a) == (6, 0)
+
+
+class TestScreenedRowShare:
+    """A screened dense solve takes exact sums for few rows once under way."""
+
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    @pytest.mark.parametrize("operator", ["standard", "jacobi"])
+    def test_under_a_twentieth_of_the_rows_per_iteration(self, monkeypatch, operator, checks):
+        m = generate(GeneratorSpec(family="uniform", num_states=64, density=1.0, discount=0.995,
+                                   action_range=(30, 40), seed=7))
+        cfg = SolverConfig(operator=operator, accelerator="projective", membership_checks=checks)
+        assert screens_sums(m, cfg)
+        per_iteration = [0]
+
+        def counting_sums(model, v, rows=None):
+            per_iteration[-1] += model.num_rows if rows is None else len(rows)
+            return weighted_sums(model, v, rows=rows)
+
+        step = solver_mod._Loop.step
+
+        def counting_step(loop):
+            per_iteration.append(0)
+            return step(loop)
+
+        for module in (operators_mod, accel_mod, solver_mod):
+            monkeypatch.setattr(module, "weighted_sums", counting_sums)
+        monkeypatch.setattr(solver_mod._Loop, "step", counting_step)
+        res = solve(m, cfg)
+        assert res.converged and len(per_iteration) == res.iterations + 1
+        # setup takes none; from the constant start the first iteration takes more
+        assert per_iteration[0] == 0
+        assert max(per_iteration[2:]) < m.num_rows / 20
 
 
 class TestAlgorithmLabels:
