@@ -67,9 +67,9 @@ import numpy as np
 
 from .model import MdpModel
 from .operators import (
-    MEMBERSHIP_TOL_SCALE,
     ScreenedSums,
     WeightedSums,
+    _membership_tol,
     is_feasible,
     one_step_row_values,
     require_sums,
@@ -79,7 +79,8 @@ from .operators import (
 )
 
 RATIO_GUARD_SCALE = 1e-12
-ALPHA_CAP_DEFAULT = 1e12
+# ceiling of the linear-extension step factor
+ALPHA_CAP = 1e12
 
 
 class FeasibilityError(ValueError):
@@ -143,10 +144,10 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
     s = require_sums(m, v, sums)
-    scale = 1.0 + sup_norm(v)
-    if check_membership and not is_feasible(m, v, tol=MEMBERSHIP_TOL_SCALE * scale, sums=s):
+    norm = sup_norm(v)
+    if check_membership and not is_feasible(m, v, tol=_membership_tol(norm), sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
-    guard = RATIO_GUARD_SCALE * scale
+    guard = RATIO_GUARD_SCALE * (1.0 + norm)
     if isinstance(s, ScreenedSums):
         return _screened_projective_alpha(m, v, s, guard)
     q = v.repeat(m.row_counts)
@@ -207,7 +208,6 @@ def linear_extension_alpha(
     u,
     sums_v=None,
     sums_u=None,
-    alpha_cap=ALPHA_CAP_DEFAULT,
     check_membership=True,
     v_backup=None,
     residual=None,
@@ -222,7 +222,7 @@ def linear_extension_alpha(
     s^v_i)``.  Only rows with ``d`` clearly negative bound the step; the
     smallest ``c / -d`` over them is the answer, floored at 1 (the point
     ``u`` itself is always admissible).  When no row bounds the step the
-    result is ``alpha_cap`` with the fallback flag set.
+    result is ``ALPHA_CAP`` with the fallback flag set.
 
     A caller that already holds the one-step backup of ``v`` (when ``u``
     is that backup) passes it as ``v_backup``, and the precondition check
@@ -234,14 +234,14 @@ def linear_extension_alpha(
         FeasibilityError: with checks enabled, an endpoint that does not
             dominate its backup.
     """
-    scale = 1.0 + sup_norm(v)
-    guard = RATIO_GUARD_SCALE * scale
+    norm = sup_norm(v)
+    guard = RATIO_GUARD_SCALE * (1.0 + norm)
     if (sup_norm(u - v) if residual is None else residual) <= guard:
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     if check_membership:
-        if not is_feasible(m, v, tol=MEMBERSHIP_TOL_SCALE * scale, sums=sv, backup=v_backup):
+        if not is_feasible(m, v, tol=_membership_tol(norm), sums=sv, backup=v_backup):
             raise FeasibilityError("current point does not dominate its one-step backup")
         if not is_feasible(m, u, sums=su):
             raise FeasibilityError("direction point does not dominate its one-step backup")
@@ -254,12 +254,12 @@ def linear_extension_alpha(
     neg_d -= (u - v).repeat(m.row_counts)
     binding = neg_d > guard
     if not binding.any():
-        return AlphaResult(alpha=float(alpha_cap), binding=None, fallback_used=True)
+        return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     ratios = np.divide(c, neg_d, out=np.full(m.num_rows, np.inf), where=binding)
     row = int(ratios.argmin())
     alpha = max(1.0, float(ratios[row]))
-    if alpha >= alpha_cap:
-        return AlphaResult(alpha=float(alpha_cap), binding=_row_location(m, row), fallback_used=True)
+    if alpha >= ALPHA_CAP:
+        return AlphaResult(alpha=ALPHA_CAP, binding=_row_location(m, row), fallback_used=True)
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
 
 
@@ -299,7 +299,7 @@ def _rows_to_check(m, z, p, p_sums):
         # the precondition check on p formed these row values; they are read, not rebuilt
         bound = one_step_row_values(m, p_sums) + margin
     # z + tol as is_feasible forms it, tol = membership_tolerance(z)
-    return np.flatnonzero(bound > (z + MEMBERSHIP_TOL_SCALE * (1.0 + z_norm)).repeat(m.row_counts))
+    return np.flatnonzero(bound > (z + _membership_tol(z_norm)).repeat(m.row_counts))
 
 
 def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
@@ -313,13 +313,8 @@ def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
         fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, fallback_point, fallback_sums))
         if not is_feasible(m, z, sums=fresh):
             safe = fallback_point.copy()
-            if isinstance(fallback_sums, ScreenedSums):
-                sums = replace(fallback_sums, base=safe)
-            else:
-                sums = WeightedSums(values=fallback_sums.values.copy(), base=safe,
-                                    from_kernel=fallback_sums.from_kernel)
             return AccelStep(
-                point=safe, sums=sums,
+                point=safe, sums=replace(fallback_sums, base=safe),
                 alpha=AlphaResult(alpha.alpha, alpha.binding, fallback_used=True),
             )
     return AccelStep(point=z, sums=zsums, alpha=alpha)
@@ -347,7 +342,6 @@ def apply_linear_extension(
     sums_v=None,
     sums_u=None,
     beta=0.0,
-    alpha_cap=ALPHA_CAP_DEFAULT,
     check_membership=True,
     v_backup=None,
     residual=None,
@@ -366,7 +360,7 @@ def apply_linear_extension(
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     res = linear_extension_alpha(
-        m, v, u, sums_v=sv, sums_u=su, alpha_cap=alpha_cap, check_membership=check_membership,
+        m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
         v_backup=v_backup, residual=residual,
     )
     effective = (1.0 - beta) * res.alpha

@@ -10,9 +10,18 @@ Four subcommands:
 * ``verify`` — run the randomized property suite, or validate a model
   file.
 
+Settings.  The ``generate`` and ``solve`` flags and the bench-cell keys
+take their names from one table, ``SETTINGS``: the ``generate`` flags
+set ``GeneratorSpec`` fields, the ``solve`` flags (through their
+``dest``) set ``SolverConfig`` fields, and a bench cell sets both.  Only
+the settings a user gave reach ``GeneratorSpec`` and ``SolverConfig``,
+so those dataclasses own every default.  The one default decided here is the
+operator: ``total`` on total-reward models, ``SolverConfig``'s otherwise.
+
 Exit codes: 0 on success (for ``solve``, convergence; for ``verify``,
 all properties passing), 2 when a run hits its iteration budget or the
 arguments are unusable, 1 for invalid input files and failed suites.
+``main`` turns every declared error into one ``error:`` line.
 
 The bench runner executes cells one after another, so no cell's wall
 time includes another cell's work.  Repeated solves of a cell must agree
@@ -28,17 +37,15 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass
 
 from .generators import GeneratorFamily, GeneratorSpec, generate
 from .model import (
-    MdpModel,
     ModelFormatError,
     ModelValidationError,
+    RewardMode,
     load_model,
     save_model,
 )
-from .accelerators import ALPHA_CAP_DEFAULT
 from .operators import OperatorKind
 from .solver import (
     AcceleratorKind,
@@ -65,59 +72,110 @@ CSV_COLUMNS = [
 ]
 
 
-def _interval(parsed, cast):
-    return None if parsed is None else (cast(parsed[0]), cast(parsed[1]))
+class UsageError(Exception):
+    """Settings or a bench plan that cannot describe a run."""
 
 
-def _spec_from_args(args) -> GeneratorSpec:
-    kwargs = dict(
-        family=args.family,
-        num_states=args.states,
-        discount=args.discount,
-        seed=args.seed,
-    )
-    if args.density is not None:
-        kwargs["density"] = args.density
-    if args.bandwidth is not None:
-        kwargs["bandwidth"] = args.bandwidth
-    if args.actions is not None:
-        kwargs["action_range"] = _interval(args.actions, int)
-    if args.rewards is not None:
-        kwargs["reward_range"] = _interval(args.rewards, float)
-    return GeneratorSpec(**kwargs)
+def _pair(cast):
+    def read(value):
+        lo, hi = value
+        return cast(lo), cast(hi)
+
+    return read
+
+
+# setting name: (the dataclass it sets, its field there, cast of a given value)
+SETTINGS = {
+    "family": (GeneratorSpec, "family", str),
+    "states": (GeneratorSpec, "num_states", int),
+    "density": (GeneratorSpec, "density", float),
+    "bandwidth": (GeneratorSpec, "bandwidth", int),
+    "discount": (GeneratorSpec, "discount", float),
+    "seed": (GeneratorSpec, "seed", int),
+    "actions": (GeneratorSpec, "action_range", _pair(int)),
+    "rewards": (GeneratorSpec, "reward_range", _pair(float)),
+    "operator": (SolverConfig, "operator", str),
+    "accelerator": (SolverConfig, "accelerator", str),
+    "beta": (SolverConfig, "beta", float),
+    "epsilon": (SolverConfig, "epsilon", float),
+    "max_iterations": (SolverConfig, "max_iterations", int),
+    "membership_checks": (SolverConfig, "membership_checks", bool),
+}
+
+
+def _cast(name, cast, value):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} cannot be {value!r}") from None
+
+
+def _build(cls, given, **rule):
+    """A ``cls`` from the settings in ``given`` that ``SETTINGS`` routes to it.
+
+    Only the settings given are passed, so ``cls`` owns every default
+    except those in ``rule``.
+    """
+    fields = dict(rule)
+    for name, (owner, field, cast) in SETTINGS.items():
+        if owner is cls and name in given:
+            fields[field] = _cast(name, cast, given[name])
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        # the dataclass rejects a missing or bad field
+        raise UsageError(str(exc)) from None
+
+
+def _config(given, total_reward: bool) -> SolverConfig:
+    """The ``SolverConfig`` of the given settings, for a model of that reward mode."""
+    rule = {"operator": OperatorKind.TOTAL_REWARD} if total_reward else {}
+    return _build(SolverConfig, given, **rule)
+
+
+def _row(meta: dict, config: SolverConfig, results=(), error: str = "") -> list:
+    """One CSV row: the model's settings, the run's, and its outcome.
+
+    ``meta`` is generator metadata (``GeneratorSpec.metadata``) holding
+    at least ``num_states`` and ``discount``; ``results`` are the repeated
+    solves of one configuration, or empty when ``error`` stopped them.
+    """
+    row = [
+        meta.get("family", ""),
+        meta["num_states"],
+        meta.get("density", meta.get("bandwidth", "")),
+        meta["discount"],
+        config.operator.value,
+        config.accelerator.value,
+        meta.get("seed", ""),
+    ]
+    label = algorithm_label(config.operator, config.accelerator)
+    if not results:
+        return row + ["", "", "", label, error]
+    first = results[0]
+    return row + [
+        first.iterations,
+        "%.3f" % statistics.median(r.wall_ms for r in results),
+        first.fallback_count,
+        label,
+        "" if all(r.converged for r in results) else "max-iterations",
+    ]
+
+
+def _write_csv(path, rows, append=False) -> None:
+    fresh = not append or not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a" if append else "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        if fresh:
+            writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    model = generate(spec)
-    try:
-        save_model(model, args.output)
-    except OSError as exc:
-        print(f"error: {args.output}: {exc}", file=sys.stderr)
-        return 1
+    spec = _build(GeneratorSpec, vars(args))
+    save_model(generate(spec), args.output)
     print(json.dumps(spec.metadata()))
     return 0
-
-
-def _load_or_report(path):
-    try:
-        return load_model(path), 0
-    except (ModelFormatError, ModelValidationError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, 1
-
-
-def _metadata_fields(m: MdpModel):
-    meta = m.metadata or {}
-    return (
-        meta.get("family", ""),
-        meta.get("density", meta.get("bandwidth", "")),
-        meta.get("seed", ""),
-    )
 
 
 def _alpha_summary(result) -> str:
@@ -133,254 +191,154 @@ def _alpha_summary(result) -> str:
 
 
 def cmd_solve(args) -> int:
-    model, code = _load_or_report(args.model)
-    if model is None:
-        return code
-    operator = args.op
-    if operator is None:
-        operator = "total" if model.mode.value == "total_reward" else "standard"
-    config = SolverConfig(
-        operator=operator,
-        accelerator=args.accel,
-        beta=args.beta,
-        epsilon=args.eps,
-        max_iterations=args.max_iterations,
-        membership_checks=not args.no_checks,
-        alpha_cap=args.alpha_cap,
-    )
-    try:
-        config.validate_for(model)
-    except SolverConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = load_model(args.model)
+    config = _config(vars(args), model.mode is RewardMode.TOTAL_REWARD)
     result = solve(model, config)
-    label = algorithm_label(config.operator, config.accelerator)
     status = "converged" if result.converged else "hit iteration budget"
-    print(f"algorithm: {label}")
+    print(f"algorithm: {algorithm_label(config.operator, config.accelerator)}")
     print(f"iterations: {result.iterations} ({status})")
     print(f"wall ms: {result.wall_ms:.3f}")
     print(f"final residual: {result.final_residual:.6g} (threshold {result.threshold:.6g})")
     print(_alpha_summary(result))
-    if args.csv:
-        family, size_field, seed = _metadata_fields(model)
-        row = [
-            family,
-            model.num_states,
-            size_field,
-            model.discount,
-            config.operator.value,
-            config.accelerator.value,
-            seed,
-            result.iterations,
-            f"{result.wall_ms:.3f}",
-            result.fallback_count,
-            label,
-            "" if result.converged else "max-iterations",
-        ]
-        _write_csv(args.csv, [row], append=True)
+    if "csv" in args:
+        meta = dict(model.metadata or {}, num_states=model.num_states, discount=model.discount)
+        _write_csv(args.csv, [_row(meta, config, [result])], append=True)
     return 0 if result.converged else 2
 
 
-@dataclass
-class _Cell:
-    spec: GeneratorSpec
-    operator: OperatorKind
-    accelerator: AcceleratorKind
-    config: SolverConfig
-
-
-def _parse_cell(raw: dict, index: int) -> _Cell:
-    known = {
-        "family",
-        "states",
-        "density",
-        "bandwidth",
-        "discount",
-        "seed",
-        "actions",
-        "rewards",
-        "operator",
-        "accelerator",
-        "epsilon",
-        "beta",
-        "max_iterations",
-        "membership_checks",
-    }
-    unknown = set(raw) - known
+def _parse_cell(raw, index: int) -> tuple[GeneratorSpec, SolverConfig]:
+    if not isinstance(raw, dict):
+        raise UsageError(f"cell {index}: a cell must be an object")
+    unknown = raw.keys() - SETTINGS.keys()
     if unknown:
-        raise ValueError(f"cell {index}: unknown keys {sorted(unknown)}")
-    kwargs = dict(
-        family=raw["family"],
-        num_states=int(raw["states"]),
-        discount=float(raw.get("discount", 0.9 if raw["family"] != "total_reward_positive" else 1.0)),
-        seed=int(raw.get("seed", 0)),
-    )
-    if "density" in raw:
-        kwargs["density"] = float(raw["density"])
-    if "bandwidth" in raw:
-        kwargs["bandwidth"] = int(raw["bandwidth"])
-    if "actions" in raw:
-        kwargs["action_range"] = _interval(raw["actions"], int)
-    if "rewards" in raw:
-        kwargs["reward_range"] = _interval(raw["rewards"], float)
-    spec = GeneratorSpec(**kwargs)
-    operator = OperatorKind(raw.get("operator", "standard"))
-    accelerator = AcceleratorKind(raw.get("accelerator", "none"))
-    total_family = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
-    if total_family != (operator is OperatorKind.TOTAL_REWARD):
-        raise ValueError(
-            f"cell {index}: operator {operator.value!r} does not fit family {spec.family.value!r}"
+        raise UsageError(f"cell {index}: unknown keys {sorted(unknown)}")
+    try:
+        spec = _build(GeneratorSpec, raw)
+        total_family = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
+        config = _config(raw, total_family)
+    except UsageError as exc:
+        raise UsageError(f"cell {index}: {exc}") from None
+    if total_family != (config.operator is OperatorKind.TOTAL_REWARD):
+        raise UsageError(
+            f"cell {index}: operator {config.operator.value!r} does not fit family {spec.family.value!r}"
         )
-    config = SolverConfig(
-        operator=operator,
-        accelerator=accelerator,
-        beta=float(raw.get("beta", 0.0)),
-        epsilon=float(raw.get("epsilon", 1e-3)),
-        max_iterations=int(raw.get("max_iterations", 200_000)),
-        membership_checks=bool(raw.get("membership_checks", True)),
-    )
-    return _Cell(spec=spec, operator=operator, accelerator=accelerator, config=config)
+    return spec, config
 
 
-def _size_field(spec: GeneratorSpec):
-    if spec.family is GeneratorFamily.BAND:
-        return spec.bandwidth
-    return spec.effective_density
-
-
-def _run_cell(cell: _Cell, repetitions: int) -> list:
-    spec = cell.spec
-    row = [
-        spec.family.value,
-        spec.num_states,
-        _size_field(spec),
-        spec.discount,
-        cell.operator.value,
-        cell.accelerator.value,
-        spec.seed,
-    ]
+def _run_cell(spec: GeneratorSpec, config: SolverConfig, repetitions: int) -> list:
     try:
         model = generate(spec)
-        results = [solve(model, cell.config) for _ in range(repetitions)]
+        results = [solve(model, config) for _ in range(repetitions)]
         counts = {r.iterations for r in results}
         if len(counts) != 1:
             raise RuntimeError(f"iteration counts differ across repetitions: {sorted(counts)}")
-        first = results[0]
-        error = "" if all(r.converged for r in results) else "max-iterations"
-        return row + [
-            first.iterations,
-            "%.3f" % statistics.median(r.wall_ms for r in results),
-            first.fallback_count,
-            algorithm_label(cell.operator, cell.accelerator),
-            error,
-        ]
     except Exception as exc:
-        return row + ["", "", "", algorithm_label(cell.operator, cell.accelerator), str(exc)]
-
-
-def _write_csv(path, rows, append=False) -> None:
-    fresh = not append or not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a" if append else "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        if fresh:
-            writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        # a failing cell is one row of the matrix, not the end of the run
+        return _row(spec.metadata(), config, error=str(exc))
+    return _row(spec.metadata(), config, results)
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.plan, encoding="utf-8") as f:
-            plan = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {args.plan}: {exc}", file=sys.stderr)
-        return 1
-    output = args.output or plan.get("output")
+    with open(args.plan, encoding="utf-8") as f:
+        plan = json.load(f)
+    if not isinstance(plan, dict):
+        raise UsageError("a plan must be an object")
+    output = args.output if "output" in args else plan.get("output")
     if not output:
-        print("error: no output path (plan 'output' key or -o flag)", file=sys.stderr)
-        return 2
-    repetitions = int(plan.get("repetitions", 3))
+        raise UsageError("no output path (plan 'output' key or -o flag)")
+    repetitions = _cast("repetitions", int, plan.get("repetitions", 3))
     if repetitions < 1:
-        print("error: repetitions must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        cells = [_parse_cell(raw, i) for i, raw in enumerate(plan.get("cells", []))]
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError("repetitions must be at least 1")
+    cells = plan.get("cells", [])
+    if not isinstance(cells, list):
+        raise UsageError("cells must be an array")
+    parsed = [_parse_cell(raw, i) for i, raw in enumerate(cells)]
 
-    rows = [_run_cell(cell, repetitions) for cell in cells]
-    try:
-        _write_csv(output, rows)
-    except OSError as exc:
-        print(f"error: {output}: {exc}", file=sys.stderr)
-        return 1
+    rows = [_run_cell(spec, config, repetitions) for spec, config in parsed]
+    _write_csv(output, rows)
     failed = sum(1 for r in rows if r[-1])
     print(f"wrote {len(rows)} rows to {output}" + (f" ({failed} with errors)" if failed else ""))
     return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
-    if args.model is not None:
-        model, code = _load_or_report(args.model)
-        if model is None:
-            return code
+    if "model" in args:
+        model = load_model(args.model)
         print(f"model ok: {model.num_states} states, {model.num_rows} action rows")
         return 0
-    report = run_property_suite(seed=args.seed, trials=args.trials)
+    suite = {name: getattr(args, name) for name in ("seed", "trials") if name in args}
+    if suite.get("trials", 0) < 0:
+        raise UsageError(f"trials must be at least 0, got {suite['trials']}")
+    report = run_property_suite(**suite)
     print(report.to_text())
-    if args.csv:
+    if "csv" in args:
         report.write_csv(args.csv)
     return 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; a flag the user leaves out is absent from the namespace."""
     parser = argparse.ArgumentParser(
         prog="mdpaccel",
         description="Accelerated value-iteration solvers and benchmarks for MDPs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a random instance to a model file")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    gen = command("generate", cmd_generate, "generate a random instance to a model file")
     gen.add_argument("--family", required=True, choices=[f.value for f in GeneratorFamily])
     gen.add_argument("--states", required=True, type=int)
     gen.add_argument("--density", type=float)
     gen.add_argument("--bandwidth", type=int)
-    gen.add_argument("--discount", type=float, default=0.9)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--discount", type=float)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--actions", nargs=2, metavar=("LO", "HI"), type=int)
     gen.add_argument("--rewards", nargs=2, metavar=("LO", "HI"), type=float)
     gen.add_argument("-o", "--output", required=True)
-    gen.set_defaults(func=cmd_generate)
 
-    slv = sub.add_parser("solve", help="solve a model file with one configuration")
+    slv = command("solve", cmd_solve, "solve a model file with one configuration")
     slv.add_argument("model")
-    slv.add_argument("--op", choices=[k.value for k in OperatorKind], default=None)
-    slv.add_argument("--accel", choices=[k.value for k in AcceleratorKind], default="none")
-    slv.add_argument("--eps", type=float, default=1e-3)
-    slv.add_argument("--beta", type=float, default=0.0)
-    slv.add_argument("--max-iterations", type=int, default=200_000)
-    slv.add_argument("--no-checks", action="store_true")
-    slv.add_argument("--alpha-cap", type=float, default=ALPHA_CAP_DEFAULT)
+    slv.add_argument("--op", dest="operator", choices=[k.value for k in OperatorKind])
+    slv.add_argument("--accel", dest="accelerator", choices=[k.value for k in AcceleratorKind])
+    slv.add_argument("--eps", dest="epsilon", type=float)
+    slv.add_argument("--beta", type=float)
+    slv.add_argument("--max-iterations", type=int)
+    slv.add_argument("--no-checks", dest="membership_checks", action="store_const", const=False)
     slv.add_argument("--csv", help="append one result row to this CSV file")
-    slv.set_defaults(func=cmd_solve)
 
-    ben = sub.add_parser("bench", help="run a JSON plan of cells into a CSV matrix")
+    ben = command("bench", cmd_bench, "run a JSON plan of cells into a CSV matrix")
     ben.add_argument("plan")
     ben.add_argument("-o", "--output", help="override the plan's output path")
-    ben.set_defaults(func=cmd_bench)
 
-    ver = sub.add_parser("verify", help="run the property suite or validate a model file")
-    ver.add_argument("--trials", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver = command("verify", cmd_verify, "run the property suite or validate a model file")
+    ver.add_argument("--trials", type=int)
+    ver.add_argument("--seed", type=int)
     ver.add_argument("--csv", help="also write the per-property report to this CSV file")
     ver.add_argument("--model", help="validate this model file instead of running the suite")
-    ver.set_defaults(func=cmd_verify)
     return parser
+
+
+def _fail(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else exc, 1)
+    except (ModelFormatError, ModelValidationError) as exc:
+        return _fail(f"{args.model}: {exc}", 1)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _fail(f"{args.plan}: {exc}", 1)
+    except (SolverConfigError, UsageError) as exc:
+        return _fail(exc, 2)
 
 
 if __name__ == "__main__":

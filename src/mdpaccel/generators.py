@@ -54,7 +54,8 @@ class GeneratorSpec:
         action_range: inclusive (low, high) bounds for the per-state
             action count.
         reward_range: (low, high) bounds for per-action rewards.
-        discount: discount factor (must be 1.0 for the total-reward family).
+        discount: discount factor; 1.0 for the total-reward family, which
+            admits no other, and 0.9 for the others when not given.
         seed: PRNG seed.
     """
 
@@ -64,11 +65,14 @@ class GeneratorSpec:
     bandwidth: int | None = None
     action_range: tuple[int, int] = (2, 99)
     reward_range: tuple[float, float] = (1.0, 100.0)
-    discount: float = 0.9
+    discount: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "family", GeneratorFamily(self.family))
+        if self.discount is None:
+            total = self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
+            object.__setattr__(self, "discount", 1.0 if total else 0.9)
         if self.num_states < 2:
             raise ValueError("need at least 2 states")
         lo, hi = self.action_range

@@ -487,6 +487,15 @@ def _parsed(text: str):
             gc.enable()
 
 
+def _utf8_text(path) -> str:
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
+
+
 def load_model(path) -> MdpModel:
     """Load and validate a model from a JSON file.
 
@@ -494,14 +503,17 @@ def load_model(path) -> MdpModel:
     are then converted in one pass over all of them.
 
     Raises:
-        ModelFormatError: unparseable JSON (with line position) or a
-            structurally wrong document (naming the offending field).
+        ModelFormatError: bytes that are not UTF-8 (with their offset),
+            unparseable JSON (with line position) or a structurally wrong
+            document (naming the offending field).
         ModelValidationError: parseable document violating model invariants.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = _parsed(f.read())
+    doc = _parsed(_utf8_text(path))
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")
+    metadata = doc.get("generator")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise ModelFormatError("generator must be an object")
     for key in ("mode", "discount", "states"):
         if key not in doc:
             raise ModelFormatError(f"missing field {key!r}")
@@ -551,7 +563,7 @@ def load_model(path) -> MdpModel:
         row_ptr=np.array(row_ptr, dtype=np.int64),
         cols=pairs[:, 0].astype(np.int64),
         probs=pairs[:, 1],
-        metadata=doc.get("generator"),
+        metadata=metadata,
     )
     violations = validate_model(m)
     if violations:

@@ -69,7 +69,12 @@ def sup_norm(v: np.ndarray) -> float:
 
 def membership_tolerance(v: np.ndarray) -> float:
     """Scale-relative slack used by feasibility tests: 1e-9 * (1 + ||v||)."""
-    return MEMBERSHIP_TOL_SCALE * (1.0 + sup_norm(v))
+    return _membership_tol(sup_norm(v))
+
+
+def _membership_tol(norm: float) -> float:
+    """``membership_tolerance`` of a point whose sup norm the caller holds."""
+    return MEMBERSHIP_TOL_SCALE * (1.0 + norm)
 
 
 @dataclass

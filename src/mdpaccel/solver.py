@@ -66,7 +66,6 @@ from numbers import Integral, Real
 import numpy as np
 
 from .accelerators import (
-    ALPHA_CAP_DEFAULT,
     AlphaResult,
     AlreadyConvergedError,
     apply_linear_extension,
@@ -138,7 +137,6 @@ class SolverConfig:
             screened down to the rows a rounding bound cannot clear.
         initial_point: explicit start vector; when None the driver picks
             one (see ``solve``).
-        alpha_cap: ceiling for the linear-extension step factor.
         record_iterates: keep a copy of every iterate in the result
             (start vector included); off by default since it turns an
             O(states) run into an O(states * iterations) allocation.
@@ -151,7 +149,6 @@ class SolverConfig:
     max_iterations: int = 200_000
     membership_checks: bool = True
     initial_point: np.ndarray | None = None
-    alpha_cap: float = ALPHA_CAP_DEFAULT
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -166,9 +163,6 @@ class SolverConfig:
             raise SolverConfigError(
                 f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}"
             )
-        # the linear step is floored at 1, so a smaller cap, or NaN, caps every step
-        if not (_is_number(self.alpha_cap) and self.alpha_cap >= 1.0):
-            raise SolverConfigError(f"alpha_cap must be a number of at least 1, got {self.alpha_cap!r}")
         if not 0.0 <= self.beta < 1.0:
             raise SolverConfigError("beta must lie in [0, 1)")
         if m.mode is RewardMode.TOTAL_REWARD:
@@ -351,7 +345,6 @@ class _Loop:
                     sums_v=self.sums,
                     sums_u=s_u,
                     beta=cfg.beta,
-                    alpha_cap=cfg.alpha_cap,
                     check_membership=cfg.membership_checks,
                     v_backup=u if self.u_is_one_step else None,
                     residual=residual,

@@ -10,7 +10,7 @@ import pytest
 import mdpaccel.accelerators as accel_mod
 import mdpaccel.operators as operators_mod
 from mdpaccel.accelerators import (
-    ALPHA_CAP_DEFAULT,
+    ALPHA_CAP,
     RATIO_GUARD_SCALE,
     AlphaResult,
     AlreadyConvergedError,
@@ -58,7 +58,7 @@ def reference_projective_alpha(m, v, s):
     return AlphaResult(min(1.0, max(0.0, float(ratios[row]))), reference_location(m, row))
 
 
-def reference_linear_alpha(m, v, u, sv, su, cap=ALPHA_CAP_DEFAULT):
+def reference_linear_alpha(m, v, u, sv, su):
     """The linear-extension scan written with index and boolean gathers."""
     guard = RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
     if sup_norm(u - v) <= guard:
@@ -67,13 +67,13 @@ def reference_linear_alpha(m, v, u, sv, su, cap=ALPHA_CAP_DEFAULT):
     d = (u - v)[m.row_state] - m.discount * (su - sv)
     binding = d < -guard
     if not np.any(binding):
-        return AlphaResult(alpha=float(cap), binding=None, fallback_used=True)
+        return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     ratios = np.full(m.num_rows, np.inf)
     ratios[binding] = c[binding] / -d[binding]
     row = int(np.argmin(ratios))
     alpha = max(1.0, float(ratios[row]))
-    if alpha >= cap:
-        return AlphaResult(float(cap), reference_location(m, row), fallback_used=True)
+    if alpha >= ALPHA_CAP:
+        return AlphaResult(ALPHA_CAP, reference_location(m, row), fallback_used=True)
     return AlphaResult(alpha, reference_location(m, row))
 
 
@@ -353,7 +353,7 @@ class TestLinearExtensionAlpha:
         # so every row's slack grows along the ray and nothing binds.
         m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=0.9)
         res = linear_extension_alpha(m, np.array([60.0]), np.array([61.0]))
-        assert res.alpha == ALPHA_CAP_DEFAULT
+        assert res.alpha == ALPHA_CAP
         assert res.binding is None
         assert res.fallback_used
 
@@ -533,7 +533,7 @@ class TestApplyLinearExtension:
         assert step.alpha.fallback_used
         # the upward ray genuinely stays dominating, so the capped point
         # survives its output check.
-        assert step.point[0] == pytest.approx(60.0 + ALPHA_CAP_DEFAULT)
+        assert step.point[0] == pytest.approx(60.0 + ALPHA_CAP)
 
 
 class TestDescent:

@@ -13,6 +13,7 @@ import mdpaccel.cli as cli
 import mdpaccel.verification as verif
 from mdpaccel.cli import CSV_COLUMNS, main
 from mdpaccel.model import load_model, save_model
+from mdpaccel.solver import SolverConfig
 
 from test_model import chain_to_absorbing, two_state_swap
 
@@ -80,6 +81,13 @@ class TestGenerate:
             main(["generate", "--family", "uniform", "-o", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    def test_total_family_discount_defaults_to_one(self, tmp_path, capsys):
+        out = tmp_path / "tr.json"
+        code = main(["generate", "--family", "total_reward_positive", "--states", "5", "-o", str(out)])
+        assert code == 0
+        assert load_model(out).discount == 1.0
+        assert json.loads(capsys.readouterr().out)["discount"] == 1.0
+
     def test_family_flag_mismatch(self, tmp_path, capsys):
         code = main(
             [
@@ -121,7 +129,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("option, value, field", [
         ("--eps", "nan", "epsilon"),
-        ("--alpha-cap", "0", "alpha_cap"),
+        ("--max-iterations", "0", "max_iterations"),
     ])
     def test_bad_solver_setting_exits_2_naming_it(self, tmp_path, capsys, option, value, field):
         path = tmp_path / "m.json"
@@ -129,6 +137,22 @@ class TestSolve:
         code = main(["solve", str(path), option, value])
         assert code == 2
         assert f"error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], SolverConfig()),
+        (["--op", "jacobi", "--accel", "linear", "--eps", "0.01", "--beta", "0.25",
+          "--max-iterations", "50", "--no-checks"],
+         SolverConfig(operator="jacobi", accelerator="linear", epsilon=0.01, beta=0.25,
+                      max_iterations=50, membership_checks=False)),
+    ], ids=["defaults", "every-flag"])
+    def test_flags_set_config_fields(self, tmp_path, monkeypatch, argv, expected):
+        path = tmp_path / "m.json"
+        save_model(two_state_swap(1.0, 2.0), path)
+        seen = []
+        real_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda m, config: seen.append(config) or real_solve(m, config))
+        main(["solve", str(path), *argv])
+        assert seen == [expected]
 
     def test_total_reward_operator_defaults(self, tmp_path, capsys):
         path = tmp_path / "tr.json"
@@ -150,6 +174,16 @@ class TestSolve:
         code = main(["solve", str(path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", ["missing", "directory", "not-utf8"])
+    def test_unreadable_model_file_exits_1_naming_it(self, tmp_path, capsys, make):
+        path = tmp_path / "m.json"
+        if make == "directory":
+            path.mkdir()
+        elif make == "not-utf8":
+            path.write_bytes(b"\xff\xfe")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_csv_appends_with_single_header(self, tmp_path):
         path = tmp_path / "m.json"
@@ -224,6 +258,33 @@ class TestBench:
         plan = write_plan(tmp_path, [bad], output=tmp_path / "x.csv")
         assert main(["bench", str(plan)]) == 2
         assert "does not fit family" in capsys.readouterr().err
+
+    def test_total_family_cell_defaults_to_total_operator(self, tmp_path):
+        out = tmp_path / "out.csv"
+        cell = {"family": "total_reward_positive", "states": 5, "seed": 80, "accelerator": "projective"}
+        plan = write_plan(tmp_path, [cell], output=out)
+        assert main(["bench", str(plan)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0]["algorithm"] == "PATVI"
+        assert rows[0]["discount"] == "1.0"
+
+    @pytest.mark.parametrize("plan, message", [
+        ([UNIFORM_CELL], "plan must be an object"),
+        ({"repetitions": "abc", "cells": []}, "repetitions"),
+        ({"repetitions": 0, "cells": []}, "repetitions"),
+        ({"cells": {"family": "uniform"}}, "cells"),
+        ({"cells": ["uniform"]}, "cell 0"),
+        ({"cells": [dict(UNIFORM_CELL, states="many")]}, "cell 0: states"),
+    ], ids=["list", "repetitions-text", "repetitions-zero", "cells-object", "cell-text",
+            "cell-bad-value"])
+    def test_bad_plan_exits_2(self, tmp_path, capsys, plan, message):
+        path = tmp_path / "plan.json"
+        if isinstance(plan, dict):
+            plan = dict(plan, output=str(tmp_path / "x.csv"))
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["bench", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_unknown_cell_key_rejected(self, tmp_path, capsys):
         bad = dict(UNIFORM_CELL, typo_key=1)
@@ -300,6 +361,12 @@ class TestVerify:
     def test_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
 
+    def test_negative_trials_exits_2(self, capsys):
+        assert main(["verify", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "error: trials" in captured.err
+        assert "passed" not in captured.out
+
     def test_report_csv(self, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["verify", "--trials", "1", "--csv", str(out)]) == 0
@@ -312,6 +379,11 @@ class TestVerify:
         save_model(two_state_swap(1.0, 1.0), path)
         assert main(["verify", "--model", str(path)]) == 0
         assert "model ok" in capsys.readouterr().out
+
+    def test_model_validation_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["verify", "--model", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_model_validation_broken(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -55,6 +55,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="undiscounted"):
             GeneratorSpec(family="total_reward_positive", num_states=5, discount=0.9)
 
+    @pytest.mark.parametrize("family, extra, discount", [
+        ("total_reward_positive", {}, 1.0),
+        ("uniform", {"density": 0.5}, 0.9),
+        ("band", {"bandwidth": 3}, 0.9),
+    ])
+    def test_discount_defaults_by_family(self, family, extra, discount):
+        assert GeneratorSpec(family=family, num_states=5, **extra).discount == discount
+
     def test_total_reward_needs_positive_rewards(self):
         with pytest.raises(ValueError, match="positive"):
             GeneratorSpec(

@@ -419,6 +419,18 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="line 2"):
             load_model(p)
 
+    def test_load_locates_bytes_that_are_not_utf8(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b'{"mode": \xff\xfe}')
+        with pytest.raises(ModelFormatError, match="byte 9: not UTF-8"):
+            load_model(p)
+
+    def test_load_rejects_generator_metadata_that_is_not_an_object(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"mode": "discounted", "discount": 0.9, "states": [], "generator": [1]}')
+        with pytest.raises(ModelFormatError, match="generator"):
+            load_model(p)
+
     def test_load_rejects_nan_token(self, tmp_path):
         p = tmp_path / "nan.json"
         p.write_text(

@@ -227,7 +227,6 @@ def reference_solve(m, cfg):
         else:
             try:
                 step = apply_linear_extension(model, w, u, sums_v=sums, sums_u=s_u, beta=cfg.beta,
-                                              alpha_cap=cfg.alpha_cap,
                                               check_membership=cfg.membership_checks)
             except AlreadyConvergedError:
                 already += 1
@@ -429,20 +428,13 @@ class TestConfigValidation:
         with pytest.raises(SolverConfigError, match="epsilon"):
             solve(two_state_swap(), SolverConfig(epsilon=epsilon))
 
-    @pytest.mark.parametrize("alpha_cap", [0.0, -5.0, np.nan, 0.5])
-    def test_alpha_cap_at_least_one(self, alpha_cap):
-        cfg = SolverConfig(accelerator="linear", alpha_cap=alpha_cap)
-        with pytest.raises(SolverConfigError, match="alpha_cap"):
-            solve(two_state_swap(), cfg)
-
     @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True])
     def test_max_iterations_integer(self, max_iterations):
         with pytest.raises(SolverConfigError, match="max_iterations"):
             solve(two_state_swap(), SolverConfig(max_iterations=max_iterations))
 
     def test_boundary_values_accepted(self):
-        cfg = SolverConfig(accelerator="linear", alpha_cap=1.0, max_iterations=np.int64(5),
-                           epsilon=1e300)
+        cfg = SolverConfig(accelerator="linear", max_iterations=np.int64(5), epsilon=1e300)
         assert solve(two_state_swap(), cfg).iterations >= 1
 
     def test_beta_range(self):
