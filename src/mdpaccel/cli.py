@@ -76,6 +76,29 @@ class UsageError(Exception):
     """Settings or a bench plan that cannot describe a run."""
 
 
+def _strict(kind, *accepted):
+    """A cast to ``kind`` of values whose type is one of ``accepted``.
+
+    argparse and JSON give every value its own type, so any other is
+    refused rather than converted: ``"false"`` is no flag (``bool`` would
+    read it as True), ``2.5`` is no count (``int`` would truncate it), and
+    ``True`` is no number.
+    """
+
+    def cast(value):
+        if type(value) not in accepted:
+            raise TypeError(f"{type(value).__name__} is not {kind.__name__}")
+        return kind(value)
+
+    return cast
+
+
+_TEXT = _strict(str, str)
+_INTEGER = _strict(int, int)
+_NUMBER = _strict(float, int, float)
+_FLAG = _strict(bool, bool)
+
+
 def _pair(cast):
     def read(value):
         lo, hi = value
@@ -86,20 +109,20 @@ def _pair(cast):
 
 # setting name: (the dataclass it sets, its field there, cast of a given value)
 SETTINGS = {
-    "family": (GeneratorSpec, "family", str),
-    "states": (GeneratorSpec, "num_states", int),
-    "density": (GeneratorSpec, "density", float),
-    "bandwidth": (GeneratorSpec, "bandwidth", int),
-    "discount": (GeneratorSpec, "discount", float),
-    "seed": (GeneratorSpec, "seed", int),
-    "actions": (GeneratorSpec, "action_range", _pair(int)),
-    "rewards": (GeneratorSpec, "reward_range", _pair(float)),
-    "operator": (SolverConfig, "operator", str),
-    "accelerator": (SolverConfig, "accelerator", str),
-    "beta": (SolverConfig, "beta", float),
-    "epsilon": (SolverConfig, "epsilon", float),
-    "max_iterations": (SolverConfig, "max_iterations", int),
-    "membership_checks": (SolverConfig, "membership_checks", bool),
+    "family": (GeneratorSpec, "family", _TEXT),
+    "states": (GeneratorSpec, "num_states", _INTEGER),
+    "density": (GeneratorSpec, "density", _NUMBER),
+    "bandwidth": (GeneratorSpec, "bandwidth", _INTEGER),
+    "discount": (GeneratorSpec, "discount", _NUMBER),
+    "seed": (GeneratorSpec, "seed", _INTEGER),
+    "actions": (GeneratorSpec, "action_range", _pair(_INTEGER)),
+    "rewards": (GeneratorSpec, "reward_range", _pair(_NUMBER)),
+    "operator": (SolverConfig, "operator", _TEXT),
+    "accelerator": (SolverConfig, "accelerator", _TEXT),
+    "beta": (SolverConfig, "beta", _NUMBER),
+    "epsilon": (SolverConfig, "epsilon", _NUMBER),
+    "max_iterations": (SolverConfig, "max_iterations", _INTEGER),
+    "membership_checks": (SolverConfig, "membership_checks", _FLAG),
 }
 
 
@@ -246,7 +269,7 @@ def cmd_bench(args) -> int:
     output = args.output if "output" in args else plan.get("output")
     if not output:
         raise UsageError("no output path (plan 'output' key or -o flag)")
-    repetitions = _cast("repetitions", int, plan.get("repetitions", 3))
+    repetitions = _cast("repetitions", _INTEGER, plan.get("repetitions", 3))
     if repetitions < 1:
         raise UsageError("repetitions must be at least 1")
     cells = plan.get("cells", [])
@@ -267,9 +290,10 @@ def cmd_verify(args) -> int:
         print(f"model ok: {model.num_states} states, {model.num_rows} action rows")
         return 0
     suite = {name: getattr(args, name) for name in ("seed", "trials") if name in args}
-    if suite.get("trials", 0) < 0:
-        raise UsageError(f"trials must be at least 0, got {suite['trials']}")
-    report = run_property_suite(**suite)
+    try:
+        report = run_property_suite(**suite)
+    except ValueError as exc:  # the suite refuses its arguments before any trial
+        raise UsageError(str(exc)) from None
     print(report.to_text())
     if "csv" in args:
         report.write_csv(args.csv)

@@ -266,7 +266,8 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
         if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
             ptr = csr.indptr
             sub_ptr = np.zeros(len(idx) + 1, dtype=ptr.dtype)
-            np.cumsum(ptr[idx + 1] - ptr[idx], out=sub_ptr[1:])
+            # the ufunc, not np.cumsum, whose dispatch costs about 5 us a call
+            np.add.accumulate(m.row_nnz[idx], out=sub_ptr[1:])
             indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
             data = np.empty(sub_ptr[-1])
             csr_row_index(len(idx), idx, ptr, csr.indices, csr.data, indices, data)

@@ -491,7 +491,14 @@ def run_property_suite(seed: int = 0, trials: int = 1000) -> SuiteReport:
     Failures are data, not exceptions: each property's report row carries
     its failure count and the seed string of the first failing trial
     (``"<seed>:<index>"``), enough to rebuild that trial exactly.
+
+    Raises:
+        ValueError: ``trials`` is negative, which would pass every property
+            over no trial at all, or ``seed`` is, which no trial can take.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
     t0 = time.perf_counter()
     results = [PropertyResult(name, 0, 0) for name, _ in PROPERTIES]
     for index in range(trials):

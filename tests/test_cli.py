@@ -272,11 +272,13 @@ class TestBench:
         ([UNIFORM_CELL], "plan must be an object"),
         ({"repetitions": "abc", "cells": []}, "repetitions"),
         ({"repetitions": 0, "cells": []}, "repetitions"),
+        ({"repetitions": 2.5, "cells": []}, "repetitions cannot be 2.5"),
+        ({"repetitions": True, "cells": []}, "repetitions cannot be True"),
         ({"cells": {"family": "uniform"}}, "cells"),
         ({"cells": ["uniform"]}, "cell 0"),
         ({"cells": [dict(UNIFORM_CELL, states="many")]}, "cell 0: states"),
-    ], ids=["list", "repetitions-text", "repetitions-zero", "cells-object", "cell-text",
-            "cell-bad-value"])
+    ], ids=["list", "repetitions-text", "repetitions-zero", "repetitions-fraction",
+            "repetitions-flag", "cells-object", "cell-text", "cell-bad-value"])
     def test_bad_plan_exits_2(self, tmp_path, capsys, plan, message):
         path = tmp_path / "plan.json"
         if isinstance(plan, dict):
@@ -285,6 +287,29 @@ class TestBench:
         assert main(["bench", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("membership_checks", "false"),
+        ("membership_checks", 0),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("states", 20.0),
+        ("discount", "0.9"),
+        ("operator", 5),
+        ("actions", [2, 4.5]),
+    ])
+    def test_cell_value_of_another_type_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # a cast would have run "false" as True and 2.5 as 2
+        plan = write_plan(tmp_path, [dict(UNIFORM_CELL, **{key: value})], output=tmp_path / "x.csv")
+        assert main(["bench", str(plan)]) == 2
+        assert f"error: cell 0: {key} cannot be {value!r}" in capsys.readouterr().err
+
+    def test_cell_integers_stand_for_real_numbers(self, tmp_path):
+        out = tmp_path / "out.csv"
+        cell = dict(UNIFORM_CELL, density=1, rewards=[1, 100], beta=0, membership_checks=False)
+        assert main(["bench", str(write_plan(tmp_path, [cell], output=out))]) == 0
+        _, rows = read_csv(out)
+        assert rows[0]["error"] == ""
 
     def test_unknown_cell_key_rejected(self, tmp_path, capsys):
         bad = dict(UNIFORM_CELL, typo_key=1)
@@ -366,6 +391,10 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "error: trials" in captured.err
         assert "passed" not in captured.out
+
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        assert main(["verify", "--trials", "1", "--seed", "-1"]) == 2
+        assert "error: seed" in capsys.readouterr().err
 
     def test_report_csv(self, tmp_path):
         out = tmp_path / "report.csv"

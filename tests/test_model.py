@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from mdpaccel import model as model_module
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import (
     MdpModel,
@@ -545,6 +547,113 @@ class TestSerialization:
             assert gc.isenabled() is collecting
         finally:
             (gc.enable if was else gc.disable)()
+
+
+ONE_STATE = '{"actions": [{"reward": 1.0, "transitions": [[0, 1.0]]}]}'
+SPLIT_STATE = '{"actions": [{"reward": 2.0, "transitions": [[0, 0.5], [1, 0.5]]}]}'
+HEAD = '{"mode": "discounted", "discount": 0.9, '
+
+# Stands for the error a whole-document ``json.loads`` names, which the
+# JSON reader reported as ``line L column C: message``.
+JSON_FAULT = "json.loads"
+
+# Edge documents with what the whole-document reader reported for each: an
+# error class and its message, or the rewards of the model.
+LOAD_PARITY = {
+    "syntax-in-last-state": (
+        HEAD + '"states": [%s, %s, {"actions": [{"reward": 1.0 "transitions": []}]}]}' % (ONE_STATE, SPLIT_STATE),
+        ModelFormatError, JSON_FAULT,
+    ),
+    "duplicate-states": (
+        HEAD + '"states": [%s], "states": [%s, %s]}' % (ONE_STATE, SPLIT_STATE, SPLIT_STATE), None, [2.0, 2.0],
+    ),
+    "duplicate-states-first-malformed": (
+        HEAD + '"states": [{"actions": 3}], "states": [%s, %s]}' % (SPLIT_STATE, SPLIT_STATE), None, [2.0, 2.0],
+    ),
+    "duplicate-states-last-malformed": (
+        HEAD + '"states": [%s, %s], "states": [{"actions": 3}]}' % (SPLIT_STATE, SPLIT_STATE),
+        ModelFormatError, "states[0].actions must be an array",
+    ),
+    "trailing-data": (HEAD + '"states": [%s]}\n{}' % ONE_STATE, ModelFormatError, JSON_FAULT),
+    "bom": ("\ufeff" + HEAD + '"states": [%s]}' % ONE_STATE, ModelFormatError, JSON_FAULT),
+    "states-number": (HEAD + '"states": 5}', ModelFormatError, "states must be an array"),
+    "states-empty": (HEAD + '"states": []}', ModelValidationError, "invalid model: num-states: got 0"),
+    "trailing-comma-in-states": (HEAD + '"states": [%s,]}' % ONE_STATE, ModelFormatError, JSON_FAULT),
+    "fault-after-states": (
+        HEAD + '"states": [{"actions": 3}], "mode": "avg"}',
+        ModelFormatError, "mode must be one of ['discounted', 'total_reward'], got 'avg'",
+    ),
+    "syntax-fault-after-a-shape-fault": (
+        HEAD + '"states": [{"actions": 3}, {"actions": []] }', ModelFormatError, JSON_FAULT,
+    ),
+    "non-finite-after-a-shape-fault": (
+        HEAD + '"states": [{"actions": 3}, NaN]}', ModelFormatError, "non-finite number 'NaN' is not permitted",
+    ),
+}
+
+
+def whole_parse_fault(text):
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return f"line {exc.value.lineno} column {exc.value.colno}: {exc.value.msg}"
+
+
+class TestLoadWalk:
+    """``load_model`` walks the document and converts transition entries in blocks."""
+
+    @pytest.mark.parametrize("case", LOAD_PARITY.values(), ids=LOAD_PARITY.keys())
+    def test_edge_documents_load_as_a_whole_document_parse_did(self, tmp_path, case):
+        text, error, expected = case
+        if expected == JSON_FAULT:
+            expected = whole_parse_fault(text)
+        p = tmp_path / "m.json"
+        p.write_text(text, encoding="utf-8")
+        if error is None:
+            assert load_model(p).rewards.tolist() == expected
+        else:
+            with pytest.raises(error) as exc:
+                load_model(p)
+            assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_round_trip_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(model_module, "_BLOCK_ENTRIES", block)
+        m = random_model(np.random.default_rng(block), num_states=9, max_actions=4, density=0.4)
+        p = tmp_path / "m.json"
+        save_model(m, p)
+        assert models_identical(m, load_model(p))
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 5])
+    def test_bad_entry_in_a_later_block_is_located(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(model_module, "_BLOCK_ENTRIES", block)
+        p = tmp_path / "m.json"
+        for where in BAD_ENTRY_POSITIONS:
+            p.write_text(model_text_with_entry("[1.5, 0.25]", *where))
+            with pytest.raises(ModelFormatError, match=bad_entry_path(*where) + "column 1.5 "):
+                load_model(p)
+
+    def test_of_two_faults_in_states_the_earlier_is_reported(self, tmp_path):
+        # a whole-document parse checked every state's shape before any entry
+        before, last = model_text_with_entry('"x"', 0, 1, 2).rsplit('{"actions"', 1)
+        p = tmp_path / "m.json"
+        p.write_text(before + '{"actions"' + last.replace('"reward": 1.0', '"reward": "y"', 1))
+        with pytest.raises(ModelFormatError, match=bad_entry_path(0, 1, 2) + "must be"):
+            load_model(p)
+
+    def test_traced_peak_is_bounded_by_the_file_size(self, tmp_path):
+        spec = GeneratorSpec(family="uniform", num_states=80, density=1.0, action_range=(10, 12), seed=1)
+        p = tmp_path / "m.json"
+        save_model(generate(spec), p)
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            m = load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.cols.size > 4 * model_module._BLOCK_ENTRIES
+        # the text, one block and the arrays; a whole-document parse held 6.7 times the file
+        assert peak <= 2.5 * size, f"traced peak {peak} bytes for a {size}-byte file"
 
 
 class TestWriterBytes:

@@ -206,6 +206,12 @@ class TestSuiteRunner:
         assert all(r.trials == 0 and r.failures == 0 for r in rep.results)
         assert rep.to_text().splitlines()[-1].startswith("all properties passed")
 
+    @pytest.mark.parametrize("given", [dict(trials=-3), dict(seed=-1)], ids=["trials", "seed"])
+    def test_negative_argument_raises_before_any_trial(self, given):
+        name, value = next(iter(given.items()))
+        with pytest.raises(ValueError, match=f"{name} must be at least 0, got {value}"):
+            run_property_suite(**given)
+
     def test_small_run_all_pass(self):
         rep = run_property_suite(seed=123, trials=8)
         assert rep.all_passed
