@@ -76,6 +76,10 @@ class UsageError(Exception):
     """Settings or a bench plan that cannot describe a run."""
 
 
+class PlanFormatError(ValueError):
+    """A bench plan file the JSON decoder cannot read."""
+
+
 def _strict(kind, *accepted):
     """A cast to ``kind`` of values whose type is one of ``accepted``.
 
@@ -263,7 +267,10 @@ def _run_cell(spec: GeneratorSpec, config: SolverConfig, repetitions: int) -> li
 
 def cmd_bench(args) -> int:
     with open(args.plan, encoding="utf-8") as f:
-        plan = json.load(f)
+        try:
+            plan = json.load(f)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise PlanFormatError("arrays or objects nested too deeply to decode") from None
     if not isinstance(plan, dict):
         raise UsageError("a plan must be an object")
     output = args.output if "output" in args else plan.get("output")
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
         return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else exc, 1)
     except (ModelFormatError, ModelValidationError) as exc:
         return _fail(f"{args.model}: {exc}", 1)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, PlanFormatError) as exc:
         return _fail(f"{args.plan}: {exc}", 1)
     except (SolverConfigError, UsageError) as exc:
         return _fail(exc, 2)

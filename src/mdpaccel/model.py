@@ -11,9 +11,9 @@ one entry to it, states how a row sum is accumulated.
 
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
-every state's row count, the owning state, self-loop probability and
-entry count of every row, the Jacobi denominators, and the row
-statistics the rounding bound reads) are built lazily and cached.  All but ``max_abs_reward``
+every state's row count, the owning state and self-loop probability of
+every row, the Jacobi denominators, and the row statistics the rounding
+bound reads) are built lazily and cached.  All but ``max_abs_reward``
 depend on the transitions and discount only, so a reward-shifted copy
 shares them.
 """
@@ -113,7 +113,6 @@ class MdpModel:
     _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
     _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
     _jacobi: tuple | None = field(default=None, repr=False, init=False)
-    _row_nnz: np.ndarray | None = field(default=None, repr=False, init=False)
     _max_row_nnz: int | None = field(default=None, repr=False, init=False)
     _row_sum_deviation: float | None = field(default=None, repr=False, init=False)
     _max_abs_reward: float | None = field(default=None, repr=False, init=False)
@@ -213,16 +212,6 @@ class MdpModel:
             denominator = 1.0 - self.discount * self.self_loop_probs
             self._jacobi = denominator, float(denominator.min()) if denominator.size else math.inf
         return self._jacobi
-
-    @property
-    def row_nnz(self) -> np.ndarray:
-        """Stored entries of every row, in ``row_matrix``'s index dtype.
-
-        The kernel's row gathers build their row pointers from it.
-        """
-        if self._row_nnz is None:
-            self._row_nnz = np.diff(self.row_matrix.indptr)
-        return self._row_nnz
 
     @property
     def max_row_nnz(self) -> int:
@@ -361,7 +350,7 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     # these views depend on the transitions and discount only, which are shared
     for view in (
         "_row_matrix", "_row_counts", "_row_state", "_self_loop", "_jacobi",
-        "_row_nnz", "_max_row_nnz", "_row_sum_deviation",
+        "_max_row_nnz", "_row_sum_deviation",
     ):
         setattr(shifted, view, getattr(m, view))
     return shifted, offset
@@ -633,20 +622,25 @@ def _fields(text: str) -> dict:
     collection the allocations trigger would scan all of them.  Where the
     walk meets text it does not expect, a whole-document parse names the
     fault, so its message and position are the ones ``json.loads`` gives.
+    The decoder recurses once per level of nesting, so a document nested
+    deeper than the interpreter's recursion limit is refused unlocated.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _walk(text)
-    except json.JSONDecodeError as fault:
         try:
-            doc = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as e:
-            fault = e
-        else:
-            if not isinstance(doc, dict):
-                raise ModelFormatError("top level must be an object") from None
-        raise ModelFormatError(f"line {fault.lineno} column {fault.colno}: {fault.msg}") from None
+            return _walk(text)
+        except json.JSONDecodeError as fault:
+            try:
+                doc = json.loads(text, parse_constant=_reject_constant)
+            except json.JSONDecodeError as e:
+                fault = e
+            else:
+                if not isinstance(doc, dict):
+                    raise ModelFormatError("top level must be an object") from None
+            raise ModelFormatError(f"line {fault.lineno} column {fault.colno}: {fault.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("arrays or objects nested too deeply to decode") from None
     finally:
         if collecting:
             gc.enable()

@@ -16,7 +16,7 @@ some rows or of one state's rows, comes from the one kernel entry
 Every backup is monotone and maps the set of vectors dominating their own
 backup into itself, which the descending accelerated iterations rely on.
 The greedy policy, which only the final extraction needs, comes from
-``greedy_policy`` rather than from every backup.
+``extract_policy`` rather than from every backup.
 
 ``row_value_error`` states how far a computed one-step row value can be
 from the exact value of the stored numbers; the accelerated step's output
@@ -27,7 +27,7 @@ the same for a weighted sum.
 them all costs more than bounding them: they hold a certified interval
 on every row's sum, which ``drifted_sums`` forms from the sums at the
 previous point, and exact sums only for the rows a consumer asked for.
-The simultaneous backups, ``is_feasible`` and ``greedy_policy`` accept
+The simultaneous backups, ``is_feasible`` and ``extract_policy`` accept
 them and take exact sums only for the rows their intervals cannot
 settle, so every maximum, first row attaining it and verdict is the
 all-rows one bit for bit.
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-# csr_matvec is the kernel behind csr_matrix @ vector, csr_row_index the
-# row gather behind csr_matrix[rows]; tests pin both to those public forms
-from scipy.sparse._sparsetools import csr_matvec, csr_row_index
+# csr_matvec is the kernel behind csr_matrix @ vector; tests pin it to that
+# public form, and pin the interleaved row pointers weighted_sums passes it
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import UNIT_ROUNDOFF, MdpModel, RewardMode
 
@@ -177,14 +177,20 @@ class ScreenedSums:
 
     def one_step_upper(self, m: MdpModel) -> np.ndarray:
         """Upper bounds on the one-step row values at ``base``, from the current bounds."""
-        return _row_values(m, one_step_kind(m), None, self.bounds()[1])
+        return _row_values(m, OperatorKind.STANDARD, None, self.bounds()[1])
 
 
-# A row subset of at most this share of the rows is gathered; a larger one
-# takes the all-rows pass and keeps its values at the rows.  On the three
-# benchmark models a gather of a quarter of the rows took 0.76-0.82 of the
-# all-rows pass, and of a third 0.87-1.33.
-GATHER_MAX_SHARE = 1 / 4
+# An ascending row subset of at most this share of the rows is summed in
+# place; a larger one takes the all-rows pass and keeps its values at the
+# rows.  Time of the subset over the all-rows pass, random rows, median of
+# three runs of min-of-7 (2-CPU Xeon guest, numpy 2.4.6, scipy 1.17.1):
+#
+#   share   dense-pa  band-vi  sparse-gs  dense 500 (0.9, seed 0)
+#   0.25    0.66      0.53     0.55       0.38
+#   0.30    0.73      0.72     0.63       0.48
+#   0.35    0.88      0.89     0.74       0.51
+#   1.00    1.56      1.55     1.81       1.58
+GATHER_MAX_SHARE = 3 / 10
 
 
 def _kernel(m: MdpModel, v):
@@ -195,7 +201,7 @@ def _kernel(m: MdpModel, v):
     behind ``csr_matrix @ v``: row ``k``'s sum is one sequential
     accumulator that starts from ``out[k]`` and adds the row's stored
     products in ascending column order.  Every caller starts from a zeroed
-    ``out``, so the all-rows pass, a pass over gathered rows and the
+    ``out``, so the all-rows pass, a pass over some rows and the
     Gauss-Seidel sweep's per-state passes accumulate each row the same way,
     and a sum recomputed for the same vector is bit-identical whichever
     path asks for it.
@@ -206,9 +212,9 @@ def _kernel(m: MdpModel, v):
     is not one already).
 
     Returns ``(x, accumulate)``: ``x`` is the vector the kernel reads, and
-    ``accumulate(indptr, out, indices, data)`` adds to each ``out[k]`` the
-    sum of the row ``indptr[k]:indptr[k + 1]`` delimits in ``indices`` and
-    ``data``, which default to ``row_matrix``'s.
+    ``accumulate(indptr, out)`` adds to each ``out[k]`` the sum of the
+    entries ``indptr[k]:indptr[k + 1]`` of ``row_matrix``; where
+    ``indptr[k + 1] <= indptr[k]`` the kernel adds nothing.
 
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries.
@@ -219,14 +225,14 @@ def _kernel(m: MdpModel, v):
     x = np.ascontiguousarray(x, dtype=np.float64)
     csr, n = m.row_matrix, m.num_states
 
-    def accumulate(indptr, out, indices=csr.indices, data=csr.data):
-        csr_matvec(len(out), n, indptr, indices, data, x, out)
+    def accumulate(indptr, out):
+        csr_matvec(len(out), n, indptr, csr.indices, csr.data, x, out)
 
     return x, accumulate
 
 
-def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
-    """``rows`` checked for the kernel's row gather, in ``row_matrix``'s index dtype.
+def _kernel_rows(m: MdpModel, rows) -> tuple[np.ndarray, bool]:
+    """``rows`` checked as row indices, and whether they ascend (repeats allowed).
 
     Raises:
         ValueError: ``rows`` is not a one-dimensional sequence of integers
@@ -237,45 +243,47 @@ def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
         raise ValueError(
             f"row indices must be a 1-D integer sequence, got shape {idx.shape} of {idx.dtype}"
         )
+    ascending = bool((idx[:-1] <= idx[1:]).all())
     if idx.size:
-        lo, hi = idx.min(), idx.max()
+        lo, hi = (idx[0], idx[-1]) if ascending else (idx.min(), idx.max())
         if lo < 0 or hi >= m.num_rows:
             raise ValueError(f"row index {int(lo if lo < 0 else hi)} outside [0, {m.num_rows})")
-    return idx.astype(m.row_matrix.indptr.dtype, copy=False)
+    return idx.astype(np.intp, copy=False), ascending
 
 
 def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
     """Compute the per-row weighted sums of ``v`` in one kernel pass.
 
     ``rows``, integer row indices (a list or an array of any integer
-    dtype), restricts the pass to those rows: scipy's row gather
-    ``csr_row_index`` copies their entries, in stored order, into a compact
-    CSR matrix that goes through the same kernel, so each sum equals its
-    all-rows value bit for bit and costs only its own row's work.  For more
-    than ``GATHER_MAX_SHARE`` of the rows the all-rows pass runs instead
-    and its values at ``rows`` are kept.
+    dtype), restricts the pass to those rows.  Ascending rows are summed
+    in place: the kernel's row pointers name them in descending order,
+    ``[nnz, start(a), end(a), start(b), end(b), ...]`` with ``a >= b``, so
+    every other "row" runs backwards, from one row's end (or the last
+    entry) to the start of a row no later, and sums nothing.  Each chosen row
+    is accumulated as in the all-rows pass, bit for bit, at the cost of its
+    own entries, and is read back in ascending order.  Rows that do not
+    ascend, or more than ``GATHER_MAX_SHARE`` of the rows, take the
+    all-rows pass instead, and its values at ``rows`` are kept.
 
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries, or
             ``rows`` holds something other than row indices.
     """
     _, accumulate = _kernel(m, v)
-    csr = m.row_matrix
+    indptr = m.row_matrix.indptr
     if rows is not None:
-        idx = _kernel_rows(m, rows)
-        if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
-            ptr = csr.indptr
-            sub_ptr = np.zeros(len(idx) + 1, dtype=ptr.dtype)
-            # the ufunc, not np.cumsum, whose dispatch costs about 5 us a call
-            np.add.accumulate(m.row_nnz[idx], out=sub_ptr[1:])
-            indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
-            data = np.empty(sub_ptr[-1])
-            csr_row_index(len(idx), idx, ptr, csr.indices, csr.data, indices, data)
-            values = np.zeros(len(idx))
-            accumulate(sub_ptr, values, indices, data)
-            return WeightedSums(values=values, base=v, rows=rows)
+        idx, ascending = _kernel_rows(m, rows)
+        if ascending and len(idx) <= GATHER_MAX_SHARE * m.num_rows:
+            down = idx[::-1]
+            ptr = np.empty(2 * len(idx) + 1, dtype=indptr.dtype)
+            ptr[0] = indptr[-1]
+            ptr[1::2] = indptr[down]
+            ptr[2::2] = indptr[1:][down]
+            out = np.zeros(2 * len(idx))
+            accumulate(ptr, out)
+            return WeightedSums(values=out[::-2], base=v, rows=rows)
     values = np.zeros(m.num_rows)
-    accumulate(csr.indptr, values)
+    accumulate(indptr, values)
     if rows is None:
         return WeightedSums(values=values, base=v)
     return WeightedSums(values=values[idx], base=v, rows=rows)
@@ -423,7 +431,8 @@ def _row_values(m: MdpModel, kind: OperatorKind, own, sums: np.ndarray, rows=sli
 
     ``own`` is the backed-up value of each row's state, spread over the
     rows (or one scalar when the rows are one state's); only the Jacobi
-    kinds read it.
+    kinds read it.  Every other kind forms the one-step values ``r +
+    discount * s``, so ``standard`` names them for total-reward models too.
     """
     if kind in _JACOBI_KINDS:
         out = sums - m.self_loop_probs[rows] * own
@@ -449,7 +458,7 @@ def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
     """
     held = sums._one_step
     if held is None or held[0] is not m:
-        held = sums._one_step = (m, _row_values(m, one_step_kind(m), None, sums.values))
+        held = sums._one_step = (m, _row_values(m, OperatorKind.STANDARD, None, sums.values))
     return held[1]
 
 
@@ -534,14 +543,7 @@ def apply_operator(m, v, kind, sums=None):
     return _backup(m, kind, v, require_sums(m, v, sums))
 
 
-def one_step_kind(m: MdpModel) -> OperatorKind:
-    """The backup that dominance is measured against: ``total`` or ``standard``."""
-    if m.mode is RewardMode.TOTAL_REWARD:
-        return OperatorKind.TOTAL_REWARD
-    return OperatorKind.STANDARD
-
-
-def greedy_policy(m, v, sums=None) -> np.ndarray:
+def extract_policy(m, v, sums=None) -> np.ndarray:
     """Per-state index of the first action attaining the one-step backup of ``v``.
 
     Ties resolve to the lowest action index.  ``sums``, the kernel sums of
@@ -550,12 +552,11 @@ def greedy_policy(m, v, sums=None) -> np.ndarray:
     Raises:
         ValueError: ``sums`` were computed for a different vector.
     """
-    kind = one_step_kind(m)
     s = require_sums(m, v, sums)
     if isinstance(s, ScreenedSums):
-        rows = _screened_row_values(m, kind, None, s)
+        rows = _screened_row_values(m, OperatorKind.STANDARD, None, s)
     else:
-        rows = _row_values(m, kind, None, s.values)
+        rows = _row_values(m, OperatorKind.STANDARD, None, s.values)
     cand = np.where(
         rows == _state_max(m, rows)[m.row_state],
         np.arange(m.num_rows, dtype=np.int64),
@@ -597,7 +598,7 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
     if backup is None and sums is not None and sums.rows is not None:
         if not sums.matches(v):
             raise ValueError("weighted sums were computed for a different vector")
-        values = _row_values(m, one_step_kind(m), None, sums.values, sums.rows)
+        values = _row_values(m, OperatorKind.STANDARD, None, sums.values, sums.rows)
         return bool((values <= (v + tol)[m.row_state[sums.rows]]).all())
     if backup is None:
         backup = _state_max(m, one_step_row_values(m, require_sums(m, v, sums)))

@@ -83,9 +83,8 @@ from .operators import (
     WeightedSums,
     apply_operator,
     drifted_sums,
-    greedy_policy,
+    extract_policy,
     is_feasible,
-    one_step_kind,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
@@ -214,15 +213,6 @@ class SolveResult:
         return float(self.residuals[-1]) if len(self.residuals) else float("nan")
 
 
-def extract_policy(m: MdpModel, v: np.ndarray, sums=None) -> np.ndarray:
-    """Greedy policy at ``v`` under the model's one-step backup.
-
-    Ties resolve to the lowest action index.  ``sums``, the kernel sums of
-    ``v`` (all rows or screened), save the fresh pass.
-    """
-    return greedy_policy(m, v, sums)
-
-
 def _resolve_initial(m: MdpModel, config: SolverConfig):
     """Choose the model to iterate on, the start vector, and the reward shift."""
     accelerated = config.accelerator is not AcceleratorKind.NONE
@@ -303,9 +293,10 @@ class _Loop:
             )
         else:
             self.sums = weighted_sums(self.m, self.w) if self.carry_sums else None
-        # when the loop runs the one-step backup, its u is the backup the
-        # linear scan's precondition check on w compares against
-        self.u_is_one_step = config.operator is one_step_kind(solve_model)
+        # when the loop runs the one-step backup (validate_for pairs total
+        # with total-reward models), its u is the backup the linear scan's
+        # precondition check on w compares against
+        self.u_is_one_step = config.operator in (OperatorKind.STANDARD, OperatorKind.TOTAL_REWARD)
 
     def policy_sums(self):
         """Kernel sums of the iterate for the greedy policy, or None for a fresh pass."""

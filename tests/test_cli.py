@@ -185,6 +185,17 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "--model"]])
+    @pytest.mark.parametrize("text", [
+        '{"mode": ' + "[" * 200_000,
+        '{"mode": "discounted", "discount": 0.9, "states": ' + "[" * 100_000,
+    ], ids=["in-a-field", "in-states"])
+    def test_model_nested_too_deeply_exits_1_naming_it(self, tmp_path, capsys, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(command + [str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: arrays or objects nested too deeply to decode\n"
+
     def test_csv_appends_with_single_header(self, tmp_path):
         path = tmp_path / "m.json"
         out = tmp_path / "rows.csv"
@@ -372,6 +383,12 @@ class TestBench:
         assert main(["bench", str(plan)]) == 1
         _, rows = read_csv(out)
         assert "iteration counts differ" in rows[0]["error"]
+
+    def test_plan_nested_too_deeply_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text('{"cells": ' + "[" * 200_000, encoding="utf-8")
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: arrays or objects nested too deeply to decode\n"
 
     def test_unreadable_plan(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope.json")]) == 1

@@ -421,6 +421,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="line 2"):
             load_model(p)
 
+    @pytest.mark.parametrize("text", [
+        '{"mode": ' + "[" * 200_000,
+        '{"mode": "discounted", "discount": 0.9, "states": ' + "[" * 100_000,
+    ], ids=["in-a-field", "in-states"])
+    def test_load_refuses_nesting_deeper_than_the_decoder_recurses(self, tmp_path, text):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        with pytest.raises(ModelFormatError, match="nested too deeply to decode"):
+            load_model(p)
+
     def test_load_locates_bytes_that_are_not_utf8(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_bytes(b'{"mode": \xff\xfe}')
@@ -527,8 +537,9 @@ class TestSerialization:
             None,
             '{"mode": "discounted",\n "discount": }\n',
             '{"mode": "discounted", "discount": 0.9, "states": [{"actions": 3}]}',
+            '{"mode": ' + "[" * 200_000,
         ],
-        ids=["valid", "json-error", "format-error"],
+        ids=["valid", "json-error", "format-error", "too-deep"],
     )
     def test_load_leaves_collector_state_as_found(self, tmp_path, collecting, text):
         p = tmp_path / "m.json"

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, csr_row_index
+from scipy.sparse._sparsetools import csr_matvec
 
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import ROW_SUM_TOL, MdpModel, RewardMode, adjust_rewards_nonnegative
@@ -154,6 +154,30 @@ class TestWeightedSums:
                 assert np.array_equal(part.values, full[rows])
         assert np.array_equal(weighted_sums(m, v.tolist(), rows=rows).values, full[rows])
 
+    def test_shuffled_and_repeated_rows_match_all_rows_and_walk_no_other_row(self, monkeypatch):
+        walked = []
+
+        def counting_matvec(n_row, n_col, indptr, indices, data, x, out):
+            walked.append(int(np.maximum(np.diff(indptr[:n_row + 1]), 0).sum()))
+            csr_matvec(n_row, n_col, indptr, indices, data, x, out)
+
+        monkeypatch.setattr(operators_mod, "csr_matvec", counting_matvec)
+        rng = np.random.default_rng(32)
+        m = random_model(rng, num_states=40, max_actions=4, density=0.5)
+        v = rng.normal(scale=1e3, size=m.num_states)
+        full = weighted_sums(m, v).values
+        row_nnz = np.diff(m.row_ptr)
+        for size in (3, m.num_rows // 8, 2 * m.num_rows):
+            for rows in (
+                rng.integers(0, m.num_rows, size=size),
+                np.sort(rng.integers(0, m.num_rows, size=size)),
+                rng.permutation(m.num_rows)[:size],
+            ):
+                walked.clear()
+                assert np.array_equal(weighted_sums(m, v, rows=rows).values, full[rows])
+                # the chosen rows' own entries, or the all-rows pass's
+                assert walked in ([int(row_nnz[rows].sum())], [int(row_nnz.sum())])
+
     def test_partial_sums_rejected_where_all_rows_are_needed(self):
         m = two_state_swap()
         v = np.array([1.0, 2.0])
@@ -236,11 +260,12 @@ class TestKernelInputChecks:
 
 
 class TestScipyKernelPins:
-    """scipy's private kernels equal its public matvec and row indexing bit for bit.
+    """scipy's private matvec kernel equals its public matvec and row indexing bit for bit.
 
-    ``operators`` calls ``csr_matvec`` and ``csr_row_index`` directly; a
-    scipy release that changes either one fails here rather than in the
-    iterates.
+    ``operators`` calls ``csr_matvec`` directly, with row pointers that
+    interleave the chosen rows with gap rows running backwards; a scipy
+    release that changes the kernel or its loop fails here rather than in
+    the iterates.
     """
 
     @staticmethod
@@ -255,7 +280,7 @@ class TestScipyKernelPins:
             yield a, rng.normal(scale=float(rng.choice([1.0, 1e3, 1e8])), size=cols), rng
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-    def test_matvec_and_row_gather_equal_the_public_forms(self, index_dtype):
+    def test_matvec_and_interleaved_rows_equal_the_public_forms(self, index_dtype):
         for a, v, rng in self.matrices(index_dtype):
             assert a.indices.dtype == index_dtype and a.indptr.dtype == index_dtype
             n_rows, n_cols = a.shape
@@ -263,16 +288,19 @@ class TestScipyKernelPins:
             csr_matvec(n_rows, n_cols, a.indptr, a.indices, a.data, v, out)
             assert np.array_equal(out, a @ v)
 
-            rows = rng.integers(0, n_rows, size=int(rng.integers(1, 2 * n_rows))).astype(index_dtype)
-            ptr = np.zeros(len(rows) + 1, dtype=index_dtype)
-            np.cumsum(a.indptr[rows + 1] - a.indptr[rows], out=ptr[1:])
-            indices, data = np.empty(ptr[-1], dtype=index_dtype), np.empty(ptr[-1])
-            csr_row_index(len(rows), rows, a.indptr, a.indices, a.data, indices, data)
-            gathered = a[rows]
-            assert np.array_equal(indices, gathered.indices) and np.array_equal(data, gathered.data)
-            out = np.zeros(len(rows))
-            csr_matvec(len(rows), n_cols, ptr, indices, data, v, out)
-            assert np.array_equal(out, gathered @ v)
+            # weighted_sums' form: ascending rows, repeats included, named in
+            # descending order, each after a gap row that runs backwards
+            rows = np.sort(rng.integers(0, n_rows, size=int(rng.integers(1, 2 * n_rows))))
+            down = rows[::-1]
+            ptr = np.empty(2 * len(rows) + 1, dtype=index_dtype)
+            ptr[0] = a.indptr[-1]
+            ptr[1::2] = a.indptr[down]
+            ptr[2::2] = a.indptr[down + 1]
+            out = np.zeros(2 * len(rows))
+            csr_matvec(len(out), n_cols, ptr, a.indices, a.data, v, out)
+            gaps = out[0::2]
+            assert np.array_equal(gaps, np.zeros(len(rows))) and not np.signbit(gaps).any()
+            assert np.array_equal(out[::-2], a[rows] @ v)
 
             # the sweep's form: one row range, its indptr slice over the whole arrays
             lo = int(rng.integers(0, n_rows))
