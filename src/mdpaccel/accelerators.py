@@ -15,8 +15,8 @@ all (state, action) rows allows:
 Each scan costs one pass over the rows and no new weighted-sums pass: the
 sums of the accelerated point follow from the inputs' sums by linearity
 (``sums(alpha * v) = alpha * sums(v)``, and affine combinations likewise).
-A damping weight ``beta`` shortens the step and stays on the same ray, so
-it folds into the step factor and keeps that bookkeeping exact.
+Each step applies the factor its scan finds as it stands: ``z = alpha *
+v``, or ``z = v + alpha * (u - v)``.
 
 Dominance is always judged by ``operators.is_feasible``, the one-step
 backup of the shared row-value kernel.  When enabled, membership checks
@@ -40,7 +40,7 @@ The projective scan and step also take ``operators.ScreenedSums``, which
 bound every row's sum and hold exact sums only for the rows asked for.
 The scan then takes exact sums only for the rows whose bounds leave them
 unsure of the guard or able to reach the largest ratio
-(``_screened_projective_alpha``), and the output check's screen starts
+(``_rows_to_scan``), and the output check's screen starts
 from the upper bounds of the input's row values; all-rows sums are the
 zero-width case of that screen.  The results are the all-rows ones bit
 for bit.
@@ -135,6 +135,10 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     positive reward contradicts dominance, and the scan answers with a
     flagged ``alpha = 1`` (keep the point) instead of dividing by noise.
 
+    From ``ScreenedSums`` only the rows ``_rows_to_scan`` keeps take exact
+    slacks; the others can neither be tight nor attain the maximum ratio,
+    so the result is the all-rows one bit for bit.
+
     Raises:
         FeasibilityError: negative rewards, or (with checks enabled) a
             ``v`` that does not dominate its backup.
@@ -148,58 +152,49 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     if check_membership and not is_feasible(m, v, tol=_membership_tol(norm), sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
     guard = RATIO_GUARD_SCALE * (1.0 + norm)
+    spread = v.repeat(m.row_counts)
     if isinstance(s, ScreenedSums):
-        return _screened_projective_alpha(m, v, s, guard)
-    q = v.repeat(m.row_counts)
-    q -= m.discount * s.values
+        rows = _rows_to_scan(m, spread, s, guard)
+        q = spread[rows] - m.discount * s.take(m, rows)
+        rewards = m.rewards[rows]
+    else:
+        rows, q, rewards = None, spread, m.rewards
+        q -= m.discount * s.values
     tight = q <= guard
     if tight.any():
-        if (tight & (m.rewards > guard)).any():
+        if (tight & (rewards > guard)).any():
             return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
-        if tight.all():
+        # a row left out is not tight
+        if q.size == m.num_rows and tight.all():
             return AlphaResult(alpha=0.0, binding=None)
-    ratios = np.divide(m.rewards, q, out=np.full(m.num_rows, -np.inf), where=~tight)
-    row = int(ratios.argmax())
-    alpha = min(1.0, max(0.0, float(ratios[row])))
-    return AlphaResult(alpha=alpha, binding=_row_location(m, row))
+    ratios = np.divide(rewards, q, out=np.full(q.size, -np.inf), where=~tight)
+    k = int(ratios.argmax())
+    alpha = min(1.0, max(0.0, float(ratios[k])))
+    return AlphaResult(alpha=alpha, binding=_row_location(m, k if rows is None else int(rows[k])))
 
 
-def _screened_projective_alpha(m, v, s, guard) -> AlphaResult:
-    """The projective scan from screened sums, bit for bit the all-rows scan.
+def _rows_to_scan(m, spread, s, guard) -> np.ndarray:
+    """The ascending rows whose exact slack the projective scan needs from ``s``.
 
-    A row's slack ``q = v_i - discount * s`` falls as its sum rises, so the
-    sums' bounds bound it, and a row whose lower bound clears the guard is
-    surely not tight.  Among those rows, whose ratio ``reward / q`` is
-    bounded the same way, the largest lower bound is a floor under the
-    scan's maximum; a row whose upper bound falls short of it can neither
-    attain nor tie it.  Every other row takes its exact sum, so the
-    tight-row rules, the maximum ratio and the first row attaining it are
-    the all-rows ones.
+    ``spread`` is ``v`` spread over the rows.  A row's slack ``q = v_i -
+    discount * s`` falls as its sum rises, so the sums' bounds bound it,
+    and a row whose lower bound clears the guard is surely not tight.
+    Among those rows, whose ratio ``reward / q`` is bounded the same way,
+    the largest lower bound is a floor under the scan's maximum; a row
+    whose upper bound falls short of it can neither attain nor tie it.
+    Every other row is kept, so the tight-row rules, the maximum ratio and
+    the first row attaining it are the all-rows ones.
     """
     lo, hi = s.bounds()
-    spread = v.repeat(m.row_counts)
     q_lo = spread - m.discount * hi
     loose = q_lo > guard
-    rewards = m.rewards
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio_lo = rewards / (spread - m.discount * lo)
-        reach = rewards / q_lo
+        ratio_lo = m.rewards / (spread - m.discount * lo)
+        reach = m.rewards / q_lo
     if not loose.all():
         ratio_lo[~loose] = -np.inf
         reach[~loose] = np.inf
-    rows = np.flatnonzero(reach >= ratio_lo.max())
-    q = spread[rows] - m.discount * s.take(m, rows)
-    # the rows not taken are not tight
-    tight = q <= guard
-    if tight.any():
-        if (tight & (rewards[rows] > guard)).any():
-            return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
-        if rows.size == m.num_rows and tight.all():
-            return AlphaResult(alpha=0.0, binding=None)
-    ratios = np.divide(rewards[rows], q, out=np.full(rows.size, -np.inf), where=~tight)
-    k = int(ratios.argmax())
-    alpha = min(1.0, max(0.0, float(ratios[k])))
-    return AlphaResult(alpha=alpha, binding=_row_location(m, int(rows[k])))
+    return np.flatnonzero(reach >= ratio_lo.max())
 
 
 def linear_extension_alpha(
@@ -320,19 +315,12 @@ def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
     return AccelStep(point=z, sums=zsums, alpha=alpha)
 
 
-def apply_projective(m, v, sums=None, beta=0.0, check_membership=True) -> AccelStep:
-    """Scale ``v`` toward the fixed point; returns point, sums, and scan info.
-
-    ``beta`` in [0, 1) damps the step toward ``v``; the damped point is
-    still a plain multiple of ``v``, with factor ``(1-beta)*alpha + beta``.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
+def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
+    """Scale ``v`` toward the fixed point; returns point, sums, and scan info."""
     s = require_sums(m, v, sums)
     res = projective_alpha(m, v, sums=s, check_membership=check_membership)
-    effective = (1.0 - beta) * res.alpha + beta
-    z = effective * v
-    return _checked(m, z, s.scaled(effective, z), v, s, res, check_membership)
+    z = res.alpha * v
+    return _checked(m, z, s.scaled(res.alpha, z), v, s, res, check_membership)
 
 
 def apply_linear_extension(
@@ -341,32 +329,25 @@ def apply_linear_extension(
     u,
     sums_v=None,
     sums_u=None,
-    beta=0.0,
     check_membership=True,
     v_backup=None,
     residual=None,
 ) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
-    The damped step factor is ``(1-beta)*alpha``; with ``alpha >= 1`` and
-    small ``beta`` the extended point still moves at least toward ``u``,
-    and by convexity of the dominance region it remains admissible.  A
-    failed output check falls back to ``u`` (already a valid descent).
+    A failed output check falls back to ``u`` (already a valid descent).
     ``v_backup`` and ``residual`` pass what the caller already holds to
     ``linear_extension_alpha``.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     res = linear_extension_alpha(
         m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
         v_backup=v_backup, residual=residual,
     )
-    effective = (1.0 - beta) * res.alpha
-    z = v + effective * (u - v)
+    z = v + res.alpha * (u - v)
     zvalues = su.values - sv.values
-    zvalues *= effective
+    zvalues *= res.alpha
     zvalues += sv.values
     zsums = WeightedSums(values=zvalues, base=z, from_kernel=False)
     return _checked(m, z, zsums, u, su, res, check_membership)

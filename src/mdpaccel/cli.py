@@ -45,6 +45,7 @@ from .model import (
     RewardMode,
     load_model,
     save_model,
+    shown,
 )
 from .operators import OperatorKind
 from .solver import (
@@ -97,7 +98,6 @@ def _strict(kind, *accepted):
     return cast
 
 
-_TEXT = _strict(str, str)
 _INTEGER = _strict(int, int)
 _NUMBER = _strict(float, int, float)
 _FLAG = _strict(bool, bool)
@@ -113,7 +113,7 @@ def _pair(cast):
 
 # setting name: (the dataclass it sets, its field there, cast of a given value)
 SETTINGS = {
-    "family": (GeneratorSpec, "family", _TEXT),
+    "family": (GeneratorSpec, "family", _strict(GeneratorFamily, str)),
     "states": (GeneratorSpec, "num_states", _INTEGER),
     "density": (GeneratorSpec, "density", _NUMBER),
     "bandwidth": (GeneratorSpec, "bandwidth", _INTEGER),
@@ -121,9 +121,8 @@ SETTINGS = {
     "seed": (GeneratorSpec, "seed", _INTEGER),
     "actions": (GeneratorSpec, "action_range", _pair(_INTEGER)),
     "rewards": (GeneratorSpec, "reward_range", _pair(_NUMBER)),
-    "operator": (SolverConfig, "operator", _TEXT),
-    "accelerator": (SolverConfig, "accelerator", _TEXT),
-    "beta": (SolverConfig, "beta", _NUMBER),
+    "operator": (SolverConfig, "operator", _strict(OperatorKind, str)),
+    "accelerator": (SolverConfig, "accelerator", _strict(AcceleratorKind, str)),
     "epsilon": (SolverConfig, "epsilon", _NUMBER),
     "max_iterations": (SolverConfig, "max_iterations", _INTEGER),
     "membership_checks": (SolverConfig, "membership_checks", _FLAG),
@@ -134,7 +133,7 @@ def _cast(name, cast, value):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name} cannot be {value!r}") from None
+        raise UsageError(f"{name} cannot be {shown(value)}") from None
 
 
 def _build(cls, given, **rule):
@@ -151,7 +150,7 @@ def _build(cls, given, **rule):
         return cls(**fields)
     except (TypeError, ValueError) as exc:
         # the dataclass rejects a missing or bad field
-        raise UsageError(str(exc)) from None
+        raise UsageError(shown(exc, str)) from None
 
 
 def _config(given, total_reward: bool) -> SolverConfig:
@@ -238,7 +237,7 @@ def _parse_cell(raw, index: int) -> tuple[GeneratorSpec, SolverConfig]:
         raise UsageError(f"cell {index}: a cell must be an object")
     unknown = raw.keys() - SETTINGS.keys()
     if unknown:
-        raise UsageError(f"cell {index}: unknown keys {sorted(unknown)}")
+        raise UsageError(f"cell {index}: unknown keys {shown(sorted(unknown))}")
     try:
         spec = _build(GeneratorSpec, raw)
         total_family = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--op", dest="operator", choices=[k.value for k in OperatorKind])
     slv.add_argument("--accel", dest="accelerator", choices=[k.value for k in AcceleratorKind])
     slv.add_argument("--eps", dest="epsilon", type=float)
-    slv.add_argument("--beta", type=float)
     slv.add_argument("--max-iterations", type=int)
     slv.add_argument("--no-checks", dest="membership_checks", action="store_const", const=False)
     slv.add_argument("--csv", help="append one result row to this CSV file")

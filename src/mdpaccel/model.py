@@ -39,6 +39,14 @@ UNIT_ROUNDOFF = 2.0**-53
 _JSON_NUMBERS = frozenset((int, float))
 # Columns above 2**53 are no state index, and floats no longer hold them exactly.
 _MAX_COLUMN = 2.0**53
+# Characters of a given value that an error message repeats.
+SHOWN_CHARS = 80
+
+
+def shown(value, text=repr) -> str:
+    """``text(value)`` for an error message, cut to ``SHOWN_CHARS`` characters and "..."."""
+    out = text(value)
+    return out if len(out) <= SHOWN_CHARS else out[:SHOWN_CHARS] + "..."
 
 
 class RewardMode(str, Enum):
@@ -471,7 +479,7 @@ def _loaded_pairs(entries, locate) -> np.ndarray:
         for j, pair in enumerate(entries):
             if type(pair) is not list or len(pair) != 2 or not _JSON_NUMBERS.issuperset(map(type, pair)):
                 raise ModelFormatError(
-                    f"{locate(j)} must be a [column, probability] pair of numbers, got {json.dumps(pair)}"
+                    f"{locate(j)} must be a [column, probability] pair of numbers, got {shown(pair, json.dumps)}"
                 )
     try:
         pairs = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries)).reshape(-1, 2)
@@ -684,7 +692,7 @@ def load_model(path) -> MdpModel:
         mode = RewardMode(doc["mode"])
     except ValueError:
         raise ModelFormatError(f"mode must be one of "
-                               f"{[e.value for e in RewardMode]}, got {doc['mode']!r}") from None
+                               f"{[e.value for e in RewardMode]}, got {shown(doc['mode'])}") from None
     discount = _loaded_number(doc["discount"], "discount")
     states = doc.pop("states")
     if isinstance(states, ModelFormatError):

@@ -462,18 +462,20 @@ def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
     return held[1]
 
 
-def _screened_row_values(m: MdpModel, kind: OperatorKind, own, sums: ScreenedSums) -> np.ndarray:
-    """Every row's value where it can attain its state's maximum, -inf elsewhere.
+def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> np.ndarray:
+    """Every row's value from all-rows ``sums``; from ``ScreenedSums``, -inf where it cannot win.
 
     A row value is monotone in the row's sum (the discount is not negative,
     the Jacobi denominators positive), and a rounded operation is
-    monotone, so the row-value formula at the sums' bounds bounds each
-    computed value.  A state's maximum is at least the largest lower bound
-    among its rows; a row whose upper bound falls short of it can neither
-    attain that maximum nor tie it.  The other rows take their exact sums,
-    so the state maxima and the first rows attaining them are the all-rows
-    ones.
+    monotone, so the row-value formula at the screened sums' bounds bounds
+    each computed value.  A state's maximum is at least the largest lower
+    bound among its rows; a row whose upper bound falls short of it can
+    neither attain that maximum nor tie it, and is left at -inf.  The
+    other rows take their exact sums, so the state maxima and the first
+    rows attaining them are the all-rows ones.
     """
+    if not isinstance(sums, ScreenedSums):
+        return _row_values(m, kind, own, sums.values)
     lo, hi = sums.bounds()
     floor = _state_max(m, _row_values(m, kind, own, lo)).repeat(m.row_counts)
     rows = np.flatnonzero(_row_values(m, kind, own, hi) >= floor)
@@ -485,9 +487,7 @@ def _screened_row_values(m: MdpModel, kind: OperatorKind, own, sums: ScreenedSum
 def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
     """Simultaneous backup of ``v`` from its sums, for a kind already vetted."""
     own = v.repeat(m.row_counts) if kind in _JACOBI_KINDS else None
-    if isinstance(sums, ScreenedSums):
-        return _state_max(m, _screened_row_values(m, kind, own, sums))
-    return _state_max(m, _row_values(m, kind, own, sums.values))
+    return _state_max(m, _held_row_values(m, kind, own, sums))
 
 
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
@@ -552,11 +552,7 @@ def extract_policy(m, v, sums=None) -> np.ndarray:
     Raises:
         ValueError: ``sums`` were computed for a different vector.
     """
-    s = require_sums(m, v, sums)
-    if isinstance(s, ScreenedSums):
-        rows = _screened_row_values(m, OperatorKind.STANDARD, None, s)
-    else:
-        rows = _row_values(m, OperatorKind.STANDARD, None, s.values)
+    rows = _held_row_values(m, OperatorKind.STANDARD, None, require_sums(m, v, sums))
     cand = np.where(
         rows == _state_max(m, rows)[m.row_state],
         np.arange(m.num_rows, dtype=np.int64),

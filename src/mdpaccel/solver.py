@@ -77,8 +77,10 @@ from .model import (
     adjust_rewards_nonnegative,
     initial_feasible_point,
     initial_feasible_point_total_reward,
+    shown,
 )
 from .operators import (
+    DIAG_GUARD,
     OperatorKind,
     WeightedSums,
     apply_operator,
@@ -127,8 +129,8 @@ class SolverConfig:
 
     Attributes:
         operator: backup operator to iterate.
-        accelerator: acceleration applied between backups.
-        beta: damping weight in [0, 1) for the accelerated point.
+        accelerator: acceleration applied between backups; each step
+            applies the factor its scan finds.
         epsilon: target accuracy driving the stopping rule.
         max_iterations: hard backup budget.
         membership_checks: validate acceleration pre/postconditions at the
@@ -143,7 +145,6 @@ class SolverConfig:
 
     operator: OperatorKind = OperatorKind.STANDARD
     accelerator: AcceleratorKind = AcceleratorKind.NONE
-    beta: float = 0.0
     epsilon: float = 1e-3
     max_iterations: int = 200_000
     membership_checks: bool = True
@@ -156,14 +157,16 @@ class SolverConfig:
 
     def validate_for(self, m: MdpModel) -> None:
         if not (_is_number(self.epsilon) and 0.0 < self.epsilon < math.inf):
-            raise SolverConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+            raise SolverConfigError(f"epsilon must be finite and positive, got {shown(self.epsilon)}")
         if not (isinstance(self.max_iterations, Integral) and not isinstance(self.max_iterations, bool)
                 and self.max_iterations >= 1):
             raise SolverConfigError(
-                f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}"
+                f"max_iterations must be an integer of at least 1, got {shown(self.max_iterations)}"
             )
-        if not 0.0 <= self.beta < 1.0:
-            raise SolverConfigError("beta must lie in [0, 1)")
+        for name in ("membership_checks", "record_iterates"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise SolverConfigError(f"{name} must be True or False, got {shown(flag)}")
         if m.mode is RewardMode.TOTAL_REWARD:
             if self.operator is not OperatorKind.TOTAL_REWARD:
                 raise SolverConfigError(
@@ -172,6 +175,12 @@ class SolverConfig:
                 )
         elif self.operator is OperatorKind.TOTAL_REWARD:
             raise SolverConfigError("the total-reward backup requires a total-reward model")
+        jacobi = self.operator in (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
+        if jacobi and m.jacobi_denominator[1] < DIAG_GUARD:
+            raise SolverConfigError(
+                f"the {self.operator.value} backup divides by a self-loop denominator "
+                f"1 - discount * p(i,i) below {DIAG_GUARD:g} on this model"
+            )
         if self.initial_point is not None:
             p = np.asarray(self.initial_point, dtype=np.float64)
             if p.shape != (m.num_states,):
@@ -225,16 +234,18 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
             )
         return m, w, 0.0
     if m.mode is RewardMode.TOTAL_REWARD:
-        return m, initial_feasible_point_total_reward(m), 0.0
+        try:
+            return m, initial_feasible_point_total_reward(m), 0.0
+        except ValueError as exc:
+            raise SolverConfigError(f"no start for a total-reward run: {exc}") from None
     if not accelerated:
         return m, np.zeros(m.num_states), 0.0
     # build the views the run reads on the input, so the shifted copy shares
-    # them and later solves of the same input reuse them
+    # them and later solves of the same input reuse them (validate_for has
+    # built the Jacobi denominators a Jacobi run reads)
     m.row_matrix, m.row_state
     if config.membership_checks or screens_sums(m, config):
         m.row_sum_deviation
-    if config.operator in (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI):
-        m.jacobi_denominator
     shifted, offset = adjust_rewards_nonnegative(m)
     return shifted, initial_feasible_point(shifted), offset
 
@@ -324,9 +335,7 @@ class _Loop:
             return _Step(u, residual, None, converged)
         s_u = drifted_sums(m, w, self.sums, u) if self.screened else weighted_sums(m, u)
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
-            accel = apply_projective(
-                m, u, sums=s_u, beta=cfg.beta, check_membership=cfg.membership_checks
-            )
+            accel = apply_projective(m, u, sums=s_u, check_membership=cfg.membership_checks)
         else:
             try:
                 accel = apply_linear_extension(
@@ -335,7 +344,6 @@ class _Loop:
                     u,
                     sums_v=self.sums,
                     sums_u=s_u,
-                    beta=cfg.beta,
                     check_membership=cfg.membership_checks,
                     v_backup=u if self.u_is_one_step else None,
                     residual=residual,

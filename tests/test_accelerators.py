@@ -111,22 +111,39 @@ class TestScansMatchReference:
                 continue
             assert linear_extension_alpha(m, v, u, check_membership=False) == expected
 
-    @pytest.mark.parametrize("beta", [0.0, 0.3])
-    def test_steps_carry_the_reference_points_and_sums(self, beta):
+    def test_steps_carry_the_reference_points_and_sums(self):
         for m, v, u in scan_cases(32, 20):
             sv, su = weighted_sums(m, v), weighted_sums(m, u)
-            p = apply_projective(m, v, sums=sv, beta=beta, check_membership=False)
-            f = (1.0 - beta) * p.alpha.alpha + beta
+            p = apply_projective(m, v, sums=sv, check_membership=False)
+            f = p.alpha.alpha
             assert np.array_equal(p.point, f * v)
             assert np.array_equal(p.sums.values, f * sv.values)
             try:
-                e = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, beta=beta,
-                                           check_membership=False)
+                e = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, check_membership=False)
             except AlreadyConvergedError:
                 continue
-            f = (1.0 - beta) * e.alpha.alpha
+            f = e.alpha.alpha
             assert np.array_equal(e.point, v + f * (u - v))
             assert np.array_equal(e.sums.values, sv.values + f * (su.values - sv.values))
+
+    def test_checked_steps_apply_the_scan_factors_as_they_stand(self):
+        # no damping: a kept step lands on the factor its scan returns, bit for bit
+        rng = np.random.default_rng(33)
+        kept = 0
+        for _ in range(20):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)))
+            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+            u = apply_operator(m, v, "standard")
+            p = apply_projective(m, v)
+            e = apply_linear_extension(m, v, u)
+            if p.alpha.fallback_used or e.alpha.fallback_used:
+                continue
+            kept += 1
+            assert p.alpha == projective_alpha(m, v)
+            assert np.array_equal(p.point, p.alpha.alpha * v)
+            assert e.alpha == linear_extension_alpha(m, v, u)
+            assert np.array_equal(e.point, v + e.alpha.alpha * (u - v))
+        assert kept >= 10
 
 
 def screened_at(m, v, rng, spread):
@@ -205,8 +222,7 @@ class TestScreenedScanMatchesReference:
                     verdicts.append(verdict)
         assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
-    @pytest.mark.parametrize("beta", [0.0, 0.3])
-    def test_checked_steps(self, beta):
+    def test_checked_steps(self):
         rng = np.random.default_rng(36)
         for _ in range(30):
             m = random_model(rng, num_states=int(rng.integers(2, 20)),
@@ -218,16 +234,16 @@ class TestScreenedScanMatchesReference:
             for u in candidates:
                 all_rows = weighted_sums(m, u)
                 try:
-                    expected = apply_projective(m, u, sums=all_rows, beta=beta)
+                    expected = apply_projective(m, u, sums=all_rows)
                 except FeasibilityError:
                     expected = None
                 for spread in self.SPREADS:
                     s = screened_at(m, u, rng, spread)
                     if expected is None:
                         with pytest.raises(FeasibilityError):
-                            apply_projective(m, u, sums=s, beta=beta)
+                            apply_projective(m, u, sums=s)
                         continue
-                    step = apply_projective(m, u, sums=s, beta=beta)
+                    step = apply_projective(m, u, sums=s)
                     assert step.alpha == expected.alpha
                     assert np.array_equal(step.point, expected.point)
                     every = np.arange(m.num_rows)
@@ -445,25 +461,22 @@ class TestApplyProjective:
         fresh = weighted_sums(m, step.point)
         np.testing.assert_allclose(step.sums.values, fresh.values, rtol=0, atol=1e-12)
 
-    def test_beta_damping_folds_into_scale(self):
+    def test_swap_step_is_undamped(self):
         m = two_state_swap()
-        step = apply_projective(m, np.array([20.0, 20.0]), beta=0.5)
-        assert step.alpha.alpha == pytest.approx(0.5)
-        np.testing.assert_allclose(step.point, 0.75 * np.array([20.0, 20.0]))
-        np.testing.assert_allclose(step.point, [15.0, 15.0])
+        v = np.array([20.0, 20.0])
+        step = apply_projective(m, v)
+        assert step.alpha.alpha == 0.5
+        np.testing.assert_array_equal(step.point, [10.0, 10.0])
         assert is_feasible(m, step.point)
 
-    def test_beta_zero_is_undamped(self):
+    @pytest.mark.parametrize("step, points", [
+        (apply_projective, 1),
+        (apply_linear_extension, 2),
+    ], ids=["projective", "linear"])
+    def test_steps_take_no_damping_factor(self, step, points):
         m = two_state_swap()
-        a = apply_projective(m, np.array([20.0, 20.0]), beta=0.0)
-        b = apply_projective(m, np.array([20.0, 20.0]))
-        np.testing.assert_array_equal(a.point, b.point)
-
-    def test_beta_out_of_range(self):
-        m = two_state_swap()
-        for beta in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError, match="beta"):
-                apply_projective(m, np.array([20.0, 20.0]), beta=beta)
+        with pytest.raises(TypeError, match="beta"):
+            step(m, *[np.array([20.0, 20.0])] * points, beta=0.5)
 
     def test_failed_output_check_falls_back_to_input(self, monkeypatch):
         m = two_state_swap()
@@ -503,14 +516,14 @@ class TestApplyLinearExtension:
         fresh = weighted_sums(m, step.point)
         np.testing.assert_allclose(step.sums.values, fresh.values, rtol=0, atol=1e-9)
 
-    def test_beta_damping_shortens_step(self):
+    def test_swap_step_is_undamped(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
         u = apply_operator(m, v, "standard")
-        step = apply_linear_extension(m, v, u, beta=0.5)
+        step = apply_linear_extension(m, v, u)
         assert step.alpha.alpha == pytest.approx(10.0)
-        np.testing.assert_allclose(step.point, v + 5.0 * (u - v))
-        np.testing.assert_allclose(step.point, [15.0, 15.0])
+        np.testing.assert_array_equal(step.point, v + step.alpha.alpha * (u - v))
+        np.testing.assert_allclose(step.point, [10.0, 10.0])
 
     def test_failed_output_check_falls_back_to_direction_point(self, monkeypatch):
         m = two_state_swap()

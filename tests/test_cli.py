@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import threading
 
@@ -12,7 +14,7 @@ import pytest
 import mdpaccel.cli as cli
 import mdpaccel.verification as verif
 from mdpaccel.cli import CSV_COLUMNS, main
-from mdpaccel.model import load_model, save_model
+from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model
 from mdpaccel.solver import SolverConfig
 
 from test_model import chain_to_absorbing, two_state_swap
@@ -140,9 +142,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("argv, expected", [
         ([], SolverConfig()),
-        (["--op", "jacobi", "--accel", "linear", "--eps", "0.01", "--beta", "0.25",
+        (["--op", "jacobi", "--accel", "linear", "--eps", "0.01",
           "--max-iterations", "50", "--no-checks"],
-         SolverConfig(operator="jacobi", accelerator="linear", epsilon=0.01, beta=0.25,
+         SolverConfig(operator="jacobi", accelerator="linear", epsilon=0.01,
                       max_iterations=50, membership_checks=False)),
     ], ids=["defaults", "every-flag"])
     def test_flags_set_config_fields(self, tmp_path, monkeypatch, argv, expected):
@@ -153,6 +155,14 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve", lambda m, config: seen.append(config) or real_solve(m, config))
         main(["solve", str(path), *argv])
         assert seen == [expected]
+
+    def test_beta_flag_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_model(two_state_swap(), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--beta", "0.3"])
+        assert exc.value.code == 2
+        assert "--beta" in capsys.readouterr().err
 
     def test_total_reward_operator_defaults(self, tmp_path, capsys):
         path = tmp_path / "tr.json"
@@ -208,6 +218,26 @@ class TestSolve:
         assert rows[0]["algorithm"] == "VI"
         assert rows[1]["algorithm"] == "LAVI"
         assert rows[0]["states"] == "2"
+
+    @pytest.mark.parametrize("argv", [[], ["--accel", "projective"]], ids=["plain", "accelerated"])
+    def test_total_reward_model_without_absorbing_state_exits_2(self, tmp_path, capsys, argv):
+        # a valid total-reward swap: no zero-reward absorbing state, so no start
+        path = tmp_path / "tr.json"
+        m = MdpModel.from_rows([[(1.0, [(1, 1.0)])], [(1.0, [(0, 1.0)])]], discount=1.0,
+                               mode=RewardMode.TOTAL_REWARD)
+        save_model(m, path)
+        assert main(["solve", str(path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "absorbing" in err
+
+    @pytest.mark.parametrize("op", ["jacobi", "gsj"])
+    def test_self_loop_denominator_below_guard_exits_2(self, tmp_path, capsys, op):
+        path = tmp_path / "m.json"
+        m = MdpModel.from_rows([[(1.0, [(0, 1.0)])], [(1.0, [(0, 1.0)])]], discount=0.9999999999999)
+        save_model(m, path)
+        assert main(["solve", str(path), "--op", op]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {op} backup") and err.count("\n") == 1
 
 
 def write_plan(tmp_path, cells, repetitions=2, output=None):
@@ -317,16 +347,33 @@ class TestBench:
 
     def test_cell_integers_stand_for_real_numbers(self, tmp_path):
         out = tmp_path / "out.csv"
-        cell = dict(UNIFORM_CELL, density=1, rewards=[1, 100], beta=0, membership_checks=False)
+        cell = dict(UNIFORM_CELL, density=1, rewards=[1, 100], epsilon=1, membership_checks=False)
         assert main(["bench", str(write_plan(tmp_path, [cell], output=out))]) == 0
         _, rows = read_csv(out)
         assert rows[0]["error"] == ""
+
+    @pytest.mark.parametrize("cell, message", [
+        (dict(UNIFORM_CELL, family="x" * 1_000_000), "family cannot be 'xxx"),
+        (dict(UNIFORM_CELL, states="x" * 1_000_000), "states cannot be 'xxx"),
+        (dict(UNIFORM_CELL, **{"x" * 1_000_000: 1}), "unknown keys ['xxx"),
+        (dict(UNIFORM_CELL, actions=[10**4000, 1]), "bad action range (1000"),
+    ], ids=["family", "states", "key", "dataclass"])
+    def test_long_values_are_cut_in_errors(self, tmp_path, capsys, cell, message):
+        plan = write_plan(tmp_path, [cell], output=tmp_path / "x.csv")
+        assert main(["bench", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cell 0: {message}") and len(err) < SHOWN_CHARS + 40
 
     def test_unknown_cell_key_rejected(self, tmp_path, capsys):
         bad = dict(UNIFORM_CELL, typo_key=1)
         plan = write_plan(tmp_path, [bad], output=tmp_path / "x.csv")
         assert main(["bench", str(plan)]) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_beta_cell_key_rejected(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, [dict(UNIFORM_CELL, beta=0.0)], output=tmp_path / "x.csv")
+        assert main(["bench", str(plan)]) == 2
+        assert "unknown keys ['beta']" in capsys.readouterr().err
 
     def test_missing_output_is_usage_error(self, tmp_path, capsys):
         plan = write_plan(tmp_path, [UNIFORM_CELL])
@@ -396,6 +443,12 @@ class TestBench:
 
 
 class TestVerify:
+    def test_long_mode_is_cut_in_the_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"mode": "%s", "discount": 0.9, "states": []}' % ("x" * 1_000_000))
+        assert main(["verify", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: mode must be one of") and len(err) < 300
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "--trials", "2"]) == 0
         assert "all properties passed" in capsys.readouterr().out
@@ -446,6 +499,20 @@ class TestVerify:
         monkeypatch.setattr(verif, "PROPERTIES", [("always-false", always_false)])
         assert main(["verify", "--trials", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestSettingsTable:
+    """Every setting sets a dataclass field, and every flag is a setting."""
+
+    def test_every_setting_names_a_field_of_its_dataclass(self):
+        for name, (owner, field, _) in cli.SETTINGS.items():
+            assert field in {f.name for f in dataclasses.fields(owner)}, name
+
+    @pytest.mark.parametrize("command", ["generate", "solve"])
+    def test_every_flag_is_a_setting(self, command):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "model", "output", "csv"}
+        assert dests and dests <= cli.SETTINGS.keys()
 
 
 class TestParser:

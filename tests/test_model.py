@@ -14,6 +14,7 @@ import pytest
 from mdpaccel import model as model_module
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import (
+    SHOWN_CHARS,
     MdpModel,
     ModelFormatError,
     ModelValidationError,
@@ -25,6 +26,7 @@ from mdpaccel.model import (
     load_model,
     models_identical,
     save_model,
+    shown,
     validate_model,
 )
 
@@ -529,6 +531,23 @@ class TestSerialization:
         p.write_text('{"mode": "avg", "discount": 0.9, "states": []}')
         with pytest.raises(ModelFormatError, match="mode"):
             load_model(p)
+
+    def test_long_values_are_cut_in_errors(self, tmp_path):
+        long = "x" * 1_000_000
+        p = tmp_path / "m.json"
+        p.write_text('{"mode": "%s", "discount": 0.9, "states": []}' % long)
+        with pytest.raises(ModelFormatError, match="^mode must be one of") as exc:
+            load_model(p)
+        assert len(str(exc.value)) < 200
+        p.write_text(model_text_with_entry('["%s", 0.5]' % long, 1, 1, 2))
+        with pytest.raises(ModelFormatError, match=bad_entry_path(1, 1, 2) + "must be") as exc:
+            load_model(p)
+        assert len(str(exc.value)) < 200
+
+    def test_shown_cuts_a_value(self):
+        assert shown("ab") == "'ab'"
+        assert shown("x" * 1_000_000) == "'" + "x" * (SHOWN_CHARS - 1) + "..."
+        assert shown([[0, "x" * 1_000_000]], json.dumps).startswith('[[0, "xx')
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize(

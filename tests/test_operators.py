@@ -800,13 +800,11 @@ class TestScreenedBounds:
             e = Fraction(sum_error(m, sup_norm(u)))
             kernel = weighted_sums(m, u).values
             assert max(abs(Fraction(k) - x) for k, x in zip(kernel, self.exact_sums(m, u))) <= e
-            for beta in (0.0, 0.3, 0.7):
-                for alpha in (0.0, float(rng.uniform()), 1.0):
-                    # the projective step's factor and the sums it carries
-                    f = (1.0 - beta) * alpha + beta
-                    scaled = f * kernel
-                    exact = self.exact_sums(m, f * u)
-                    assert max(abs(Fraction(k) - x) for k, x in zip(scaled, exact)) <= e
+            for f in (0.0, 0.3, 0.7, 1.0, *rng.uniform(size=3)):
+                # the projective step's factor and the sums it carries
+                scaled = f * kernel
+                exact = self.exact_sums(m, f * u)
+                assert max(abs(Fraction(k) - x) for k, x in zip(scaled, exact)) <= e
 
     def drifts(self, m, rng):
         """(x, held sums at x, y) triples: kernel sums, the zero start and scaled sums."""

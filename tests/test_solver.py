@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,14 +165,6 @@ class TestAcceleratedRuns:
         assert quick.converged and plain.converged
         assert quick.iterations * 3 < plain.iterations
 
-    def test_damping_still_converges(self):
-        m = two_state_swap()
-        undamped = solve(m, SolverConfig(accelerator=AcceleratorKind.PROJECTIVE))
-        damped = solve(m, SolverConfig(accelerator=AcceleratorKind.PROJECTIVE, beta=0.5))
-        assert damped.converged
-        assert damped.iterations >= undamped.iterations
-        np.testing.assert_allclose(damped.final_value, [10.0, 10.0], atol=1e-3)
-
     def test_checks_do_not_change_the_trajectory(self):
         spec = GeneratorSpec(family="uniform", num_states=25, density=0.5,
                              action_range=(2, 5), seed=13)
@@ -222,11 +216,10 @@ def reference_solve(m, cfg):
             continue
         s_u = weighted_sums(model, u)
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
-            step = apply_projective(model, u, sums=s_u, beta=cfg.beta,
-                                    check_membership=cfg.membership_checks)
+            step = apply_projective(model, u, sums=s_u, check_membership=cfg.membership_checks)
         else:
             try:
-                step = apply_linear_extension(model, w, u, sums_v=sums, sums_u=s_u, beta=cfg.beta,
+                step = apply_linear_extension(model, w, u, sums_v=sums, sums_u=s_u,
                                               check_membership=cfg.membership_checks)
             except AlreadyConvergedError:
                 already += 1
@@ -266,14 +259,12 @@ def assert_same_run(m, cfg):
 class TestIterateSequencePinned:
     """``solve`` runs the same iterates as the layered functions called plainly."""
 
-    @pytest.mark.parametrize("beta", [0.0, 0.3])
     @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
     @pytest.mark.parametrize("accelerator", ["none", "projective", "linear"])
     @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
-    def test_matches_reference_solve(self, operator, accelerator, checks, beta):
+    def test_matches_reference_solve(self, operator, accelerator, checks):
         for m in pinned_models():
-            cfg = SolverConfig(operator=operator, accelerator=accelerator,
-                               membership_checks=checks, beta=beta)
+            cfg = SolverConfig(operator=operator, accelerator=accelerator, membership_checks=checks)
             assert_same_run(m, cfg)
 
     @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
@@ -437,9 +428,17 @@ class TestConfigValidation:
         cfg = SolverConfig(accelerator="linear", max_iterations=np.int64(5), epsilon=1e300)
         assert solve(two_state_swap(), cfg).iterations >= 1
 
-    def test_beta_range(self):
-        with pytest.raises(SolverConfigError, match="beta"):
-            solve(two_state_swap(), SolverConfig(beta=1.0))
+    @pytest.mark.parametrize("name", ["membership_checks", "record_iterates"])
+    @pytest.mark.parametrize("value", ["no", None, 0, 1, np.bool_(True)])
+    def test_flags_must_be_bool(self, name, value):
+        # "no" would run with checks on and None with them off
+        with pytest.raises(SolverConfigError, match=name):
+            solve(two_state_swap(), SolverConfig(**{name: value}))
+
+    def test_damping_is_not_a_setting(self):
+        assert "beta" not in {f.name for f in dataclasses.fields(SolverConfig)}
+        with pytest.raises(TypeError, match="beta"):
+            SolverConfig(beta=0.0)
 
     def test_initial_point_shape(self):
         with pytest.raises(SolverConfigError, match="shape"):

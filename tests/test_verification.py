@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mdpaccel.model import MdpModel, RewardMode, models_identical
-from mdpaccel.operators import is_feasible, sup_norm, weighted_sums
+import mdpaccel.verification as verification
+from mdpaccel.operators import apply_operator, is_feasible, sup_norm, weighted_sums
 from mdpaccel.solver import SolverConfig, solve
 from mdpaccel.verification import (
     PROPERTIES,
@@ -83,6 +84,17 @@ class TestExactFixedPoint:
         assert isinstance(res, OracleResult)
         assert is_feasible(m, res.exact_value)
         assert res.residual <= 1e-9 * (1.0 + sup_norm(res.exact_value))
+
+    def test_certificate_does_not_run_the_backup_under_test(self, monkeypatch):
+        m = random_model(np.random.default_rng(11), num_states=12, max_actions=3, density=0.5)
+
+        def backup_under_test(*args, **kwargs):
+            raise AssertionError("the oracle ran the backup it checks")
+
+        monkeypatch.setattr(verification, "apply_operator", backup_under_test)
+        res = exact_fixed_point(m)
+        # the same kernel sums and row values, so the same bits
+        assert res.residual == sup_norm(apply_operator(m, res.exact_value, "standard") - res.exact_value)
 
     def test_rejects_total_reward(self):
         with pytest.raises(ValueError, match="discounted"):
