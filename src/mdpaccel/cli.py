@@ -46,6 +46,7 @@ from .model import (
     load_model,
     save_model,
     shown,
+    too_many_digits,
 )
 from .operators import OperatorKind
 from .solver import (
@@ -270,6 +271,10 @@ def cmd_bench(args) -> int:
             plan = json.load(f)
         except RecursionError:  # the decoder recurses once per level of nesting
             raise PlanFormatError("arrays or objects nested too deeply to decode") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # int() refuses a literal past the interpreter's digit limit
+            raise PlanFormatError(too_many_digits()) from None
     if not isinstance(plan, dict):
         raise UsageError("a plan must be an object")
     output = args.output if "output" in args else plan.get("output")

@@ -18,8 +18,11 @@ then per action the successor columns and their weights.  Weights are
 drawn as ``1 - uniform(0, 1)`` (never exactly zero) and normalized.  Rows
 whose columns need no draw (band windows, full density) take all of a
 state's weights in one block, which consumes the stream exactly as the
-per-action draws would.  The generators assemble the model's arrays
-directly, one chunk per state.
+per-action draws would.  Sparse rows draw their support and then their
+weights one row at a time, into the rows of two per-state blocks, and
+the blocks are sorted, mapped to columns and normalized at once, which
+consumes the same stream and gives the same bits.  The generators
+assemble the model's arrays directly, one chunk per state.
 """
 
 from __future__ import annotations
@@ -126,14 +129,13 @@ class GeneratorSpec:
         return out
 
 
-def _weights(rng, k: int, n: int) -> np.ndarray:
-    """``k`` rows of ``n`` normalized weights, drawn as one block.
+def _normalized(u: np.ndarray) -> np.ndarray:
+    """Weights ``1 - u`` of uniform draws ``u``, each row normalized by its own sum.
 
-    One ``(k, n)`` draw consumes the stream exactly as ``k`` draws of ``n``
-    in a row, and each row is normalized by its own sum, so the block is
-    bit-identical to drawing the rows one at a time.
+    A row of a block is summed exactly as the same row drawn alone, so a
+    block of ``k`` rows is bit-identical to ``k`` single-row blocks.
     """
-    w = 1.0 - rng.uniform(0.0, 1.0, size=(k, n))
+    w = 1.0 - u
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -141,21 +143,28 @@ def _state_rows(rng, k: int, legal: np.ndarray, size: int, tail=None):
     """Columns and weights of one state's ``k`` rows, flattened in row order.
 
     Each row's support is ``size`` columns drawn without replacement from
-    ``legal`` and sorted, followed by the ``tail`` columns.  When ``size``
-    covers all of ``legal`` there is no support draw, so every row has the
-    same columns and the weights of all ``k`` rows come from one block.
+    ``legal`` (ascending) and sorted, followed by the ``tail`` column.
+    When ``size`` covers all of ``legal`` there is no support draw, so
+    every row has the same columns and the weights of all ``k`` rows come
+    from one ``(k, n)`` draw, which consumes the stream as ``k`` draws of
+    ``n`` in a row.  Otherwise each row draws its support's indices into
+    ``legal`` and then its weights into one row of a block, and the block
+    is sorted, mapped and normalized at once.  ``random(n)`` consumes the
+    stream as ``uniform(0, 1, n)`` does and gives the same values.
     """
     if size >= len(legal):
         cols = legal if tail is None else np.append(legal, tail)
-        return np.tile(cols, k), _weights(rng, k, len(cols)).ravel()
-    col_chunks, prob_chunks = [], []
-    for _ in range(k):
-        cols = np.sort(rng.choice(legal, size=size, replace=False))
-        if tail is not None:
-            cols = np.append(cols, tail)
-        col_chunks.append(cols)
-        prob_chunks.append(_weights(rng, 1, len(cols)).ravel())
-    return np.concatenate(col_chunks), np.concatenate(prob_chunks)
+        return np.tile(cols, k), _normalized(rng.random((k, len(cols)))).ravel()
+    picks = np.empty((k, size), dtype=np.intp)
+    u = np.empty((k, size + (tail is not None)))
+    for j in range(k):
+        picks[j] = rng.choice(len(legal), size, replace=False)
+        rng.random(out=u[j])
+    cols = np.empty(u.shape, dtype=np.int64)
+    cols[:, :size] = legal[np.sort(picks, axis=1)]
+    if tail is not None:
+        cols[:, size] = tail
+    return cols.ravel(), _normalized(u).ravel()
 
 
 def _offsets(counts) -> np.ndarray:

@@ -12,10 +12,11 @@ one entry to it, states how a row sum is accumulated.
 Models are immutable after construction and safe to share across threads.
 Derived views used by the numeric kernels (the sparse matrix over rows,
 every state's row count, the owning state and self-loop probability of
-every row, the Jacobi denominators, and the row statistics the rounding
-bound reads) are built lazily and cached.  All but ``max_abs_reward``
-depend on the transitions and discount only, so a reward-shifted copy
-shares them.
+every row, the Jacobi denominators, the row statistics the rounding
+bound reads, and the per-state table the Gauss-Seidel sweep reads) are
+built lazily and cached.  All but ``max_abs_reward`` and the sweep's
+table depend on the transitions and discount only, so a reward-shifted
+copy shares them.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ class MdpModel:
     _max_row_nnz: int | None = field(default=None, repr=False, init=False)
     _row_sum_deviation: float | None = field(default=None, repr=False, init=False)
     _max_abs_reward: float | None = field(default=None, repr=False, init=False)
+    _state_rows: list | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
@@ -246,6 +248,25 @@ class MdpModel:
                 slack = 2.0 * self.max_row_nnz * UNIT_ROUNDOFF * float(sums.max(initial=0.0))
                 self._row_sum_deviation = float(np.abs(sums - 1.0).max(initial=0.0)) + slack
         return self._row_sum_deviation
+
+    @property
+    def state_rows(self) -> list[tuple]:
+        """Per state: its row count, its rows' pointers, its row slice and its rewards.
+
+        Entry ``i`` is ``(count, ptr, rows, rewards)``: ``ptr`` is the view
+        ``row_matrix.indptr[lo:hi + 1]`` of state ``i``'s rows ``lo:hi``,
+        ``rows`` is ``slice(lo, hi)`` and ``rewards`` the view
+        ``self.rewards[lo:hi]``.  The Gauss-Seidel sweep reads one entry per
+        state instead of slicing the model's arrays again on every sweep.
+        It holds reward views, so a reward-shifted copy builds its own.
+        """
+        if self._state_rows is None:
+            indptr, bounds = self.row_matrix.indptr, self.state_ptr.tolist()
+            self._state_rows = [
+                (hi - lo, indptr[lo:hi + 1], slice(lo, hi), self.rewards[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        return self._state_rows
 
     @property
     def max_abs_reward(self) -> float:
@@ -436,6 +457,11 @@ def initial_feasible_point_total_reward(m: MdpModel) -> np.ndarray:
     v = np.full(m.num_states, level, dtype=np.float64)
     v[absorbing] = 0.0
     return v
+
+
+def too_many_digits() -> str:
+    """The error for an integer literal longer than ``int`` converts from text."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits, the longest decoded"
 
 
 def _reject_constant(name):
@@ -631,7 +657,8 @@ def _fields(text: str) -> dict:
     walk meets text it does not expect, a whole-document parse names the
     fault, so its message and position are the ones ``json.loads`` gives.
     The decoder recurses once per level of nesting, so a document nested
-    deeper than the interpreter's recursion limit is refused unlocated.
+    deeper than the interpreter's recursion limit is refused unlocated, and
+    so is an integer longer than the interpreter converts from text.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -649,6 +676,10 @@ def _fields(text: str) -> dict:
             raise ModelFormatError(f"line {fault.lineno} column {fault.colno}: {fault.msg}") from None
     except RecursionError:
         raise ModelFormatError("arrays or objects nested too deeply to decode") from None
+    except ModelFormatError:
+        raise
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        raise ModelFormatError(too_many_digits()) from None
     finally:
         if collecting:
             gc.enable()

@@ -193,17 +193,17 @@ class ScreenedSums:
 GATHER_MAX_SHARE = 3 / 10
 
 
-def _kernel(m: MdpModel, v):
+def _kernel(m: MdpModel, v) -> tuple:
     """The one entry to the CSR kernel behind every weighted sum, bound to ``v``.
 
     Every weighted sum ``s = sum_j p(k, j) * v[j]`` that a backup, a scan
-    or a check reads is taken here, by scipy's ``csr_matvec``, the kernel
-    behind ``csr_matrix @ v``: row ``k``'s sum is one sequential
-    accumulator that starts from ``out[k]`` and adds the row's stored
-    products in ascending column order.  Every caller starts from a zeroed
-    ``out``, so the all-rows pass, a pass over some rows and the
-    Gauss-Seidel sweep's per-state passes accumulate each row the same way,
-    and a sum recomputed for the same vector is bit-identical whichever
+    or a check reads is taken by scipy's ``csr_matvec``, the kernel behind
+    ``csr_matrix @ v``, with the arguments bound here: row ``k``'s sum is
+    one sequential accumulator that starts from ``out[k]`` and adds the
+    row's stored products in ascending column order.  Every caller starts
+    from a zeroed ``out``, so the all-rows pass, a pass over some rows and
+    the Gauss-Seidel sweep's per-state passes accumulate each row the same
+    way, and a sum recomputed for the same vector is bit-identical whichever
     path asks for it.
 
     The kernel reads raw memory, so ``v`` is checked here, as scipy's
@@ -211,10 +211,11 @@ def _kernel(m: MdpModel, v):
     entries, and is converted to C-contiguous float64 (a copy only when it
     is not one already).
 
-    Returns ``(x, accumulate)``: ``x`` is the vector the kernel reads, and
-    ``accumulate(indptr, out)`` adds to each ``out[k]`` the sum of the
-    entries ``indptr[k]:indptr[k + 1]`` of ``row_matrix``; where
-    ``indptr[k + 1] <= indptr[k]`` the kernel adds nothing.
+    Returns the bound arguments ``(n, indices, data, x)``: ``x`` is the
+    vector the kernel reads, and ``csr_matvec(len(out), n, indptr,
+    indices, data, x, out)`` adds to each ``out[k]`` the sum of the entries
+    ``indptr[k]:indptr[k + 1]`` of ``row_matrix``; where ``indptr[k + 1] <=
+    indptr[k]`` the kernel adds nothing.
 
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries.
@@ -222,13 +223,8 @@ def _kernel(m: MdpModel, v):
     x = np.asarray(v)
     if x.shape != (m.num_states,):
         raise ValueError(f"vector of shape {x.shape} given for a model of {m.num_states} states")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    csr, n = m.row_matrix, m.num_states
-
-    def accumulate(indptr, out):
-        csr_matvec(len(out), n, indptr, csr.indices, csr.data, x, out)
-
-    return x, accumulate
+    csr = m.row_matrix
+    return m.num_states, csr.indices, csr.data, np.ascontiguousarray(x, dtype=np.float64)
 
 
 def _kernel_rows(m: MdpModel, rows) -> tuple[np.ndarray, bool]:
@@ -269,7 +265,7 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
         ValueError: ``v`` is not a vector of ``num_states`` entries, or
             ``rows`` holds something other than row indices.
     """
-    _, accumulate = _kernel(m, v)
+    n, indices, data, x = _kernel(m, v)
     indptr = m.row_matrix.indptr
     if rows is not None:
         idx, ascending = _kernel_rows(m, rows)
@@ -280,10 +276,10 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
             ptr[1::2] = indptr[down]
             ptr[2::2] = indptr[1:][down]
             out = np.zeros(2 * len(idx))
-            accumulate(ptr, out)
+            csr_matvec(len(out), n, ptr, indices, data, x, out)
             return WeightedSums(values=out[::-2], base=v, rows=rows)
     values = np.zeros(m.num_rows)
-    accumulate(indptr, values)
+    csr_matvec(m.num_rows, n, indptr, indices, data, x, values)
     if rows is None:
         return WeightedSums(values=values, base=v)
     return WeightedSums(values=values[idx], base=v, rows=rows)
@@ -493,20 +489,19 @@ def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
     # the kernel reads w as the sweep writes it; every state's rows
     # accumulate into their own zeroed slice of one buffer
-    w, accumulate = _kernel(m, np.array(v, dtype=np.float64))
-    indptr, bounds = m.row_matrix.indptr, m.state_ptr.tolist()
+    n, indices, data, w = _kernel(m, np.array(v, dtype=np.float64))
     sums = np.zeros(m.num_rows)
     jacobi = kind in _JACOBI_KINDS
-    discount, rewards = m.discount, m.rewards
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        s = sums[lo:hi]
-        accumulate(indptr[lo:hi + 1], s)
+    discount = m.discount
+    for i, (count, ptr, rows, rewards) in enumerate(m.state_rows):
+        s = sums[rows]
+        csr_matvec(count, n, ptr, indices, data, w, s)
         if jacobi:
-            w[i] = _row_values(m, kind, w[i], s, slice(lo, hi)).max()
+            w[i] = _row_values(m, kind, w[i], s, rows).max()
         else:
             # the standard row values, formed in place in the state's slice
             s *= discount
-            s += rewards[lo:hi]
+            s += rewards
             w[i] = np.maximum.reduce(s)
     return w
 

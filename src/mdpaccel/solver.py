@@ -20,9 +20,10 @@ from the sums at ``u`` cannot clear (see ``accelerators``); disabling
 them removes that cost without changing the iterate sequence.
 
 Screened sums.  Projective runs of a simultaneous backup on models with
-at least ``SCREEN_MIN_ROW_NNZ`` stored entries per row, on average,
-carry ``operators.ScreenedSums`` instead: the sums at the start and at
-each new backup ``u`` are bounds drifted from the sums at ``w``
+at least ``SCREEN_MIN_ROW_NNZ`` stored entries per row and
+``SCREEN_MIN_ROWS_PER_STATE`` rows per state, on average, carry
+``operators.ScreenedSums`` instead: the sums at the start and at each new
+backup ``u`` are bounds drifted from the sums at ``w``
 (``operators.drifted_sums``), with no kernel pass, and the backup, the
 precondition test, the scan, the output check and the final policy each
 take exact sums, through ``weighted_sums`` over some rows, only for the
@@ -266,6 +267,25 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
 #   uniform 100 states, discount 0.9 (50):          0.73 / 0.85 / 0.72
 # The smallest count at which no measured model ran slower is 60.
 SCREEN_MIN_ROW_NNZ = 60
+# ... and with at least this many rows per state, on average: a screened
+# backup takes one row per state at the least, so with few rows it pays the
+# bounds and still sums nearly every row.  Same measure, uniform dense
+# models, discount 0.995, seed 100, min of 5 toggling the rule, median of 3
+# (rows per state in brackets):
+#   100 states, 2-4 actions (3.1):    2.08 / 1.41 / 2.17
+#   200 states, 2-4 actions (3.1):    1.43 / 1.46 / 1.67
+#   500 states, 2-4 actions (3.0):    1.17 / 1.27 / 1.27
+#   1000 states, 2-4 actions (3.0):   0.98 / 0.98 / 0.98
+#   200 states, 3-6 actions (4.6):    1.05 / 1.17 / 1.09
+#   500 states, 3-6 actions (4.4):    0.73 / 0.73 / 0.63
+#   100 states, 5-12 actions (8.8):   1.26 / 1.30 / 1.35
+#   200 states, 5-12 actions (8.7):   0.75 / 0.82 / 0.67
+#   100 states, 9-17 actions (13.0):  1.09 / 1.15 / 1.19
+#   100 states, 10-20 actions (15.3): 0.93 / 0.95 / 0.90
+#   100 states, 45-56 actions (50.7): 0.57 / 0.66 / 0.51
+# Below 4 no measured model gained more than 2%; from 4 up the sign follows
+# the model's size.
+SCREEN_MIN_ROWS_PER_STATE = 4
 
 
 def screens_sums(m: MdpModel, config: SolverConfig) -> bool:
@@ -274,6 +294,7 @@ def screens_sums(m: MdpModel, config: SolverConfig) -> bool:
         config.accelerator is AcceleratorKind.PROJECTIVE
         and not sweep_carries_state(config.operator)
         and m.probs.size >= SCREEN_MIN_ROW_NNZ * m.num_rows
+        and m.num_rows >= SCREEN_MIN_ROWS_PER_STATE * m.num_states
     )
 
 

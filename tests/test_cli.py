@@ -14,7 +14,7 @@ import pytest
 import mdpaccel.cli as cli
 import mdpaccel.verification as verif
 from mdpaccel.cli import CSV_COLUMNS, main
-from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model
+from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model, too_many_digits
 from mdpaccel.solver import SolverConfig
 
 from test_model import chain_to_absorbing, two_state_swap
@@ -205,6 +205,13 @@ class TestSolve:
         path.write_text(text, encoding="utf-8")
         assert main(command + [str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: arrays or objects nested too deeply to decode\n"
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "--model"]], ids=["solve", "verify"])
+    def test_model_integer_past_the_digit_limit_exits_1_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "long.json"
+        path.write_text('{"discount": 1' + "0" * 5_000, encoding="utf-8")
+        assert main(command + [str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {too_many_digits()}\n"
 
     def test_csv_appends_with_single_header(self, tmp_path):
         path = tmp_path / "m.json"
@@ -436,6 +443,12 @@ class TestBench:
         path.write_text('{"cells": ' + "[" * 200_000, encoding="utf-8")
         assert main(["bench", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: arrays or objects nested too deeply to decode\n"
+
+    def test_plan_integer_past_the_digit_limit_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text('{"cells": [{"actions": [1' + "0" * 5_000 + ', 2]}]}', encoding="utf-8")
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {too_many_digits()}\n"
 
     def test_unreadable_plan(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope.json")]) == 1

@@ -142,11 +142,31 @@ STREAM_DIGESTS = {
 }
 
 
+# Digests at benchmark scale, taken from the per-row support draws before
+# they were batched into per-state blocks: the sparse-gs workload's shape
+# and a sparse total-reward model, whose rows end in the terminal column.
+SCALE_SPECS = {
+    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9,
+                      action_range=(45, 56), seed=100),
+    "total-sparse-40": dict(family="total_reward_positive", num_states=40, density=0.2,
+                            discount=1.0, action_range=(2, 6), seed=100),
+}
+SCALE_DIGESTS = {
+    "sparse-gs": "3d9c95ed5e23e52702f141386ace09dbac88b662861ed4df567780983e1b072f",
+    "total-sparse-40": "9e011cd0a22cf79233d6329e3e5f71e1947483632f67f239a6739f9ca292238b",
+}
+
+
 class TestStreamPinned:
     @pytest.mark.parametrize("name,seed", sorted(STREAM_DIGESTS), ids=lambda x: str(x))
     def test_digest(self, name, seed):
         spec = GeneratorSpec(seed=seed, action_range=(2, 6), **STREAM_SPECS[name])
         assert model_digest(generate(spec)) == STREAM_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize("name", sorted(SCALE_DIGESTS))
+    def test_digest_at_benchmark_scale(self, name):
+        m = generate(GeneratorSpec(**SCALE_SPECS[name]))
+        assert model_digest(m) == SCALE_DIGESTS[name]
 
     def test_digest_sees_one_probability_bit(self):
         m = generate(GeneratorSpec(seed=0, action_range=(2, 6), **STREAM_SPECS["band"]))

@@ -433,6 +433,17 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="nested too deeply to decode"):
             load_model(p)
 
+    @pytest.mark.parametrize("text", [
+        '{"mode": "discounted", "discount": 1' + "0" * 5_000 + "}",
+        '{"mode": "discounted", "discount": 0.9, "states": '
+        '[{"actions": [{"reward": 1.0, "transitions": [[1' + "0" * 5_000 + ", 1.0]]}]}]}",
+    ], ids=["in-a-field", "in-states"])
+    def test_load_refuses_integers_past_the_digit_limit(self, tmp_path, text):
+        p = tmp_path / "long.json"
+        p.write_text(text)
+        with pytest.raises(ModelFormatError, match="digits, the longest decoded"):
+            load_model(p)
+
     def test_load_locates_bytes_that_are_not_utf8(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_bytes(b'{"mode": \xff\xfe}')

@@ -561,6 +561,20 @@ class TestSweeps:
         assert np.array_equal(apply_operator(fresh, v, kind), cached)
         assert np.array_equal(apply_operator(m, v, kind), cached)
 
+    @pytest.mark.parametrize("kind", ["gs", "gsj"])
+    def test_reward_shifted_copy_sweeps_its_own_rewards(self, kind):
+        # the per-state table holds reward views, so the shifted copy, which
+        # shares the input's transition views, must not read the input's rewards
+        rng = np.random.default_rng(20)
+        m = random_model(rng, num_states=25, density=0.4)
+        v = rng.normal(scale=10.0, size=m.num_states)
+        assert np.array_equal(apply_operator(m, v, kind), reference_sweep(m, v, kind == "gsj"))
+        shifted = adjust_rewards_nonnegative(m)[0]
+        assert shifted.state_rows is not m.state_rows
+        expected = reference_sweep(shifted, v, kind == "gsj")
+        assert not np.array_equal(expected, reference_sweep(m, v, kind == "gsj"))
+        assert np.array_equal(apply_operator(shifted, v, kind), expected)
+
     def test_feasible_gs_agrees_with_reference_sweep(self):
         rng = np.random.default_rng(19)
         verdicts = set()

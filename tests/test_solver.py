@@ -25,6 +25,7 @@ from mdpaccel.model import (
 from mdpaccel.operators import OperatorKind, apply_operator, sup_norm, weighted_sums
 from mdpaccel.solver import (
     SCREEN_MIN_ROW_NNZ,
+    SCREEN_MIN_ROWS_PER_STATE,
     AcceleratorKind,
     SolverConfig,
     SolverConfigError,
@@ -520,6 +521,32 @@ class TestSumsPassBudget:
     def test_plain_iteration(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "none", checks=False)
         assert (s, a) == (6, 0)
+
+
+class TestScreenSelection:
+    """Screening needs enough entries per row and enough rows per state."""
+
+    @pytest.mark.parametrize("actions", [SCREEN_MIN_ROWS_PER_STATE - 1, SCREEN_MIN_ROWS_PER_STATE])
+    def test_rows_per_state_at_the_minimum(self, actions):
+        m = generate(GeneratorSpec(family="uniform", num_states=SCREEN_MIN_ROW_NNZ, density=1.0,
+                                   discount=0.995, action_range=(actions, actions), seed=100))
+        cfg = SolverConfig(operator="standard", accelerator="projective")
+        assert screens_sums(m, cfg) is (actions >= SCREEN_MIN_ROWS_PER_STATE)
+
+    def test_dense_model_with_two_to_four_actions_takes_all_rows(self):
+        m = generate(GeneratorSpec(family="uniform", num_states=100, density=1.0, discount=0.995,
+                                   action_range=(2, 4), seed=100))
+        for operator in ("standard", "jacobi"):
+            assert not screens_sums(m, SolverConfig(operator=operator, accelerator="projective"))
+
+    @pytest.mark.parametrize("spec", [
+        dict(num_states=80, action_range=(45, 56), discount=0.995, seed=100),  # dense-pa
+        dict(num_states=500, discount=0.995, seed=0),  # criterion 4
+        dict(num_states=500, discount=0.9, reward_range=(0.01, 0.1), seed=0),  # criterion 9
+    ], ids=["dense-pa", "criterion-4", "criterion-9"])
+    def test_benchmark_and_anchor_models_still_screen(self, spec):
+        m = generate(GeneratorSpec(family="uniform", density=1.0, **spec))
+        assert screens_sums(m, SolverConfig(operator="standard", accelerator="projective"))
 
 
 class TestScreenedRowShare:
