@@ -22,7 +22,8 @@ per-action draws would.  Sparse rows draw their support and then their
 weights one row at a time, into the rows of two per-state blocks, and
 the blocks are sorted, mapped to columns and normalized at once, which
 consumes the same stream and gives the same bits.  The generators
-assemble the model's arrays directly, one chunk per state.
+assemble the model's arrays directly, one chunk per state, with int32
+columns, the width ``MdpModel`` stores them in.
 """
 
 from __future__ import annotations
@@ -153,14 +154,14 @@ def _state_rows(rng, k: int, legal: np.ndarray, size: int, tail=None):
     stream as ``uniform(0, 1, n)`` does and gives the same values.
     """
     if size >= len(legal):
-        cols = legal if tail is None else np.append(legal, tail)
+        cols = legal if tail is None else np.append(legal, np.int32(tail))
         return np.tile(cols, k), _normalized(rng.random((k, len(cols)))).ravel()
     picks = np.empty((k, size), dtype=np.intp)
     u = np.empty((k, size + (tail is not None)))
     for j in range(k):
         picks[j] = rng.choice(len(legal), size, replace=False)
         rng.random(out=u[j])
-    cols = np.empty(u.shape, dtype=np.int64)
+    cols = np.empty(u.shape, dtype=np.int32)
     cols[:, :size] = legal[np.sort(picks, axis=1)]
     if tail is not None:
         cols[:, size] = tail
@@ -209,19 +210,19 @@ def generate(spec: GeneratorSpec) -> MdpModel:
         rewards.append(rng.uniform(rlo, rhi, size=k))
         if spec.family is GeneratorFamily.BAND:
             half = spec.bandwidth // 2
-            window = np.arange(max(0, i - half), min(n - 1, i + half) + 1)
+            window = np.arange(max(0, i - half), min(n - 1, i + half) + 1, dtype=np.int32)
             c, p = _state_rows(rng, k, window, len(window))
         elif total:
             # nnz - 1 non-terminal successors, then the terminal state itself
-            others = np.arange(n - 1) if nnz > 1 else np.empty(0, np.int64)
+            others = np.arange(n - 1, dtype=np.int32) if nnz > 1 else np.empty(0, np.int32)
             c, p = _state_rows(rng, k, others, nnz - 1, tail=n - 1)
         else:
-            c, p = _state_rows(rng, k, np.arange(n), nnz)
+            c, p = _state_rows(rng, k, np.arange(n, dtype=np.int32), nnz)
         cols.append(c)
         probs.append(p)
     if not total:
         return _assemble(spec, rewards, cols, probs)
     rewards.append(np.zeros(1))
-    cols.append(np.array([n - 1]))
+    cols.append(np.array([n - 1], dtype=np.int32))
     probs.append(np.ones(1))
     return _assemble(spec, rewards, cols, probs, RewardMode.TOTAL_REWARD)

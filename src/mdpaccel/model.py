@@ -21,6 +21,7 @@ copy shares them.
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import math
@@ -40,6 +41,8 @@ UNIT_ROUNDOFF = 2.0**-53
 _JSON_NUMBERS = frozenset((int, float))
 # Columns above 2**53 are no state index, and floats no longer hold them exactly.
 _MAX_COLUMN = 2.0**53
+# Column indices are stored in 32 bits whenever every column fits.
+_INT32 = np.iinfo(np.int32)
 # Characters of a given value that an error message repeats.
 SHOWN_CHARS = 80
 
@@ -102,7 +105,10 @@ class MdpModel:
         rewards: per-row immediate reward, length num_rows.
         row_ptr: int array of length num_rows+1 delimiting each row's
             nonzeros inside cols/probs.
-        cols: nonzero column indices, strictly increasing within a row.
+        cols: nonzero column indices, strictly increasing within a row;
+            int32 when every column fits in int32, which ``row_matrix``
+            then adopts as its ``indices``, and int64 otherwise, so an
+            out-of-range column is kept as given for ``validate_model``.
         probs: transition probabilities matching cols.
         metadata: optional origin metadata (generator settings) carried
             through serialization.
@@ -131,7 +137,7 @@ class MdpModel:
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
         self.rewards = np.ascontiguousarray(self.rewards, dtype=np.float64)
         self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
-        self.cols = np.ascontiguousarray(self.cols, dtype=np.int64)
+        self.cols = _column_array(self.cols)
         self.probs = np.ascontiguousarray(self.probs, dtype=np.float64)
 
     @classmethod
@@ -177,7 +183,12 @@ class MdpModel:
 
     @property
     def row_matrix(self) -> sp.csr_matrix:
-        """Sparse (num_rows x num_states) matrix of all transition rows."""
+        """Sparse (num_rows x num_states) matrix of all transition rows.
+
+        Its ``data`` and, for int32 ``cols``, its ``indices`` are the model's
+        own arrays, neither copied nor scanned; only the row pointers are
+        narrowed to the index dtype.
+        """
         if self._row_matrix is None:
             self._row_matrix = sp.csr_matrix(
                 (self.probs, self.cols, self.row_ptr),
@@ -276,6 +287,20 @@ class MdpModel:
         return self._max_abs_reward
 
 
+def _column_array(cols) -> np.ndarray:
+    """``cols`` as a contiguous int32 array when every column fits, else as int64.
+
+    An int32 array is taken as it is, without a scan.
+    """
+    cols = np.asarray(cols)
+    if cols.dtype == np.int32:
+        return np.ascontiguousarray(cols)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    if cols.min(initial=0) >= _INT32.min and cols.max(initial=0) <= _INT32.max:
+        return cols.astype(np.int32)
+    return cols
+
+
 def models_identical(a: MdpModel, b: MdpModel) -> bool:
     """True when every stored field of the two models matches exactly."""
     return (
@@ -331,22 +356,27 @@ def validate_model(m: MdpModel) -> list[Violation]:
     if np.any(nnz_per_row < 1):
         return out
 
-    owner = np.repeat(np.arange(m.num_rows, dtype=np.int64), nnz_per_row)
-    bad_prob_rows = np.unique(owner[~((m.probs > 0.0) & (m.probs <= 1.0))])
-    for k in bad_prob_rows:
-        s, a = locate(int(k))
+    def owners(bad: np.ndarray) -> list[int]:
+        """The rows that own the flagged entries, ascending, each once."""
+        if not bad.any():
+            return []
+        return np.unique(np.searchsorted(m.row_ptr, np.flatnonzero(bad), side="right") - 1).tolist()
+
+    for k in owners(~((m.probs > 0.0) & (m.probs <= 1.0))):
+        s, a = locate(k)
         out.append(Violation("probability-range", s, a))
 
-    bad_col_rows = np.unique(owner[(m.cols < 0) | (m.cols >= m.num_states)])
+    bad_col_rows = owners((m.cols < 0) | (m.cols >= m.num_states))
     for k in bad_col_rows:
-        s, a = locate(int(k))
+        s, a = locate(k)
         out.append(Violation("column-range", s, a))
-    if len(bad_col_rows) == 0 and m.cols.size:
-        increasing = np.ones(m.cols.size, dtype=bool)
-        increasing[1:] = np.diff(m.cols) > 0
-        increasing[m.row_ptr[:-1][nnz_per_row > 0]] = True
-        for k in np.unique(owner[~increasing]):
-            s, a = locate(int(k))
+    if not bad_col_rows and m.cols.size:
+        # an entry that does not rise above the one before it, unless it starts a row
+        falls = np.zeros(m.cols.size, dtype=bool)
+        np.less_equal(m.cols[1:], m.cols[:-1], out=falls[1:])
+        falls[m.row_ptr[:-1]] = False
+        for k in owners(falls):
+            s, a = locate(k)
             out.append(Violation("column-order", s, a))
 
     with np.errstate(invalid="ignore"):
@@ -468,11 +498,20 @@ def _reject_constant(name):
     raise ModelFormatError(f"non-finite number {name!r} is not permitted")
 
 
-# Decodes one JSON value at a given index of the full text, so every position
-# it reports is the one a whole-document parse reports.
+# Decodes one JSON value at a given index of the buffered text.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # JSON's whitespace: space, tab, line feed and carriage return.
 _skip_space = json.decoder.WHITESPACE.match
+# Characters that may follow a complete value in a valid document.  A value
+# decoded up to the end of the buffered text, or up to any other character,
+# may have been cut short by the window, and is decoded again after a refill.
+_FOLLOWERS = frozenset(" \t\n\r,:]}")
+# Bytes ``load_model`` reads from a file at a time.  The window it walks
+# holds about a chunk of text, not the whole document.  A refill carries
+# over less than one value, not a chunk: on dense-pa's 8.6 MB model a load
+# then makes about 1,000 page faults, where carrying a chunk made 6,063 and
+# reading the file whole 4,178.
+_CHUNK_BYTES = 1 << 20
 # Transition entries converted in one ``_loaded_pairs`` call.  A block's
 # entries, about 130 bytes each as Python objects, are the only ones alive
 # beside one state's.  On dense-pa's shape (80 states, 45-56 actions, an
@@ -490,12 +529,14 @@ def _loaded_number(value, what):
     return float(value)
 
 
-def _loaded_pairs(entries, locate) -> np.ndarray:
-    """Transition entries as an (n, 2) float array of [column, probability] rows.
+def _loaded_pairs(entries, locate) -> tuple[np.ndarray, np.ndarray]:
+    """Transition entries as a column array and a probability array.
 
     One type scan, one length check, one conversion and one column check
     cover all of ``entries`` at once; only on failure is the list walked to
-    find the first bad entry, whose path ``locate(j)`` names.
+    find the first bad entry, whose path ``locate(j)`` names.  The columns
+    are int32 when all of them fit, and int64 otherwise, so that a column
+    out of int32's range reaches ``validate_model`` as it was written.
     """
     try:
         numeric = _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(entries)))
@@ -517,20 +558,98 @@ def _loaded_pairs(entries, locate) -> np.ndarray:
     if bad.size:
         j = int(bad[0])
         raise ModelFormatError(f"{locate(j)} column {float(c[j])!r} is not an integer index")
-    return pairs
+    # numpy's cast of a float outside int32's range is undefined, so check first
+    fits = c.min(initial=0.0) >= _INT32.min and c.max(initial=0.0) <= _INT32.max
+    return c.astype(np.int32 if fits else np.int64), pairs[:, 1].copy()
 
 
-def _next_char(text: str, pos: int, expected: str) -> tuple[str, int]:
-    """The first character at or after ``pos`` that is not whitespace, and its index.
+class _Window:
+    """The part of a JSON document that the walk still needs, as text.
 
-    Raises:
-        json.JSONDecodeError: the character is none of ``expected``.
+    Every position the walk holds is an index into ``text``; ``dropped``
+    counts the characters before it that were read and let go.  A window
+    over a binary file reads ``_CHUNK_BYTES`` at a time through a strict
+    incremental UTF-8 decoder, and each refill drops the text before the
+    value the walk is at.  A window over a whole text holds all of it and
+    never reads.  A method that reads raises ``UnicodeDecodeError`` on
+    bytes that are not UTF-8.
     """
-    pos = _skip_space(text, pos).end()
-    char = text[pos:pos + 1]
-    if not char or char not in expected:
-        raise json.JSONDecodeError(f"expecting one of {expected!r}", text, pos)
-    return char, pos
+
+    def __init__(self, text: str = "", file=None):
+        self.text = text
+        self.dropped = 0
+        self.eof = file is None
+        self._file = file
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        self._last = 0  # the length of the value decoded last
+
+    def refill(self, pos: int) -> int:
+        """Drop the text before ``pos``, read on, and return ``pos``'s new index.
+
+        A refill reads as many bytes as are buffered from ``pos`` on, and at
+        least a chunk, so a value longer than the window doubles it on each
+        failed decode and is decoded in time linear in its length.
+        """
+        keep = self.text[pos:]
+        self.text = ""
+        self.dropped += pos
+        size = max(_CHUNK_BYTES, len(keep))
+        new = ""
+        while not new and not self.eof:
+            raw = self._file.read(size)
+            self.eof = not raw
+            new = self._utf8.decode(raw, final=self.eof)
+            del raw
+        self.text = keep + new
+        return 0
+
+    def space(self, pos: int) -> int:
+        """The index of the first non-whitespace character at or after ``pos``.
+
+        That is ``len(text)`` only at the end of the document.
+        """
+        pos = _skip_space(self.text, pos).end()
+        while pos == len(self.text) and not self.eof:
+            pos = _skip_space(self.text, self.refill(pos)).end()
+        return pos
+
+    def char(self, pos: int, expected: str) -> tuple[str, int]:
+        """The first non-whitespace character at or after ``pos``, and its index.
+
+        Raises:
+            json.JSONDecodeError: the character is none of ``expected``.
+        """
+        pos = self.space(pos)
+        char = self.text[pos:pos + 1]
+        if not char or char not in expected:
+            raise json.JSONDecodeError(f"expecting one of {expected!r}", self.text, pos)
+        return char, pos
+
+    def value(self, pos: int) -> tuple[object, int]:
+        """The JSON value that starts at ``pos``, and the index past it.
+
+        The window refills first when it holds less text than the previous
+        value took, so a run of values of like length, such as the states
+        of one model, is decoded at the first attempt, and a refill carries
+        over less than one value's text.
+
+        Raises:
+            json.JSONDecodeError: the value is not JSON, up to the end of
+                the document.
+        """
+        if not self.eof and len(self.text) - pos < self._last:
+            pos = self.refill(pos)
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, pos)
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            else:
+                if self.eof or self.text[end:end + 1] in _FOLLOWERS:
+                    self._last = end - pos
+                    return value, end
+            pos = self.refill(pos)
 
 
 @dataclass
@@ -547,8 +666,8 @@ class _States:
     probs: list = field(default_factory=list)
 
 
-def _read_states(text: str, start: int):
-    """Read the ``states`` array that opens at ``text[start]``, one element at a time.
+def _read_states(w: _Window, start: int):
+    """Read the ``states`` array that opens at ``w.text[start]``, one element at a time.
 
     Each state is decoded alone and checked for shape.  Its transition
     entries wait in one list, which ``_loaded_pairs`` converts in blocks of
@@ -565,9 +684,12 @@ def _read_states(text: str, start: int):
         json.JSONDecodeError: the array is not JSON.  After a fault the
             array is decoded whole, so a syntax fault anywhere in it is
             raised, as a whole-document parse raises it before any other.
+        ModelFormatError: the fault, when the window has dropped the
+            array's start; the whole text then has to be read again.
     """
     out = _States()
     pending: list = []  # entries not converted yet
+    origin = w.dropped + start
 
     def locate(j: int) -> str:
         k = bisect_right(out.row_ptr, j) - 1
@@ -576,15 +698,15 @@ def _read_states(text: str, start: int):
 
     def convert(entries):
         done = sum(map(len, out.probs))
-        pairs = _loaded_pairs(entries, lambda j: locate(done + j))
-        out.cols.append(pairs[:, 0].astype(np.int64))
-        out.probs.append(pairs[:, 1].copy())
+        cols, probs = _loaded_pairs(entries, lambda j: locate(done + j))
+        out.cols.append(cols)
+        out.probs.append(probs)
 
     try:
-        pos = _skip_space(text, start + 1).end()
-        more = text[pos:pos + 1] != "]"
+        pos = w.space(start + 1)
+        more = w.text[pos:pos + 1] != "]"
         while more:
-            sdoc, pos = _DECODER.raw_decode(text, pos)
+            sdoc, pos = w.value(pos)
             i = len(out.state_ptr) - 1
             if not isinstance(sdoc, dict) or "actions" not in sdoc:
                 raise ModelFormatError(f"states[{i}] must be an object with an 'actions' field")
@@ -605,21 +727,23 @@ def _read_states(text: str, start: int):
             while len(pending) >= _BLOCK_ENTRIES:
                 convert(pending[:_BLOCK_ENTRIES])
                 del pending[:_BLOCK_ENTRIES]
-            char, pos = _next_char(text, pos, ",]")
+            char, pos = w.char(pos, ",]")
             more = char == ","
             if more:
-                pos = _skip_space(text, pos + 1).end()
+                pos = w.space(pos + 1)
         convert(pending)
     except ModelFormatError as fault:
         try:
             convert(pending)
         except ModelFormatError as earlier:
             fault = earlier
-        return fault, _DECODER.raw_decode(text, start)[1]
+        if origin < w.dropped:
+            raise fault from None
+        return fault, w.value(origin - w.dropped)[1]
     return out, pos + 1
 
 
-def _walk(text: str) -> dict:
+def _walk(w: _Window) -> dict:
     """The fields of the top-level object, read in document order.
 
     Every field but ``states`` is decoded whole; an array ``states`` is
@@ -629,42 +753,38 @@ def _walk(text: str) -> dict:
     Raises:
         json.JSONDecodeError: the text is not JSON, or not an object.
     """
-    _, pos = _next_char(text, 0, "{")
+    _, pos = w.char(0, "{")
     fields = {}
-    char, pos = _next_char(text, pos + 1, '"}')
+    char, pos = w.char(pos + 1, '"}')
     while char != "}":
-        key, pos = _DECODER.raw_decode(text, pos)
-        _, pos = _next_char(text, pos, ":")
-        pos = _skip_space(text, pos + 1).end()
-        if key == "states" and text[pos:pos + 1] == "[":
-            fields[key], pos = _read_states(text, pos)
+        key, pos = w.value(pos)
+        _, pos = w.char(pos, ":")
+        pos = w.space(pos + 1)
+        if key == "states" and w.text[pos:pos + 1] == "[":
+            fields[key], pos = _read_states(w, pos)
         else:
-            fields[key], pos = _DECODER.raw_decode(text, pos)
-        char, pos = _next_char(text, pos, ",}")
+            fields[key], pos = w.value(pos)
+        char, pos = w.char(pos, ",}")
         if char == ",":
-            char, pos = _next_char(text, pos + 1, '"')
-    end = _skip_space(text, pos + 1).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
+            char, pos = w.char(pos + 1, '"')
+    end = w.space(pos + 1)
+    if end != len(w.text):
+        raise json.JSONDecodeError("Extra data", w.text, end)
     return fields
 
 
-def _fields(text: str) -> dict:
-    """``_walk`` with the cyclic collector paused: a JSON document has no cycles.
+def _text_fields(text: str) -> dict:
+    """``_walk`` over a whole text, every fault named as a whole-document parse names it.
 
-    Decoding allocates one container per transition entry, and every
-    collection the allocations trigger would scan all of them.  Where the
-    walk meets text it does not expect, a whole-document parse names the
-    fault, so its message and position are the ones ``json.loads`` gives.
-    The decoder recurses once per level of nesting, so a document nested
-    deeper than the interpreter's recursion limit is refused unlocated, and
-    so is an integer longer than the interpreter converts from text.
+    Where the walk meets text it does not expect, ``json.loads`` names the
+    fault, so its message and position are the ones it gives.  The decoder
+    recurses once per level of nesting, so a document nested deeper than
+    the interpreter's recursion limit is refused unlocated, and so is an
+    integer longer than the interpreter converts from text.
     """
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         try:
-            return _walk(text)
+            return _walk(_Window(text))
         except json.JSONDecodeError as fault:
             try:
                 doc = json.loads(text, parse_constant=_reject_constant)
@@ -680,9 +800,6 @@ def _fields(text: str) -> dict:
         raise
     except ValueError:  # int() refuses a literal past the interpreter's digit limit
         raise ModelFormatError(too_many_digits()) from None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _utf8_text(path) -> str:
@@ -694,17 +811,47 @@ def _utf8_text(path) -> str:
         raise ModelFormatError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
 
 
+def _fields(path) -> dict:
+    """The top-level fields of the model file at ``path``, walked through a window.
+
+    The cyclic collector is paused meanwhile: a JSON document has no cycles,
+    but decoding allocates one container per transition entry, and every
+    collection the allocations trigger would scan all of them.  A fault met
+    through the window (bytes that are not UTF-8, text the walk does not
+    expect, a shape fault in a ``states`` the window has partly dropped, or
+    what the decoder refuses) sends the load to the whole text, where
+    ``_text_fields`` names it; a valid file is read once, through the window.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            with open(path, "rb") as f:
+                return _walk(_Window(file=f))
+        except (ValueError, RecursionError):  # named below, from the whole text
+            pass
+        return _text_fields(_utf8_text(path))
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def load_model(path) -> MdpModel:
     """Load and validate a model from a JSON file.
 
-    The document is walked, not parsed whole: each top-level field is
-    decoded alone, and so is each element of ``states``, which is checked
-    for shape before the next is decoded; transition entries are converted
-    in blocks of ``_BLOCK_ENTRIES``.  So the text, one state, one block and
-    the arrays are what the load holds at once, and the text is released
-    before the arrays are joined.  Every fault is located as a whole-document
-    parse locates it, except that of two faults inside ``states`` the one
-    earlier in the document is reported.
+    The file is read forward in ``_CHUNK_BYTES`` chunks through a strict
+    incremental UTF-8 decoder, and the document is walked through a window
+    of its text: each top-level field is decoded alone, and so is each
+    element of ``states``, which is checked for shape before the next is
+    decoded; transition entries are converted in blocks of
+    ``_BLOCK_ENTRIES``.  Each refill drops the text already walked, and a
+    value longer than the window doubles it until it fits.  So about a
+    chunk of text, one state, one block and the arrays are what a load
+    holds at once, and columns that fit are stored in 32 bits: the traced
+    peak is about the file's size.  Every fault is named from the whole
+    text, read again, and located as a whole-document parse locates it,
+    except that of two faults inside ``states`` the one earlier in the
+    document is reported.
 
     Raises:
         ModelFormatError: bytes that are not UTF-8 (with their offset),
@@ -712,7 +859,7 @@ def load_model(path) -> MdpModel:
             document (naming the offending field).
         ModelValidationError: parseable document violating model invariants.
     """
-    doc = _fields(_utf8_text(path))
+    doc = _fields(path)
     metadata = doc.get("generator")
     if metadata is not None and not isinstance(metadata, dict):
         raise ModelFormatError("generator must be an object")
@@ -730,6 +877,11 @@ def load_model(path) -> MdpModel:
         raise states from None
     if not isinstance(states, _States):
         raise ModelFormatError("states must be an array")
+    # each list of blocks goes once it is joined, so one is alive beside the arrays
+    cols = np.concatenate(states.cols)
+    states.cols.clear()
+    probs = np.concatenate(states.probs)
+    states.probs.clear()
     m = MdpModel(
         num_states=len(states.state_ptr) - 1,
         discount=discount,
@@ -737,11 +889,11 @@ def load_model(path) -> MdpModel:
         state_ptr=np.array(states.state_ptr, dtype=np.int64),
         rewards=np.array(states.rewards, dtype=np.float64),
         row_ptr=np.array(states.row_ptr, dtype=np.int64),
-        cols=np.concatenate(states.cols),
-        probs=np.concatenate(states.probs),
+        cols=cols,
+        probs=probs,
         metadata=metadata,
     )
-    del states  # the blocks go before validation makes its temporaries
+    del states  # its reward and pointer lists go before validation makes its temporaries
     violations = validate_model(m)
     if violations:
         raise ModelValidationError(violations)

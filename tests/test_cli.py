@@ -17,7 +17,7 @@ from mdpaccel.cli import CSV_COLUMNS, main
 from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model, too_many_digits
 from mdpaccel.solver import SolverConfig
 
-from test_model import chain_to_absorbing, two_state_swap
+from test_model import WIDE_COLUMNS, chain_to_absorbing, two_state_swap
 
 BROKEN_MODEL = (
     '{"mode": "discounted", "discount": 0.9, "states": '
@@ -502,6 +502,17 @@ class TestVerify:
         path.write_text(BROKEN_MODEL, encoding="utf-8")
         assert main(["verify", "--model", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", WIDE_COLUMNS)
+    def test_model_with_a_column_past_int32_is_out_of_range(self, tmp_path, capsys, column):
+        path = tmp_path / "wide.json"
+        path.write_text(
+            '{"mode": "discounted", "discount": 0.9, "states": '
+            '[{"actions": [{"reward": 1.0, "transitions": [[%d, 1.0]]}]}]}' % column,
+            encoding="utf-8",
+        )
+        assert main(["verify", "--model", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: invalid model: column-range at state 0 action 0\n"
 
     def test_failing_suite_exits_1(self, monkeypatch, capsys):
         def always_false(_trial):

@@ -109,9 +109,13 @@ class TestDeterminism:
 
 
 def model_digest(m):
-    """SHA-256 over the five stored arrays (little-endian bytes) and the metadata."""
+    """SHA-256 over the five stored arrays (little-endian bytes) and the metadata.
+
+    The columns are hashed widened to int64, so a digest pins their values,
+    not the width they are stored in.
+    """
     h = hashlib.sha256()
-    for a in (m.state_ptr, m.rewards, m.row_ptr, m.cols, m.probs):
+    for a in (m.state_ptr, m.rewards, m.row_ptr, m.cols.astype(np.int64), m.probs):
         h.update(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
     h.update(json.dumps(m.metadata, sort_keys=True).encode())
     return h.hexdigest()

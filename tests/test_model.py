@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -150,6 +151,27 @@ class TestConstruction:
         assert fresh._row_counts is None
 
 
+def reference_entry_violations(m):
+    """The probability, column and order violations, located through a per-entry owner array."""
+    owner = np.repeat(np.arange(m.num_rows), np.diff(m.row_ptr))
+    out = []
+
+    def named(rule, rows):
+        for k in np.unique(rows):
+            s = int(np.searchsorted(m.state_ptr, k, side="right") - 1)
+            out.append(f"{rule} at state {s} action {int(k - m.state_ptr[s])}")
+
+    named("probability-range", owner[~((m.probs > 0.0) & (m.probs <= 1.0))])
+    bad_cols = owner[(m.cols < 0) | (m.cols >= m.num_states)]
+    named("column-range", bad_cols)
+    if bad_cols.size == 0:
+        increasing = np.ones(m.cols.size, dtype=bool)
+        increasing[1:] = np.diff(m.cols) > 0
+        increasing[m.row_ptr[:-1]] = True
+        named("column-order", owner[~increasing])
+    return out
+
+
 class TestValidation:
     def test_valid_model_has_no_violations(self):
         assert validate_model(two_state_swap()) == []
@@ -208,10 +230,64 @@ class TestValidation:
         m = MdpModel.from_rows([[(float("inf"), [(0, 1.0)])]], discount=0.9)
         assert "reward-finite" in {v.rule for v in validate_model(m)}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entry_violations_name_the_rows_a_per_entry_owner_array_names(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, num_states=12, max_actions=4, density=0.5)
+        probs, cols = m.probs.copy(), m.cols.astype(np.int64)
+        for at in rng.choice(probs.size, size=6, replace=False):
+            probs[at] = rng.choice([0.0, -0.5, 1.5, np.nan])
+        if seed % 2:  # column faults hide the order check, so plant them on odd seeds
+            cols[rng.choice(cols.size, size=3, replace=False)] = [-1, m.num_states, 2**40]
+        else:
+            at = rng.choice(np.flatnonzero(np.diff(m.row_ptr) > 1), size=3, replace=False)
+            cols[m.row_ptr[at] + 1] = cols[m.row_ptr[at]]
+        bad = dataclasses.replace(m, probs=probs, cols=cols)
+        got = [str(v) for v in validate_model(bad) if v.rule != "row-sum"]
+        assert got and got == reference_entry_violations(bad)
+
     def test_violation_str_mentions_location(self):
         m = MdpModel.from_rows([[(1.0, [(0, 0.98)])]], discount=0.9)
         text = str(validate_model(m)[0])
         assert "row-sum" in text and "state 0" in text
+
+
+# Columns past int32's range, on both sides; each must fail ``column-range``
+# rather than wrap into a valid index when stored.
+WIDE_COLUMNS = [2**31, 2**32 + 1, 2**40, -(2**31) - 1]
+
+
+class TestColumnWidth:
+    """Columns are stored in int32 when they fit, and ``row_matrix`` adopts them."""
+
+    @pytest.mark.parametrize("column", WIDE_COLUMNS)
+    def test_model_with_a_wide_column_fails_column_range(self, column):
+        m = MdpModel.from_rows([[(1.0, [(column, 1.0)])], [(1.0, [(0, 1.0)])]], discount=0.9)
+        assert m.cols.dtype == np.int64 and m.cols[0] == column
+        assert [str(v) for v in validate_model(m)] == ["column-range at state 0 action 0"]
+
+    @pytest.mark.parametrize("column", WIDE_COLUMNS)
+    def test_file_with_a_wide_column_fails_column_range(self, tmp_path, column):
+        p = tmp_path / "m.json"
+        p.write_text(model_text_with_entry(f"[{column}, 0.25]", 1, 1, 0))
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(p)
+        assert [str(v) for v in exc.value.violations] == ["column-range at state 1 action 1"]
+
+    def test_columns_that_fit_are_int32_and_shared_with_the_row_matrix(self, tmp_path):
+        generated = generate(GeneratorSpec(family="band", num_states=20, bandwidth=5, seed=2))
+        p = tmp_path / "m.json"
+        save_model(generated, p)
+        models = {
+            "generated": generated,
+            "loaded": load_model(p),
+            "from_rows": two_state_swap(),
+            "shifted": adjust_rewards_nonnegative(random_model(np.random.default_rng(5)))[0],
+            "int64-given": dataclasses.replace(generated, cols=generated.cols.astype(np.int64)),
+        }
+        for name, m in models.items():
+            assert m.cols.dtype == np.int32, name
+            assert np.shares_memory(m.row_matrix.indices, m.cols), name
 
 
 class TestRewardShift:
@@ -633,6 +709,12 @@ LOAD_PARITY = {
 }
 
 
+def text_with_two_faults_in_states():
+    """A bad entry in the first state, then a reward that is no number in the last."""
+    before, last = model_text_with_entry('"x"', 0, 1, 2).rsplit('{"actions"', 1)
+    return before + '{"actions"' + last.replace('"reward": 1.0', '"reward": "y"', 1)
+
+
 def whole_parse_fault(text):
     with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(text)
@@ -675,9 +757,8 @@ class TestLoadWalk:
 
     def test_of_two_faults_in_states_the_earlier_is_reported(self, tmp_path):
         # a whole-document parse checked every state's shape before any entry
-        before, last = model_text_with_entry('"x"', 0, 1, 2).rsplit('{"actions"', 1)
         p = tmp_path / "m.json"
-        p.write_text(before + '{"actions"' + last.replace('"reward": 1.0', '"reward": "y"', 1))
+        p.write_text(text_with_two_faults_in_states())
         with pytest.raises(ModelFormatError, match=bad_entry_path(0, 1, 2) + "must be"):
             load_model(p)
 
@@ -695,6 +776,131 @@ class TestLoadWalk:
         assert m.cols.size > 4 * model_module._BLOCK_ENTRIES
         # the text, one block and the arrays; a whole-document parse held 6.7 times the file
         assert peak <= 2.5 * size, f"traced peak {peak} bytes for a {size}-byte file"
+
+    def test_traced_peak_through_the_window_is_about_the_file_size(self, tmp_path):
+        # dense-pa's shape: 80 states of about 107 KB each, over eight chunks
+        spec = GeneratorSpec(family="uniform", num_states=80, density=1.0, action_range=(45, 56), seed=100)
+        p = tmp_path / "m.json"
+        save_model(generate(spec), p)
+        size = p.stat().st_size
+        assert size >= 8 * model_module._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one or two chunks of text, one state, one block, and int32 columns
+        assert peak <= 1.1 * size, f"traced peak {peak} bytes for a {size}-byte file"
+
+    def test_a_state_longer_than_the_window_takes_logarithmically_many_decodes(self, tmp_path, monkeypatch):
+        chunk = 1024
+        monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
+        m = MdpModel.from_rows([[(float(a), [(0, 1.0)]) for a in range(2_000)]], discount=0.9)
+        p = tmp_path / "m.json"
+        save_model(m, p)
+        chunks = p.stat().st_size / chunk
+        assert chunks >= 64
+
+        calls = []
+
+        class CountingDecoder(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                calls.append(idx)
+                return super().raw_decode(s, idx)
+
+        monkeypatch.setattr(model_module, "_DECODER", CountingDecoder(parse_constant=model_module._reject_constant))
+        assert models_identical(load_model(p), m)
+        # the window doubles on each failed decode of the state; the other
+        # five decodes are the three keys and the two short values
+        assert len(calls) <= math.log2(chunks) + 2 + 5, calls
+
+
+# Malformed and edge documents.  Through the window, each must load as the
+# whole-text reader loads it: the same model, or the same error and message.
+MALFORMED = {
+    **{name: text for name, (text, _, _) in LOAD_PARITY.items()},
+    "syntax-line-2": '{"mode": "discounted",\n "discount": }\n',
+    "not-an-object": "[1, 2]",
+    "empty": "",
+    "unclosed-top": HEAD + '"states": [%s]' % ONE_STATE,
+    "format-error": HEAD + '"states": [{"actions": 3}]}',
+    "too-deep-in-a-field": '{"mode": ' + "[" * 200_000,
+    "too-deep-in-states": HEAD + '"states": ' + "[" * 100_000,
+    "digits-in-a-field": '{"mode": "discounted", "discount": 1' + "0" * 5_000 + "}",
+    "digits-in-states": HEAD + '"states": [{"actions": [{"reward": 1.0, "transitions": [[1' + "0" * 5_000 + ", 1.0]]}]}]}",
+    "nan-token": HEAD + '"states": [{"actions": [{"reward": NaN, "transitions": [[0, 1.0]]}]}]}',
+    "generator-array": HEAD + '"states": [%s], "generator": [1]}' % ONE_STATE,
+    "missing-discount": '{"mode": "discounted", "states": [%s]}' % ONE_STATE,
+    "bad-mode": '{"mode": "avg", "discount": 0.9, "states": [%s]}' % ONE_STATE,
+    "repeated-mode": '{"mode": "avg", "discount": 0.9, "states": [%s], "mode": "discounted"}' % ONE_STATE,
+    "bad-entry-early": model_text_with_entry("[1.5, 0.25]", 0, 0, 1),
+    "bad-entry-late": model_text_with_entry('[1, "1.0"]', 1, 1, 2),
+    "two-faults-in-states": text_with_two_faults_in_states(),
+    "row-sum": HEAD + '"states": [{"actions": [{"reward": 1.0, "transitions": [[0, 0.98]]}]}]}',
+    "wide-column": model_text_with_entry("[4294967297, 0.25]", 2, 0, 0),
+}
+MALFORMED_BYTES = {
+    "not-utf8": b'{"mode": \xff\xfe}',
+    "not-utf8-later": (HEAD + '"states": [%s, ' % ONE_STATE).encode() + b'"\xc3\x28"]}',
+    "cut-utf8-at-the-end": (HEAD + '"states": [%s], "note": "' % ONE_STATE).encode() + b"\xe2\x82",
+}
+
+
+def whole_text_outcome(monkeypatch, p):
+    """What ``load_model`` gives for ``p`` when it reads the whole text at once."""
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "_fields", lambda path: model_module._text_fields(model_module._utf8_text(path)))
+        return load_outcome(p)
+
+
+def load_outcome(p):
+    try:
+        return "model", load_model(p).rewards.tolist()
+    except (ModelFormatError, ModelValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestChunkBoundaries:
+    """Every chunk size loads every document as the whole-text reader loads it."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("spec", [
+        dict(family="uniform", num_states=12, density=0.4),
+        dict(family="uniform", num_states=12, density=1.0),
+        dict(family="band", num_states=15, bandwidth=5),
+        dict(family="total_reward_positive", num_states=10, density=0.5, discount=1.0),
+    ], ids=["uniform-sparse", "uniform-dense", "band", "total-reward"])
+    @pytest.mark.parametrize("metadata", [True, False], ids=["metadata", "no-metadata"])
+    def test_generated_models_load_identical(self, tmp_path, monkeypatch, chunk, spec, metadata):
+        monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
+        m = generate(GeneratorSpec(seed=chunk, action_range=(1, 4), **spec))
+        if not metadata:
+            m.metadata = None
+        p = tmp_path / "m.json"
+        save_model(m, p)
+        assert models_identical(load_model(p), m)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_characters_split_across_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
+        m = random_model(np.random.default_rng(3), num_states=5)
+        m.metadata = {"note": "\u00e9\u20ac\U0001d11e" * 9, "seed": 3}
+        p = tmp_path / "m.json"
+        save_model(m, p)
+        assert models_identical(load_model(p), m)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("name", [*MALFORMED, *MALFORMED_BYTES])
+    def test_edge_documents_load_as_the_whole_text_does(self, tmp_path, monkeypatch, chunk, name):
+        p = tmp_path / "m.json"
+        if name in MALFORMED:
+            p.write_text(MALFORMED[name], encoding="utf-8")
+        else:
+            p.write_bytes(MALFORMED_BYTES[name])
+        expected = whole_text_outcome(monkeypatch, p)
+        monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
+        assert load_outcome(p) == expected
 
 
 class TestWriterBytes:
