@@ -319,9 +319,11 @@ def models_identical(a: MdpModel, b: MdpModel) -> bool:
 def validate_model(m: MdpModel) -> list[Violation]:
     """Check every model invariant and return the list of violations.
 
-    An empty list means the model is valid.  Checks cover state/action
-    structure, probability ranges, column ordering, row sums (1e-9
-    absolute), reward finiteness, and the discount/mode coupling.
+    An empty list means the model is valid.  Checks cover the array
+    layout, state/action structure, probability ranges, column ordering,
+    row sums (1e-9 absolute), reward finiteness, and the discount/mode
+    coupling.  The other checks index the arrays, so a broken layout is
+    reported alone, after any discount violation.
     """
     out: list[Violation] = []
     if m.num_states < 1:
@@ -333,6 +335,14 @@ def validate_model(m: MdpModel) -> list[Violation]:
         out.append(Violation("discount-mode", detail="discounted model needs discount < 1"))
     elif m.mode is RewardMode.TOTAL_REWARD and m.discount != 1.0:
         out.append(Violation("discount-mode", detail="total-reward model needs discount = 1"))
+
+    sp, rp, rows, nnz = m.state_ptr, m.row_ptr, m.num_rows, m.cols.size
+    if len(sp) != m.num_states + 1 or sp[0] != 0 or sp[-1] != rows:
+        return out + [Violation("layout", detail=f"state_ptr needs {m.num_states + 1} entries from 0 to {rows}")]
+    if len(rp) != rows + 1 or rp[0] != 0 or rp[-1] != nnz:
+        return out + [Violation("layout", detail=f"row_ptr needs {rows + 1} entries from 0 to {nnz}")]
+    if m.probs.size != nnz:
+        return out + [Violation("layout", detail=f"probs needs {nnz} entries, one per column")]
 
     counts = np.diff(m.state_ptr)
     for i in np.flatnonzero(counts < 1):
@@ -467,11 +477,7 @@ def initial_feasible_point_total_reward(m: MdpModel) -> np.ndarray:
     is_absorbing = np.zeros(m.num_states, dtype=bool)
     is_absorbing[absorbing] = True
 
-    nnz_per_row = np.diff(m.row_ptr)
-    owner = np.repeat(np.arange(m.num_rows, dtype=np.int64), nnz_per_row)
-    into_absorbing = np.zeros(m.num_rows, dtype=np.float64)
-    mask = is_absorbing[m.cols]
-    np.add.at(into_absorbing, owner[mask], m.probs[mask])
+    into_absorbing = m.row_matrix @ is_absorbing.astype(np.float64)
 
     transient_row = ~is_absorbing[m.row_state]
     stuck = transient_row & (m.rewards > 0.0) & (into_absorbing <= 0.0)
@@ -564,21 +570,18 @@ def _loaded_pairs(entries, locate) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Window:
-    """The part of a JSON document that the walk still needs, as text.
+    """The part of a model file that the walk still needs, as text.
 
-    Every position the walk holds is an index into ``text``; ``dropped``
-    counts the characters before it that were read and let go.  A window
-    over a binary file reads ``_CHUNK_BYTES`` at a time through a strict
+    Every position the walk holds is an index into ``text``.  The window
+    reads its binary file ``_CHUNK_BYTES`` at a time through a strict
     incremental UTF-8 decoder, and each refill drops the text before the
-    value the walk is at.  A window over a whole text holds all of it and
-    never reads.  A method that reads raises ``UnicodeDecodeError`` on
-    bytes that are not UTF-8.
+    value the walk is at.  A method that reads raises
+    ``UnicodeDecodeError`` on bytes that are not UTF-8.
     """
 
-    def __init__(self, text: str = "", file=None):
-        self.text = text
-        self.dropped = 0
-        self.eof = file is None
+    def __init__(self, file):
+        self.text = ""
+        self.eof = False
         self._file = file
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
         self._last = 0  # the length of the value decoded last
@@ -592,7 +595,6 @@ class _Window:
         """
         keep = self.text[pos:]
         self.text = ""
-        self.dropped += pos
         size = max(_CHUNK_BYTES, len(keep))
         new = ""
         while not new and not self.eof:
@@ -610,7 +612,8 @@ class _Window:
         """
         pos = _skip_space(self.text, pos).end()
         while pos == len(self.text) and not self.eof:
-            pos = _skip_space(self.text, self.refill(pos)).end()
+            pos = self.refill(pos)
+            pos = _skip_space(self.text, pos).end()
         return pos
 
     def char(self, pos: int, expected: str) -> tuple[str, int]:
@@ -634,15 +637,19 @@ class _Window:
         over less than one value's text.
 
         Raises:
-            json.JSONDecodeError: the value is not JSON, up to the end of
+            json.JSONDecodeError, ValueError: the value is not JSON, or has
+                an integer longer than ``int`` converts, up to the end of
                 the document.
+            ModelFormatError: a NaN or infinity in it.
         """
         if not self.eof and len(self.text) - pos < self._last:
             pos = self.refill(pos)
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.text, pos)
-            except json.JSONDecodeError:
+            except ModelFormatError:
+                raise
+            except ValueError:  # the value, or one of its integers, may be cut short
                 if self.eof:
                     raise
             else:
@@ -672,24 +679,21 @@ def _read_states(w: _Window, start: int):
     Each state is decoded alone and checked for shape.  Its transition
     entries wait in one list, which ``_loaded_pairs`` converts in blocks of
     ``_BLOCK_ENTRIES``, so one block and one state are all the entries alive
-    as Python objects.  A shape fault first converts the entries before it,
-    so of two faults the one earlier in the document is kept.
+    as Python objects.  After the first fault the rest of the array is
+    only decoded, so a later syntax fault is still raised first; then the
+    entries before a shape fault are converted, so of two faults the one
+    earlier in the document is kept.
 
     Returns ``(states, end)``: ``states`` is a ``_States``, or the
-    ``ModelFormatError`` of the fault, which is returned rather than raised
-    because a later ``states`` field replaces this one; ``end`` is the index
-    past the array.
+    ``ModelFormatError`` of the first fault, which is returned rather than
+    raised because a later ``states`` field replaces this one; ``end`` is
+    the index past the array.
 
     Raises:
-        json.JSONDecodeError: the array is not JSON.  After a fault the
-            array is decoded whole, so a syntax fault anywhere in it is
-            raised, as a whole-document parse raises it before any other.
-        ModelFormatError: the fault, when the window has dropped the
-            array's start; the whole text then has to be read again.
+        json.JSONDecodeError, ValueError, ModelFormatError: as ``_Window.value``.
     """
     out = _States()
     pending: list = []  # entries not converted yet
-    origin = w.dropped + start
 
     def locate(j: int) -> str:
         k = bisect_right(out.row_ptr, j) - 1
@@ -702,45 +706,44 @@ def _read_states(w: _Window, start: int):
         out.cols.append(cols)
         out.probs.append(probs)
 
-    try:
-        pos = w.space(start + 1)
-        more = w.text[pos:pos + 1] != "]"
-        while more:
-            sdoc, pos = w.value(pos)
-            i = len(out.state_ptr) - 1
-            if not isinstance(sdoc, dict) or "actions" not in sdoc:
-                raise ModelFormatError(f"states[{i}] must be an object with an 'actions' field")
-            actions = sdoc["actions"]
-            if not isinstance(actions, list):
-                raise ModelFormatError(f"states[{i}].actions must be an array")
-            for a, adoc in enumerate(actions):
-                where = f"states[{i}].actions[{a}]"
-                if not isinstance(adoc, dict) or "reward" not in adoc or "transitions" not in adoc:
-                    raise ModelFormatError(f"{where} must be an object with 'reward' and 'transitions'")
-                out.rewards.append(_loaded_number(adoc["reward"], f"{where}.reward"))
-                trans = adoc["transitions"]
-                if not isinstance(trans, list):
-                    raise ModelFormatError(f"{where}.transitions must be an array")
-                pending += trans
-                out.row_ptr.append(out.row_ptr[-1] + len(trans))
-            out.state_ptr.append(len(out.rewards))
-            while len(pending) >= _BLOCK_ENTRIES:
-                convert(pending[:_BLOCK_ENTRIES])
-                del pending[:_BLOCK_ENTRIES]
-            char, pos = w.char(pos, ",]")
-            more = char == ","
-            if more:
-                pos = w.space(pos + 1)
-        convert(pending)
-    except ModelFormatError as fault:
+    fault = None
+    pos = w.space(start + 1)
+    more = w.text[pos:pos + 1] != "]"
+    while more:
+        sdoc, pos = w.value(pos)
+        i = len(out.state_ptr) - 1
         try:
-            convert(pending)
-        except ModelFormatError as earlier:
-            fault = earlier
-        if origin < w.dropped:
-            raise fault from None
-        return fault, w.value(origin - w.dropped)[1]
-    return out, pos + 1
+            if fault is None:
+                if not isinstance(sdoc, dict) or "actions" not in sdoc:
+                    raise ModelFormatError(f"states[{i}] must be an object with an 'actions' field")
+                actions = sdoc["actions"]
+                if not isinstance(actions, list):
+                    raise ModelFormatError(f"states[{i}].actions must be an array")
+                for a, adoc in enumerate(actions):
+                    where = f"states[{i}].actions[{a}]"
+                    if not isinstance(adoc, dict) or "reward" not in adoc or "transitions" not in adoc:
+                        raise ModelFormatError(f"{where} must be an object with 'reward' and 'transitions'")
+                    out.rewards.append(_loaded_number(adoc["reward"], f"{where}.reward"))
+                    trans = adoc["transitions"]
+                    if not isinstance(trans, list):
+                        raise ModelFormatError(f"{where}.transitions must be an array")
+                    pending += trans
+                    out.row_ptr.append(out.row_ptr[-1] + len(trans))
+                out.state_ptr.append(len(out.rewards))
+                while len(pending) >= _BLOCK_ENTRIES:
+                    convert(pending[:_BLOCK_ENTRIES])
+                    del pending[:_BLOCK_ENTRIES]
+        except ModelFormatError as e:
+            fault = e
+        char, pos = w.char(pos, ",]")
+        more = char == ","
+        if more:
+            pos = w.space(pos + 1)
+    try:
+        convert(pending)  # the entries before a shape fault are earlier in the document
+    except ModelFormatError as earlier:
+        fault = earlier
+    return fault or out, pos + 1
 
 
 def _walk(w: _Window) -> dict:
@@ -773,35 +776,6 @@ def _walk(w: _Window) -> dict:
     return fields
 
 
-def _text_fields(text: str) -> dict:
-    """``_walk`` over a whole text, every fault named as a whole-document parse names it.
-
-    Where the walk meets text it does not expect, ``json.loads`` names the
-    fault, so its message and position are the ones it gives.  The decoder
-    recurses once per level of nesting, so a document nested deeper than
-    the interpreter's recursion limit is refused unlocated, and so is an
-    integer longer than the interpreter converts from text.
-    """
-    try:
-        try:
-            return _walk(_Window(text))
-        except json.JSONDecodeError as fault:
-            try:
-                doc = json.loads(text, parse_constant=_reject_constant)
-            except json.JSONDecodeError as e:
-                fault = e
-            else:
-                if not isinstance(doc, dict):
-                    raise ModelFormatError("top level must be an object") from None
-            raise ModelFormatError(f"line {fault.lineno} column {fault.colno}: {fault.msg}") from None
-    except RecursionError:
-        raise ModelFormatError("arrays or objects nested too deeply to decode") from None
-    except ModelFormatError:
-        raise
-    except ValueError:  # int() refuses a literal past the interpreter's digit limit
-        raise ModelFormatError(too_many_digits()) from None
-
-
 def _utf8_text(path) -> str:
     with open(path, "rb") as f:
         raw = f.read()
@@ -812,25 +786,48 @@ def _utf8_text(path) -> str:
 
 
 def _fields(path) -> dict:
-    """The top-level fields of the model file at ``path``, walked through a window.
+    """The top-level fields of the model file at ``path``, walked once through a window.
 
     The cyclic collector is paused meanwhile: a JSON document has no cycles,
     but decoding allocates one container per transition entry, and every
-    collection the allocations trigger would scan all of them.  A fault met
-    through the window (bytes that are not UTF-8, text the walk does not
-    expect, a shape fault in a ``states`` the window has partly dropped, or
-    what the decoder refuses) sends the load to the whole text, where
-    ``_text_fields`` names it; a valid file is read once, through the window.
+    collection the allocations trigger would scan all of them.  Bytes that
+    are not UTF-8 anywhere in the file are reported first, by their offset,
+    and a syntax fault in ``json.loads``'s words, line and column; the file
+    is read again whole for these two faults only.  The decoder recurses
+    once per level of nesting, so a document nested deeper than the
+    interpreter's recursion limit is refused unlocated, and so is an
+    integer longer than the interpreter converts from text.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
+        with open(path, "rb") as f:
+            w = _Window(f)
+            try:
+                return _walk(w)
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                pass  # located or worded below, from the whole text
+            except (ValueError, RecursionError):
+                try:
+                    while not w.eof:  # bytes that are not UTF-8 after the fault come first
+                        w.refill(len(w.text))
+                except UnicodeDecodeError:
+                    pass
+                else:
+                    raise
+        del w  # the text it holds goes before the whole text is read
         try:
-            with open(path, "rb") as f:
-                return _walk(_Window(file=f))
-        except (ValueError, RecursionError):  # named below, from the whole text
-            pass
-        return _text_fields(_utf8_text(path))
+            json.loads(_utf8_text(path), parse_constant=_reject_constant)
+        except json.JSONDecodeError as e:
+            raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+        # the walk refuses a document json.loads accepts only when it is no object
+        raise ModelFormatError("top level must be an object")
+    except RecursionError:
+        raise ModelFormatError("arrays or objects nested too deeply to decode") from None
+    except ModelFormatError:
+        raise
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        raise ModelFormatError(too_many_digits()) from None
     finally:
         if collecting:
             gc.enable()
@@ -848,10 +845,11 @@ def load_model(path) -> MdpModel:
     value longer than the window doubles it until it fits.  So about a
     chunk of text, one state, one block and the arrays are what a load
     holds at once, and columns that fit are stored in 32 bits: the traced
-    peak is about the file's size.  Every fault is named from the whole
-    text, read again, and located as a whole-document parse locates it,
-    except that of two faults inside ``states`` the one earlier in the
-    document is reported.
+    peak is about the file's size, for a valid file and for a malformed
+    one alike.  After a fault in ``states`` the walk decodes the rest of
+    the array, so a later syntax fault is reported first and a repeated
+    ``states`` field replaces the faulty one; of two faults inside one
+    ``states``, the one earlier in the file is reported.
 
     Raises:
         ModelFormatError: bytes that are not UTF-8 (with their offset),

@@ -115,12 +115,15 @@ def stopping_threshold(epsilon: float, discount: float) -> float:
 
     For a discounted run, a residual of ``epsilon * (1 - discount) /
     (2 * discount)`` in the maximum norm bounds the distance to the fixed
-    point by ``epsilon / 2``.
+    point by ``epsilon / 2``.  At discount 0 one backup is exact, so the
+    bound is inf.
     """
-    if not 0.0 < discount < 1.0:
-        raise ValueError("stopping threshold needs a discount strictly between 0 and 1")
+    if not 0.0 <= discount < 1.0:
+        raise ValueError("stopping threshold needs a discount in [0, 1)")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if discount == 0.0:
+        return math.inf
     return epsilon * (1.0 - discount) / (2.0 * discount)
 
 

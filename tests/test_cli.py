@@ -122,6 +122,25 @@ class TestSolve:
         assert "algorithm: PAVI" in out
         assert "alphas:" in out and "steps" in out
 
+    @pytest.mark.parametrize("argv", [[], ["--op", "gs", "--accel", "projective"], ["--op", "jacobi", "--accel", "linear"]],
+                             ids=["VI", "PAGS", "LAJ"])
+    def test_discount_zero_converges_in_one_backup(self, tmp_path, monkeypatch, capsys, argv):
+        path = tmp_path / "m.json"
+        assert main(["generate", "--family", "uniform", "--states", "12", "--density", "0.5",
+                     "--discount", "0", "--seed", "3", "-o", str(path)]) == 0
+        results, solve = [], cli.solve
+
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "solve", recorded)
+        assert main(["solve", str(path), *argv]) == 0
+        assert "iterations: 1 (converged)" in capsys.readouterr().out
+        exact = verif.exact_fixed_point(load_model(path)).exact_value
+        # a reward shift and back costs the accelerated runs a few units in the last place
+        np.testing.assert_allclose(results[0].final_value, exact, rtol=0, atol=1e-13)
+
     def test_wrong_operator_for_total_reward(self, tmp_path, capsys):
         path = tmp_path / "tr.json"
         save_model(chain_to_absorbing(), path)

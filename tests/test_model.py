@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -245,6 +246,26 @@ class TestValidation:
         bad = dataclasses.replace(m, probs=probs, cols=cols)
         got = [str(v) for v in validate_model(bad) if v.rule != "row-sum"]
         assert got and got == reference_entry_violations(bad)
+
+    @pytest.mark.parametrize("broken", [
+        lambda m: dict(state_ptr=np.append(m.state_ptr[:-1], m.num_rows + 1)),
+        lambda m: dict(state_ptr=m.state_ptr[:-1]),
+        lambda m: dict(state_ptr=m.state_ptr + 1),
+        lambda m: dict(rewards=np.append(m.rewards, 1.0)),
+        lambda m: dict(row_ptr=m.row_ptr[:-1]),
+        lambda m: dict(row_ptr=np.append(m.row_ptr[:-1], m.cols.size + 1)),
+        lambda m: dict(cols=np.append(m.cols, 0)),
+        lambda m: dict(probs=m.probs[:-1]),
+        lambda m: dict(probs=np.append(m.probs, 0.5)),
+    ], ids=[
+        "state-ptr-past-the-rows", "state-ptr-one-short", "state-ptr-from-1", "rewards-too-long",
+        "row-ptr-one-short", "row-ptr-past-the-entries", "cols-too-long", "probs-too-short", "probs-too-long",
+    ])
+    def test_layout_is_checked_before_the_arrays_are_indexed(self, broken):
+        m = random_model(np.random.default_rng(4))
+        assert validate_model(m) == []
+        violations = validate_model(dataclasses.replace(m, **broken(m)))
+        assert [v.rule for v in violations] == ["layout"]
 
     def test_violation_str_mentions_location(self):
         m = MdpModel.from_rows([[(1.0, [(0, 0.98)])]], discount=0.9)
@@ -721,6 +742,15 @@ def whole_parse_fault(text):
     return f"line {exc.value.lineno} column {exc.value.colno}: {exc.value.msg}"
 
 
+@pytest.fixture(scope="module")
+def dense_pa_file(tmp_path_factory):
+    """A model of dense-pa's shape: 80 dense states of about 107 KB each, over eight chunks."""
+    spec = GeneratorSpec(family="uniform", num_states=80, density=1.0, action_range=(45, 56), seed=100)
+    p = tmp_path_factory.mktemp("dense-pa") / "m.json"
+    save_model(generate(spec), p)
+    return p
+
+
 class TestLoadWalk:
     """``load_model`` walks the document and converts transition entries in blocks."""
 
@@ -777,20 +807,36 @@ class TestLoadWalk:
         # the text, one block and the arrays; a whole-document parse held 6.7 times the file
         assert peak <= 2.5 * size, f"traced peak {peak} bytes for a {size}-byte file"
 
-    def test_traced_peak_through_the_window_is_about_the_file_size(self, tmp_path):
-        # dense-pa's shape: 80 states of about 107 KB each, over eight chunks
-        spec = GeneratorSpec(family="uniform", num_states=80, density=1.0, action_range=(45, 56), seed=100)
-        p = tmp_path / "m.json"
-        save_model(generate(spec), p)
-        size = p.stat().st_size
+    def test_traced_peak_through_the_window_is_about_the_file_size(self, dense_pa_file):
+        size = dense_pa_file.stat().st_size
         assert size >= 8 * model_module._CHUNK_BYTES
         tracemalloc.start()
         try:
-            load_model(p)
+            load_model(dense_pa_file)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one or two chunks of text, one state, one block, and int32 columns
+        assert peak <= 1.1 * size, f"traced peak {peak} bytes for a {size}-byte file"
+
+    @pytest.mark.parametrize("state", [0, 79], ids=["first-state", "last-state"])
+    def test_a_located_fault_has_a_traced_peak_about_the_file_size(self, tmp_path, dense_pa_file, state):
+        head, *states = dense_pa_file.read_text().split('{"actions": ')
+        # every row is dense, so the column 79 is its last entry
+        states[state] = states[state].replace("[79,", "[1.5,", 1)
+        p = tmp_path / "m.json"
+        p.write_text('{"actions": '.join([head, *states]))
+        del head, states
+        size = p.stat().st_size
+        assert size >= 8 * model_module._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=bad_entry_path(state, 0, 79) + "column 1.5 "):
+                load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the fault is named from the window, with no second read of the file
         assert peak <= 1.1 * size, f"traced peak {peak} bytes for a {size}-byte file"
 
     def test_a_state_longer_than_the_window_takes_logarithmically_many_decodes(self, tmp_path, monkeypatch):
@@ -816,8 +862,9 @@ class TestLoadWalk:
         assert len(calls) <= math.log2(chunks) + 2 + 5, calls
 
 
-# Malformed and edge documents.  Through the window, each must load as the
-# whole-text reader loads it: the same model, or the same error and message.
+# Malformed and edge documents.  Through a window of any size, each must
+# load as one window holding the whole file loads it: the same model, or the
+# same error and message.
 MALFORMED = {
     **{name: text for name, (text, _, _) in LOAD_PARITY.items()},
     "syntax-line-2": '{"mode": "discounted",\n "discount": }\n',
@@ -829,6 +876,8 @@ MALFORMED = {
     "too-deep-in-states": HEAD + '"states": ' + "[" * 100_000,
     "digits-in-a-field": '{"mode": "discounted", "discount": 1' + "0" * 5_000 + "}",
     "digits-in-states": HEAD + '"states": [{"actions": [{"reward": 1.0, "transitions": [[1' + "0" * 5_000 + ", 1.0]]}]}]}",
+    # a window that cuts this float before its fraction holds an integer past the digit limit
+    "long-float": HEAD + '"states": [{"actions": [{"reward": 1' + "0" * 10_000 + '.5, "transitions": [[0, 1.0]]}]}]}',
     "nan-token": HEAD + '"states": [{"actions": [{"reward": NaN, "transitions": [[0, 1.0]]}]}]}',
     "generator-array": HEAD + '"states": [%s], "generator": [1]}' % ONE_STATE,
     "missing-discount": '{"mode": "discounted", "states": [%s]}' % ONE_STATE,
@@ -847,10 +896,10 @@ MALFORMED_BYTES = {
 }
 
 
-def whole_text_outcome(monkeypatch, p):
-    """What ``load_model`` gives for ``p`` when it reads the whole text at once."""
+def one_window_outcome(monkeypatch, p):
+    """What ``load_model`` gives for ``p`` when one window holds the whole file."""
     with monkeypatch.context() as patch:
-        patch.setattr(model_module, "_fields", lambda path: model_module._text_fields(model_module._utf8_text(path)))
+        patch.setattr(model_module, "_CHUNK_BYTES", p.stat().st_size + 1)
         return load_outcome(p)
 
 
@@ -861,16 +910,64 @@ def load_outcome(p):
         return type(exc).__name__, str(exc)
 
 
+GENERATED_SPECS = {
+    "uniform-sparse": dict(family="uniform", num_states=12, density=0.4),
+    "uniform-dense": dict(family="uniform", num_states=12, density=1.0),
+    "band": dict(family="band", num_states=15, bandwidth=5),
+    "total-reward": dict(family="total_reward_positive", num_states=10, density=0.5, discount=1.0),
+}
+# Characters a mutation inserts, and byte sequences that are not UTF-8.
+MUTATION_CHARS = b'{}[],:" 0123456789.-eE\n\\'
+BAD_BYTES = [b"\xff", b"\xc3\x28", b"\xe2\x82", b"\xed\xa0\x80"]
+# What a mutation puts in place of a number: non-finite constants, values of
+# other types, and numbers no column, probability or discount may be.
+NUMBER_STAND_INS = [b"NaN", b"Infinity", b"-Infinity", b'"x"', b"[]", b"{}", b"null", b"true", b"1.5", b"1e400", b"-1"]
+JSON_NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+def mutated_documents(tmp_path, count, seed):
+    """``count`` small model files, each with one or two seeded faults.
+
+    A fault deletes, inserts or replaces a character, inserts bytes that
+    are not UTF-8, or puts one of ``NUMBER_STAND_INS`` in place of a number.
+    """
+    rng = np.random.default_rng(seed)
+    base = tmp_path / "base.json"
+    bases = []
+    for i, spec in enumerate([
+        dict(family="uniform", num_states=3, density=0.7),
+        dict(family="band", num_states=4, bandwidth=2),
+        dict(family="total_reward_positive", num_states=3, density=0.5, discount=1.0),
+    ]):
+        save_model(generate(GeneratorSpec(seed=seed + i, action_range=(1, 2), **spec)), base)
+        bases.append(base.read_text())
+    bases.append(json.dumps(json.loads(bases[0]), indent=2))
+    bases.append(LOAD_PARITY["duplicate-states"][0])
+    bases = [text.encode() for text in bases]
+    for _ in range(count):
+        doc = bytearray(bases[rng.integers(len(bases))])
+        for _ in range(1 + rng.integers(2)):
+            at, kind = int(rng.integers(len(doc))), rng.integers(5)
+            if kind == 0:
+                del doc[at]
+            elif kind == 1:
+                doc.insert(at, MUTATION_CHARS[rng.integers(len(MUTATION_CHARS))])
+            elif kind == 2:
+                doc[at] = MUTATION_CHARS[rng.integers(len(MUTATION_CHARS))]
+            elif kind == 3:
+                doc[at:at] = BAD_BYTES[rng.integers(len(BAD_BYTES))]
+            else:
+                numbers = list(JSON_NUMBER.finditer(doc))
+                hit = numbers[rng.integers(len(numbers))]
+                doc[hit.start():hit.end()] = NUMBER_STAND_INS[rng.integers(len(NUMBER_STAND_INS))]
+        yield bytes(doc)
+
+
 class TestChunkBoundaries:
-    """Every chunk size loads every document as the whole-text reader loads it."""
+    """Every chunk size loads every document as one window holding the whole file does."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    @pytest.mark.parametrize("spec", [
-        dict(family="uniform", num_states=12, density=0.4),
-        dict(family="uniform", num_states=12, density=1.0),
-        dict(family="band", num_states=15, bandwidth=5),
-        dict(family="total_reward_positive", num_states=10, density=0.5, discount=1.0),
-    ], ids=["uniform-sparse", "uniform-dense", "band", "total-reward"])
+    @pytest.mark.parametrize("spec", GENERATED_SPECS.values(), ids=GENERATED_SPECS.keys())
     @pytest.mark.parametrize("metadata", [True, False], ids=["metadata", "no-metadata"])
     def test_generated_models_load_identical(self, tmp_path, monkeypatch, chunk, spec, metadata):
         monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
@@ -898,9 +995,38 @@ class TestChunkBoundaries:
             p.write_text(MALFORMED[name], encoding="utf-8")
         else:
             p.write_bytes(MALFORMED_BYTES[name])
-        expected = whole_text_outcome(monkeypatch, p)
+        expected = one_window_outcome(monkeypatch, p)
         monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
         assert load_outcome(p) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_mutated_documents_load_as_one_window_does(self, tmp_path, monkeypatch, chunk):
+        p = tmp_path / "m.json"
+        for doc in mutated_documents(tmp_path, 300, seed=chunk):
+            p.write_bytes(doc)
+            expected = one_window_outcome(monkeypatch, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_CHUNK_BYTES", chunk)
+                assert load_outcome(p) == expected, doc
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("spec", GENERATED_SPECS.values(), ids=GENERATED_SPECS.keys())
+    @pytest.mark.parametrize("metadata", [True, False], ids=["metadata", "no-metadata"])
+    def test_valid_documents_load_through_the_window_alone(self, tmp_path, monkeypatch, chunk, spec, metadata):
+        def whole_text(path):
+            raise AssertionError("a valid document was read again")
+
+        monkeypatch.setattr(model_module, "_utf8_text", whole_text)
+        monkeypatch.setattr(model_module, "_CHUNK_BYTES", chunk)
+        m = generate(GeneratorSpec(seed=1, action_range=(1, 4), **spec))
+        if not metadata:
+            m.metadata = None
+        p, indented = tmp_path / "m.json", tmp_path / "indented.json"
+        save_model(m, p)
+        with open(p, encoding="utf-8") as f, open(indented, "w", encoding="utf-8") as out:
+            json.dump(json.load(f), out, indent=2)
+        assert models_identical(load_model(p), m)
+        assert models_identical(load_model(indented), m)
 
 
 class TestWriterBytes:

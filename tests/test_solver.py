@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,14 @@ class TestStoppingThreshold:
         assert stopping_threshold(1e-3, 0.995) < stopping_threshold(1e-3, 0.9)
 
     def test_rejects_undiscounted(self):
-        for bad in (0.0, 1.0, 1.5):
+        for bad in (-0.5, 1.0, 1.5):
             with pytest.raises(ValueError):
                 stopping_threshold(1e-3, bad)
         with pytest.raises(ValueError):
             stopping_threshold(0.0, 0.9)
+
+    def test_one_backup_is_exact_at_discount_zero(self):
+        assert stopping_threshold(1e-3, 0.0) == math.inf
 
     def test_loop_threshold_is_split_across_states(self):
         m = two_state_swap()
