@@ -28,6 +28,7 @@ columns, the width ``MdpModel`` stores them in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,10 +58,11 @@ class GeneratorSpec:
             state range, and every state in the window is a successor.
         action_range: inclusive (low, high) bounds for the per-state
             action count.
-        reward_range: (low, high) bounds for per-action rewards.
+        reward_range: (low, high) bounds for per-action rewards, with a
+            finite width ``high - low``.
         discount: discount factor; 1.0 for the total-reward family, which
             admits no other, and 0.9 for the others when not given.
-        seed: PRNG seed.
+        seed: PRNG seed, at least 0.
     """
 
     family: GeneratorFamily
@@ -85,6 +87,10 @@ class GeneratorSpec:
         rlo, rhi = self.reward_range
         if not rlo <= rhi:
             raise ValueError(f"bad reward range {self.reward_range}")
+        if not math.isfinite(rhi - rlo):  # the uniform draw scales by the width
+            raise ValueError(f"reward range {self.reward_range} has no finite width")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.family is GeneratorFamily.BAND:
             if self.density is not None:
                 raise ValueError("band family takes bandwidth, not density")

@@ -10,13 +10,13 @@ kernel over ``row_matrix``'s stored entries; ``operators._kernel``, the
 one entry to it, states how a row sum is accumulated.
 
 Models are immutable after construction and safe to share across threads.
-Derived views used by the numeric kernels (the sparse matrix over rows,
-every state's row count, the owning state and self-loop probability of
-every row, the Jacobi denominators, the row statistics the rounding
-bound reads, and the per-state table the Gauss-Seidel sweep reads) are
-built lazily and cached.  All but ``max_abs_reward`` and the sweep's
-table depend on the transitions and discount only, so a reward-shifted
-copy shares them.
+Derived views used by the numeric kernels are built lazily and cached.
+Those of the transitions and discount (the sparse matrix over rows, every
+state's row count, the owning state and self-loop probability of every
+row, the Jacobi denominators, and the row statistics the rounding bound
+reads) live in one ``_views`` dict, which a reward-shifted copy shares by
+reference.  ``max_abs_reward`` and the Gauss-Seidel sweep's per-state
+table read the rewards and are cached per instance.
 """
 
 from __future__ import annotations
@@ -91,6 +91,41 @@ class Violation:
         return f"{self.rule}{where}{tail}"
 
 
+class _view:
+    """A view of a model, built on its first read and kept as an attribute.
+
+    ``setattr`` keeps CPython's compact attribute storage, which reading
+    ``__dict__`` gives up, tripling the cost of every attribute load.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        view = self.fget(m)
+        setattr(m, self.name, view)  # no __set__ here, so later reads find the attribute
+        return view
+
+    def fget(self, m):
+        return self.build(m)
+
+
+class _shared_view(_view):
+    """A view of the transitions and discount, built once per ``_views`` dict,
+    which a reward-shifted copy shares with its input."""
+
+    def fget(self, m):
+        if self.name not in m._views:
+            m._views[self.name] = self.build(m)
+        return m._views[self.name]
+
+
 @dataclass(eq=False)
 class MdpModel:
     """A finite MDP in compressed row layout.
@@ -123,15 +158,7 @@ class MdpModel:
     cols: np.ndarray
     probs: np.ndarray
     metadata: dict | None = None
-    _row_matrix: sp.csr_matrix | None = field(default=None, repr=False, init=False)
-    _row_counts: np.ndarray | None = field(default=None, repr=False, init=False)
-    _row_state: np.ndarray | None = field(default=None, repr=False, init=False)
-    _self_loop: np.ndarray | None = field(default=None, repr=False, init=False)
-    _jacobi: tuple | None = field(default=None, repr=False, init=False)
-    _max_row_nnz: int | None = field(default=None, repr=False, init=False)
-    _row_sum_deviation: float | None = field(default=None, repr=False, init=False)
-    _max_abs_reward: float | None = field(default=None, repr=False, init=False)
-    _state_rows: list | None = field(default=None, repr=False, init=False)
+    _views: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
@@ -182,6 +209,11 @@ class MdpModel:
         return len(self.rewards)
 
     @property
+    def _row_matrix(self) -> sp.csr_matrix | None:
+        """``row_matrix`` once built, else None; the benchmark's tracer reads it."""
+        return self._views.get("row_matrix")
+
+    @_shared_view
     def row_matrix(self) -> sp.csr_matrix:
         """Sparse (num_rows x num_states) matrix of all transition rows.
 
@@ -189,59 +221,44 @@ class MdpModel:
         own arrays, neither copied nor scanned; only the row pointers are
         narrowed to the index dtype.
         """
-        if self._row_matrix is None:
-            self._row_matrix = sp.csr_matrix(
-                (self.probs, self.cols, self.row_ptr),
-                shape=(self.num_rows, self.num_states),
-            )
-        return self._row_matrix
+        return sp.csr_matrix((self.probs, self.cols, self.row_ptr), shape=(self.num_rows, self.num_states))
 
-    @property
+    @_shared_view
     def row_counts(self) -> np.ndarray:
         """Number of rows (actions) of every state.
 
         ``np.repeat(x, m.row_counts)`` spreads a per-state vector over the
         rows, the same values as ``x[m.row_state]`` without an index gather.
         """
-        if self._row_counts is None:
-            self._row_counts = np.diff(self.state_ptr)
-        return self._row_counts
+        return np.diff(self.state_ptr)
 
-    @property
+    @_shared_view
     def row_state(self) -> np.ndarray:
         """Owning state index of every row."""
-        if self._row_state is None:
-            self._row_state = np.repeat(np.arange(self.num_states, dtype=np.int64), self.row_counts)
-        return self._row_state
+        return np.repeat(np.arange(self.num_states, dtype=np.int64), self.row_counts)
 
-    @property
+    @_shared_view
     def self_loop_probs(self) -> np.ndarray:
         """Per-row probability of staying in the owning state (0 when absent)."""
-        if self._self_loop is None:
-            # scipy's element lookup reads each row's own-state entry in place
-            own = self.row_matrix[np.arange(self.num_rows), self.row_state]
-            self._self_loop = np.asarray(own, dtype=np.float64).ravel()
-        return self._self_loop
+        # scipy's element lookup reads each row's own-state entry in place
+        own = self.row_matrix[np.arange(self.num_rows), self.row_state]
+        return np.asarray(own, dtype=np.float64).ravel()
 
-    @property
+    @_shared_view
     def jacobi_denominator(self) -> tuple[np.ndarray, float]:
         """Per-row ``1 - discount * p(i,i)`` of the Jacobi backups, and its minimum.
 
         The minimum is inf for a model without rows.
         """
-        if self._jacobi is None:
-            denominator = 1.0 - self.discount * self.self_loop_probs
-            self._jacobi = denominator, float(denominator.min()) if denominator.size else math.inf
-        return self._jacobi
+        denominator = 1.0 - self.discount * self.self_loop_probs
+        return denominator, float(denominator.min()) if denominator.size else math.inf
 
-    @property
+    @_shared_view
     def max_row_nnz(self) -> int:
         """Most stored entries in any row."""
-        if self._max_row_nnz is None:
-            self._max_row_nnz = int(np.diff(self.row_ptr).max()) if self.num_rows else 0
-        return self._max_row_nnz
+        return int(np.diff(self.row_ptr).max()) if self.num_rows else 0
 
-    @property
+    @_shared_view
     def row_sum_deviation(self) -> float:
         """Upper bound on ``|sum_j p(k, j) - 1|`` over rows, for the exact sums.
 
@@ -251,16 +268,13 @@ class MdpModel:
         probability is negative, where a row sum no longer bounds how far a
         row's weighted sum can move; NaN when a probability is NaN.
         """
-        if self._row_sum_deviation is None:
-            if self.probs.size and float(self.probs.min()) < 0.0:
-                self._row_sum_deviation = math.inf
-            else:
-                sums = self.row_matrix @ np.ones(self.num_states)
-                slack = 2.0 * self.max_row_nnz * UNIT_ROUNDOFF * float(sums.max(initial=0.0))
-                self._row_sum_deviation = float(np.abs(sums - 1.0).max(initial=0.0)) + slack
-        return self._row_sum_deviation
+        if self.probs.size and float(self.probs.min()) < 0.0:
+            return math.inf
+        sums = self.row_matrix @ np.ones(self.num_states)
+        slack = 2.0 * self.max_row_nnz * UNIT_ROUNDOFF * float(sums.max(initial=0.0))
+        return float(np.abs(sums - 1.0).max(initial=0.0)) + slack
 
-    @property
+    @_view
     def state_rows(self) -> list[tuple]:
         """Per state: its row count, its rows' pointers, its row slice and its rewards.
 
@@ -271,20 +285,16 @@ class MdpModel:
         state instead of slicing the model's arrays again on every sweep.
         It holds reward views, so a reward-shifted copy builds its own.
         """
-        if self._state_rows is None:
-            indptr, bounds = self.row_matrix.indptr, self.state_ptr.tolist()
-            self._state_rows = [
-                (hi - lo, indptr[lo:hi + 1], slice(lo, hi), self.rewards[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        return self._state_rows
+        indptr, bounds = self.row_matrix.indptr, self.state_ptr.tolist()
+        return [
+            (hi - lo, indptr[lo:hi + 1], slice(lo, hi), self.rewards[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
-    @property
+    @_view
     def max_abs_reward(self) -> float:
         """Largest reward magnitude."""
-        if self._max_abs_reward is None:
-            self._max_abs_reward = float(np.abs(self.rewards).max()) if self.num_rows else 0.0
-        return self._max_abs_reward
+        return float(np.abs(self.rewards).max()) if self.num_rows else 0.0
 
 
 def _column_array(cols) -> np.ndarray:
@@ -404,9 +414,10 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
 
     The shift is applied unconditionally, including when rewards are
     already nonnegative.  Transition rows are shared with the input model,
-    and so are whichever reward-independent derived views the input has
-    already built.  Returns the shifted model and the offset; the fixed
-    point moves up by offset / (1 - discount).
+    and so is its ``_views`` dict: every view of the transitions and
+    discount that either model builds, before or after the shift, serves
+    both.  Returns the shifted model and the offset; the fixed point moves
+    up by offset / (1 - discount).
 
     Raises:
         ValueError: for total-reward models, where a uniform shift changes
@@ -414,14 +425,9 @@ def adjust_rewards_nonnegative(m: MdpModel) -> tuple[MdpModel, float]:
     """
     if m.mode is not RewardMode.DISCOUNTED:
         raise ValueError("reward adjustment is only defined for discounted models")
-    offset = float(np.max(np.abs(m.rewards))) if m.num_rows else 0.0
+    offset = m.max_abs_reward
     shifted = replace(m, rewards=m.rewards + offset)
-    # these views depend on the transitions and discount only, which are shared
-    for view in (
-        "_row_matrix", "_row_counts", "_row_state", "_self_loop", "_jacobi",
-        "_max_row_nnz", "_row_sum_deviation",
-    ):
-        setattr(shifted, view, getattr(m, view))
+    shifted._views = m._views
     return shifted, offset
 
 
@@ -532,7 +538,10 @@ _BLOCK_ENTRIES = 1 << 12
 def _loaded_number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{what} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float range
+        raise ModelFormatError(f"{what} has a number too large for a float") from None
 
 
 def _loaded_pairs(entries, locate) -> tuple[np.ndarray, np.ndarray]:

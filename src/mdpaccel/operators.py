@@ -408,8 +408,15 @@ def row_value_error(m: MdpModel, norm: float) -> float:
     return _rounding_bound(m, m.max_abs_reward + m.discount * (1.0 + m.row_sum_deviation) * norm)
 
 
-def _check_kind(m: MdpModel, kind: OperatorKind) -> None:
-    """Reject an operator the model's reward mode or self-loops cannot take."""
+def check_fit(m: MdpModel, kind: OperatorKind) -> None:
+    """Reject an operator the model's reward mode or self-loops cannot take.
+
+    Raises:
+        ValueError: the total backup on a discounted model, or any other
+            backup on a total-reward model.
+        ArithmeticError: a Jacobi kind on a model whose self-loop
+            denominator ``1 - discount * p(i,i)`` falls below ``DIAG_GUARD``.
+    """
     if (kind is OperatorKind.TOTAL_REWARD) != (m.mode is RewardMode.TOTAL_REWARD):
         raise ValueError(
             f"the {kind.value} backup is undefined on a {m.mode.value} model; "
@@ -417,8 +424,8 @@ def _check_kind(m: MdpModel, kind: OperatorKind) -> None:
         )
     if kind in _JACOBI_KINDS and m.jacobi_denominator[1] < DIAG_GUARD:
         raise ArithmeticError(
-            "self-loop denominator 1 - discount * p(i,i) below guard; "
-            "Jacobi-style backups are not usable on this model"
+            f"the {kind.value} backup divides by a self-loop denominator "
+            f"1 - discount * p(i,i) below the guard {DIAG_GUARD:g} on this model"
         )
 
 
@@ -523,13 +530,14 @@ def apply_operator(m, v, kind, sums=None):
     state's maximum, and give the all-rows backup bit for bit.
 
     Raises:
-        ValueError: an operator the model's reward mode does not take, sums
-            of a different vector, or sums handed to a sweep.
-        ArithmeticError: a Jacobi kind on a model whose self-loop
-            denominator ``1 - discount * p(i,i)`` falls below ``DIAG_GUARD``.
+        ValueError: an operator the model's reward mode does not take
+            (``check_fit``), sums of a different vector, or sums handed to
+            a sweep.
+        ArithmeticError: a Jacobi kind the model's self-loops do not allow
+            (``check_fit``).
     """
     kind = OperatorKind(kind)
-    _check_kind(m, kind)
+    check_fit(m, kind)
     v = np.asarray(v, dtype=np.float64)
     if kind in _SWEEP_KINDS:
         if sums is not None:

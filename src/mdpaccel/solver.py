@@ -81,10 +81,10 @@ from .model import (
     shown,
 )
 from .operators import (
-    DIAG_GUARD,
     OperatorKind,
     WeightedSums,
     apply_operator,
+    check_fit,
     drifted_sums,
     extract_policy,
     is_feasible,
@@ -171,20 +171,10 @@ class SolverConfig:
             flag = getattr(self, name)
             if not isinstance(flag, bool):
                 raise SolverConfigError(f"{name} must be True or False, got {shown(flag)}")
-        if m.mode is RewardMode.TOTAL_REWARD:
-            if self.operator is not OperatorKind.TOTAL_REWARD:
-                raise SolverConfigError(
-                    "total-reward models use the total-reward backup; operators that "
-                    "discount or divide out self-loops are undefined at discount 1"
-                )
-        elif self.operator is OperatorKind.TOTAL_REWARD:
-            raise SolverConfigError("the total-reward backup requires a total-reward model")
-        jacobi = self.operator in (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
-        if jacobi and m.jacobi_denominator[1] < DIAG_GUARD:
-            raise SolverConfigError(
-                f"the {self.operator.value} backup divides by a self-loop denominator "
-                f"1 - discount * p(i,i) below {DIAG_GUARD:g} on this model"
-            )
+        try:
+            check_fit(m, self.operator)
+        except (ValueError, ArithmeticError) as exc:
+            raise SolverConfigError(str(exc)) from None
         if self.initial_point is not None:
             p = np.asarray(self.initial_point, dtype=np.float64)
             if p.shape != (m.num_states,):
@@ -244,12 +234,6 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
             raise SolverConfigError(f"no start for a total-reward run: {exc}") from None
     if not accelerated:
         return m, np.zeros(m.num_states), 0.0
-    # build the views the run reads on the input, so the shifted copy shares
-    # them and later solves of the same input reuse them (validate_for has
-    # built the Jacobi denominators a Jacobi run reads)
-    m.row_matrix, m.row_state
-    if config.membership_checks or screens_sums(m, config):
-        m.row_sum_deviation
     shifted, offset = adjust_rewards_nonnegative(m)
     return shifted, initial_feasible_point(shifted), offset
 

@@ -42,6 +42,8 @@ from .operators import (
 )
 
 ORACLE_SIZE_LIMIT = 2000
+# Policy-iteration rounds the exact oracle takes before it gives up.
+ORACLE_MAX_ROUNDS = 1000
 ORACLE_RESIDUAL_SCALE = 1e-9
 
 
@@ -54,7 +56,7 @@ class OracleResult:
     residual: float
 
 
-def exact_fixed_point(m: MdpModel, max_rounds: int = 1000) -> OracleResult:
+def exact_fixed_point(m: MdpModel) -> OracleResult:
     """Exact optimal value via policy iteration with dense linear solves.
 
     Each round evaluates the incumbent policy by solving the linear
@@ -80,7 +82,7 @@ def exact_fixed_point(m: MdpModel, max_rounds: int = 1000) -> OracleResult:
     n = m.num_states
     policy = np.zeros(n, dtype=np.int64)
     eye = np.eye(n)
-    for _ in range(max_rounds):
+    for _ in range(ORACLE_MAX_ROUNDS):
         rows = m.state_ptr[:-1] + policy
         p_d = m.row_matrix[rows].toarray()
         r_d = m.rewards[rows]

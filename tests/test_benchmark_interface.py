@@ -62,3 +62,6 @@ def test_tracer_records_every_solve_layer():
         for span in t.spans
     )
     assert mdpaccel.solver.apply_operator is mdpaccel.operators.apply_operator
+    # every accelerated solve iterates on a reward-shifted copy that shares
+    # the input's views, so the plain solve's build serves all of them
+    assert sum(span[tracer.NAME] == tracer.ROW_MATRIX_BUILD for span in t.spans) == 1

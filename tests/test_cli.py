@@ -17,7 +17,13 @@ from mdpaccel.cli import CSV_COLUMNS, main
 from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model, too_many_digits
 from mdpaccel.solver import SolverConfig
 
-from test_model import WIDE_COLUMNS, chain_to_absorbing, two_state_swap
+from test_model import (
+    HUGE_NUMBER_PATHS,
+    WIDE_COLUMNS,
+    chain_to_absorbing,
+    model_text_with_huge_number,
+    two_state_swap,
+)
 
 BROKEN_MODEL = (
     '{"mode": "discounted", "discount": 0.9, "states": '
@@ -89,6 +95,18 @@ class TestGenerate:
         assert code == 0
         assert load_model(out).discount == 1.0
         assert json.loads(capsys.readouterr().out)["discount"] == 1.0
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--seed", "-1"], "seed"),
+        (["--rewards", "1", "inf"], "reward range"),
+    ], ids=["negative-seed", "infinite-rewards"])
+    def test_spec_generate_cannot_draw_exits_2(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x.json"
+        argv = ["generate", "--family", "uniform", "--states", "5", "--density", "0.5", *argv, "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_family_flag_mismatch(self, tmp_path, capsys):
         code = main(
@@ -231,6 +249,15 @@ class TestSolve:
         path.write_text('{"discount": 1' + "0" * 5_000, encoding="utf-8")
         assert main(command + [str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {too_many_digits()}\n"
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "--model"]], ids=["solve", "verify"])
+    @pytest.mark.parametrize("field", HUGE_NUMBER_PATHS)
+    def test_model_integer_past_float_range_exits_1_naming_it(self, tmp_path, capsys, command, field):
+        path = tmp_path / "huge.json"
+        path.write_text(model_text_with_huge_number(field))
+        assert main(command + [str(path)]) == 1
+        where = HUGE_NUMBER_PATHS[field]
+        assert capsys.readouterr().err == f"error: {path}: {where} has a number too large for a float\n"
 
     def test_csv_appends_with_single_header(self, tmp_path):
         path = tmp_path / "m.json"

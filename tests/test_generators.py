@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ class TestSpecValidation:
             GeneratorSpec(family="uniform", num_states=5, density=0.5, action_range=(0, 3))
         with pytest.raises(ValueError, match="action"):
             GeneratorSpec(family="uniform", num_states=5, density=0.5, action_range=(5, 3))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            GeneratorSpec(family="uniform", num_states=5, density=0.5, seed=-1)
+
+    @pytest.mark.parametrize("rewards", [(1.0, math.inf), (-1e308, 1e308)], ids=["inf", "wide"])
+    def test_reward_range_width_must_be_finite(self, rewards):
+        with pytest.raises(ValueError, match="finite width"):
+            GeneratorSpec(family="uniform", num_states=5, density=0.5, reward_range=rewards)
 
 
 def small(family="uniform", **kw):

@@ -145,11 +145,12 @@ class TestConstruction:
 
     def test_replace_copy_starts_without_derived_views(self):
         m = random_model(np.random.default_rng(9))
-        m.row_matrix, m.self_loop_probs
+        m.row_matrix, m.self_loop_probs, m.max_abs_reward
         fresh = dataclasses.replace(m)
+        assert fresh._views == {} and fresh._views is not m._views
         assert fresh._row_matrix is None
-        assert fresh._row_state is None and fresh._self_loop is None
-        assert fresh._row_counts is None
+        views = {"row_matrix", "row_state", "self_loop_probs", "row_counts", "max_abs_reward"}
+        assert not views & vars(fresh).keys()
 
 
 def reference_entry_violations(m):
@@ -342,11 +343,21 @@ class TestRewardShift:
         m = random_model(np.random.default_rng(12))
         m.jacobi_denominator, m.row_sum_deviation, m.max_abs_reward
         shifted, offset = adjust_rewards_nonnegative(m)
+        assert shifted._views is m._views
         assert shifted.jacobi_denominator is m.jacobi_denominator
-        assert shifted._row_sum_deviation == m.row_sum_deviation
-        assert shifted._max_row_nnz == m.max_row_nnz
-        assert shifted._max_abs_reward is None
+        assert shifted._views["row_sum_deviation"] == m.row_sum_deviation
+        assert shifted._views["max_row_nnz"] == m.max_row_nnz
+        assert "max_abs_reward" not in vars(shifted) and "max_abs_reward" not in shifted._views
         assert shifted.max_abs_reward == float(np.abs(m.rewards + offset).max())
+
+    def test_a_view_built_on_the_copy_serves_the_input(self):
+        m = random_model(np.random.default_rng(13))
+        shifted, _ = adjust_rewards_nonnegative(m)
+        again, _ = adjust_rewards_nonnegative(m)
+        assert shifted.self_loop_probs is m.self_loop_probs is again.self_loop_probs
+        assert m.row_matrix is again.row_matrix
+        assert shifted.state_rows is not m.state_rows
+        assert shifted.state_rows[0][3].base is shifted.rewards
 
     def test_shift_applied_even_when_nonnegative(self):
         m = two_state_swap(1.0, 2.0)
@@ -468,6 +479,17 @@ def model_text_with_entry(entry, state, action, index):
             actions.append('{"reward": 1.0, "transitions": [%s]}' % ", ".join(trans))
         states.append('{"actions": [%s]}' % ", ".join(actions))
     return '{"mode": "discounted", "discount": 0.9, "states": [%s]}' % ", ".join(states)
+
+
+# The path ``load_model`` names for a number past float range in each field.
+HUGE_NUMBER_PATHS = {"reward": "states[0].actions[0].reward", "discount": "discount"}
+
+
+def model_text_with_huge_number(field):
+    """A one-state document whose ``field`` is an integer of 401 digits, past float range."""
+    number = {"reward": "1.0", "discount": "0.9", field: "1" + "0" * 400}
+    return ('{"mode": "discounted", "discount": %s, "states": [{"actions": '
+            '[{"reward": %s, "transitions": [[0, 1.0]]}]}]}' % (number["discount"], number["reward"]))
 
 
 # Every position a bad entry is planted at: the first state's first action,
@@ -616,6 +638,14 @@ class TestSerialization:
                 p.write_text(model_text_with_entry(f"[{column}, 0.25]", *where))
                 with pytest.raises(ModelFormatError, match=bad_entry_path(*where)):
                     load_model(p)
+
+    @pytest.mark.parametrize("field", HUGE_NUMBER_PATHS)
+    def test_load_rejects_an_integer_past_float_range(self, tmp_path, field):
+        p = tmp_path / "m.json"
+        p.write_text(model_text_with_huge_number(field))
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(p)
+        assert str(exc.value) == f"{HUGE_NUMBER_PATHS[field]} has a number too large for a float"
 
     def test_load_validates(self, tmp_path):
         p = tmp_path / "m.json"

@@ -327,7 +327,7 @@ class TestSharedRowMatrix:
         monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
         for accelerator in (AcceleratorKind.PROJECTIVE, AcceleratorKind.LINEAR_EXTENSION):
             assert solve(m, SolverConfig(accelerator=accelerator)).converged
-        assert built == [m]
+        assert len(built) == 1
         assert len(shifted) == 2
         assert all(s.row_matrix is m.row_matrix for s in shifted)
 
@@ -344,14 +344,10 @@ class TestSharedRowMatrix:
         for operator in ("standard", "jacobi", "gsj"):
             cfg = SolverConfig(operator=operator, accelerator=AcceleratorKind.PROJECTIVE)
             assert solve(m, cfg).converged
-        assert m._row_state is not None and m._self_loop is not None
-        assert m._row_matrix is not None
-        assert all(s._row_state is m._row_state for s in shifted)
-        assert all(s._row_counts is m._row_counts for s in shifted)
-        # the Jacobi runs build the self-loops on the input, every run its matrix
-        assert shifted[1]._self_loop is m._self_loop
-        assert shifted[2]._self_loop is m._self_loop
-        assert shifted[2]._row_matrix is m._row_matrix
+        assert all(s._views is m._views for s in shifted)
+        for view in ("row_matrix", "row_state", "row_counts", "self_loop_probs"):
+            assert view in m._views
+            assert all(getattr(s, view) is m._views[view] for s in shifted)
 
 
     def test_checked_solves_measure_the_row_sums_once(self, monkeypatch):
@@ -365,11 +361,11 @@ class TestSharedRowMatrix:
 
         monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
         assert solve(m, SolverConfig(accelerator="projective", membership_checks=False)).converged
-        assert m._row_sum_deviation is None
+        assert "row_sum_deviation" not in m._views
         for accelerator in ("projective", "linear"):
             assert solve(m, SolverConfig(accelerator=accelerator)).converged
-        assert m._row_sum_deviation is not None
-        assert all(s._row_sum_deviation == m._row_sum_deviation for s in shifted[1:])
+        assert "row_sum_deviation" in m._views
+        assert all(s._views is m._views for s in shifted)
 
 
 class TestTotalReward:
@@ -445,6 +441,23 @@ class TestConfigValidation:
         assert "beta" not in {f.name for f in dataclasses.fields(SolverConfig)}
         with pytest.raises(TypeError, match="beta"):
             SolverConfig(beta=0.0)
+
+    @pytest.mark.parametrize("operator", ["jacobi", "gsj"])
+    def test_self_loop_guard_is_the_operators_rule(self, operator):
+        m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=1.0 - 1e-13)
+        with pytest.raises(ArithmeticError) as direct:
+            apply_operator(m, np.zeros(1), operator)
+        with pytest.raises(SolverConfigError, match=f"^the {operator} backup .*guard") as config:
+            SolverConfig(operator=operator).validate_for(m)
+        assert str(config.value) == str(direct.value)
+
+    def test_mode_rule_is_the_operators_rule(self):
+        for model, operator in ((two_state_swap(), "total"), (chain_to_absorbing(), "gs")):
+            with pytest.raises(ValueError) as direct:
+                apply_operator(model, np.zeros(model.num_states), operator)
+            with pytest.raises(SolverConfigError, match="total-reward") as config:
+                SolverConfig(operator=operator).validate_for(model)
+            assert str(config.value) == str(direct.value)
 
     def test_initial_point_shape(self):
         with pytest.raises(SolverConfigError, match="shape"):
