@@ -48,11 +48,9 @@ for bit.
 A checked step therefore costs one screened sums pass, for its output,
 and one one-step backup per point it tests: the projective step tests
 its input and the screened rows of its output; the linear extension
-tests ``v``, ``u`` and its output's screened rows, but a caller holding
-the one-step backup of ``v`` (the value iteration loop, whose ``u`` is
-that backup) hands it down as ``v_backup``, together with the residual
-``sup_norm(u - v)``, and the step backs up only ``u`` and the output's
-rows.  The scans spread per-state
+tests ``v``, ``u`` and its output's screened rows.  All-rows sums hold
+the one-step backup once it is formed, so the test of a point whose sums
+a backup already read forms nothing new.  The scans spread per-state
 values over the rows with ``np.repeat`` over ``MdpModel.row_counts``,
 and from all-rows sums divide only the rows that can bound the step,
 with one masked ``np.divide``.
@@ -197,16 +195,7 @@ def _rows_to_scan(m, spread, s, guard) -> np.ndarray:
     return np.flatnonzero(reach >= ratio_lo.max())
 
 
-def linear_extension_alpha(
-    m,
-    v,
-    u,
-    sums_v=None,
-    sums_u=None,
-    check_membership=True,
-    v_backup=None,
-    residual=None,
-) -> AlphaResult:
+def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True) -> AlphaResult:
     """Largest step along ``v + alpha * (u - v)`` that keeps dominance.
 
     Requires both endpoints to dominate their own backups; any such ``u``
@@ -219,11 +208,6 @@ def linear_extension_alpha(
     ``u`` itself is always admissible).  When no row bounds the step the
     result is ``ALPHA_CAP`` with the fallback flag set.
 
-    A caller that already holds the one-step backup of ``v`` (when ``u``
-    is that backup) passes it as ``v_backup``, and the precondition check
-    on ``v`` compares it instead of backing ``v`` up again; ``residual``,
-    when given, is ``sup_norm(u - v)``.
-
     Raises:
         AlreadyConvergedError: ``u`` and ``v`` coincide to guard tolerance.
         FeasibilityError: with checks enabled, an endpoint that does not
@@ -231,12 +215,13 @@ def linear_extension_alpha(
     """
     norm = sup_norm(v)
     guard = RATIO_GUARD_SCALE * (1.0 + norm)
-    if (sup_norm(u - v) if residual is None else residual) <= guard:
+    direction = u - v
+    if sup_norm(direction) <= guard:
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     if check_membership:
-        if not is_feasible(m, v, tol=_membership_tol(norm), sums=sv, backup=v_backup):
+        if not is_feasible(m, v, tol=_membership_tol(norm), sums=sv):
             raise FeasibilityError("current point does not dominate its one-step backup")
         if not is_feasible(m, u, sums=su):
             raise FeasibilityError("direction point does not dominate its one-step backup")
@@ -246,7 +231,7 @@ def linear_extension_alpha(
     # -d, the exact negation of d: the rows with -d above the guard bind
     neg_d = su.values - sv.values
     neg_d *= m.discount
-    neg_d -= (u - v).repeat(m.row_counts)
+    neg_d -= direction.repeat(m.row_counts)
     binding = neg_d > guard
     if not binding.any():
         return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
@@ -323,28 +308,14 @@ def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
     return _checked(m, z, s.scaled(res.alpha, z), v, s, res, check_membership)
 
 
-def apply_linear_extension(
-    m,
-    v,
-    u,
-    sums_v=None,
-    sums_u=None,
-    check_membership=True,
-    v_backup=None,
-    residual=None,
-) -> AccelStep:
+def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
     A failed output check falls back to ``u`` (already a valid descent).
-    ``v_backup`` and ``residual`` pass what the caller already holds to
-    ``linear_extension_alpha``.
     """
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
-    res = linear_extension_alpha(
-        m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
-        v_backup=v_backup, residual=residual,
-    )
+    res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership)
     z = v + res.alpha * (u - v)
     zvalues = su.values - sv.values
     zvalues *= res.alpha

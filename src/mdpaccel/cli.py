@@ -43,10 +43,10 @@ from .model import (
     ModelFormatError,
     ModelValidationError,
     RewardMode,
+    decoder_refusal,
     load_model,
     save_model,
     shown,
-    too_many_digits,
 )
 from .operators import OperatorKind
 from .solver import (
@@ -269,17 +269,18 @@ def cmd_bench(args) -> int:
     with open(args.plan, encoding="utf-8") as f:
         try:
             plan = json.load(f)
-        except RecursionError:  # the decoder recurses once per level of nesting
-            raise PlanFormatError("arrays or objects nested too deeply to decode") from None
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise
-        except ValueError:  # int() refuses a literal past the interpreter's digit limit
-            raise PlanFormatError(too_many_digits()) from None
+        except (ValueError, RecursionError) as exc:
+            raise PlanFormatError(decoder_refusal(exc)) from None
     if not isinstance(plan, dict):
         raise UsageError("a plan must be an object")
     output = args.output if "output" in args else plan.get("output")
-    if not output:
+    if output is None or output == "":
         raise UsageError("no output path (plan 'output' key or -o flag)")
+    if not isinstance(output, str):
+        # open() would take an integer for a file descriptor
+        raise UsageError(f"output must be a path string, got {shown(output)}")
     repetitions = _cast("repetitions", _INTEGER, plan.get("repetitions", 3))
     if repetitions < 1:
         raise UsageError("repetitions must be at least 1")

@@ -52,7 +52,8 @@ class GeneratorSpec:
         num_states: number of states.
         density: fraction of all states in each row's support (uniform and
             total-reward families); each row's support size is
-            ``max(1, round(density * num_states))``.
+            ``max(1, round(density * num_states))``; 1.0 for the
+            total-reward family when not given.
         bandwidth: window width for the band family; the window around
             state i is [i - bandwidth//2, i + bandwidth//2] clipped to the
             state range, and every state in the window is a successor.
@@ -76,9 +77,11 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", GeneratorFamily(self.family))
+        total = self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
         if self.discount is None:
-            total = self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
             object.__setattr__(self, "discount", 1.0 if total else 0.9)
+        if self.density is None and total:
+            object.__setattr__(self, "density", 1.0)
         if self.num_states < 2:
             raise ValueError("need at least 2 states")
         lo, hi = self.action_range
@@ -99,12 +102,11 @@ class GeneratorSpec:
         else:
             if self.bandwidth is not None:
                 raise ValueError(f"{self.family.value} family takes density, not bandwidth")
-            d = 1.0 if self.density is None and self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE else self.density
-            if d is None or not 0.0 < d <= 1.0:
+            if self.density is None or not 0.0 < self.density <= 1.0:
                 raise ValueError("density must lie in (0, 1]")
-            if int(round(d * self.num_states)) < 1:
+            if int(round(self.density * self.num_states)) < 1:
                 raise ValueError("density picks an empty successor set")
-        if self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE:
+        if total:
             if self.discount != 1.0:
                 raise ValueError("total-reward instances are undiscounted (discount 1.0)")
             if rlo <= 0.0:
@@ -112,12 +114,6 @@ class GeneratorSpec:
         else:
             if not 0.0 <= self.discount < 1.0:
                 raise ValueError("discounted families need discount in [0, 1)")
-
-    @property
-    def effective_density(self) -> float:
-        if self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE and self.density is None:
-            return 1.0
-        return self.density
 
     def metadata(self) -> dict:
         out = {
@@ -132,7 +128,7 @@ class GeneratorSpec:
         if self.family is GeneratorFamily.BAND:
             out["bandwidth"] = self.bandwidth
         else:
-            out["density"] = self.effective_density
+            out["density"] = self.density
         return out
 
 
@@ -209,7 +205,7 @@ def generate(spec: GeneratorSpec) -> MdpModel:
     rlo, rhi = spec.reward_range
     total = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
     if spec.family is not GeneratorFamily.BAND:
-        nnz = max(1, int(round(spec.effective_density * n)))
+        nnz = max(1, int(round(spec.density * n)))
     rewards, cols, probs = [], [], []
     for i in range(n - 1 if total else n):
         k = int(rng.integers(lo, hi + 1))

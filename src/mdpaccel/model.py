@@ -506,6 +506,18 @@ def too_many_digits() -> str:
     return f"an integer has more than {sys.get_int_max_str_digits()} digits, the longest decoded"
 
 
+def decoder_refusal(exc: Exception) -> str:
+    """The error for a JSON document the decoder refuses past the interpreter's limits.
+
+    The decoder recurses once per level of nesting, so a ``RecursionError``
+    is a document nested too deeply; a ``ValueError`` that is no syntax
+    fault is ``int()`` refusing a literal past the digit limit.
+    """
+    if isinstance(exc, RecursionError):
+        return "arrays or objects nested too deeply to decode"
+    return too_many_digits()
+
+
 def _reject_constant(name):
     raise ModelFormatError(f"non-finite number {name!r} is not permitted")
 
@@ -831,12 +843,10 @@ def _fields(path) -> dict:
             raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
         # the walk refuses a document json.loads accepts only when it is no object
         raise ModelFormatError("top level must be an object")
-    except RecursionError:
-        raise ModelFormatError("arrays or objects nested too deeply to decode") from None
     except ModelFormatError:
         raise
-    except ValueError:  # int() refuses a literal past the interpreter's digit limit
-        raise ModelFormatError(too_many_digits()) from None
+    except (ValueError, RecursionError) as exc:
+        raise ModelFormatError(decoder_refusal(exc)) from None
     finally:
         if collecting:
             gc.enable()

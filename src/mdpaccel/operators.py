@@ -88,7 +88,8 @@ class WeightedSums:
     sums by linearity: their rounding is not the CSR kernel's, so
     ``row_value_error`` does not cover them.  ``values`` is never changed
     in place once the sums exist, so what is derived from it, the one-step
-    row values, is formed once per model (``one_step_row_values``).
+    row values and their state maxima (the one-step backup), is formed once
+    per model (``one_step_row_values``).
     """
 
     values: np.ndarray
@@ -452,17 +453,24 @@ def _state_max(m: MdpModel, row_values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(row_values, m.state_ptr[:-1])
 
 
-def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
-    """The one-step row values ``r + discount * s`` of all-rows ``sums``.
+def _one_step_of(m: MdpModel, sums: WeightedSums) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step row values ``r + discount * s`` of all-rows ``sums`` and their state maxima.
 
     They are formed once per sums and model, and kept with the sums: the
-    membership check of a point and the screen of an accelerated step from
-    that point read the same values.  The caller must not change them.
+    backup of a point, its membership check and the screen of an
+    accelerated step from it read the same values.  The caller must not
+    change them.
     """
     held = sums._one_step
     if held is None or held[0] is not m:
-        held = sums._one_step = (m, _row_values(m, OperatorKind.STANDARD, None, sums.values))
-    return held[1]
+        values = _row_values(m, OperatorKind.STANDARD, None, sums.values)
+        held = sums._one_step = (m, values, _state_max(m, values))
+    return held[1], held[2]
+
+
+def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
+    """The one-step row values of all-rows ``sums``, held with them (``_one_step_of``)."""
+    return _one_step_of(m, sums)[0]
 
 
 def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> np.ndarray:
@@ -488,7 +496,13 @@ def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> np.ndarray:
 
 
 def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
-    """Simultaneous backup of ``v`` from its sums, for a kind already vetted."""
+    """Simultaneous backup of ``v`` from its sums, for a kind already vetted.
+
+    ``standard`` and ``total`` from all-rows sums are the one-step backup
+    the sums hold; the caller owns the copy returned.
+    """
+    if kind not in _JACOBI_KINDS and isinstance(sums, WeightedSums):
+        return _one_step_of(m, sums)[1].copy()
     own = v.repeat(m.row_counts) if kind in _JACOBI_KINDS else None
     return _state_max(m, _held_row_values(m, kind, own, sums))
 
@@ -564,17 +578,15 @@ def extract_policy(m, v, sums=None) -> np.ndarray:
     return np.minimum.reduceat(cand, m.state_ptr[:-1]) - m.state_ptr[:-1]
 
 
-def is_feasible(m, v, tol=None, sums=None, backup=None):
+def is_feasible(m, v, tol=None, sums=None):
     """Test one-step dominance: v >= (backup of v) componentwise.
 
     Uses the standard backup for discounted models and the undiscounted
     backup for total-reward models — dominance is always measured against
     the one-step operator, whatever backup a solver happens to run.
-    ``tol`` defaults to ``membership_tolerance(v)``.  A caller that already
-    holds the one-step backup of ``v`` passes it as ``backup``, and the test
-    compares it instead of backing ``v`` up again.  The row values it forms
-    from all-rows ``sums`` stay with them (``one_step_row_values``), for the
-    screen of an accelerated step from ``v``.
+    ``tol`` defaults to ``membership_tolerance(v)``.  From all-rows
+    ``sums`` the test compares the one-step backup they hold, formed by an
+    earlier backup of ``v`` or here (``one_step_row_values``).
 
     ``ScreenedSums`` test exactly only the rows whose upper bound does not
     clear ``v + tol``; the verdict is the all-rows one.
@@ -590,18 +602,16 @@ def is_feasible(m, v, tol=None, sums=None, backup=None):
     v = np.asarray(v, dtype=np.float64)
     if tol is None:
         tol = membership_tolerance(v)
-    if backup is None and isinstance(sums, ScreenedSums):
+    if isinstance(sums, ScreenedSums):
         # the rows whose upper bound clears v + tol pass; the others are judged exactly
         rows = np.flatnonzero(sums.one_step_upper(m) > (v + tol).repeat(m.row_counts))
         sums = WeightedSums(values=sums.take(m, rows), base=sums.base, rows=rows)
-    if backup is None and sums is not None and sums.rows is not None:
+    if sums is not None and sums.rows is not None:
         if not sums.matches(v):
             raise ValueError("weighted sums were computed for a different vector")
         values = _row_values(m, OperatorKind.STANDARD, None, sums.values, sums.rows)
         return bool((values <= (v + tol)[m.row_state[sums.rows]]).all())
-    if backup is None:
-        backup = _state_max(m, one_step_row_values(m, require_sums(m, v, sums)))
-    return bool((backup <= v + tol).all())
+    return bool((_one_step_of(m, require_sums(m, v, sums))[1] <= v + tol).all())
 
 
 def is_feasible_gs(m, v, tol=None):

@@ -39,14 +39,14 @@ sums already in hand: one of the scan's input point (``u`` for both
 accelerators) and one of the accelerated point's screened rows, from
 the validation pass.  The linear extension also tests the current
 iterate ``w``; when the configured operator is the one-step backup
-(``standard``, or ``total`` on total-reward models) the step reuses
-``u`` for that test, and the residual ``sup_norm(u - w)`` for the scan's
-degeneracy test, so an accelerated iteration costs one all-rows sums
-pass and one screened pass over the rows the bound leaves (under 1% of
-them on the benchmark models), two full backups and one over those rows.
-The Jacobi and sweep operators back ``w`` up once more, from its carried
-sums.  Without checks the step adds neither passes nor backups to the
-sums pass at ``u`` and the loop's own backup.
+(``standard``, or ``total`` on total-reward models) that test reads the
+backup ``u`` that ``w``'s sums already hold, so an accelerated iteration
+costs one all-rows sums pass and one screened pass over the rows the
+bound leaves (under 1% of them on the benchmark models), two full
+backups and one over those rows.  The Jacobi and sweep operators back
+``w`` up once more, from its carried sums.  Without checks the step adds
+neither passes nor backups to the sums pass at ``u`` and the loop's own
+backup.
 
 Stopping.  Discounted runs stop when the backup residual in the
 componentwise maximum norm falls below ``stopping_threshold(epsilon,
@@ -175,6 +175,13 @@ class SolverConfig:
             check_fit(m, self.operator)
         except (ValueError, ArithmeticError) as exc:
             raise SolverConfigError(str(exc)) from None
+        # _resolve_initial shifts the rewards only for a discounted run from the start it chooses
+        shifted = self.initial_point is None and m.mode is RewardMode.DISCOUNTED
+        if self.accelerator is AcceleratorKind.PROJECTIVE and not shifted and (m.rewards < 0.0).any():
+            raise SolverConfigError(
+                "projective scaling needs nonnegative rewards, which are shifted only "
+                "for discounted runs with no initial point"
+            )
         if self.initial_point is not None:
             p = np.asarray(self.initial_point, dtype=np.float64)
             if p.shape != (m.num_states,):
@@ -312,10 +319,6 @@ class _Loop:
             )
         else:
             self.sums = weighted_sums(self.m, self.w) if self.carry_sums else None
-        # when the loop runs the one-step backup (validate_for pairs total
-        # with total-reward models), its u is the backup the linear scan's
-        # precondition check on w compares against
-        self.u_is_one_step = config.operator in (OperatorKind.STANDARD, OperatorKind.TOTAL_REWARD)
 
     def policy_sums(self):
         """Kernel sums of the iterate for the greedy policy, or None for a fresh pass."""
@@ -347,14 +350,7 @@ class _Loop:
         else:
             try:
                 accel = apply_linear_extension(
-                    m,
-                    w,
-                    u,
-                    sums_v=self.sums,
-                    sums_u=s_u,
-                    check_membership=cfg.membership_checks,
-                    v_backup=u if self.u_is_one_step else None,
-                    residual=residual,
+                    m, w, u, sums_v=self.sums, sums_u=s_u, check_membership=cfg.membership_checks
                 )
             except AlreadyConvergedError:
                 # Residual above the stopping threshold but below the

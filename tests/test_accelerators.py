@@ -383,36 +383,7 @@ class TestLinearExtensionAlpha:
 
 
 class TestHeldQuantities:
-    """``v_backup`` and ``residual`` stand in for passes the scan would run."""
-
-    def test_held_backup_and_residual_change_nothing(self):
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            m = random_model(rng, num_states=int(rng.integers(3, 20)))
-            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
-            u = apply_operator(m, v, "standard")
-            sv, su = weighted_sums(m, v), weighted_sums(m, u)
-            plain = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
-            held = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su,
-                                          v_backup=u, residual=sup_norm(u - v))
-            assert held.alpha == plain.alpha
-            assert np.array_equal(held.point, plain.point)
-            assert np.array_equal(held.sums.values, plain.sums.values)
-
-    def test_held_backup_is_what_the_check_compares(self):
-        m = two_state_swap()
-        v = np.array([20.0, 20.0])
-        u = apply_operator(m, v, "standard")
-        with pytest.raises(FeasibilityError, match="current point"):
-            linear_extension_alpha(m, v, u, v_backup=v + 1.0)
-
-    def test_held_residual_is_what_the_degeneracy_test_reads(self):
-        m = two_state_swap()
-        v = np.array([20.0, 20.0])
-        u = apply_operator(m, v, "standard")
-        with pytest.raises(AlreadyConvergedError):
-            linear_extension_alpha(m, v, u, residual=0.0)
-
+    """What the input's membership test forms from its sums, the step reads again."""
 
     @pytest.mark.parametrize("accelerator", ["projective", "linear"])
     def test_screen_reads_the_row_values_the_input_check_formed(self, monkeypatch, accelerator):
@@ -436,13 +407,15 @@ class TestHeldQuantities:
         for _ in range(10):
             m = random_model(rng, num_states=int(rng.integers(3, 20)))
             v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
-            u = apply_operator(m, v, "standard")
-            sv, su = weighted_sums(m, v), weighted_sums(m, u)
+            sv = weighted_sums(m, v)
+            u = apply_operator(m, v, "standard", sums=sv)
+            su = weighted_sums(m, u)
             formed.clear(), screened.clear()
             if accelerator == "projective":
                 apply_projective(m, u, sums=su)
             else:
-                apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, v_backup=u)
+                # v's check reads the backup u's formation left with sv
+                apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
             # one all-rows pass of row values, at the step's input u, which the screen reuses
             assert len(formed) == 1 and len(screened) == 1
             assert screened[0] is formed[0]

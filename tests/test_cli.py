@@ -6,7 +6,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +436,27 @@ class TestBench:
         plan = write_plan(tmp_path, [UNIFORM_CELL])
         assert main(["bench", str(plan)]) == 2
         assert "output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [0.5, ["a.csv"], {"path": "a.csv"}], ids=["float", "list", "object"])
+    def test_output_of_another_type_is_usage_error(self, tmp_path, capsys, output):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"cells": [UNIFORM_CELL], "output": output}), encoding="utf-8")
+        assert main(["bench", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output must be a path string") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("output", ["1", "true"])
+    def test_output_read_as_a_descriptor_is_usage_error(self, tmp_path, output):
+        # open() takes an integer for a file descriptor, so the run would
+        # write into and close one of its own streams: run it apart
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"cells": [], "output": ' + output + "}", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "mdpaccel.cli", "bench", str(plan)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == f"error: output must be a path string, got {output.capitalize()}\n"
 
     def test_budget_cell_recorded_and_exit_1(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

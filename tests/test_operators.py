@@ -12,7 +12,13 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import ROW_SUM_TOL, MdpModel, RewardMode, adjust_rewards_nonnegative
+from mdpaccel.model import (
+    ROW_SUM_TOL,
+    MdpModel,
+    RewardMode,
+    adjust_rewards_nonnegative,
+    initial_feasible_point,
+)
 import mdpaccel.operators as operators_mod
 from mdpaccel.operators import (
     GATHER_MAX_SHARE,
@@ -688,14 +694,6 @@ class TestFeasibility:
         s = weighted_sums(m, v)
         assert is_feasible(m, v, sums=s)
 
-    def test_held_backup_replaces_the_backup_pass(self):
-        m = two_state_swap()
-        v = np.array([20.0, 20.0])
-        held = apply_operator(m, v, "standard")
-        assert is_feasible(m, v, backup=held) is is_feasible(m, v) is True
-        # the held vector is what gets compared, not a fresh backup
-        assert not is_feasible(m, v, backup=v + 1.0)
-
     def test_partial_sums_judge_only_their_rows(self):
         rng = np.random.default_rng(44)
         for _ in range(30):
@@ -907,6 +905,24 @@ class TestOneStepRowValues:
         other = one_step_row_values(shifted, s)
         assert other is not values
         assert np.array_equal(other, m.discount * s.values + shifted.rewards)
+
+    @pytest.mark.parametrize("kind", ["standard", "total"])
+    def test_backup_is_held_with_the_sums_and_handed_out_as_a_copy(self, kind):
+        if kind == "standard":
+            m = random_model(np.random.default_rng(65), num_states=12)
+            v = initial_feasible_point(m)
+        else:
+            m, v = chain_to_absorbing(), np.array([6.0, 6.0, 0.0])
+        s = weighted_sums(m, v)
+        out = apply_operator(m, v, kind, sums=s)
+        values = one_step_row_values(m, s)  # held since the backup formed them
+        assert np.array_equal(out, np.maximum.reduceat(values, m.state_ptr[:-1]))
+        assert is_feasible(m, v, sums=s)
+        # the caller owns what the backup returned: changing it changes no later verdict
+        backup = out.copy()
+        out += 1e6
+        assert is_feasible(m, v, sums=s)
+        assert np.array_equal(apply_operator(m, v, kind, sums=s), backup)
 
 
 class TestSumsReuseSemantics:

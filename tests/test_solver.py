@@ -24,7 +24,7 @@ from mdpaccel.model import (
     adjust_rewards_nonnegative,
     initial_feasible_point,
 )
-from mdpaccel.operators import OperatorKind, apply_operator, sup_norm, weighted_sums
+from mdpaccel.operators import OperatorKind, apply_operator, is_feasible, sup_norm, weighted_sums
 from mdpaccel.solver import (
     SCREEN_MIN_ROW_NNZ,
     SCREEN_MIN_ROWS_PER_STATE,
@@ -193,7 +193,7 @@ class TestAcceleratedRuns:
 
 def reference_solve(m, cfg):
     """The solve loop on a discounted model, written with the public
-    layered functions only, none of them given a held backup or residual.
+    layered functions only.
 
     Returns the residuals, final value, policy and acceleration outcomes,
     and how many scans raised ``AlreadyConvergedError``.
@@ -292,19 +292,6 @@ class TestIterateSequencePinned:
         alphas, already = assert_same_run(m, cfg)[3:]
         assert already > 0
         assert any(a is not None and a.fallback_used for a in alphas)
-
-    @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
-    def test_only_the_one_step_backup_is_handed_down(self, monkeypatch, operator):
-        held = []
-
-        def recording_extension(m, v, u, **kwargs):
-            held.append(kwargs["v_backup"] is u if operator == "standard" else kwargs["v_backup"] is None)
-            return apply_linear_extension(m, v, u, **kwargs)
-
-        monkeypatch.setattr(solver_mod, "apply_linear_extension", recording_extension)
-        cfg = SolverConfig(operator=operator, accelerator="linear", max_iterations=5)
-        solve(pinned_models()[0], cfg)
-        assert held and all(held)
 
 
 class TestSharedRowMatrix:
@@ -442,6 +429,33 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="beta"):
             SolverConfig(beta=0.0)
 
+    def test_projective_start_needs_nonnegative_rewards(self, monkeypatch):
+        m = MdpModel.from_rows([[(-1.0, [(1, 1.0)])], [(2.0, [(0, 1.0)])]], discount=0.9)
+        start = np.full(2, 30.0)
+        assert is_feasible(m, start)
+        backups = []
+
+        def recording_backup(*args, **kwargs):
+            backups.append(args)
+            return apply_operator(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "apply_operator", recording_backup)
+        with pytest.raises(SolverConfigError, match="nonnegative rewards"):
+            solve(m, SolverConfig(accelerator="projective", initial_point=start))
+        assert not backups  # refused before any backup
+        monkeypatch.undo()
+        # the linear extension runs from the same start, as the default projective start does
+        assert solve(m, SolverConfig(accelerator="linear", initial_point=start)).converged
+        assert solve(m, SolverConfig(accelerator="projective")).converged
+
+    def test_total_reward_projective_needs_nonnegative_rewards(self):
+        # total-reward runs are never shifted
+        m = MdpModel.from_rows([[(3.0, [(2, 1.0)])], [(-1.0, [(2, 1.0)])], [(0.0, [(2, 1.0)])]],
+                               discount=1.0, mode=RewardMode.TOTAL_REWARD)
+        with pytest.raises(SolverConfigError, match="nonnegative rewards"):
+            solve(m, SolverConfig(operator="total", accelerator="projective"))
+        assert solve(m, SolverConfig(operator="total", accelerator="linear")).converged
+
     @pytest.mark.parametrize("operator", ["jacobi", "gsj"])
     def test_self_loop_guard_is_the_operators_rule(self, operator):
         m = MdpModel.from_rows([[(5.0, [(0, 1.0)])]], discount=1.0 - 1e-13)
@@ -539,6 +553,47 @@ class TestSumsPassBudget:
     def test_plain_iteration(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "none", checks=False)
         assert (s, a) == (6, 0)
+
+
+class TestOneStepBackupBudget:
+    """A checked standard LAVI iteration forms the one-step row values and
+    their state maxima twice: at ``w``, for the backup that ``w``'s
+    membership check then reads, and at ``u``, for ``u``'s check."""
+
+    def test_two_formations_per_iteration(self, monkeypatch):
+        m = generate(GeneratorSpec(family="uniform", num_states=20, density=0.5,
+                                   action_range=(2, 5), seed=17))
+        cfg = SolverConfig(operator="standard", accelerator="linear", max_iterations=5)
+        real_row_values, real_state_max = operators_mod._row_values, operators_mod._state_max
+        step = solver_mod._Loop.step
+        counts, inside = [], [False]
+
+        def counting_row_values(model, kind, own, sums, rows=slice(None)):
+            # the output check's rows are formed over some rows only
+            if inside[0] and isinstance(rows, slice):
+                counts[-1][0] += 1
+            return real_row_values(model, kind, own, sums, rows)
+
+        def counting_state_max(model, row_values):
+            if inside[0]:
+                counts[-1][1] += 1
+            return real_state_max(model, row_values)
+
+        def counting_step(loop):
+            counts.append([0, 0])
+            inside[0] = True
+            try:
+                return step(loop)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(operators_mod, "_row_values", counting_row_values)
+        monkeypatch.setattr(operators_mod, "_state_max", counting_state_max)
+        monkeypatch.setattr(solver_mod._Loop, "step", counting_step)
+        res = solve(m, cfg)
+        assert res.iterations == 5
+        assert all(a is not None and not a.fallback_used for a in res.alphas)
+        assert counts == [[2, 2]] * 5
 
 
 class TestScreenSelection:
