@@ -38,8 +38,8 @@ not finite, or when the model has a negative probability.
 
 The projective scan and step also take ``operators.ScreenedSums``, which
 bound every row's sum and hold exact sums only for the rows asked for.
-The scan then takes exact sums only for the rows whose bounds leave them
-unsure of the guard or able to reach the largest ratio
+The scan then takes exact sums only for the rows whose bounds leave their
+slack's sign unsure or let them reach the largest ratio
 (``_rows_to_scan``), and the output check's screen starts
 from the upper bounds of the input's row values; all-rows sums are the
 zero-width case of that screen.  The results are the all-rows ones bit
@@ -76,6 +76,7 @@ from .operators import (
     weighted_sums,
 )
 
+# the extension's degeneracy test only; both scans test their rows against zero
 RATIO_GUARD_SCALE = 1e-12
 # ceiling of the linear-extension step factor
 ALPHA_CAP = 1e12
@@ -128,10 +129,9 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     slack ``q = v_i - discount * s_i`` is at least its reward, so the scan
     reduces to ``alpha = max reward / q`` over rows, clamped into [0, 1].
 
-    Rows whose slack is within guard tolerance of zero impose nothing when
-    their reward is also negligible; a near-zero slack against a clearly
-    positive reward contradicts dominance, and the scan answers with a
-    flagged ``alpha = 1`` (keep the point) instead of dividing by noise.
+    Rows with no positive slack impose nothing when their reward is zero;
+    such a row with a positive reward contradicts dominance, and the scan
+    answers with a flagged ``alpha = 1`` (keep the point).
 
     From ``ScreenedSums`` only the rows ``_rows_to_scan`` keeps take exact
     slacks; the others can neither be tight nor attain the maximum ratio,
@@ -149,18 +149,17 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     norm = sup_norm(v)
     if check_membership and not is_feasible(m, v, tol=_membership_tol(norm), sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
-    guard = RATIO_GUARD_SCALE * (1.0 + norm)
     spread = v.repeat(m.row_counts)
     if isinstance(s, ScreenedSums):
-        rows = _rows_to_scan(m, spread, s, guard)
+        rows = _rows_to_scan(m, spread, s)
         q = spread[rows] - m.discount * s.take(m, rows)
         rewards = m.rewards[rows]
     else:
         rows, q, rewards = None, spread, m.rewards
         q -= m.discount * s.values
-    tight = q <= guard
+    tight = q <= 0.0
     if tight.any():
-        if (tight & (rewards > guard)).any():
+        if (tight & (rewards > 0.0)).any():
             return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
         # a row left out is not tight
         if q.size == m.num_rows and tight.all():
@@ -171,12 +170,12 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     return AlphaResult(alpha=alpha, binding=_row_location(m, k if rows is None else int(rows[k])))
 
 
-def _rows_to_scan(m, spread, s, guard) -> np.ndarray:
+def _rows_to_scan(m, spread, s) -> np.ndarray:
     """The ascending rows whose exact slack the projective scan needs from ``s``.
 
     ``spread`` is ``v`` spread over the rows.  A row's slack ``q = v_i -
     discount * s`` falls as its sum rises, so the sums' bounds bound it,
-    and a row whose lower bound clears the guard is surely not tight.
+    and a row whose lower bound is positive is surely not tight.
     Among those rows, whose ratio ``reward / q`` is bounded the same way,
     the largest lower bound is a floor under the scan's maximum; a row
     whose upper bound falls short of it can neither attain nor tie it.
@@ -185,7 +184,7 @@ def _rows_to_scan(m, spread, s, guard) -> np.ndarray:
     """
     lo, hi = s.bounds()
     q_lo = spread - m.discount * hi
-    loose = q_lo > guard
+    loose = q_lo > 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio_lo = m.rewards / (spread - m.discount * lo)
         reach = m.rewards / q_lo
@@ -203,20 +202,20 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     row the extended point stays dominating while ``c + alpha * d >= 0``
     with ``c = v_i - reward - discount * s^v_i`` (nonnegative by
     dominance of ``v``) and ``d = (u - v)_i - discount * (s^u_i -
-    s^v_i)``.  Only rows with ``d`` clearly negative bound the step; the
-    smallest ``c / -d`` over them is the answer, floored at 1 (the point
-    ``u`` itself is always admissible).  When no row bounds the step the
-    result is ``ALPHA_CAP`` with the fallback flag set.
+    s^v_i)``.  Every row with ``d`` negative bounds the step; the smallest
+    ``c / -d`` over them is the answer, floored at 1 (the point ``u``
+    itself is always admissible), so a row whose ``d`` is rounding noise
+    can only shorten the step.  When no row bounds the step the result is
+    ``ALPHA_CAP`` with the fallback flag set.
 
     Raises:
-        AlreadyConvergedError: ``u`` and ``v`` coincide to guard tolerance.
+        AlreadyConvergedError: ``|u - v| <= RATIO_GUARD_SCALE * (1 + |v|)``.
         FeasibilityError: with checks enabled, an endpoint that does not
             dominate its backup.
     """
     norm = sup_norm(v)
-    guard = RATIO_GUARD_SCALE * (1.0 + norm)
     direction = u - v
-    if sup_norm(direction) <= guard:
+    if sup_norm(direction) <= RATIO_GUARD_SCALE * (1.0 + norm):
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
@@ -228,11 +227,11 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     c = v.repeat(m.row_counts)
     c -= m.rewards
     c -= m.discount * sv.values
-    # -d, the exact negation of d: the rows with -d above the guard bind
+    # -d, the exact negation of d: the rows with -d positive bind
     neg_d = su.values - sv.values
     neg_d *= m.discount
     neg_d -= direction.repeat(m.row_counts)
-    binding = neg_d > guard
+    binding = neg_d > 0.0
     if not binding.any():
         return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     ratios = np.divide(c, neg_d, out=np.full(m.num_rows, np.inf), where=binding)

@@ -374,6 +374,8 @@ def main(argv=None) -> int:
         return _fail(f"{args.plan}: {exc}", 1)
     except (SolverConfigError, UsageError) as exc:
         return _fail(exc, 2)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {str(exc) or 'allocation refused'}", 1)
 
 
 if __name__ == "__main__":

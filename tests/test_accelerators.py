@@ -44,10 +44,9 @@ def reference_location(m, row):
 
 def reference_projective_alpha(m, v, s):
     """The projective scan written with index and boolean gathers."""
-    guard = RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
     q = v[m.row_state] - m.discount * s
-    tight = q <= guard
-    if np.any(tight & (m.rewards > guard)):
+    tight = q <= 0.0
+    if np.any(tight & (m.rewards > 0.0)):
         return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
     valid = ~tight
     if not np.any(valid):
@@ -60,12 +59,11 @@ def reference_projective_alpha(m, v, s):
 
 def reference_linear_alpha(m, v, u, sv, su):
     """The linear-extension scan written with index and boolean gathers."""
-    guard = RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
-    if sup_norm(u - v) <= guard:
+    if sup_norm(u - v) <= RATIO_GUARD_SCALE * (1.0 + sup_norm(v)):
         raise AlreadyConvergedError("coincident")
     c = v[m.row_state] - m.rewards - m.discount * sv
     d = (u - v)[m.row_state] - m.discount * (su - sv)
-    binding = d < -guard
+    binding = d < 0.0
     if not np.any(binding):
         return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     ratios = np.full(m.num_rows, np.inf)
@@ -372,6 +370,20 @@ class TestLinearExtensionAlpha:
         assert res.alpha == ALPHA_CAP
         assert res.binding is None
         assert res.fallback_used
+
+    def test_row_with_a_noise_level_slope_binds(self):
+        # two absorbing states at their fixed point 10: state 0 sits 1e-11
+        # above it, so its row's slope -d is about 1e-13, far below
+        # 1e-12 * (1 + |v|); state 1 alone would allow alpha = 100
+        m = MdpModel.from_rows([[(1.0, [(0, 1.0)])], [(1.0, [(1, 1.0)])]], discount=0.9)
+        v = np.array([10.0 + 1e-11, 20.0])
+        u = np.array([10.0 + 9e-12, 19.9])
+        c = (v[0] - 1.0) - 0.9 * v[0]
+        neg_d = 0.9 * (u[0] - v[0]) - (u[0] - v[0])
+        assert 0.0 < neg_d <= RATIO_GUARD_SCALE * (1.0 + sup_norm(v))
+        res = linear_extension_alpha(m, v, u)
+        assert res == AlphaResult(alpha=c / neg_d, binding=(0, 0))
+        assert 1.0 < res.alpha < 100.0
 
     def test_total_reward_extension(self):
         m = chain_to_absorbing()

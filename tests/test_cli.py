@@ -28,6 +28,7 @@ from test_model import (
     model_text_with_huge_number,
     two_state_swap,
 )
+from test_solver import linear_tail_model
 
 BROKEN_MODEL = (
     '{"mode": "discounted", "discount": 0.9, "states": '
@@ -112,6 +113,16 @@ class TestGenerate:
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_impossible_allocation_exits_1(self, tmp_path, capsys):
+        # about 5e13 rows: numpy refuses the 463 TiB request before allocating anything
+        out = tmp_path / "x.json"
+        argv = ["generate", "--family", "uniform", "--states", "5", "--density", "0.5",
+                "--actions", "2", "99999999999999", "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_family_flag_mismatch(self, tmp_path, capsys):
         code = main(
             [
@@ -162,6 +173,13 @@ class TestSolve:
         exact = verif.exact_fixed_point(load_model(path)).exact_value
         # a reward shift and back costs the accelerated runs a few units in the last place
         np.testing.assert_allclose(results[0].final_value, exact, rtol=0, atol=1e-13)
+
+    def test_unchecked_linear_extension_converges(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_model(linear_tail_model(), path)
+        argv = ["solve", str(path), "--accel", "linear", "--no-checks", "--max-iterations", "2500"]
+        assert main(argv) == 0
+        assert "(converged)" in capsys.readouterr().out
 
     def test_wrong_operator_for_total_reward(self, tmp_path, capsys):
         path = tmp_path / "tr.json"

@@ -37,8 +37,17 @@ from mdpaccel.solver import (
     solve,
     stopping_threshold,
 )
+from mdpaccel.verification import exact_fixed_point
 
 from test_model import chain_to_absorbing, two_state_swap
+
+
+def linear_tail_model():
+    """A model whose linear-extension runs meet binding rows with slopes
+    near rounding noise: a scan that skips them oversteps the dominance
+    region, and with checks off LAVI and LAGS then stall at discount 0.995."""
+    return generate(GeneratorSpec(family="uniform", num_states=30, density=0.5,
+                                  discount=0.995, seed=3))
 
 
 class TestStoppingThreshold:
@@ -191,6 +200,28 @@ class TestAcceleratedRuns:
             solve(m, cfg)
 
 
+class TestUncheckedLinearExtension:
+    """Without checks the linear extension takes the checked run's steps."""
+
+    @pytest.mark.parametrize("operator", ["standard", "gs"])
+    def test_converges_on_the_checked_path(self, operator):
+        m = linear_tail_model()
+        exact = exact_fixed_point(m).exact_value
+        checked, unchecked = (
+            solve(m, SolverConfig(operator=operator, accelerator="linear", epsilon=1e-3,
+                                  membership_checks=checks, max_iterations=2_500))
+            for checks in (True, False)
+        )
+        for res in (checked, unchecked):
+            assert res.converged
+            assert np.max(np.abs(res.final_value - exact)) <= 1e-3
+            assert res.fallback_count == 0
+        assert np.array_equal(unchecked.residuals, checked.residuals)
+        assert np.array_equal(unchecked.final_value, checked.final_value)
+        assert np.array_equal(unchecked.final_policy, checked.final_policy)
+        assert unchecked.alphas == checked.alphas
+
+
 def reference_solve(m, cfg):
     """The solve loop on a discounted model, written with the public
     layered functions only.
@@ -252,8 +283,10 @@ def pinned_models():
     ]
 
 
-def assert_same_run(m, cfg):
+def assert_same_run(m, cfg, before_each=lambda: None):
+    before_each()
     expected = reference_solve(m, cfg)
+    before_each()
     res = solve(m, cfg)
     assert np.array_equal(res.residuals, expected[0])
     assert np.array_equal(res.final_value, expected[1])
@@ -283,13 +316,29 @@ class TestIterateSequencePinned:
             assert not any(screens_sums(m, cfg) for m in pinned_models()[:-1])
 
     @pytest.mark.parametrize("operator", ["standard", "gs"])
-    def test_degenerate_scans_and_fallbacks(self, operator):
+    def test_degenerate_scans_and_fallbacks(self, monkeypatch, operator):
         # at epsilon 1e-8 the stopping threshold lies below the scan's
-        # degeneracy guard, so late scans raise AlreadyConvergedError
+        # degeneracy guard, so late scans raise AlreadyConvergedError; no
+        # output check fails on this model, so each run's third one is made to
         m = generate(GeneratorSpec(family="uniform", num_states=10, density=0.5, discount=0.9,
                                    action_range=(2, 4), seed=0))
         cfg = SolverConfig(operator=operator, accelerator="linear", epsilon=1e-8)
-        alphas, already = assert_same_run(m, cfg)[3:]
+        output_checks = []
+        real_sums, real_feasible = accel_mod.weighted_sums, accel_mod.is_feasible
+
+        def output_sums(m, z, rows=None):
+            # the accelerators take fresh sums only for the output check
+            output_checks.append(real_sums(m, z, rows=rows))
+            return output_checks[-1]
+
+        def feasible(m, v, tol=None, sums=None):
+            if len(output_checks) == 3 and sums is output_checks[-1]:
+                return False
+            return real_feasible(m, v, tol=tol, sums=sums)
+
+        monkeypatch.setattr(accel_mod, "weighted_sums", output_sums)
+        monkeypatch.setattr(accel_mod, "is_feasible", feasible)
+        alphas, already = assert_same_run(m, cfg, before_each=output_checks.clear)[3:]
         assert already > 0
         assert any(a is not None and a.fallback_used for a in alphas)
 
