@@ -158,15 +158,22 @@ STREAM_DIGESTS = {
 
 # Digests at benchmark scale, taken from the per-row support draws before
 # they were batched into per-state blocks: the sparse-gs workload's shape
-# and a sparse total-reward model, whose rows end in the terminal column.
+# at the benchmark's seeds 100-104 and a sparse total-reward model, whose
+# rows end in the terminal column.
+SPARSE_GS = dict(family="uniform", num_states=100, density=0.2, discount=0.9,
+                 action_range=(45, 56))
 SCALE_SPECS = {
-    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9,
-                      action_range=(45, 56), seed=100),
+    "sparse-gs": dict(SPARSE_GS, seed=100),
+    **{f"sparse-gs-{seed}": dict(SPARSE_GS, seed=seed) for seed in range(101, 105)},
     "total-sparse-40": dict(family="total_reward_positive", num_states=40, density=0.2,
                             discount=1.0, action_range=(2, 6), seed=100),
 }
 SCALE_DIGESTS = {
     "sparse-gs": "3d9c95ed5e23e52702f141386ace09dbac88b662861ed4df567780983e1b072f",
+    "sparse-gs-101": "e97dac697db320242c1b8b12d10c622d978c7947c0e40ca236171a3b23f9cfc3",
+    "sparse-gs-102": "fdaa3931fad25e538b447ce1934c3c0c07a808931d6c8f5a9d59b205a26ff1ec",
+    "sparse-gs-103": "de0dc55c725b56b0216a45ae1d221e33d11f1d60248f33f3f7c233bb35ece361",
+    "sparse-gs-104": "f426557cc214ea26d1c9273b224d591061551d548ac14ddc20d66e6783630e1f",
     "total-sparse-40": "9e011cd0a22cf79233d6329e3e5f71e1947483632f67f239a6739f9ca292238b",
 }
 
