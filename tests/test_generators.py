@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mdpaccel import generators
 from mdpaccel.generators import (
     GeneratorFamily,
     GeneratorSpec,
+    _SparseRows,
     generate,
 )
 from mdpaccel.model import (
@@ -91,6 +94,24 @@ class TestSpecValidation:
     def test_reward_range_width_must_be_finite(self, rewards):
         with pytest.raises(ValueError, match="finite width"):
             GeneratorSpec(family="uniform", num_states=5, density=0.5, reward_range=rewards)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_states", 5.0), ("num_states", True), ("seed", 1.0), ("seed", np.True_),
+        ("action_range", (2.5, 3)), ("action_range", (2, True)),
+        ("bandwidth", 2.0), ("bandwidth", True),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        kw = dict(family="band", num_states=5, bandwidth=2)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            GeneratorSpec(**kw)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        spec = GeneratorSpec(family="band", num_states=np.int64(6), bandwidth=np.int32(3),
+                             seed=np.uint64(4), action_range=(np.int16(2), np.int64(3)))
+        assert spec == GeneratorSpec(family="band", num_states=6, bandwidth=3, seed=4,
+                                     action_range=(2, 3))
+        assert json.loads(json.dumps(spec.metadata()))["action_range"] == [2, 3]
 
 
 def small(family="uniform", **kw):
@@ -296,3 +317,130 @@ class TestWeightProperties:
         assert np.all(m.probs > 0.0)
         sums = np.add.reduceat(m.probs, m.row_ptr[:-1])
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+
+def choice_rows(rng, k, population, size, tail=None):
+    """Reference sparse rows, drawn as first written: per row a
+    ``choice(population, size, replace=False)``, sorted and followed by the
+    tail column, then ``random`` weights, normalized."""
+    cols, probs = [], []
+    for _ in range(k):
+        c = np.sort(rng.choice(population, size, replace=False))
+        w = 1.0 - rng.random(size + (tail is not None))
+        cols.append(c if tail is None else np.append(c, tail))
+        probs.append(w / w.sum())
+    return np.concatenate(cols), np.concatenate(probs)
+
+
+def bulk_rows(rng, k, population, size, tail=None):
+    rows = _SparseRows(population, size, tail, max_rows=k)
+    cols, probs = rows.draw(rng, k)
+    rows.flush()
+    return cols, probs
+
+
+def twin_generators(seed, prefix):
+    """Two generators in one state: seeded alike, then ``prefix`` 32-bit draws each,
+    so an odd prefix leaves half a raw word buffered."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        for _ in range(prefix):
+            rng.integers(0, 10)
+    return pair
+
+
+def assert_same_stream(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    np.testing.assert_array_equal(a.integers(0, 1000, 5), b.integers(0, 1000, 5))
+    np.testing.assert_array_equal(a.random(3), b.random(3))
+
+
+def refuse_fallback(*args):
+    raise AssertionError("a state fell back to per-row choice draws")
+
+
+# (k, population, size): every size from 1 to population - 1 on small
+# populations, and the sparse-gs row shape.
+BULK_CASES = [(k, pop, size) for k in (1, 2, 5) for pop in (2, 3, 6) for size in range(1, pop)] + [
+    (1, 100, 20), (4, 100, 20), (7, 100, 99), (3, 257, 128), (56, 100, 20), (9, 10_000, 7),
+]
+
+
+class TestBulkSparseDraws:
+    @pytest.mark.parametrize("tail", [None, 999], ids=["no-tail", "tail"])
+    @pytest.mark.parametrize("prefix", [0, 1, 3])
+    def test_matches_per_row_choice(self, monkeypatch, tail, prefix):
+        monkeypatch.setattr(generators, "_choice_rows", refuse_fallback)
+        for i, (k, population, size) in enumerate(BULK_CASES):
+            a, b = twin_generators(i, prefix)
+            got, want = bulk_rows(a, k, population, size, tail), choice_rows(b, k, population, size, tail)
+            case = f"k={k} population={population} size={size}"
+            np.testing.assert_array_equal(got[0], want[0], err_msg=case)
+            np.testing.assert_array_equal(got[1], want[1], err_msg=case)
+            assert_same_stream(a, b)
+
+    def test_tail_shuffle_branch_declined_without_drawing(self):
+        rng = np.random.default_rng(5)
+        rows = _SparseRows(20_000, 500, None, max_rows=2)
+        before = rng.bit_generator.state
+        assert rows._read(rng, np.empty((2, 500), dtype=np.int32)) is None
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("prefix", [0, 1])
+    def test_rejected_draw_falls_back_from_the_entry_state(self, prefix):
+        a, b = twin_generators(11, prefix)
+        rows = _SparseRows(100, 20, None, max_rows=6)
+        rows.reject_below = np.full_like(rows.reject_below, 2**32 - 1)
+        cols, probs = rows.draw(a, 6)
+        rows.flush()
+        want = choice_rows(b, 6, 100, 20)
+        np.testing.assert_array_equal(cols, want[0])
+        np.testing.assert_array_equal(probs, want[1])
+        assert_same_stream(a, b)
+
+    def test_forced_rejections_keep_the_model(self, monkeypatch):
+        """Every third state's read meets a rejection, so fallback rows sit between
+        rows whose columns wait for a block; the model keeps its pinned digest."""
+        read, choice = _SparseRows._read, generators._choice_rows
+        reads, fallbacks = [], []
+
+        def rejecting_read(self, rng, out):
+            reads.append(len(out))
+            if len(reads) % 3:
+                return read(self, rng, out)
+            floor = self.reject_below
+            self.reject_below = np.full_like(floor, 2**32 - 1)
+            try:
+                return read(self, rng, out)
+            finally:
+                self.reject_below = floor
+
+        def counted_choice(*args):
+            fallbacks.append(args[1])
+            return choice(*args)
+
+        monkeypatch.setattr(_SparseRows, "_read", rejecting_read)
+        monkeypatch.setattr(generators, "_choice_rows", counted_choice)
+        m = generate(GeneratorSpec(**SCALE_SPECS["sparse-gs"]))
+        assert model_digest(m) == SCALE_DIGESTS["sparse-gs"]
+        assert len(fallbacks) == len(reads) // 3 > 0
+        assert fallbacks == reads[2::3]
+
+    @pytest.mark.parametrize("name", ["sparse-gs"] + [f"sparse-gs-{s}" for s in range(101, 105)])
+    def test_benchmark_seeds_read_every_state_in_bulk(self, monkeypatch, name):
+        monkeypatch.setattr(generators, "_choice_rows", refuse_fallback)
+        m = generate(GeneratorSpec(**SCALE_SPECS[name]))
+        assert model_digest(m) == SCALE_DIGESTS[name]
+
+    def test_transient_memory_stays_near_the_model(self):
+        """The waiting rows' draws stay small beside the model: ``generate``'s
+        traced peak is the chunks plus their concatenation, about 2.16 times
+        the columns and weights it returns."""
+        spec = GeneratorSpec(**SCALE_SPECS["sparse-gs"])
+        tracemalloc.start()
+        try:
+            m = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * (m.cols.nbytes + m.probs.nbytes)
