@@ -250,7 +250,8 @@ class _SparseRows:
         self.nd = size + (tail is not None)
         self.pending, self.waiting = [], 0  # columns waiting for ``_floyd``, and their rows
         rows = _FLOYD_BLOCK // (8 * size + population)
-        self.bulk = (population <= _FLOYD_POPULATION or size <= population // 50) and rows >= max_rows
+        floyd_branch = population <= _FLOYD_POPULATION or size <= population // 50
+        self.bulk = floyd_branch and rows >= max_rows
         if not self.bulk:
             return
         self.draws = np.empty((rows, size), dtype=np.intp)  # of the waiting rows
@@ -315,9 +316,9 @@ class _SparseRows:
             bitgen.state = state
             return None
         after = bitgen.state
-        after["has_uint32"] = (buffered + k) % 2
+        after["has_uint32"] = left = (buffered + k) % 2
         # the high half of the last word drawn from, kept whether or not it was used
-        after["uinteger"] = int(halves[halves_at[k - 1, -1] + 1] if after["has_uint32"] else x[k - 1, -1])
+        after["uinteger"] = int(halves[halves_at[k - 1, -1] + 1] if left else x[k - 1, -1])
         bitgen.state = after
         draws = self.draws[self.waiting:self.waiting + k]
         np.right_shift(m[:, :self.size], np.uint64(32), out=draws, casting="unsafe")
