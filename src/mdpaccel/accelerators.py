@@ -25,12 +25,13 @@ already in hand, and validate the output with one screened weighted-sums
 pass; a failed output check falls back to the safe input point and flags
 the step instead of raising.
 
-The screen (``_rows_to_check``) bounds every row's one-step value at the
-output from the kernel sums at the step's input, the sums the step
-already holds, starting from the row values the input's membership test
-formed from them, and takes fresh sums only for the rows whose bound the
-membership tolerance cannot clear: about 0.1-0.6% of the rows on the
-benchmark models.  The bound covers the rounding of both values
+The output check (``_checked``) reads both points from their sums.  Its
+screen (``_rows_to_check``) bounds every row's one-step value at the
+output from the input's kernel sums, starting from the row values the
+input's membership test formed from them, and takes fresh sums only for
+the rows whose bound the membership tolerance, formed once for the screen
+and the test, cannot clear: about 0.1-0.6% of the rows on the benchmark
+models.  The bound covers the rounding of both values
 (``operators.row_value_error``), so the verdict, and with it every
 fallback and iterate, is the all-rows one bit for bit.  Every row is
 checked when the input's sums were derived by linearity, when a point is
@@ -69,6 +70,7 @@ from .operators import (
     WeightedSums,
     _membership_tol,
     is_feasible,
+    membership_tolerance,
     one_step_row_values,
     require_sums,
     row_value_error,
@@ -242,8 +244,8 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
 
 
-def _rows_to_check(m, z, p, p_sums):
-    """The rows of ``z``'s membership check that a rounding bound cannot clear.
+def _rows_to_check(m, z, tol, p_sums):
+    """The rows of ``z``'s membership check at ``z + tol`` that a rounding bound cannot clear.
 
     ``p_sums`` are the sums at the step's input point ``p``.  In exact
     arithmetic, with no negative probability and a row sum within ``rho``
@@ -266,9 +268,9 @@ def _rows_to_check(m, z, p, p_sums):
     """
     if not (p_sums.from_kernel and m.discount >= 0.0):
         return None
-    z_norm = sup_norm(z)
+    p = p_sums.base
     delta = float((z - p).max())
-    e = row_value_error(m, max(z_norm, sup_norm(p)))
+    e = row_value_error(m, max(sup_norm(z), sup_norm(p)))
     margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
     if not math.isfinite(margin):
         return None
@@ -277,21 +279,22 @@ def _rows_to_check(m, z, p, p_sums):
     else:
         # the precondition check on p formed these row values; they are read, not rebuilt
         bound = one_step_row_values(m, p_sums) + margin
-    # z + tol as is_feasible forms it, tol = membership_tolerance(z)
-    return np.flatnonzero(bound > (z + _membership_tol(z_norm)).repeat(m.row_counts))
+    return np.flatnonzero(bound > (z + tol).repeat(m.row_counts))
 
 
-def _checked(m, z, zsums, fallback_point, fallback_sums, alpha, check):
-    """Validate an accelerated point; swap in the fallback when it fails.
+def _checked(m, zsums, fallback_sums, alpha, check):
+    """Validate the accelerated point ``zsums.base``; swap in the fallback when it fails.
 
-    The check takes fresh sums at ``z`` only for the rows that
-    ``_rows_to_check`` cannot clear from the sums at ``fallback_point``,
+    The check takes fresh sums at the point only for the rows that
+    ``_rows_to_check`` cannot clear from ``fallback_sums``, the sums at
     the step's input, and its verdict is the all-rows one bit for bit.
     """
+    z = zsums.base
     if check:
-        fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, fallback_point, fallback_sums))
-        if not is_feasible(m, z, sums=fresh):
-            safe = fallback_point.copy()
+        tol = membership_tolerance(z)
+        fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, tol, fallback_sums))
+        if not is_feasible(m, z, tol=tol, sums=fresh):
+            safe = fallback_sums.base.copy()
             return AccelStep(
                 point=safe, sums=replace(fallback_sums, base=safe),
                 alpha=AlphaResult(alpha.alpha, alpha.binding, fallback_used=True),
@@ -303,8 +306,7 @@ def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
     """Scale ``v`` toward the fixed point; returns point, sums, and scan info."""
     s = require_sums(m, v, sums)
     res = projective_alpha(m, v, sums=s, check_membership=check_membership)
-    z = res.alpha * v
-    return _checked(m, z, s.scaled(res.alpha, z), v, s, res, check_membership)
+    return _checked(m, s.scaled(res.alpha), s, res, check_membership)
 
 
 def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True) -> AccelStep:
@@ -320,4 +322,4 @@ def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=T
     zvalues *= res.alpha
     zvalues += sv.values
     zsums = WeightedSums(values=zvalues, base=z, from_kernel=False)
-    return _checked(m, z, zsums, u, su, res, check_membership)
+    return _checked(m, zsums, su, res, check_membership)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -53,6 +54,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(name: str, value):
+    """``value`` as given; a bool or a non-real value is refused, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,11 @@ class GeneratorSpec:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.bandwidth is not None:
             object.__setattr__(self, "bandwidth", _integer("bandwidth", self.bandwidth))
-        object.__setattr__(self, "action_range",
-                           tuple(_integer("action_range", b) for b in self.action_range))
+        for name, bound in (("action_range", _integer), ("reward_range", _number)):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a (low, high) pair, got {pair!r}")
+            object.__setattr__(self, name, (bound(name, pair[0]), bound(name, pair[1])))
         total = self.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
         if self.discount is None:
             object.__setattr__(self, "discount", 1.0 if total else 0.9)
@@ -120,17 +131,17 @@ class GeneratorSpec:
         else:
             if self.bandwidth is not None:
                 raise ValueError(f"{self.family.value} family takes density, not bandwidth")
-            if self.density is None or not 0.0 < self.density <= 1.0:
+            if self.density is None or not 0.0 < _number("density", self.density) <= 1.0:
                 raise ValueError("density must lie in (0, 1]")
             if int(round(self.density * self.num_states)) < 1:
                 raise ValueError("density picks an empty successor set")
         if total:
-            if self.discount != 1.0:
+            if _number("discount", self.discount) != 1.0:
                 raise ValueError("total-reward instances are undiscounted (discount 1.0)")
             if rlo <= 0.0:
                 raise ValueError("total-reward instances need strictly positive rewards")
         else:
-            if not 0.0 <= self.discount < 1.0:
+            if not 0.0 <= _number("discount", self.discount) < 1.0:
                 raise ValueError("discounted families need discount in [0, 1)")
 
     def metadata(self) -> dict:

@@ -101,9 +101,9 @@ class WeightedSums:
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
 
-    def scaled(self, factor: float, point: np.ndarray) -> WeightedSums:
-        """The sums of ``point = factor * base`` by linearity: ``factor * values``."""
-        return WeightedSums(values=factor * self.values, base=point, from_kernel=False)
+    def scaled(self, factor: float) -> WeightedSums:
+        """The sums of ``factor * base`` by linearity: ``factor * values``."""
+        return WeightedSums(values=factor * self.values, base=factor * self.base, from_kernel=False)
 
 
 @dataclass
@@ -114,10 +114,10 @@ class ScreenedSums:
     all-rows path holds for ``base``: the kernel sums of ``source`` itself
     when ``factor`` is 1, and their scaling when ``base`` is the projective
     step's point ``factor * source``.  ``lo`` and ``hi`` bound every row's
-    kernel sum at ``source``; where ``known`` is set the sum was taken and
-    ``lo == hi`` holds it.  The factor is never negative, and a rounded
-    product is monotone, so ``factor * lo`` and ``factor * hi`` bound every
-    row's sum as the all-rows path forms it.
+    kernel sum at ``source``; a row of zero width, ``lo == hi``, was taken
+    (``drifted_sums`` forms none).  The factor is never negative, and a
+    rounded product is monotone, so ``factor * lo`` and ``factor * hi``
+    bound every row's sum as the all-rows path forms it.
 
     A consumer reads the bounds, asks ``take`` for the rows they cannot
     settle, and decides from those rows as it would from all of them; the
@@ -130,7 +130,6 @@ class ScreenedSums:
     factor: float
     lo: np.ndarray
     hi: np.ndarray
-    known: np.ndarray
 
     @property
     def from_kernel(self) -> bool:
@@ -139,8 +138,8 @@ class ScreenedSums:
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
 
-    def scaled(self, factor: float, point: np.ndarray) -> ScreenedSums:
-        """The sums of ``point = factor * base``, for ``factor`` in [0, 1].
+    def scaled(self, factor: float) -> ScreenedSums:
+        """The sums of ``factor * base``, for ``factor`` in [0, 1].
 
         Raises:
             ValueError: these sums are themselves scaled; the all-rows path
@@ -148,7 +147,7 @@ class ScreenedSums:
         """
         if self.factor != 1.0:
             raise ValueError("screened sums are scaled once, from the kernel sums")
-        return replace(self, base=point, factor=factor)
+        return replace(self, base=factor * self.base, factor=factor)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every row's sum at ``base``."""
@@ -163,7 +162,7 @@ class ScreenedSums:
         ``source``; past ``GATHER_MAX_SHARE`` of the rows that call is the
         all-rows pass, and every row is kept.
         """
-        missing = rows[~self.known[rows]]
+        missing = rows[self.lo[rows] != self.hi[rows]]
         if missing.size:
             if missing.size > GATHER_MAX_SHARE * m.num_rows:
                 missing = slice(None)
@@ -172,7 +171,6 @@ class ScreenedSums:
                 got = weighted_sums(m, self.source, rows=missing).values
             self.lo[missing] = got
             self.hi[missing] = got
-            self.known[missing] = True
         values = self.lo[rows]
         return values if self.factor == 1.0 else self.factor * values
 
@@ -228,49 +226,49 @@ def _kernel(m: MdpModel, v) -> tuple:
     return m.num_states, csr.indices, csr.data, np.ascontiguousarray(x, dtype=np.float64)
 
 
-def _kernel_rows(m: MdpModel, rows) -> tuple[np.ndarray, bool]:
-    """``rows`` checked as row indices, and whether they ascend (repeats allowed).
+def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
+    """``rows`` checked as ascending row indices (repeats allowed).
 
     Raises:
         ValueError: ``rows`` is not a one-dimensional sequence of integers
-            inside ``[0, num_rows)``.
+            inside ``[0, num_rows)``, or it descends.
     """
     idx = np.asarray(rows)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise ValueError(
             f"row indices must be a 1-D integer sequence, got shape {idx.shape} of {idx.dtype}"
         )
-    ascending = bool((idx[:-1] <= idx[1:]).all())
-    if idx.size:
-        lo, hi = (idx[0], idx[-1]) if ascending else (idx.min(), idx.max())
-        if lo < 0 or hi >= m.num_rows:
-            raise ValueError(f"row index {int(lo if lo < 0 else hi)} outside [0, {m.num_rows})")
-    return idx.astype(np.intp, copy=False), ascending
+    if not (idx[:-1] <= idx[1:]).all():
+        k = int((idx[:-1] > idx[1:]).argmax()) + 1
+        raise ValueError(f"row indices must ascend; row {idx[k]} at position {k} follows row {idx[k - 1]}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= m.num_rows):
+        raise ValueError(f"row index {int(idx[0] if idx[0] < 0 else idx[-1])} outside [0, {m.num_rows})")
+    return idx.astype(np.intp, copy=False)
 
 
 def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
     """Compute the per-row weighted sums of ``v`` in one kernel pass.
 
-    ``rows``, integer row indices (a list or an array of any integer
-    dtype), restricts the pass to those rows.  Ascending rows are summed
-    in place: the kernel's row pointers name them in descending order,
-    ``[nnz, start(a), end(a), start(b), end(b), ...]`` with ``a >= b``, so
-    every other "row" runs backwards, from one row's end (or the last
-    entry) to the start of a row no later, and sums nothing.  Each chosen row
-    is accumulated as in the all-rows pass, bit for bit, at the cost of its
-    own entries, and is read back in ascending order.  Rows that do not
-    ascend, or more than ``GATHER_MAX_SHARE`` of the rows, take the
-    all-rows pass instead, and its values at ``rows`` are kept.
+    ``rows``, ascending integer row indices (a list or an array of any
+    integer dtype, repeats allowed), restricts the pass to those rows.
+    They are summed in place: the kernel's row pointers name them in
+    descending order, ``[nnz, start(a), end(a), start(b), end(b), ...]``
+    with ``a >= b``, so every other "row" runs backwards, from one row's
+    end (or the last entry) to the start of a row no later, and sums
+    nothing.  Each chosen row is accumulated as in the all-rows pass, bit
+    for bit, at the cost of its own entries, and is read back in ascending
+    order.  More than ``GATHER_MAX_SHARE`` of the rows take the all-rows
+    pass instead, and its values at ``rows`` are kept.
 
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries, or
-            ``rows`` holds something other than row indices.
+            ``rows`` holds something other than ascending row indices.
     """
     n, indices, data, x = _kernel(m, v)
     indptr = m.row_matrix.indptr
     if rows is not None:
-        idx, ascending = _kernel_rows(m, rows)
-        if ascending and len(idx) <= GATHER_MAX_SHARE * m.num_rows:
+        idx = _kernel_rows(m, rows)
+        if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
             down = idx[::-1]
             ptr = np.empty(2 * len(idx) + 1, dtype=indptr.dtype)
             ptr[0] = indptr[-1]
@@ -302,25 +300,26 @@ def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> Weigh
     return sums
 
 
-def drifted_sums(m: MdpModel, x: np.ndarray, sums, y: np.ndarray):
-    """The sums of ``y``, bounded from the sums held at ``x`` without a kernel pass.
+def drifted_sums(m: MdpModel, sums, y: np.ndarray):
+    """The sums of ``y``, bounded from ``sums`` at ``x = sums.base`` without a kernel pass.
 
-    ``sums`` are ``ScreenedSums`` at ``x`` or all-rows kernel sums of ``x``
-    (the zero vector's are exactly zero, which starts a run).  With ``D =
-    y - x``, no negative probability and every row sum within ``rho`` of
-    1, the exact sum of row ``k`` moves from ``x`` to ``y`` by ``sum_j
-    p(k, j) * D_j``, which lies in ``[min D - |min D| * rho, max D + |max
-    D| * rho]``, and itself lies in ``[min y - |min y| * rho, max y + |max
-    y| * rho]``.  The held sums lie within ``e = sum_error(m, norm)`` of
-    the exact sums at ``x``, and the kernel sums of ``y`` within ``e`` of
-    theirs, where ``norm`` is the largest sup norm of ``x``, ``y`` and the
-    vector the held sums were taken at.  So every kernel sum of ``y`` lies
-    in the held bounds widened by that drift and ``10e``, clamped into the
-    second interval widened by ``2e``.  Of the ``10e``, ``2e`` covers the
-    two sums and ``8e`` the rounding of ``D``, of the shift and of its
-    addition to the held bounds: at most about ten roundings on magnitudes
-    below ``3 * (1 + rho) * norm + 2e``, since every held bound was clamped
-    the same way, where ``e >= 3u * (1 + rho) * norm``.
+    ``sums`` are ``ScreenedSums`` or all-rows kernel sums (the zero
+    vector's are exactly zero, which starts a run).  With ``D = y - x``, no
+    negative probability and every row sum within ``rho`` of 1, the exact
+    sum of row ``k`` moves from ``x`` to ``y`` by ``sum_j p(k, j) * D_j``,
+    which lies in ``[min D - |min D| * rho, max D + |max D| * rho]``, and
+    itself lies in ``[min y - |min y| * rho, max y + |max y| * rho]``.  The
+    held sums lie within ``e = sum_error(m, norm)`` of the exact sums at
+    ``x``, and the kernel sums of ``y`` within ``e`` of theirs, where
+    ``norm`` is the largest sup norm of ``x``, ``y`` and the vector the
+    held sums were taken at.  So every kernel sum of ``y`` lies in the held
+    bounds widened by that drift and ``10e``, clamped into the second
+    interval widened by ``2e``.  Of the ``10e``, ``2e`` covers the two sums
+    and ``8e`` the rounding of ``D``, of the shift and of its addition to
+    the held bounds: at most about ten roundings on magnitudes below ``3 *
+    (1 + rho) * norm + 2e``, since every held bound was clamped the same
+    way, where ``e >= 3u * (1 + rho) * norm + (N + 2) * eta``, so every
+    row's interval has positive width: no row counts as taken.
 
     Returns ``ScreenedSums`` of ``y`` with no row taken, or the all-rows
     sums of ``y`` when no bound is certified: ``sums`` derived by
@@ -328,6 +327,7 @@ def drifted_sums(m: MdpModel, x: np.ndarray, sums, y: np.ndarray):
     discount, or a bound that is not finite (non-finite points, rewards or
     probabilities, or a negative probability).
     """
+    x = sums.base
     if isinstance(sums, ScreenedSums):
         lo, hi = sums.bounds()
         held = sums.source
@@ -349,8 +349,7 @@ def drifted_sums(m: MdpModel, x: np.ndarray, sums, y: np.ndarray):
     hi = hi + (high + abs(high) * rho + 10.0 * e)
     np.maximum(lo, y_low - abs(y_low) * rho - 2.0 * e, out=lo)
     np.minimum(hi, y_high + abs(y_high) * rho + 2.0 * e, out=hi)
-    return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi,
-                        known=np.zeros(m.num_rows, dtype=bool))
+    return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi)
 
 
 def _rounding_bound(m: MdpModel, scale: float) -> float:

@@ -313,10 +313,8 @@ class _Loop:
         self.screened = screens_sums(solve_model, config)
         if self.screened:
             # the zero vector's sums are exactly zero; the start's drift from it
-            zero = np.zeros(solve_model.num_states)
-            self.sums = drifted_sums(
-                solve_model, zero, WeightedSums(np.zeros(solve_model.num_rows), zero), start
-            )
+            zero = WeightedSums(np.zeros(solve_model.num_rows), np.zeros(solve_model.num_states))
+            self.sums = drifted_sums(solve_model, zero, start)
         else:
             self.sums = weighted_sums(self.m, self.w) if self.carry_sums else None
 
@@ -327,7 +325,7 @@ class _Loop:
         if self.sums.from_kernel:
             return self.sums
         # sums scaled by the last step: bound the kernel sums of w itself
-        return drifted_sums(self.m, self.w, self.sums, self.w)
+        return drifted_sums(self.m, self.sums, self.w)
 
     def step(self) -> _Step:
         cfg, m, w = self.config, self.m, self.w
@@ -340,11 +338,11 @@ class _Loop:
             converged = residual <= self.threshold
             self.w = u
             if self.screened:
-                self.sums = drifted_sums(m, w, self.sums, u)
+                self.sums = drifted_sums(m, self.sums, u)
             elif self.carry_sums:
                 self.sums = None if converged else weighted_sums(m, u)
             return _Step(u, residual, None, converged)
-        s_u = drifted_sums(m, w, self.sums, u) if self.screened else weighted_sums(m, u)
+        s_u = drifted_sums(m, self.sums, u) if self.screened else weighted_sums(m, u)
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
             accel = apply_projective(m, u, sums=s_u, check_membership=cfg.membership_checks)
         else:

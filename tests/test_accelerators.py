@@ -147,7 +147,7 @@ class TestScansMatchReference:
 def screened_at(m, v, rng, spread):
     """Screened sums of ``v``, drifted from the kernel sums of a point ``spread`` away."""
     x = v + rng.normal(size=m.num_states) * spread * (1.0 + sup_norm(v))
-    sums = drifted_sums(m, x, weighted_sums(m, x), v)
+    sums = drifted_sums(m, weighted_sums(m, x), v)
     assert isinstance(sums, ScreenedSums)
     return sums
 
@@ -215,7 +215,7 @@ class TestScreenedScanMatchesReference:
                           p + float(rng.uniform(1.0, 50.0)) * (u - p),
                           p - rng.uniform(0.0, 1.0, size=m.num_states) * scale * 1e-6,
                           rng.normal(size=m.num_states) * scale):
-                    verdict, _ = screened_verdict(m, z, p, sp)
+                    verdict, _ = screened_verdict(m, z, sp)
                     assert verdict is full_verdict(m, z)
                     verdicts.append(verdict)
         assert 50 <= sum(verdicts) <= len(verdicts) - 50
@@ -552,8 +552,8 @@ class TestDescent:
             assert np.all(e.point <= u + 1e-9)
 
 
-def screened_verdict(m, z, p, p_sums):
-    rows = accel_mod._rows_to_check(m, z, p, p_sums)
+def screened_verdict(m, z, p_sums):
+    rows = accel_mod._rows_to_check(m, z, membership_tolerance(z), p_sums)
     return is_feasible(m, z, sums=weighted_sums(m, z, rows=rows)), rows
 
 
@@ -603,7 +603,7 @@ class TestScreenedOutputCheck:
                 rng.normal(size=m.num_states) * scale,
             ]
             for z in candidates:
-                verdict, _ = screened_verdict(m, z, p, sp)
+                verdict, _ = screened_verdict(m, z, sp)
                 assert verdict is full_verdict(m, z)
                 verdicts.append(verdict)
         assert 100 <= sum(verdicts) <= len(verdicts) - 100
@@ -625,7 +625,7 @@ class TestScreenedOutputCheck:
             rewards = m.rewards.copy()
             rewards[k] = reward_reaching(a[k], target)
             tight = dataclasses.replace(m, rewards=rewards)
-            verdict, rows = screened_verdict(tight, z, p, sp)
+            verdict, rows = screened_verdict(tight, z, sp)
             assert verdict is full_verdict(tight, z)
             if ulps >= 0:
                 assert k in rows
@@ -642,7 +642,7 @@ class TestScreenedOutputCheck:
                 z = p.copy()
                 z[int(rng.integers(m.num_states))] = bad
                 with np.errstate(invalid="ignore"):
-                    verdict, rows = screened_verdict(m, z, p, sp)
+                    verdict, rows = screened_verdict(m, z, sp)
                     assert rows is None
                     assert verdict is full_verdict(m, z)
 
@@ -654,7 +654,7 @@ class TestScreenedOutputCheck:
             derived = WeightedSums(values=0.5 * weighted_sums(m, 2.0 * p).values, base=p,
                                    from_kernel=False)
             for z in (0.99 * p, p + 1.0):
-                verdict, rows = screened_verdict(m, z, p, derived)
+                verdict, rows = screened_verdict(m, z, derived)
                 assert rows is None
                 assert verdict is full_verdict(m, z)
             step = apply_projective(m, p)
@@ -673,7 +673,7 @@ class TestScreenedOutputCheck:
             p = np.array([-100.0, -60.0]) + rng.uniform(-2.0, 2.0, size=2)
             sp = weighted_sums(m, p)
             z = p + rng.normal(size=2) * float(rng.choice([1e-9, 1e-3, 1.0, 10.0]))
-            verdict, screened = screened_verdict(m, z, p, sp)
+            verdict, screened = screened_verdict(m, z, sp)
             assert verdict is full_verdict(m, z)
             if m.probs.min() < 0.0:
                 assert screened is None

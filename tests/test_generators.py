@@ -106,6 +106,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
             GeneratorSpec(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("density", True), ("density", "0.5"), ("density", np.True_),
+        ("discount", False), ("discount", "0.9"),
+        ("reward_range", (True, 5)), ("reward_range", (1.0, "5")), ("reward_range", (1.0, None)),
+    ])
+    def test_rates_and_rewards_must_be_numbers(self, field, value):
+        kw = dict(family="uniform", num_states=4, density=0.5)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a number, got"):
+            GeneratorSpec(**kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("reward_range", 5), ("action_range", 5), ("reward_range", (1.0, 2.0, 3.0)),
+        ("action_range", (2,)), ("reward_range", "ab"), ("action_range", None),
+    ])
+    def test_ranges_must_be_pairs(self, field, value):
+        kw = dict(family="uniform", num_states=4, density=0.5)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a \\(low, high\\) pair, got"):
+            GeneratorSpec(**kw)
+
+    def test_list_ranges_are_stored_as_hashable_tuples(self):
+        spec = GeneratorSpec(family="uniform", num_states=4, density=0.5,
+                             reward_range=[1, 2.5], action_range=[2, 3])
+        assert spec.reward_range == (1, 2.5) and spec.action_range == (2, 3)
+        assert hash(spec) == hash(GeneratorSpec(family="uniform", num_states=4, density=0.5,
+                                                reward_range=(1, 2.5), action_range=(2, 3)))
+        # the values are kept as given, so the metadata is unchanged
+        assert spec.metadata()["reward_range"] == [1, 2.5]
+        assert type(spec.metadata()["reward_range"][0]) is int
+
     def test_numpy_integers_are_taken_as_ints(self):
         spec = GeneratorSpec(family="band", num_states=np.int64(6), bandwidth=np.int32(3),
                              seed=np.uint64(4), action_range=(np.int16(2), np.int64(3)))

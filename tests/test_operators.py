@@ -160,7 +160,7 @@ class TestWeightedSums:
                 assert np.array_equal(part.values, full[rows])
         assert np.array_equal(weighted_sums(m, v.tolist(), rows=rows).values, full[rows])
 
-    def test_shuffled_and_repeated_rows_match_all_rows_and_walk_no_other_row(self, monkeypatch):
+    def test_repeated_rows_match_all_rows_and_walk_no_other_row(self, monkeypatch):
         walked = []
 
         def counting_matvec(n_row, n_col, indptr, indices, data, x, out):
@@ -174,15 +174,22 @@ class TestWeightedSums:
         full = weighted_sums(m, v).values
         row_nnz = np.diff(m.row_ptr)
         for size in (3, m.num_rows // 8, 2 * m.num_rows):
-            for rows in (
-                rng.integers(0, m.num_rows, size=size),
-                np.sort(rng.integers(0, m.num_rows, size=size)),
-                rng.permutation(m.num_rows)[:size],
-            ):
-                walked.clear()
-                assert np.array_equal(weighted_sums(m, v, rows=rows).values, full[rows])
-                # the chosen rows' own entries, or the all-rows pass's
-                assert walked in ([int(row_nnz[rows].sum())], [int(row_nnz.sum())])
+            rows = np.sort(rng.integers(0, m.num_rows, size=size))
+            walked.clear()
+            assert np.array_equal(weighted_sums(m, v, rows=rows).values, full[rows])
+            # the chosen rows' own entries, or the all-rows pass's
+            assert walked in ([int(row_nnz[rows].sum())], [int(row_nnz.sum())])
+
+    def test_descending_rows_raise_naming_the_first_descent(self):
+        m = random_model(np.random.default_rng(33), num_states=40, max_actions=4, density=0.5)
+        v = np.ones(m.num_states)
+        for rows in ([2, 5, 5, 4, 1], np.array([2, 5, 5, 4, 1], dtype=np.uint8)):
+            with pytest.raises(ValueError, match="must ascend; row 4 at position 3 follows row 5"):
+                weighted_sums(m, v, rows=rows)
+        # past the gather cutoff too, where the all-rows pass is taken
+        many = np.arange(m.num_rows)[::-1]
+        with pytest.raises(ValueError, match=f"row {m.num_rows - 2} at position 1 follows"):
+            weighted_sums(m, v, rows=many)
 
     def test_partial_sums_rejected_where_all_rows_are_needed(self):
         m = two_state_swap()
@@ -238,7 +245,9 @@ class TestKernelInputChecks:
         v = np.arange(m.num_states, dtype=np.float64)
         index = m.num_rows if bad == "past-the-end" else bad
         for rows in self.row_sets(m)[1:]:
-            for given in (rows + [index], np.array(rows + [index])):
+            # where the indices still ascend
+            rows = [index] + rows if index < 0 else rows + [index]
+            for given in (rows, np.array(rows)):
                 with pytest.raises(ValueError, match=f"row index {index} outside"):
                     weighted_sums(m, v, rows=given)
 
@@ -830,21 +839,34 @@ class TestScreenedBounds:
         yield zero, WeightedSums(np.zeros(m.num_rows), zero), np.full(m.num_states, shift)
         # the projective loop: sums at u scaled to z = f * u, then a backup of z
         u = apply_operator(m, x, "standard")
-        held = drifted_sums(m, x, weighted_sums(m, x), u)
+        held = drifted_sums(m, weighted_sums(m, x), u)
         f = float(rng.uniform(0.3, 1.0))
         z = f * u
-        yield z, held.scaled(f, z), apply_operator(m, z, "standard")
+        yield z, held.scaled(f), apply_operator(m, z, "standard")
 
     def test_drift_holds_every_kernel_and_exact_sum(self):
         rng = np.random.default_rng(71)
         for m in self.models(rng, 25):
             for x, held, y in self.drifts(m, rng):
-                d = drifted_sums(m, x, held, y)
-                assert isinstance(d, ScreenedSums) and not d.known.any()
+                d = drifted_sums(m, held, y)
+                assert isinstance(d, ScreenedSums) and (d.lo < d.hi).all()
                 kernel = weighted_sums(m, y).values
                 assert (d.lo <= kernel).all() and (kernel <= d.hi).all()
                 exact = self.exact_sums(m, y)
                 assert all(Fraction(a) <= x <= Fraction(b) for a, x, b in zip(d.lo, exact, d.hi))
+
+    def test_scaled_sums_form_their_point_and_scale_once(self):
+        rng = np.random.default_rng(73)
+        m = random_model(rng, num_states=15)
+        x = rng.normal(size=m.num_states) * 100.0
+        u = apply_operator(m, x, "standard")
+        for held in (weighted_sums(m, u), drifted_sums(m, weighted_sums(m, x), u)):
+            for f in (0.0, 0.3, 1.0, *rng.uniform(size=3)):
+                # bit for bit, signed zeros included
+                assert held.scaled(f).base.tobytes() == (f * u).tobytes()
+        screened = drifted_sums(m, weighted_sums(m, x), u)
+        with pytest.raises(ValueError, match="scaled once"):
+            screened.scaled(0.5).scaled(0.5)
 
     def test_jacobi_row_value_bounds(self):
         rng = np.random.default_rng(72)
@@ -853,7 +875,7 @@ class TestScreenedBounds:
             if m.jacobi_denominator[1] < 1e-12:
                 continue
             for x, held, y in self.drifts(m, rng):
-                d = drifted_sums(m, x, held, y)
+                d = drifted_sums(m, held, y)
                 for v in (x, y):
                     own = v.repeat(m.row_counts)
                     low = operators_mod._row_values(m, OperatorKind.JACOBI, own, d.lo)

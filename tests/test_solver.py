@@ -306,6 +306,16 @@ class TestIterateSequencePinned:
             cfg = SolverConfig(operator=operator, accelerator=accelerator, membership_checks=checks)
             assert_same_run(m, cfg)
 
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    @pytest.mark.parametrize("operator", ["standard", "jacobi"])
+    def test_screened_runs_at_the_dense_benchmark_scale_match(self, operator, checks):
+        # the dense-pa shape: 326,640 stored entries, against about 30k above
+        m = generate(GeneratorSpec(family="uniform", num_states=80, density=1.0, discount=0.995,
+                                   action_range=(45, 56), seed=100))
+        cfg = SolverConfig(operator=operator, accelerator="projective", membership_checks=checks)
+        assert screens_sums(m, cfg)
+        assert_same_run(m, cfg)
+
     @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
     def test_only_dense_projective_runs_screen(self, operator):
         dense = pinned_models()[-1]
