@@ -15,8 +15,7 @@ take their names from one table, ``SETTINGS``: the ``generate`` flags
 set ``GeneratorSpec`` fields, the ``solve`` flags (through their
 ``dest``) set ``SolverConfig`` fields, and a bench cell sets both.  Only
 the settings a user gave reach ``GeneratorSpec`` and ``SolverConfig``,
-so those dataclasses own every default.  The one default decided here is the
-operator: ``total`` on total-reward models, ``SolverConfig``'s otherwise.
+so those dataclasses own every default.
 
 Exit codes: 0 on success (for ``solve``, convergence; for ``verify``,
 all properties passing), 2 when a run hits its iteration budget or the
@@ -42,7 +41,6 @@ from .generators import GeneratorFamily, GeneratorSpec, generate
 from .model import (
     ModelFormatError,
     ModelValidationError,
-    RewardMode,
     decoder_refusal,
     load_model,
     save_model,
@@ -137,13 +135,12 @@ def _cast(name, cast, value):
         raise UsageError(f"{name} cannot be {shown(value)}") from None
 
 
-def _build(cls, given, **rule):
+def _build(cls, given):
     """A ``cls`` from the settings in ``given`` that ``SETTINGS`` routes to it.
 
-    Only the settings given are passed, so ``cls`` owns every default
-    except those in ``rule``.
+    Only the settings given are passed, so ``cls`` owns every default.
     """
-    fields = dict(rule)
+    fields = {}
     for name, (owner, field, cast) in SETTINGS.items():
         if owner is cls and name in given:
             fields[field] = _cast(name, cast, given[name])
@@ -152,12 +149,6 @@ def _build(cls, given, **rule):
     except (TypeError, ValueError) as exc:
         # the dataclass rejects a missing or bad field
         raise UsageError(shown(exc, str)) from None
-
-
-def _config(given, total_reward: bool) -> SolverConfig:
-    """The ``SolverConfig`` of the given settings, for a model of that reward mode."""
-    rule = {"operator": OperatorKind.TOTAL_REWARD} if total_reward else {}
-    return _build(SolverConfig, given, **rule)
 
 
 def _row(meta: dict, config: SolverConfig, results=(), error: str = "") -> list:
@@ -219,7 +210,7 @@ def _alpha_summary(result) -> str:
 
 def cmd_solve(args) -> int:
     model = load_model(args.model)
-    config = _config(vars(args), model.mode is RewardMode.TOTAL_REWARD)
+    config = _build(SolverConfig, vars(args))
     result = solve(model, config)
     status = "converged" if result.converged else "hit iteration budget"
     print(f"algorithm: {algorithm_label(config.operator, config.accelerator)}")
@@ -240,16 +231,9 @@ def _parse_cell(raw, index: int) -> tuple[GeneratorSpec, SolverConfig]:
     if unknown:
         raise UsageError(f"cell {index}: unknown keys {shown(sorted(unknown))}")
     try:
-        spec = _build(GeneratorSpec, raw)
-        total_family = spec.family is GeneratorFamily.TOTAL_REWARD_POSITIVE
-        config = _config(raw, total_family)
+        return _build(GeneratorSpec, raw), _build(SolverConfig, raw)
     except UsageError as exc:
         raise UsageError(f"cell {index}: {exc}") from None
-    if total_family != (config.operator is OperatorKind.TOTAL_REWARD):
-        raise UsageError(
-            f"cell {index}: operator {config.operator.value!r} does not fit family {spec.family.value!r}"
-        )
-    return spec, config
 
 
 def _run_cell(spec: GeneratorSpec, config: SolverConfig, repetitions: int) -> list:

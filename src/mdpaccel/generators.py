@@ -63,6 +63,11 @@ def _number(name: str, value):
     return value
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds (JSON writes no other); else ``value``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters pinning one random instance.
@@ -149,15 +154,15 @@ class GeneratorSpec:
             "family": self.family.value,
             "num_states": self.num_states,
             "action_range": list(self.action_range),
-            "reward_range": list(self.reward_range),
-            "discount": self.discount,
+            "reward_range": [_plain(x) for x in self.reward_range],
+            "discount": _plain(self.discount),
             "seed": self.seed,
             "prng": "numpy-pcg64",
         }
         if self.family is GeneratorFamily.BAND:
             out["bandwidth"] = self.bandwidth
         else:
-            out["density"] = self.density
+            out["density"] = _plain(self.density)
         return out
 
 

@@ -4,14 +4,14 @@ Every backup is one row-value formula reduced by a maximum over each
 state's rows: row ``k`` of state ``i``, with weighted sum ``s = sum_j
 p(k, j) * v[j]``, is worth ``r + discount * s``, and the Jacobi kinds move
 its self-loop term ``d * v[i]`` into the denominator ``1 - discount * d``.
-Total-reward models have discount 1, so the undiscounted backup is the
-same formula.  ``standard``, ``jacobi`` and ``total`` back up all states
-at once from one sums pass, which callers may precompute and reuse;
-``gs`` and ``gsj`` sweep the states in ascending order, each seeing its
-predecessors' new values, so they take their sums in place, one kernel
-pass over the state's rows per state.  Every sum, whether of all rows, of
-some rows or of one state's rows, comes from the one kernel entry
-``_kernel``, which states how a row sum is accumulated.
+Total-reward models have discount 1, so ``standard`` is their
+undiscounted backup, by the same formula.  ``standard`` and ``jacobi``
+back up all states at once from one sums pass, which callers may
+precompute and reuse; ``gs`` and ``gsj`` sweep the states in ascending
+order, each seeing its predecessors' new values, so they take their sums
+in place, one kernel pass over the state's rows per state.  Every sum,
+whether of all rows, of some rows or of one state's rows, comes from the
+one kernel entry ``_kernel``, which states how a row sum is accumulated.
 
 Every backup is monotone and maps the set of vectors dominating their own
 backup into itself, which the descending accelerated iterations rely on.
@@ -57,7 +57,6 @@ class OperatorKind(str, Enum):
     JACOBI = "jacobi"
     GAUSS_SEIDEL = "gs"
     GAUSS_SEIDEL_JACOBI = "gsj"
-    TOTAL_REWARD = "total"
 
 
 _JACOBI_KINDS = (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
@@ -411,16 +410,17 @@ def row_value_error(m: MdpModel, norm: float) -> float:
 def check_fit(m: MdpModel, kind: OperatorKind) -> None:
     """Reject an operator the model's reward mode or self-loops cannot take.
 
+    This is the one place an operator meets a reward mode.
+
     Raises:
-        ValueError: the total backup on a discounted model, or any other
-            backup on a total-reward model.
+        ValueError: any backup but the standard one on a total-reward model.
         ArithmeticError: a Jacobi kind on a model whose self-loop
             denominator ``1 - discount * p(i,i)`` falls below ``DIAG_GUARD``.
     """
-    if (kind is OperatorKind.TOTAL_REWARD) != (m.mode is RewardMode.TOTAL_REWARD):
+    if kind is not OperatorKind.STANDARD and m.mode is RewardMode.TOTAL_REWARD:
         raise ValueError(
-            f"the {kind.value} backup is undefined on a {m.mode.value} model; "
-            "total-reward models take only the total backup"
+            f"the {kind.value} backup is undefined on a total-reward model; "
+            "total-reward models take only the standard backup"
         )
     if kind in _JACOBI_KINDS and m.jacobi_denominator[1] < DIAG_GUARD:
         raise ArithmeticError(
@@ -435,7 +435,7 @@ def _row_values(m: MdpModel, kind: OperatorKind, own, sums: np.ndarray, rows=sli
     ``own`` is the backed-up value of each row's state, spread over the
     rows (or one scalar when the rows are one state's); only the Jacobi
     kinds read it.  Every other kind forms the one-step values ``r +
-    discount * s``, so ``standard`` names them for total-reward models too.
+    discount * s``.
     """
     if kind in _JACOBI_KINDS:
         out = sums - m.self_loop_probs[rows] * own
@@ -497,8 +497,8 @@ def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> np.ndarray:
 def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
     """Simultaneous backup of ``v`` from its sums, for a kind already vetted.
 
-    ``standard`` and ``total`` from all-rows sums are the one-step backup
-    the sums hold; the caller owns the copy returned.
+    ``standard`` from all-rows sums is the one-step backup the sums hold;
+    the caller owns the copy returned.
     """
     if kind not in _JACOBI_KINDS and isinstance(sums, WeightedSums):
         return _one_step_of(m, sums)[1].copy()
@@ -580,9 +580,8 @@ def extract_policy(m, v, sums=None) -> np.ndarray:
 def is_feasible(m, v, tol=None, sums=None):
     """Test one-step dominance: v >= (backup of v) componentwise.
 
-    Uses the standard backup for discounted models and the undiscounted
-    backup for total-reward models — dominance is always measured against
-    the one-step operator, whatever backup a solver happens to run.
+    Dominance is always measured against the standard (one-step) backup,
+    whatever backup a solver happens to run.
     ``tol`` defaults to ``membership_tolerance(v)``.  From all-rows
     ``sums`` the test compares the one-step backup they hold, formed by an
     earlier backup of ``v`` or here (``one_step_row_values``).

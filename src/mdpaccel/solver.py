@@ -38,15 +38,14 @@ iteration adds the one-step backups its dominance tests need, all from
 sums already in hand: one of the scan's input point (``u`` for both
 accelerators) and one of the accelerated point's screened rows, from
 the validation pass.  The linear extension also tests the current
-iterate ``w``; when the configured operator is the one-step backup
-(``standard``, or ``total`` on total-reward models) that test reads the
-backup ``u`` that ``w``'s sums already hold, so an accelerated iteration
-costs one all-rows sums pass and one screened pass over the rows the
-bound leaves (under 1% of them on the benchmark models), two full
-backups and one over those rows.  The Jacobi and sweep operators back
-``w`` up once more, from its carried sums.  Without checks the step adds
-neither passes nor backups to the sums pass at ``u`` and the loop's own
-backup.
+iterate ``w``; when the configured operator is ``standard``, the
+one-step backup, that test reads the backup ``u`` that ``w``'s sums
+already hold, so an accelerated iteration costs one all-rows sums pass
+and one screened pass over the rows the bound leaves (under 1% of them
+on the benchmark models), two full backups and one over those rows.
+The Jacobi and sweep operators back ``w`` up once more, from its
+carried sums.  Without checks the step adds neither passes nor backups
+to the sums pass at ``u`` and the loop's own backup.
 
 Stopping.  Discounted runs stop when the backup residual in the
 componentwise maximum norm falls below ``stopping_threshold(epsilon,
@@ -431,7 +430,6 @@ _BASE_LABEL = {
     OperatorKind.JACOBI: "J",
     OperatorKind.GAUSS_SEIDEL: "GS",
     OperatorKind.GAUSS_SEIDEL_JACOBI: "GSJ",
-    OperatorKind.TOTAL_REWARD: "TVI",
 }
 
 _ACCEL_PREFIX = {

@@ -292,7 +292,7 @@ class _Trial:
         m = self.tr_model
         v = initial_feasible_point_total_reward(m)
         for _ in range(int(self.rng.integers(0, 3))):
-            v = apply_operator(m, v, "total")
+            v = apply_operator(m, v, "standard")
         return v + float(self.rng.uniform(0.0, 5.0))
 
 
@@ -370,7 +370,7 @@ def _prop_total_reward_invariant(t: _Trial) -> bool:
     v = t.tr_feasible_point()
     if not is_feasible(m, v):
         return False
-    out = apply_operator(m, v, "total")
+    out = apply_operator(m, v, "standard")
     return is_feasible(m, out)
 
 

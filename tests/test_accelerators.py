@@ -269,6 +269,11 @@ class TestProjectiveAlpha:
         res = projective_alpha(m, np.array([5.0, 5.0]))
         assert res.alpha == 0.0
 
+    def test_every_row_tight_with_no_reward_scales_to_zero(self):
+        # at the zero point every slack is 0, and no tight row has a reward to contradict it
+        m = two_state_swap(0.0, 0.0)
+        assert projective_alpha(m, np.zeros(2)) == AlphaResult(alpha=0.0, binding=None)
+
     def test_negative_rewards_rejected(self):
         m = two_state_swap(-1.0, 1.0)
         with pytest.raises(FeasibilityError, match="nonnegative"):
@@ -356,6 +361,11 @@ class TestLinearExtensionAlpha:
         with pytest.raises(AlreadyConvergedError):
             linear_extension_alpha(m, v, v.copy())
 
+    def test_infeasible_current_point_rejected(self):
+        m = two_state_swap()
+        with pytest.raises(FeasibilityError, match="current point"):
+            linear_extension_alpha(m, np.array([0.0, 0.0]), np.array([20.0, 20.0]))
+
     def test_infeasible_direction_rejected(self):
         m = two_state_swap()
         v = np.array([20.0, 20.0])
@@ -370,6 +380,16 @@ class TestLinearExtensionAlpha:
         assert res.alpha == ALPHA_CAP
         assert res.binding is None
         assert res.fallback_used
+
+    def test_bound_at_the_cap_keeps_its_binding_row(self):
+        # at discount 0 a row's slope is -(u - v) of its state: state 0 falls by
+        # 1e-3 from 1e10, so its bound c / -d is about 1e13; state 1 rises, unbound
+        m = MdpModel.from_rows([[(0.0, [(0, 1.0)])], [(0.0, [(1, 1.0)])]], discount=0.0)
+        v = np.array([1e10, 5.0])
+        u = np.array([1e10 - 1e-3, 6.0])
+        assert v[0] / (v[0] - u[0]) >= ALPHA_CAP
+        res = linear_extension_alpha(m, v, u)
+        assert res == AlphaResult(alpha=ALPHA_CAP, binding=(0, 0), fallback_used=True)
 
     def test_row_with_a_noise_level_slope_binds(self):
         # two absorbing states at their fixed point 10: state 0 sits 1e-11

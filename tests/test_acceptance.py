@@ -309,15 +309,8 @@ def test_criterion_08_total_reward_speedup():
             seed=seed,
         )
         m = generate(spec)
-        plain = solve(m, SolverConfig(operator=OperatorKind.TOTAL_REWARD, epsilon=1e-3))
-        fast = solve(
-            m,
-            SolverConfig(
-                operator=OperatorKind.TOTAL_REWARD,
-                accelerator=AcceleratorKind.PROJECTIVE,
-                epsilon=1e-3,
-            ),
-        )
+        plain = solve(m, SolverConfig(epsilon=1e-3))
+        fast = solve(m, SolverConfig(accelerator=AcceleratorKind.PROJECTIVE, epsilon=1e-3))
         unconverged += not (plain.converged and fast.converged)
         unconverged += plain.final_residual > 1e-3 or fast.final_residual > 1e-3
         worst = max(worst, fast.iterations / plain.iterations)

@@ -228,7 +228,15 @@ class TestSolve:
         save_model(chain_to_absorbing(), path)
         code = main(["solve", str(path)])
         assert code == 0
-        assert "algorithm: TVI" in capsys.readouterr().out
+        assert "algorithm: VI" in capsys.readouterr().out
+
+    def test_total_is_no_operator(self, tmp_path, capsys):
+        path = tmp_path / "tr.json"
+        save_model(chain_to_absorbing(), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--op", "total"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'total'" in capsys.readouterr().err
 
     def test_budget_exhaustion_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -341,14 +349,14 @@ class TestBench:
             },
             {
                 "family": "total_reward_positive", "states": 5, "actions": [2, 5],
-                "seed": 80, "operator": "total", "accelerator": "projective",
+                "seed": 80, "operator": "standard", "accelerator": "projective",
             },
         ]
         plan = write_plan(tmp_path, cells, output=out)
         assert main(["bench", str(plan)]) == 0
         header, rows = read_csv(out)
         assert header == CSV_COLUMNS
-        assert [r["algorithm"] for r in rows] == ["PAVI", "GS", "PATVI"]
+        assert [r["algorithm"] for r in rows] == ["PAVI", "GS", "PAVI"]
         assert all(r["error"] == "" for r in rows)
         assert rows[1]["density_or_bandwidth"] == "10"
         assert int(rows[0]["iterations"]) > 0
@@ -373,16 +381,32 @@ class TestBench:
         bad = dict(UNIFORM_CELL, operator="total")
         plan = write_plan(tmp_path, [bad], output=tmp_path / "x.csv")
         assert main(["bench", str(plan)]) == 2
-        assert "does not fit family" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: cell 0: operator cannot be 'total'\n"
 
-    def test_total_family_cell_defaults_to_total_operator(self, tmp_path):
+    def test_total_family_cell_defaults_to_standard_operator(self, tmp_path):
         out = tmp_path / "out.csv"
         cell = {"family": "total_reward_positive", "states": 5, "seed": 80, "accelerator": "projective"}
         plan = write_plan(tmp_path, [cell], output=out)
         assert main(["bench", str(plan)]) == 0
         _, rows = read_csv(out)
-        assert rows[0]["algorithm"] == "PATVI"
+        assert rows[0]["algorithm"] == "PAVI"
+        assert rows[0]["operator"] == "standard"
+        assert rows[0]["family"] == "total_reward_positive"
         assert rows[0]["discount"] == "1.0"
+
+    @pytest.mark.parametrize("operator", ["jacobi", "gs", "gsj"])
+    def test_total_family_cell_with_another_backup_is_an_error_row(self, tmp_path, capsys, operator):
+        out = tmp_path / "out.csv"
+        cell = {"family": "total_reward_positive", "states": 5, "seed": 80, "operator": operator}
+        plan = write_plan(tmp_path, [cell, UNIFORM_CELL], output=out)
+        assert main(["bench", str(plan)]) == 1
+        _, rows = read_csv(out)
+        assert rows[0]["error"] == (
+            f"the {operator} backup is undefined on a total-reward model; "
+            "total-reward models take only the standard backup"
+        )
+        assert rows[0]["iterations"] == "" and rows[1]["error"] == ""
+        assert "1 with errors" in capsys.readouterr().out
 
     @pytest.mark.parametrize("plan, message", [
         ([UNIFORM_CELL], "plan must be an object"),
@@ -538,6 +562,13 @@ class TestBench:
         path.write_text('{"cells": [{"actions": [1' + "0" * 5_000 + ', 2]}]}', encoding="utf-8")
         assert main(["bench", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {too_many_digits()}\n"
+
+    def test_plan_that_is_not_json_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text("{cells: []}", encoding="utf-8")
+        assert main(["bench", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: Expecting property name") and err.count("\n") == 1
 
     def test_unreadable_plan(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope.json")]) == 1

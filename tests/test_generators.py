@@ -21,7 +21,9 @@ from mdpaccel.model import (
     RewardMode,
     absorbing_states,
     initial_feasible_point_total_reward,
+    load_model,
     models_identical,
+    save_model,
     validate_model,
 )
 
@@ -86,6 +88,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="action"):
             GeneratorSpec(family="uniform", num_states=5, density=0.5, action_range=(5, 3))
 
+    @pytest.mark.parametrize("num_states", [1, 0, -3])
+    def test_fewer_than_two_states(self, num_states):
+        with pytest.raises(ValueError, match="need at least 2 states"):
+            GeneratorSpec(family="uniform", num_states=num_states, density=1.0)
+
+    def test_reward_range_low_above_high(self):
+        with pytest.raises(ValueError, match=r"bad reward range \(5.0, 1.0\)"):
+            GeneratorSpec(family="uniform", num_states=5, density=0.5, reward_range=(5.0, 1.0))
+
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             GeneratorSpec(family="uniform", num_states=5, density=0.5, seed=-1)
@@ -143,6 +154,20 @@ class TestSpecValidation:
         assert spec == GeneratorSpec(family="band", num_states=6, bandwidth=3, seed=4,
                                      action_range=(2, 3))
         assert json.loads(json.dumps(spec.metadata()))["action_range"] == [2, 3]
+
+    def test_numpy_float_metadata_is_python_numbers_and_round_trips(self, tmp_path):
+        spec = GeneratorSpec(family="uniform", num_states=4, density=np.float32(0.5),
+                             reward_range=(1, np.float32(2)), discount=np.float32(0.9), seed=1)
+        meta = spec.metadata()
+        numbers = [meta["num_states"], *meta["action_range"], *meta["reward_range"],
+                   meta["discount"], meta["seed"], meta["density"]]
+        assert all(type(x) in (int, float) for x in numbers)
+        assert type(meta["reward_range"][0]) is int
+        assert meta["discount"] == float(np.float32(0.9)) and meta["density"] == 0.5
+        m = generate(spec)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        assert models_identical(load_model(path), m)
 
 
 def small(family="uniform", **kw):

@@ -216,6 +216,11 @@ class TestValidation:
         assert [x.rule for x in v] == ["no-actions"]
         assert v[0].state == 1
 
+    def test_empty_row(self):
+        m = MdpModel.from_rows([[(1.0, [(0, 1.0)]), (2.0, [])], [(1.0, [])]], discount=0.9)
+        v = validate_model(m)
+        assert [(x.rule, x.state, x.action) for x in v] == [("empty-row", 0, 1), ("empty-row", 1, 0)]
+
     def test_discount_mode_coupling(self):
         m = two_state_swap(discount=1.0)
         assert "discount-mode" in {v.rule for v in validate_model(m)}
@@ -386,6 +391,10 @@ class TestFeasibleStart:
         m = two_state_swap(-1.0, 1.0)
         with pytest.raises(ValueError):
             initial_feasible_point(m)
+
+    def test_total_reward_rejected(self):
+        with pytest.raises(ValueError, match="requires a discounted model"):
+            initial_feasible_point(chain_to_absorbing())
 
 
 def chain_to_absorbing():
@@ -588,6 +597,16 @@ class TestSerialization:
         p = tmp_path / "m.json"
         p.write_text('{"mode": "discounted", "states": []}')
         with pytest.raises(ModelFormatError, match="discount"):
+            load_model(p)
+
+    def test_load_names_transitions_that_are_not_an_array(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(
+            '{"mode": "discounted", "discount": 0.9, "states": '
+            '[{"actions": [{"reward": 1.0, "transitions": [[0, 1.0]]}, '
+            '{"reward": 1.0, "transitions": {"0": 1.0}}]}]}'
+        )
+        with pytest.raises(ModelFormatError, match=r"^states\[0\]\.actions\[1\]\.transitions must be an array$"):
             load_model(p)
 
     def test_load_names_bad_transition_field(self, tmp_path):

@@ -611,7 +611,7 @@ class TestSweeps:
 class TestTotalRewardBackup:
     def test_chain_hand_values(self):
         m = chain_to_absorbing()
-        out = apply_operator(m, np.zeros(3), "total")
+        out = apply_operator(m, np.zeros(3), "standard")
         np.testing.assert_allclose(out, [3.0, 1.0, 0.0])
 
     def test_against_dense_oracle(self):
@@ -622,12 +622,13 @@ class TestTotalRewardBackup:
             )
             m = generate(spec)
             v = rng.uniform(0.0, 50.0, size=m.num_states)
-            out = apply_operator(m, v, "total")
+            out = apply_operator(m, v, "standard")
             np.testing.assert_allclose(out, dense_backup(m, v), rtol=0, atol=1e-12)
 
-    def test_discounted_model_rejected(self):
+    def test_total_is_no_operator_kind(self):
+        assert [k.value for k in OperatorKind] == ["standard", "jacobi", "gs", "gsj"]
         with pytest.raises(ValueError):
-            apply_operator(two_state_swap(), np.zeros(2), "total")
+            apply_operator(chain_to_absorbing(), np.zeros(3), "total")
 
 
 class TestDispatch:
@@ -637,16 +638,13 @@ class TestDispatch:
         for kind in ("standard", "jacobi", "gs", "gsj"):
             out = apply_operator(m, v, kind)
             assert out.shape == (2,)
-        out = apply_operator(chain_to_absorbing(), np.zeros(3), OperatorKind.TOTAL_REWARD)
+        out = apply_operator(chain_to_absorbing(), np.zeros(3), OperatorKind.STANDARD)
         np.testing.assert_allclose(out, [3.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("kind", [k.value for k in OperatorKind])
     @pytest.mark.parametrize("form", ["list", "int-array", "int-list"])
     def test_list_and_integer_inputs(self, kind, form):
-        if kind == "total":
-            m, v = chain_to_absorbing(), np.array([4.0, 2.0, 0.0])
-        else:
-            m, v = random_model(np.random.default_rng(21), num_states=9), np.arange(9.0) * 3 - 7
+        m, v = random_model(np.random.default_rng(21), num_states=9), np.arange(9.0) * 3 - 7
         given = {"list": v.tolist(), "int-array": v.astype(np.int64), "int-list": v.astype(int).tolist()}
         out = apply_operator(m, given[form], kind)
         assert out.dtype == np.float64
@@ -662,7 +660,7 @@ class TestDispatch:
         assert sweep_carries_state("gs")
         assert sweep_carries_state(OperatorKind.GAUSS_SEIDEL_JACOBI)
         assert not sweep_carries_state("standard")
-        assert not sweep_carries_state("total")
+        assert not sweep_carries_state(OperatorKind.JACOBI)
 
 
 class TestFeasibility:
@@ -855,6 +853,24 @@ class TestScreenedBounds:
                 exact = self.exact_sums(m, y)
                 assert all(Fraction(a) <= x <= Fraction(b) for a, x, b in zip(d.lo, exact, d.hi))
 
+    def test_uncertified_drifts_take_the_kernel_sums(self):
+        # sums derived by linearity or over some rows, and a point that is not
+        # finite, certify no bound: the drift is the all-rows kernel pass at y
+        rng = np.random.default_rng(74)
+        m = random_model(rng, num_states=12)
+        x = rng.normal(size=m.num_states) * 100.0
+        y = apply_operator(m, x, "standard")
+        held = weighted_sums(m, x)
+        cases = [(held.scaled(0.5), y), (weighted_sums(m, x, rows=[0, 2]), y)]
+        for bad in (np.nan, np.inf, -np.inf):
+            point = y.copy()
+            point[3] = bad
+            cases.append((held, point))
+        for sums, point in cases:
+            d = drifted_sums(m, sums, point)
+            assert isinstance(d, WeightedSums) and d.rows is None and d.base is point
+            assert np.array_equal(d.values, weighted_sums(m, point).values, equal_nan=True)
+
     def test_scaled_sums_form_their_point_and_scale_once(self):
         rng = np.random.default_rng(73)
         m = random_model(rng, num_states=15)
@@ -928,9 +944,10 @@ class TestOneStepRowValues:
         assert other is not values
         assert np.array_equal(other, m.discount * s.values + shifted.rewards)
 
-    @pytest.mark.parametrize("kind", ["standard", "total"])
-    def test_backup_is_held_with_the_sums_and_handed_out_as_a_copy(self, kind):
-        if kind == "standard":
+    @pytest.mark.parametrize("mode", ["discounted", "total"])
+    def test_backup_is_held_with_the_sums_and_handed_out_as_a_copy(self, mode):
+        kind = "standard"
+        if mode == "discounted":
             m = random_model(np.random.default_rng(65), num_states=12)
             v = initial_feasible_point(m)
         else:

@@ -316,6 +316,27 @@ class TestIterateSequencePinned:
         assert screens_sums(m, cfg)
         assert_same_run(m, cfg)
 
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    def test_budget_ending_on_a_scaled_step_gives_the_reference_policy(self, monkeypatch, checks):
+        # the run ends holding screened sums scaled by its last step, so the
+        # policy takes sums drifted from them to the iterate itself
+        m = pinned_models()[3]
+        drifted_from = []
+        real = solver_mod.drifted_sums
+
+        def drifted(m, sums, y):
+            drifted_from.append(sums.from_kernel)
+            return real(m, sums, y)
+
+        monkeypatch.setattr(solver_mod, "drifted_sums", drifted)
+        for budget in (1, 2, 3):
+            cfg = SolverConfig(accelerator="projective", max_iterations=budget, membership_checks=checks)
+            drifted_from.clear()
+            res = solve(m, cfg)
+            assert not res.converged and res.alphas[-1] is not None
+            assert drifted_from[-1] is False
+            assert np.array_equal(res.final_policy, reference_solve(m, cfg)[2])
+
     @pytest.mark.parametrize("operator", ["standard", "jacobi", "gs", "gsj"])
     def test_only_dense_projective_runs_screen(self, operator):
         dense = pinned_models()[-1]
@@ -417,7 +438,7 @@ class TestSharedRowMatrix:
 class TestTotalReward:
     def test_chain_plain(self):
         m = chain_to_absorbing()
-        res = solve(m, SolverConfig(operator=OperatorKind.TOTAL_REWARD))
+        res = solve(m, SolverConfig())
         assert res.converged
         assert res.threshold == res.residuals[0] * 0 + 1e-3  # epsilon verbatim
         np.testing.assert_allclose(res.final_value, [3.5, 1.0, 0.0], atol=1e-9)
@@ -427,7 +448,7 @@ class TestTotalReward:
     def test_chain_accelerated_variants(self):
         m = chain_to_absorbing()
         for accel in (AcceleratorKind.PROJECTIVE, AcceleratorKind.LINEAR_EXTENSION):
-            res = solve(m, SolverConfig(operator=OperatorKind.TOTAL_REWARD, accelerator=accel))
+            res = solve(m, SolverConfig(accelerator=accel))
             assert res.converged
             np.testing.assert_allclose(res.final_value, [3.5, 1.0, 0.0], atol=1e-9)
 
@@ -435,22 +456,19 @@ class TestTotalReward:
         spec = GeneratorSpec(family="total_reward_positive", num_states=12,
                              discount=1.0, action_range=(2, 5), seed=3)
         m = generate(spec)
-        plain = solve(m, SolverConfig(operator=OperatorKind.TOTAL_REWARD, epsilon=1e-6))
-        accel = solve(m, SolverConfig(operator=OperatorKind.TOTAL_REWARD,
-                                      accelerator=AcceleratorKind.PROJECTIVE,
-                                      epsilon=1e-6))
+        plain = solve(m, SolverConfig(epsilon=1e-6))
+        accel = solve(m, SolverConfig(accelerator=AcceleratorKind.PROJECTIVE, epsilon=1e-6))
         assert plain.converged and accel.converged
         np.testing.assert_allclose(accel.final_value, plain.final_value, atol=1e-4)
         # iterates never pass below the fixed point on the way down
         assert np.all(accel.final_value >= plain.final_value - 1e-4)
 
     def test_operator_mode_coupling_enforced(self):
-        with pytest.raises(SolverConfigError, match="total-reward"):
-            solve(chain_to_absorbing(), SolverConfig(operator=OperatorKind.STANDARD))
-        with pytest.raises(SolverConfigError, match="total-reward"):
-            solve(two_state_swap(), SolverConfig(operator=OperatorKind.TOTAL_REWARD))
-        with pytest.raises(SolverConfigError):
-            solve(chain_to_absorbing(), SolverConfig(operator=OperatorKind.JACOBI))
+        for operator in ("jacobi", "gs", "gsj"):
+            with pytest.raises(SolverConfigError, match="take only the standard backup"):
+                solve(chain_to_absorbing(), SolverConfig(operator=operator))
+        assert solve(chain_to_absorbing(), SolverConfig(operator=OperatorKind.STANDARD)).converged
+        assert solve(two_state_swap(), SolverConfig(operator=OperatorKind.STANDARD)).converged
 
 
 class TestConfigValidation:
@@ -512,8 +530,8 @@ class TestConfigValidation:
         m = MdpModel.from_rows([[(3.0, [(2, 1.0)])], [(-1.0, [(2, 1.0)])], [(0.0, [(2, 1.0)])]],
                                discount=1.0, mode=RewardMode.TOTAL_REWARD)
         with pytest.raises(SolverConfigError, match="nonnegative rewards"):
-            solve(m, SolverConfig(operator="total", accelerator="projective"))
-        assert solve(m, SolverConfig(operator="total", accelerator="linear")).converged
+            solve(m, SolverConfig(accelerator="projective"))
+        assert solve(m, SolverConfig(accelerator="linear")).converged
 
     @pytest.mark.parametrize("operator", ["jacobi", "gsj"])
     def test_self_loop_guard_is_the_operators_rule(self, operator):
@@ -525,7 +543,8 @@ class TestConfigValidation:
         assert str(config.value) == str(direct.value)
 
     def test_mode_rule_is_the_operators_rule(self):
-        for model, operator in ((two_state_swap(), "total"), (chain_to_absorbing(), "gs")):
+        model = chain_to_absorbing()
+        for operator in ("jacobi", "gs", "gsj"):
             with pytest.raises(ValueError) as direct:
                 apply_operator(model, np.zeros(model.num_states), operator)
             with pytest.raises(SolverConfigError, match="total-reward") as config:
@@ -719,7 +738,6 @@ class TestAlgorithmLabels:
         assert algorithm_label("jacobi", "none") == "J"
         assert algorithm_label("gs", "projective") == "PAGS"
         assert algorithm_label("gsj", "linear") == "LAGSJ"
-        assert algorithm_label("total", "none") == "TVI"
-        assert algorithm_label("total", "projective") == "PATVI"
-        assert algorithm_label("total", "linear") == "LATVI"
+        with pytest.raises(ValueError):
+            algorithm_label("total", "none")
         assert algorithm_label(OperatorKind.STANDARD, AcceleratorKind.PROJECTIVE) == "PAVI"

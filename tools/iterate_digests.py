@@ -5,14 +5,17 @@ Usage::
     PYTHONPATH=src python tools/iterate_digests.py [SEED ...]
 
 The seeds default to 100 and 101.  For each seed the benchmark's three
-model shapes (dense-pa, band-vi and sparse-gs, actions 45-56) are solved
-under every operator (standard, jacobi, gs, gsj) and accelerator setting
-(none, or projective and linear with membership checks on and off), with
-epsilon 1e-3 and at most 20,000 backups: 120 configs for two seeds.  Each
-line holds the config key, the backup count, the fallback count and the
-first 16 hex digits of a sha256 over the residuals, the final value, the
-policy and every step's ``(alpha.hex(), binding, fallback_used)``.  A
-config that raises prints the exception's name in place of the counts.
+model shapes (dense-pa, band-vi and sparse-gs) are solved under every
+operator (standard, jacobi, gs, gsj), and a total-reward shape under
+``standard``, the one backup total-reward models take, each under every
+accelerator setting (none, or projective and linear with membership
+checks on and off), with epsilon 1e-3 and at most 20,000 backups: 65
+configs per seed, 130 for two seeds.  Each shape names its own action
+range (45-56 for all four).  Each line holds the config key, the backup
+count, the fallback count and the first 16 hex digits of a sha256 over
+the residuals, the final value, the policy and every step's
+``(alpha.hex(), binding, fallback_used)``.  A config that raises prints
+the exception's name in place of the counts.
 
 Two checkouts whose runs are bit-identical print the same lines, so::
 
@@ -31,12 +34,26 @@ import numpy as np
 
 import mdpaccel
 
-SHAPES = {
-    "dense-pa": dict(family="uniform", num_states=80, density=1.0, discount=0.995),
-    "band-vi": dict(family="band", num_states=120, bandwidth=30, discount=0.995),
-    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9),
-}
 OPERATORS = ("standard", "jacobi", "gs", "gsj")
+# shape: (its GeneratorSpec fields but the seed, the operators it is solved under)
+SHAPES = {
+    "dense-pa": (
+        dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56)),
+        OPERATORS,
+    ),
+    "band-vi": (
+        dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56)),
+        OPERATORS,
+    ),
+    "sparse-gs": (
+        dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(45, 56)),
+        OPERATORS,
+    ),
+    "total-reward": (
+        dict(family="total_reward_positive", num_states=12, action_range=(45, 56)),
+        ("standard",),
+    ),
+}
 ACCELERATORS = (
     ("none", "none", True),
     ("projective-checked", "projective", True),
@@ -56,11 +73,16 @@ def digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-def lines(seeds):
+def lines(seeds) -> list[str]:
+    """One line per config of every shape at every seed, sorted."""
+    return sorted(_lines(seeds))
+
+
+def _lines(seeds):
     for seed in seeds:
-        for shape, spec in SHAPES.items():
-            m = mdpaccel.generate(mdpaccel.GeneratorSpec(seed=seed, action_range=(45, 56), **spec))
-            for operator in OPERATORS:
+        for shape, (spec, operators) in SHAPES.items():
+            m = mdpaccel.generate(mdpaccel.GeneratorSpec(seed=seed, **spec))
+            for operator in operators:
                 for label, accelerator, checks in ACCELERATORS:
                     key = f"{shape}/{seed}/{operator}/{label}"
                     config = mdpaccel.SolverConfig(
@@ -77,7 +99,7 @@ def lines(seeds):
 
 def main(argv) -> int:
     seeds = [int(s) for s in argv] or [100, 101]
-    for line in sorted(lines(seeds)):
+    for line in lines(seeds):
         print(line)
     return 0
 
