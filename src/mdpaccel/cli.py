@@ -218,6 +218,7 @@ def cmd_solve(args) -> int:
     print(f"wall ms: {result.wall_ms:.3f}")
     print(f"final residual: {result.final_residual:.6g} (threshold {result.threshold:.6g})")
     print(_alpha_summary(result))
+    print(f"rows eliminated: {result.rows_eliminated} of {model.num_rows}")
     if "csv" in args:
         meta = dict(model.metadata or {}, num_states=model.num_states, discount=model.discount)
         _write_csv(args.csv, [_row(meta, config, [result])], append=True)

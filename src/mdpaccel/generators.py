@@ -26,9 +26,10 @@ stream bit for bit (verified on numpy 2.4.6; see ``_SparseRows``), and
 Floyd's algorithm then runs over blocks of rows at once.  A state that
 one read cannot settle (a draw Lemire's method rejects, or ``choice``'s
 tail-shuffle branch for large populations) falls back to one ``choice``
-call per row from the same generator state.  The generators assemble
-the model's arrays directly, one chunk per state, with int32 columns,
-the width ``MdpModel`` stores them in.
+call per row from the same generator state, and so does a state of one
+row, for which that call costs less than the read.  The generators
+assemble the model's arrays directly, one chunk per state, with int32
+columns, the width ``MdpModel`` stores them in.
 """
 
 from __future__ import annotations
@@ -232,6 +233,17 @@ _FLOYD_POPULATION = 10_000
 # Bytes that the rows waiting for one ``_floyd`` call may hold, in their draws
 # and its membership table.
 _FLOYD_BLOCK = 1 << 19
+# A state with fewer rows than this draws them through ``_choice_rows``,
+# as a state the read cannot settle does: for one row the read's fixed
+# cost outweighs ``choice``'s.  Per-row time over bulk time for states of
+# 1 / 2 / 3 rows, uniform models, seed 5, min of 25 alternated runs (2-CPU
+# x86-64 guest, numpy 2.4.6):
+#   2000 states, density 0.01:   0.72 / 1.21 / 1.27
+#   2000 states, density 0.05:   0.69 / 0.95 / 1.00
+#   500 states, density 0.02:    0.57 / 0.91 / 1.24
+#   5000 states, density 0.002:  0.68 / 1.03 / 1.01
+# Two rows break even, and from three up the read gains.
+_BULK_MIN_ROWS = 2
 
 
 class _SparseRows:
@@ -257,6 +269,7 @@ class _SparseRows:
     A state whose draws the read cannot settle falls back to
     ``_choice_rows`` from its entry state: one with a draw that Lemire's
     method rejects (its leftover lies below ``(2**32 - span) % span``).
+    So does a state of fewer than ``_BULK_MIN_ROWS`` rows, unread.
     Every state falls back, and nothing is read in bulk, on ``choice``'s
     tail-shuffle branch and when one state's rows would not fit a block.
     """
@@ -311,11 +324,12 @@ class _SparseRows:
         """The uniforms of the rows whose supports go to ``out``, from one raw read.
 
         Their Floyd draws wait for ``flush`` to fill ``out``.  Returns
-        None, having drawn nothing, when the read cannot settle the rows.
+        None, having drawn nothing, when the read cannot settle the rows
+        or they are fewer than ``_BULK_MIN_ROWS``.
         """
-        if not self.bulk:
-            return None
         k = len(out)
+        if not self.bulk or k < _BULK_MIN_ROWS:
+            return None
         if self.waiting + k > len(self.draws):
             self.flush()
         bitgen = rng.bit_generator

@@ -47,6 +47,38 @@ The Jacobi and sweep operators back ``w`` up once more, from its
 carried sums.  Without checks the step adds neither passes nor backups
 to the sums pass at ``u`` and the loop's own backup.
 
+Action elimination.  A plain run of the standard backup on a discounted
+model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
+model's ``row_sum_deviation``, stops summing the rows that can never
+again attain their state's maximum once its first backup rises
+everywhere (the test of MacQueen, 1967, and Porteus, 1971; Puterman,
+Markov Decision Processes, 1994, section 6.7.2).  No probability is
+negative and every rounded operation is monotone, so the computed backup
+``T~`` is monotone, and from ``w <= T~(w)`` every later computed iterate
+rises.  Take an iterate ``w``, its backup ``u = T~(w)`` and residual
+``res = max(u - w)``, let ``e`` bound the rounding of a row value at any
+later iterate (``row_value_error``), and let ``D = (res + 2e) / (1 -
+c)``.  Every later iterate ``x`` lies in ``[w, w + D]``: by induction,
+``T~(x) <= T(x) + e <= T(w) + c * D + e <= u + c * D + 2e <= w + D``,
+with ``T`` the exact backup of the stored numbers, which a rise of its
+argument by at most ``D`` raises by at most ``c * D``.  So a row whose
+one-step value at ``w`` is ``q`` is worth at most ``q + c * D + 2e`` at
+every later iterate, whose state maximum is at least ``u``.  A row with
+``q + slack < u``, ``slack = c * D + 2e``, is therefore strictly below
+its state's maximum in every later backup, and leaving it out moves no
+iterate, residual, tie-break or greedy policy.  ``e`` is taken at twice
+``sup_norm(w) + res / (1 - c)``, which bounds every later iterate's
+norm ``sup_norm(w) + D`` unless ``e`` is of the order of the iterates
+themselves; then, or when the slack is not finite, nothing is dropped.
+The surplus of ``e`` at twice the norm also covers the rounding of the
+slack's own few operations.  The test reads the one-step row values
+that the backup's sums already hold.  The loop iterates on a model of
+its live rows (``_rows_model``), rebuilt only when they fall to half of
+the rows it holds or to one per state, after which it stops testing;
+rows dropped in between are still summed, and cannot win.  A run whose
+first backup does not rise everywhere, and every accelerated, Jacobi,
+sweep or total-reward run, sums every row.
+
 Stopping.  Discounted runs stop when the backup residual in the
 componentwise maximum norm falls below ``stopping_threshold(epsilon,
 discount) / num_states`` — the accuracy bound is split evenly across
@@ -87,6 +119,8 @@ from .operators import (
     drifted_sums,
     extract_policy,
     is_feasible,
+    one_step_row_values,
+    row_value_error,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
@@ -203,6 +237,9 @@ class SolveResult:
     shift's contribution ``reward_offset / (1 - discount)`` is removed).
     ``iterates`` (present when recording was requested) holds the start
     vector followed by every iterate, in those same corrected units.
+    ``rows_eliminated`` counts the rows a plain standard run certified
+    out of every later backup (see the module doc); it is 0 on every
+    other path.
     """
 
     iterations: int
@@ -215,6 +252,7 @@ class SolveResult:
     final_policy: np.ndarray
     threshold: float
     reward_offset: float = 0.0
+    rows_eliminated: int = 0
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -291,6 +329,41 @@ def screens_sums(m: MdpModel, config: SolverConfig) -> bool:
     )
 
 
+def _elimination_slack(m: MdpModel, w: np.ndarray, residual: float) -> float:
+    """How far below its state's backup a row's one-step value at ``w`` must lie to be dropped for good.
+
+    ``residual`` is ``max(T~(w) - w)`` of a run whose iterates rise; the
+    bound is the module doc's ``c * D + 2e``.  Returns inf, which drops
+    nothing, when ``e`` is not taken at a norm that bounds every later
+    iterate, or when any term is not finite.
+    """
+    c = m.discount * (1.0 + m.row_sum_deviation)
+    w_norm = sup_norm(w)
+    norm = 2.0 * (w_norm + residual / (1.0 - c))
+    e = row_value_error(m, norm)
+    reach = (residual + 2.0 * e) / (1.0 - c)
+    if not w_norm + reach <= norm:
+        return math.inf
+    return c * reach + 2.0 * e
+
+
+def _rows_model(m: MdpModel, rows: np.ndarray) -> MdpModel:
+    """``m`` with only the ascending ``rows``, at least one of every state.
+
+    The row matrix is scipy's row copy of ``m``'s, which keeps every row's
+    entries in order, so each kept row's weighted sum is ``m``'s bit for
+    bit; it is set as the copy's view, so no matrix is built from the
+    copy's arrays.
+    """
+    csr = m.row_matrix[rows]
+    state_ptr = np.zeros(m.num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(m.row_state[rows], minlength=m.num_states), out=state_ptr[1:])
+    out = MdpModel(num_states=m.num_states, discount=m.discount, mode=m.mode, state_ptr=state_ptr,
+                   rewards=m.rewards[rows], row_ptr=csr.indptr, cols=csr.indices, probs=csr.data)
+    out._views["row_matrix"] = csr
+    return out
+
+
 @dataclass
 class _Step:
     iterate: np.ndarray
@@ -310,6 +383,15 @@ class _Loop:
         self.sweep = sweep_carries_state(config.operator)
         self.carry_sums = not self.sweep or config.accelerator is AcceleratorKind.LINEAR_EXTENSION
         self.screened = screens_sums(solve_model, config)
+        # the model the simultaneous backups run on: solve_model, or its live rows
+        self.work = solve_model
+        self.eliminates = (
+            config.accelerator is AcceleratorKind.NONE
+            and config.operator is OperatorKind.STANDARD
+            and solve_model.mode is RewardMode.DISCOUNTED
+            and 0.0 < solve_model.discount * (1.0 + solve_model.row_sum_deviation) < 1.0
+        )
+        self.held = self.live = None  # the work model's rows in solve_model, and which are live
         if self.screened:
             # the zero vector's sums are exactly zero; the start's drift from it
             zero = WeightedSums(np.zeros(solve_model.num_rows), np.zeros(solve_model.num_states))
@@ -326,20 +408,44 @@ class _Loop:
         # sums scaled by the last step: bound the kernel sums of w itself
         return drifted_sums(self.m, self.sums, self.w)
 
+    @property
+    def rows_eliminated(self) -> int:
+        return 0 if self.live is None else self.m.num_rows - int(np.count_nonzero(self.live))
+
+    def eliminate(self, w, u, residual) -> None:
+        """Drop the rows that can no longer attain their state's maximum (module doc)."""
+        if self.live is None:
+            if not (u >= w).all():
+                self.eliminates = False
+                return
+            self.held = np.arange(self.m.num_rows)
+            self.live = np.ones(self.m.num_rows, dtype=bool)
+        slack = _elimination_slack(self.m, w, residual)
+        q = one_step_row_values(self.work, self.sums)
+        self.live[q < np.repeat(u - slack, self.work.row_counts)] = False
+        live = int(np.count_nonzero(self.live))
+        if live < len(self.live) and (2 * live <= len(self.live) or live == self.m.num_states):
+            self.held = self.held[self.live]
+            self.work = _rows_model(self.m, self.held)
+            self.live = np.ones(live, dtype=bool)
+        self.eliminates = live > self.m.num_states
+
     def step(self) -> _Step:
         cfg, m, w = self.config, self.m, self.w
         if self.sweep:
             u = apply_operator(m, w, cfg.operator)
         else:
-            u = apply_operator(m, w, cfg.operator, sums=self.sums)
+            u = apply_operator(self.work, w, cfg.operator, sums=self.sums)
         residual = sup_norm(u - w)
         if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
             converged = residual <= self.threshold
             self.w = u
+            if self.eliminates and not converged:
+                self.eliminate(w, u, residual)
             if self.screened:
                 self.sums = drifted_sums(m, self.sums, u)
             elif self.carry_sums:
-                self.sums = None if converged else weighted_sums(m, u)
+                self.sums = None if converged else weighted_sums(self.work, u)
             return _Step(u, residual, None, converged)
         s_u = drifted_sums(m, self.sums, u) if self.screened else weighted_sums(m, u)
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
@@ -421,6 +527,7 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
         final_policy=policy,
         threshold=threshold,
         reward_offset=offset,
+        rows_eliminated=loop.rows_eliminated,
         iterates=iterates,
     )
 

@@ -145,6 +145,7 @@ class TestSolve:
         assert "(converged)" in out
         assert "final residual:" in out
         assert "alphas: none" in out
+        assert "rows eliminated: 0 of 2" in out
 
     def test_accelerated_alpha_summary(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -154,6 +155,17 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "algorithm: PAVI" in out
         assert "alphas:" in out and "steps" in out
+        assert "rows eliminated: 0 of 2" in out
+
+    def test_plain_run_reports_the_rows_it_eliminated(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert main(["generate", "--family", "uniform", "--states", "12", "--density", "0.5",
+                     "--seed", "3", "-o", str(path)]) == 0
+        rows = load_model(path).num_rows
+        assert main(["solve", str(path)]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("rows eliminated:"))
+        eliminated, of = line.removeprefix("rows eliminated: ").split(" of ")
+        assert 0 < int(eliminated) <= rows - 12 and int(of) == rows
 
     @pytest.mark.parametrize("argv", [[], ["--op", "gs", "--accel", "projective"], ["--op", "jacobi", "--accel", "linear"]],
                              ids=["VI", "PAGS", "LAJ"])

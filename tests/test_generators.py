@@ -255,6 +255,22 @@ SCALE_DIGESTS = {
 }
 
 
+# Models with states of one to three rows, digests taken while every state
+# of them read its supports in bulk.
+FEW_ROWS_SPECS = {
+    "one-row": dict(family="uniform", num_states=300, density=0.05, action_range=(1, 1), seed=100),
+    "one-to-three-rows": dict(family="uniform", num_states=300, density=0.05, action_range=(1, 3),
+                              seed=101),
+    "total-one-row": dict(family="total_reward_positive", num_states=300, density=0.05,
+                          action_range=(1, 1), seed=102),
+}
+FEW_ROWS_DIGESTS = {
+    "one-row": "9deaa0b9936733d974c2f65eabf75f622c24232db2e8995273cda69ccaa8069c",
+    "one-to-three-rows": "7e6e243782e257f01a0657f8855392c806c3e823759017bcb0e97f873be7e5cb",
+    "total-one-row": "b6fbc243049509def38773f396dbcd2a30a930543df42c90b8b426750428aea5",
+}
+
+
 class TestStreamPinned:
     @pytest.mark.parametrize("name,seed", sorted(STREAM_DIGESTS), ids=lambda x: str(x))
     def test_digest(self, name, seed):
@@ -427,6 +443,8 @@ class TestBulkSparseDraws:
     @pytest.mark.parametrize("prefix", [0, 1, 3])
     def test_matches_per_row_choice(self, monkeypatch, tail, prefix):
         monkeypatch.setattr(generators, "_choice_rows", refuse_fallback)
+        # the read itself, at every row count: generate reads one-row states per row
+        monkeypatch.setattr(generators, "_BULK_MIN_ROWS", 1)
         for i, (k, population, size) in enumerate(BULK_CASES):
             a, b = twin_generators(i, prefix)
             got, want = bulk_rows(a, k, population, size, tail), choice_rows(b, k, population, size, tail)
@@ -481,6 +499,20 @@ class TestBulkSparseDraws:
         assert model_digest(m) == SCALE_DIGESTS["sparse-gs"]
         assert len(fallbacks) == len(reads) // 3 > 0
         assert fallbacks == reads[2::3]
+
+    @pytest.mark.parametrize("name", sorted(FEW_ROWS_DIGESTS))
+    def test_one_row_states_draw_per_row_and_keep_the_model(self, monkeypatch, name):
+        choice, fallbacks = generators._choice_rows, []
+
+        def counted_choice(*args):
+            fallbacks.append(args[1])
+            return choice(*args)
+
+        monkeypatch.setattr(generators, "_choice_rows", counted_choice)
+        m = generate(GeneratorSpec(**FEW_ROWS_SPECS[name]))
+        assert model_digest(m) == FEW_ROWS_DIGESTS[name]
+        drawn = np.diff(m.state_ptr)[:-1] if m.mode is RewardMode.TOTAL_REWARD else np.diff(m.state_ptr)
+        assert fallbacks.count(1) == np.count_nonzero(drawn == 1) > 0
 
     @pytest.mark.parametrize("name", ["sparse-gs"] + [f"sparse-gs-{s}" for s in range(101, 105)])
     def test_benchmark_seeds_read_every_state_in_bulk(self, monkeypatch, name):

@@ -232,6 +232,8 @@ def reference_solve(m, cfg):
     accelerated = cfg.accelerator is not AcceleratorKind.NONE
     model, offset = adjust_rewards_nonnegative(m) if accelerated else (m, 0.0)
     w = initial_feasible_point(model) if accelerated else np.zeros(m.num_states)
+    if cfg.initial_point is not None:
+        model, offset, w = m, 0.0, np.array(cfg.initial_point, dtype=np.float64)
     threshold = stopping_threshold(cfg.epsilon, m.discount) / m.num_states
     sweep = cfg.operator in (OperatorKind.GAUSS_SEIDEL, OperatorKind.GAUSS_SEIDEL_JACOBI)
     carry = not sweep or cfg.accelerator is AcceleratorKind.LINEAR_EXTENSION
@@ -372,6 +374,84 @@ class TestIterateSequencePinned:
         alphas, already = assert_same_run(m, cfg, before_each=output_checks.clear)[3:]
         assert already > 0
         assert any(a is not None and a.fallback_used for a in alphas)
+
+
+def negative_state_model():
+    """``pinned_models()[0]`` with state 0's rewards negated: every one of its rows is negative."""
+    m = pinned_models()[0]
+    rewards = m.rewards.copy()
+    rewards[m.state_ptr[0]:m.state_ptr[1]] *= -1.0
+    return dataclasses.replace(m, rewards=rewards)
+
+
+def tied_rows_model():
+    """State 0's first two rows are copies, its third is a unit in the last place
+    below them in reward, and its fourth is worse by far, as is state 1's second."""
+    best = (2.0, [(0, 0.5), (1, 0.5)])
+    near = (float(np.nextafter(2.0, 0.0)), [(0, 0.5), (1, 0.5)])
+    return MdpModel.from_rows(
+        [
+            [best, best, near, (0.5, [(1, 1.0)])],
+            [(1.0, [(0, 1.0)]), (0.2, [(1, 1.0)])],
+        ],
+        discount=0.9,
+    )
+
+
+class TestActionElimination:
+    """Plain standard runs whose first backup rises drop the rows that can
+    never win again, and run the all-rows iterates bit for bit."""
+
+    def test_rising_runs_drop_rows_and_keep_every_iterate(self):
+        band = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        for m in [*pinned_models(), band]:
+            assert_same_run(m, SolverConfig())
+            res = solve(m, SolverConfig())
+            assert 0 < res.rows_eliminated <= m.num_rows - m.num_states
+
+    def test_state_with_only_negative_rewards_sums_every_row(self):
+        m = negative_state_model()
+        assert (m.rewards[m.state_ptr[0]:m.state_ptr[1]] < 0.0).all()
+        assert_same_run(m, SolverConfig())
+        assert solve(m, SolverConfig()).rows_eliminated == 0
+
+    def test_start_above_the_fixed_point_sums_every_row(self):
+        m = pinned_models()[0]
+        # rewards below 100 at discount 0.95 keep every value below 2,000
+        cfg = SolverConfig(initial_point=np.full(m.num_states, 1e4))
+        residuals = assert_same_run(m, cfg)[0]
+        assert len(residuals) > 1
+        assert solve(m, cfg).rows_eliminated == 0
+
+    def test_tied_and_nearly_tied_rows_are_kept(self):
+        m = tied_rows_model()
+        assert_same_run(m, SolverConfig())
+        res = solve(m, SolverConfig())
+        # only the two rows worse by far go; both copies and the near row stay
+        assert res.rows_eliminated == 2
+        assert res.final_policy[0] == 0
+
+    @pytest.mark.parametrize("operator, accelerator", [
+        ("jacobi", "none"), ("gs", "none"), ("gsj", "none"),
+        ("standard", "projective"), ("standard", "linear"),
+    ])
+    def test_other_discounted_runs_report_none(self, operator, accelerator):
+        res = solve(pinned_models()[0], SolverConfig(operator=operator, accelerator=accelerator))
+        assert res.converged and res.rows_eliminated == 0
+
+    def test_total_reward_runs_report_none(self):
+        m = generate(GeneratorSpec(family="total_reward_positive", num_states=12, seed=3))
+        res = solve(m, SolverConfig())
+        assert res.converged and res.rows_eliminated == 0
+
+    def test_slack_that_bounds_no_later_iterate_drops_nothing(self):
+        m = pinned_models()[0]
+        zero = np.zeros(m.num_states)
+        assert 0.0 < solver_mod._elimination_slack(m, zero, 1.0) < math.inf
+        # at a zero iterate with a zero residual the rounding bound is all there is
+        assert solver_mod._elimination_slack(m, zero, 0.0) == math.inf
+        assert solver_mod._elimination_slack(m, zero, math.nan) == math.inf
+        assert solver_mod._elimination_slack(m, zero, math.inf) == math.inf
 
 
 class TestSharedRowMatrix:

@@ -6,12 +6,15 @@ Usage::
 
 The seeds default to 100 and 101.  For each seed the benchmark's three
 model shapes (dense-pa, band-vi and sparse-gs) are solved under every
-operator (standard, jacobi, gs, gsj), and a total-reward shape under
-``standard``, the one backup total-reward models take, each under every
-accelerator setting (none, or projective and linear with membership
-checks on and off), with epsilon 1e-3 and at most 20,000 backups: 65
-configs per seed, 130 for two seeds.  Each shape names its own action
-range (45-56 for all four).  Each line holds the config key, the backup
+operator (standard, jacobi, gs, gsj), and two more shapes under
+``standard`` alone: a total-reward shape, whose models take no other
+backup, and band-vi's shape with rewards in (-100, -1), whose plain runs
+fall from the zero start and so sum every row where band-vi's drop the
+rows that can no longer win.  Each is solved under every accelerator
+setting (none, or projective and linear with membership checks on and
+off), with epsilon 1e-3 and at most 20,000 backups: 70 configs per
+seed, 140 for two seeds.  Each shape names its own action range (45-56
+for all five).  Each line holds the config key, the backup
 count, the fallback count and the first 16 hex digits of a sha256 over
 the residuals, the final value, the policy and every step's
 ``(alpha.hex(), binding, fallback_used)``.  A config that raises prints
@@ -51,6 +54,11 @@ SHAPES = {
     ),
     "total-reward": (
         dict(family="total_reward_positive", num_states=12, action_range=(45, 56)),
+        ("standard",),
+    ),
+    "negative-reward": (
+        dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56),
+             reward_range=(-100.0, -1.0)),
         ("standard",),
     ),
 }
