@@ -167,6 +167,18 @@ class TestSolve:
         eliminated, of = line.removeprefix("rows eliminated: ").split(" of ")
         assert 0 < int(eliminated) <= rows - 12 and int(of) == rows
 
+    def test_linear_extension_run_reports_the_rows_it_eliminated(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert main(["generate", "--family", "band", "--states", "40", "--bandwidth", "8",
+                     "--discount", "0.995", "--seed", "45", "-o", str(path)]) == 0
+        rows = load_model(path).num_rows
+        assert main(["solve", str(path), "--accel", "linear"]) == 0
+        out = capsys.readouterr().out
+        assert "algorithm: LAVI" in out
+        line = next(x for x in out.splitlines() if x.startswith("rows eliminated:"))
+        eliminated, of = line.removeprefix("rows eliminated: ").split(" of ")
+        assert 0 < int(eliminated) <= rows - 40 and int(of) == rows
+
     @pytest.mark.parametrize("argv", [[], ["--op", "gs", "--accel", "projective"], ["--op", "jacobi", "--accel", "linear"]],
                              ids=["VI", "PAGS", "LAJ"])
     def test_discount_zero_converges_in_one_backup(self, tmp_path, monkeypatch, capsys, argv):

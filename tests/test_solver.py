@@ -431,11 +431,9 @@ class TestActionElimination:
         assert res.rows_eliminated == 2
         assert res.final_policy[0] == 0
 
-    @pytest.mark.parametrize("operator, accelerator", [
-        ("jacobi", "none"), ("gs", "none"), ("gsj", "none"),
-        ("standard", "projective"), ("standard", "linear"),
-    ])
-    def test_other_discounted_runs_report_none(self, operator, accelerator):
+    @pytest.mark.parametrize("operator", ["jacobi", "gs", "gsj"])
+    def test_other_plain_discounted_runs_report_none(self, operator):
+        accelerator = "none"
         res = solve(pinned_models()[0], SolverConfig(operator=operator, accelerator=accelerator))
         assert res.converged and res.rows_eliminated == 0
 
@@ -452,6 +450,108 @@ class TestActionElimination:
         assert solver_mod._elimination_slack(m, zero, 0.0) == math.inf
         assert solver_mod._elimination_slack(m, zero, math.nan) == math.inf
         assert solver_mod._elimination_slack(m, zero, math.inf) == math.inf
+
+
+def all_rows_solve(monkeypatch, m, cfg):
+    """``solve(m, cfg)`` with action elimination forced off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod._Loop, "eliminate", lambda loop, *args: None)
+        return solve(m, cfg)
+
+
+def assert_same_result(got, expected):
+    assert np.array_equal(got.residuals, expected.residuals)
+    assert got.alphas == expected.alphas
+    assert np.array_equal(got.final_value, expected.final_value)
+    assert np.array_equal(got.final_policy, expected.final_policy)
+
+
+class TestAcceleratedElimination:
+    """Checked PAVI and LAVI runs on all-rows sums drop the rows below the
+    MacQueen lower bound, and run the all-rows iterates bit for bit."""
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_checked_runs_drop_rows_and_keep_every_iterate(self, monkeypatch, accelerator):
+        band = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        cfg = SolverConfig(accelerator=accelerator)
+        for m in [*pinned_models(), band]:
+            if screens_sums(m, cfg):
+                continue
+            res = solve(m, cfg)
+            assert 0 < res.rows_eliminated <= m.num_rows - m.num_states
+            expected = all_rows_solve(monkeypatch, m, cfg)
+            assert expected.rows_eliminated == 0
+            assert_same_result(res, expected)
+            assert_same_run(m, cfg)
+
+    @pytest.mark.parametrize("operator, accelerator, checks", [
+        ("standard", "projective", False), ("standard", "linear", False),
+        ("jacobi", "projective", True), ("jacobi", "linear", True),
+        ("gs", "projective", True), ("gs", "linear", True),
+        ("gsj", "projective", True), ("gsj", "linear", True),
+    ])
+    def test_other_accelerated_runs_report_none(self, operator, accelerator, checks):
+        cfg = SolverConfig(operator=operator, accelerator=accelerator, membership_checks=checks)
+        res = solve(pinned_models()[0], cfg)
+        assert res.converged and res.rows_eliminated == 0
+
+    def test_screened_runs_report_none(self):
+        m = pinned_models()[3]
+        cfg = SolverConfig(accelerator="projective")
+        assert screens_sums(m, cfg)
+        assert solve(m, cfg).rows_eliminated == 0
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_total_reward_runs_report_none(self, accelerator):
+        m = generate(GeneratorSpec(family="total_reward_positive", num_states=12, seed=3))
+        res = solve(m, SolverConfig(accelerator=accelerator))
+        assert res.converged and res.rows_eliminated == 0
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_tied_and_nearly_tied_rows_are_kept(self, accelerator):
+        m = tied_rows_model()
+        cfg = SolverConfig(accelerator=accelerator)
+        assert_same_run(m, cfg)
+        res = solve(m, cfg)
+        # only the two rows worse by far go; both copies and the near row stay
+        assert res.rows_eliminated == 2
+        assert res.final_policy[0] == 0
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_forced_guard_failure_reruns_on_every_row(self, monkeypatch, accelerator):
+        m = pinned_models()[0]
+        cfg = SolverConfig(accelerator=accelerator, record_iterates=True)
+        expected = all_rows_solve(monkeypatch, m, cfg)
+        loops = []
+        real_init = solver_mod._Loop.__init__
+
+        def recording_init(loop, *args, **kwargs):
+            real_init(loop, *args, **kwargs)
+            loops.append(loop)
+
+        monkeypatch.setattr(solver_mod._Loop, "__init__", recording_init)
+        # no margin of rounding clears a dropped row: the first guard after a drop fails
+        monkeypatch.setattr(solver_mod, "_read_error", lambda *args: math.inf)
+        res = solve(m, cfg)
+        assert len(loops) == 2 and loops[0].rows_eliminated > 0
+        assert res.rows_eliminated == 0
+        assert_same_result(res, expected)
+        assert len(res.iterates) == res.iterations + 1
+        assert all(np.array_equal(a, b) for a, b in zip(res.iterates, expected.iterates))
+
+    def test_guard_refuses_a_dropped_row_that_reaches_the_iterates(self):
+        m = pinned_models()[0]
+        model, _ = adjust_rewards_nonnegative(m)
+        loop = solver_mod._Loop(model, SolverConfig(accelerator="linear"), initial_feasible_point(model),
+                                threshold=stopping_threshold(1e-3, m.discount) / m.num_states)
+        while loop.bound is None:
+            assert not loop.step().converged
+        loop.step()
+        # a dropped row said to be worth as much as its state's value could win
+        state = int(np.flatnonzero(np.isfinite(loop.bound))[0])
+        loop.bound[state] = loop.w[state]
+        with pytest.raises(solver_mod._Rerun):
+            loop.step()
 
 
 class TestSharedRowMatrix:

@@ -10,13 +10,15 @@ operator (standard, jacobi, gs, gsj), and two more shapes under
 ``standard`` alone: a total-reward shape, whose models take no other
 backup, and band-vi's shape with rewards in (-100, -1), whose plain runs
 fall from the zero start and so sum every row where band-vi's drop the
-rows that can no longer win.  Each is solved under every accelerator
-setting (none, or projective and linear with membership checks on and
-off), with epsilon 1e-3 and at most 20,000 backups: 70 configs per
-seed, 140 for two seeds.  Each shape names its own action range (45-56
-for all five).  Each line holds the config key, the backup
-count, the fallback count and the first 16 hex digits of a sha256 over
-the residuals, the final value, the policy and every step's
+rows that can no longer win.  The checked projective and linear
+``standard`` runs of every discounted shape drop rows too, but for
+dense-pa's projective ones, which carry screened sums.  Each is solved
+under every accelerator setting (none, or projective and linear with
+membership checks on and off), with epsilon 1e-3 and at most 20,000
+backups: 70 configs per seed, 140 for two seeds.  Each shape names its
+own action range (45-56 for all five).  Each line holds the config key,
+the backup count, the fallback count and the first 16 hex digits of a
+sha256 over the residuals, the final value, the policy and every step's
 ``(alpha.hex(), binding, fallback_used)``.  A config that raises prints
 the exception's name in place of the counts.
 
