@@ -77,10 +77,10 @@ its live rows (``_rows_model``), rebuilt only when they fall to half of
 the rows it holds or to one per state, after which it stops testing;
 rows dropped in between are still summed, and cannot win.  At a rebuild
 the carried sums are cut to the kept rows elementwise, which moves no
-bit.  Before each test an O(states) pre-test skips it when no row can
-drop: two rows of one state lie at most the state's reward span plus
-``discount * (sp(w) + 2 * rho * |w|)`` apart, plus the rounding of both
-values.
+bit.  Until a test first runs, an O(states) pre-test skips it when no
+row can drop (``_gap_falls_short``): two rows of one state lie at most
+the state's reward span plus ``discount * (sp(w) + 2 * rho * |w|)``
+apart, plus the rounding of both values.
 
 Falling runs.  A projective or linear-extension run of the standard
 backup on such a model, with membership checks on and all-rows sums
@@ -109,10 +109,11 @@ bound, raised by ``c`` times the rise of ``u`` and ``z`` over ``w``,
 lies below ``min(u, z)`` by more than ``_read_error``: the projective
 ratio ``r / (u_i - discount * s)`` stays below the step factor
 ``alpha`` exactly when the row's value at ``alpha * u`` stays below
-``alpha * u_i``, and the extension's ratio ``c / -d`` above ``alpha``
-exactly when the row's value at ``w + alpha * (u - w)`` stays below that
-point; ``_read_error`` bounds the rounding of those per-row tests and
-of the values, and the drift of the sums, ``max(alpha, 1)`` times over.
+``alpha * u_i``, and the extension's ratio of a row's slack at ``w`` to
+its fall along the ray stays above ``alpha`` exactly when the row's
+value at ``w + alpha * (u - w)`` stays below that point; ``_read_error``
+bounds the rounding of those per-row tests and of the values, and the
+drift of the sums, ``max(alpha, 1)`` times over.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
 alpha * (sum_error + rounding)`` from the previous drift ``E``
@@ -380,16 +381,16 @@ def screens_sums(m: MdpModel, config: SolverConfig) -> bool:
     )
 
 
-def _elimination_slack(m: MdpModel, w: np.ndarray, residual: float) -> float:
+def _elimination_slack(m: MdpModel, w_norm: float, residual: float) -> float:
     """How far below its state's backup a row's one-step value at ``w`` must lie to be dropped for good.
 
-    ``residual`` is ``max(T~(w) - w)`` of a run whose iterates rise; the
-    bound is the module doc's ``c * D + 2e``.  Returns inf, which drops
+    ``w_norm`` is ``sup_norm(w)`` and ``residual`` is ``max(T~(w) - w)``
+    of a run whose iterates rise; the bound is the module doc's ``c * D +
+    2e``.  Returns inf, which drops
     nothing, when ``e`` is not taken at a norm that bounds every later
     iterate, or when any term is not finite.
     """
     c = m.discount * (1.0 + m.row_sum_deviation)
-    w_norm = sup_norm(w)
     norm = 2.0 * (w_norm + residual / (1.0 - c))
     e = row_value_error(m, norm)
     reach = (residual + 2.0 * e) / (1.0 - c)
@@ -429,6 +430,23 @@ def _reward_span(m: MdpModel) -> float:
     """The widest spread of the rewards of one state's rows."""
     starts = m.state_ptr[:-1]
     return float((np.maximum.reduceat(m.rewards, starts) - np.minimum.reduceat(m.rewards, starts)).max())
+
+
+def _gap_falls_short(m: MdpModel, span: float, top: float, bottom: float, residual: float,
+                     drift: float, cut: float) -> bool:
+    """Whether no two rows of one state can lie ``cut`` apart in their one-step values at ``w``.
+
+    ``top`` and ``bottom`` are ``w``'s largest and smallest entries.  Two
+    rows of a state differ in reward by at most ``span`` and in sum by at
+    most ``sp(w) + 2 * rho * |w|``, as every sum lies in ``[min w - rho *
+    |min w|, max w + rho * |max w|]``; each computed value lies within
+    ``row_value_error`` and ``discount * drift`` of its exact value, and the
+    surplus covers the rounding of the comparison with the cut.
+    """
+    norm = max(top, -bottom) + 2.0 * residual
+    e = row_value_error(m, norm) + m.discount * drift
+    widest = span + m.discount * (top - bottom + 2.0 * m.row_sum_deviation * max(top, -bottom)) + 2.0 * e
+    return widest + 8.0 * UNIT_ROUNDOFF * (norm + cut) <= cut
 
 
 def _rows_model(m: MdpModel, rows: np.ndarray) -> MdpModel:
@@ -493,10 +511,11 @@ class _Loop:
         if self.eliminates:
             self.c = solve_model.discount * (1.0 + solve_model.row_sum_deviation)
             self.span = _reward_span(solve_model)
+            self.pretest = True
         if self.falling:
-            # w's sup norm, and how far its held sums may lie from its kernel sums
-            self.norm = sup_norm(start)
-            self.drift = sum_error(solve_model, self.norm)
+            # w's extremes, and how far its held sums may lie from its kernel sums
+            self.top, self.bottom = float(start.max()), float(start.min())
+            self.drift = sum_error(solve_model, max(self.top, -self.bottom))
         if self.screened:
             # the zero vector's sums are exactly zero; the start's drift from it
             zero = WeightedSums(np.zeros(solve_model.num_rows), np.zeros(solve_model.num_states))
@@ -530,20 +549,22 @@ class _Loop:
                 return
             self.held = np.arange(m.num_rows)
             self.live = np.ones(m.num_rows, dtype=bool)
-        top, bottom = float(w.max()), float(w.min())
-        norm = max(top, -bottom) + 2.0 * residual  # bounds |w|, |u| and |u - w|
+        # w's extremes, which a falling run carries
+        top, bottom = (self.top, self.bottom) if self.falling else (float(w.max()), float(w.min()))
         if self.falling:
+            norm = max(top, -bottom) + 2.0 * residual  # bounds |w|, |u| and |u - w|
             e = row_value_error(m, norm) + m.discount * self.drift
             # below the MacQueen lower bound u + k * min(d) by the margin
             k = self.c / (1.0 - self.c)
             cut = _fall_margin(m, self.c, norm, self.drift) - k * min(float(d.min()), 0.0)
         else:
-            e = row_value_error(m, norm)
-            cut = _elimination_slack(m, w, residual)
-        # a state's rows lie at most its reward span and the spread of their sums apart
-        widest = self.span + m.discount * (top - bottom + 2.0 * m.row_sum_deviation * max(top, -bottom))
-        if widest + 2.0 * e + 8.0 * UNIT_ROUNDOFF * (norm + cut) <= cut:
-            return
+            cut = _elimination_slack(m, max(top, -bottom), residual)
+        if self.pretest:
+            drift = self.drift if self.falling else 0.0
+            if _gap_falls_short(m, self.span, top, bottom, residual, drift, cut):
+                return
+            # the cut shrinks as the run settles: once a test runs, later ones rarely could be skipped
+            self.pretest = False
         work = self.work
         q = one_step_row_values(work, sums_w)
         low = q < np.repeat(u - cut, work.row_counts)
@@ -577,8 +598,9 @@ class _Loop:
                 iteration read its rows at.
         """
         m, z = self.m, self.w
-        znorm = sup_norm(z)
-        norm = max(self.norm + 2.0 * residual, znorm)  # bounds |w|, |u|, |z| and |u - w|
+        top, bottom = float(z.max()), float(z.min())
+        # bounds |w|, |u|, |z| and |u - w|
+        norm = max(max(self.top, -self.bottom) + 2.0 * residual, top, -bottom)
         if self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION and not (
                 self.sums is None or self.sums.from_kernel):
             drift = _extended_drift(m, alpha.alpha, self.drift, norm)
@@ -600,7 +622,7 @@ class _Loop:
         if self.eliminates and alpha is not None:
             self.eliminate(w, u, d, residual, sums_w)
         self.rise += zup
-        self.norm, self.drift = znorm, drift
+        self.top, self.bottom, self.drift = top, bottom, drift
 
     def in_model(self, work, alpha: AlphaResult) -> AlphaResult:
         """``alpha`` of a scan over ``work``, with its binding row in ``self.m``'s numbering."""
@@ -621,14 +643,15 @@ class _Loop:
         if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
             converged = residual <= self.threshold
             self.w = u
+            if self.eliminates and not converged:
+                # a plain run: before the sums pass at u, so it sums only the rows left
+                self.eliminate(w, u, d, residual, sums_w)
             if self.screened:
                 self.sums = drifted_sums(m, sums_w, u)
             elif self.carry_sums:
                 self.sums = None if converged else weighted_sums(self.work, u)
             if self.falling:
                 self.follow(w, d, residual, u, None, sums_w)
-            elif self.eliminates and not converged:
-                self.eliminate(w, u, d, residual, sums_w)
             return _Step(u, residual, None, converged)
         work = self.work
         s_u = drifted_sums(m, sums_w, u) if self.screened else weighted_sums(work, u)

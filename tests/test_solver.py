@@ -431,9 +431,10 @@ class TestActionElimination:
         assert res.rows_eliminated == 2
         assert res.final_policy[0] == 0
 
-    @pytest.mark.parametrize("operator", ["jacobi", "gs", "gsj"])
-    def test_other_plain_discounted_runs_report_none(self, operator):
-        accelerator = "none"
+    @pytest.mark.parametrize("operator, accelerator", [
+        ("jacobi", "none"), ("gs", "none"), ("gsj", "none"),
+    ])
+    def test_other_discounted_runs_report_none(self, operator, accelerator):
         res = solve(pinned_models()[0], SolverConfig(operator=operator, accelerator=accelerator))
         assert res.converged and res.rows_eliminated == 0
 
@@ -444,12 +445,11 @@ class TestActionElimination:
 
     def test_slack_that_bounds_no_later_iterate_drops_nothing(self):
         m = pinned_models()[0]
-        zero = np.zeros(m.num_states)
-        assert 0.0 < solver_mod._elimination_slack(m, zero, 1.0) < math.inf
+        assert 0.0 < solver_mod._elimination_slack(m, 0.0, 1.0) < math.inf
         # at a zero iterate with a zero residual the rounding bound is all there is
-        assert solver_mod._elimination_slack(m, zero, 0.0) == math.inf
-        assert solver_mod._elimination_slack(m, zero, math.nan) == math.inf
-        assert solver_mod._elimination_slack(m, zero, math.inf) == math.inf
+        assert solver_mod._elimination_slack(m, 0.0, 0.0) == math.inf
+        assert solver_mod._elimination_slack(m, 0.0, math.nan) == math.inf
+        assert solver_mod._elimination_slack(m, 0.0, math.inf) == math.inf
 
 
 def all_rows_solve(monkeypatch, m, cfg):
