@@ -113,7 +113,8 @@ ratio ``r / (u_i - discount * s)`` stays below the step factor
 its fall along the ray stays above ``alpha`` exactly when the row's
 value at ``w + alpha * (u - w)`` stays below that point; ``_read_error``
 bounds the rounding of those per-row tests and of the values, and the
-drift of the sums, ``max(alpha, 1)`` times over.
+drift of the sums, ``max(alpha, 1)`` times over; its surplus covers the
+rounding of the guard's own few operations.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
 alpha * (sum_error + rounding)`` from the previous drift ``E``
@@ -386,9 +387,8 @@ def _elimination_slack(m: MdpModel, w_norm: float, residual: float) -> float:
 
     ``w_norm`` is ``sup_norm(w)`` and ``residual`` is ``max(T~(w) - w)``
     of a run whose iterates rise; the bound is the module doc's ``c * D +
-    2e``.  Returns inf, which drops
-    nothing, when ``e`` is not taken at a norm that bounds every later
-    iterate, or when any term is not finite.
+    2e``.  Returns inf, which drops nothing, when ``e`` is not taken at a
+    norm that bounds every later iterate, or when any term is not finite.
     """
     c = m.discount * (1.0 + m.row_sum_deviation)
     norm = 2.0 * (w_norm + residual / (1.0 - c))
@@ -580,8 +580,8 @@ class _Loop:
             keep = self.live
             self.held = self.held[keep]
             self.work = _rows_model(m, self.held)
-            if self.sums is not None:
-                # elementwise, so every kept row's carried sum is unchanged
+            if self.falling:
+                # the sums carried into the next step, cut elementwise: no kept row's sum moves
                 self.sums = WeightedSums(self.sums.values[keep], self.sums.base,
                                          from_kernel=self.sums.from_kernel)
             self.live = np.ones(live, dtype=bool)
