@@ -132,12 +132,16 @@ class GeneratorSpec:
         if self.family is GeneratorFamily.BAND:
             if self.density is not None:
                 raise ValueError("band family takes bandwidth, not density")
-            if self.bandwidth is None or not 1 <= self.bandwidth < self.num_states:
+            if self.bandwidth is None:
+                raise ValueError("band family needs a bandwidth")
+            if not 1 <= self.bandwidth < self.num_states:
                 raise ValueError("bandwidth must satisfy 1 <= bandwidth < num_states")
         else:
             if self.bandwidth is not None:
                 raise ValueError(f"{self.family.value} family takes density, not bandwidth")
-            if self.density is None or not 0.0 < _number("density", self.density) <= 1.0:
+            if self.density is None:
+                raise ValueError(f"{self.family.value} family needs a density")
+            if not 0.0 < _number("density", self.density) <= 1.0:
                 raise ValueError("density must lie in (0, 1]")
             if int(round(self.density * self.num_states)) < 1:
                 raise ValueError("density picks an empty successor set")

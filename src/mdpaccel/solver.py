@@ -77,23 +77,20 @@ its live rows (``_rows_model``), rebuilt only when they fall to half of
 the rows it holds or to one per state, after which it stops testing;
 rows dropped in between are still summed, and cannot win.  At a rebuild
 the carried sums are cut to the kept rows elementwise, which moves no
-bit.  Until a test first runs, an O(states) pre-test skips it when no
-row can drop (``_gap_falls_short``): two rows of one state lie at most
-the state's reward span plus ``discount * (sp(w) + 2 * rho * |w|)``
-apart, plus the rounding of both values.
+bit.
 
 Falling runs.  A projective or linear-extension run of the standard
 backup on such a model, with membership checks on and all-rows sums
 (not ``screens_sums``), falls toward the fixed point ``v*`` from inside
 the dominance region: every point ``y`` it checks has ``y >= T~(y) -
-tol``, so ``y >= v* - (tol + e) / (1 - c)``.  After each accelerated
-iteration from ``w`` it tests the row values that ``w``'s backup ``u``
-read against the MacQueen lower bound ``L = u + k * min(min(u - w), 0)
-<= v*``, ``k = c / (1 - c)``, and drops for good each row with ``q < L -
-margin``.  The margin (``_fall_margin``) covers the tolerance, the
-rounding and the drift of the held sums at every later checked point,
-scaled by ``1 / (1 - c)``, so a dropped row stays below each later
-state maximum unless the iterates rise past it.
+tol``, so ``y >= v* - (tol + e) / (1 - c)``.  After an accelerated
+iteration from ``w`` it may test the row values that ``w``'s backup
+``u`` read against the MacQueen lower bound ``L = u + k * min(min(u -
+w), 0) <= v*``, ``k = c / (1 - c)``, and drop for good each row with
+``q < L - margin``.  The margin (``_fall_margin``) covers the
+tolerance, the rounding and the drift of the held sums at every later
+checked point, scaled by ``1 / (1 - c)``, so a dropped row stays below
+each later state maximum unless the iterates rise past it.
 
 That argument only sizes the margin; a guard checked at run time makes
 the result exact.  A row's exact value moves from ``x`` to ``y`` by at
@@ -122,6 +119,15 @@ alpha * (sum_error + rounding)`` from the previous drift ``E``
 or whose scan finds no binding row.  When it fails, ``solve`` runs the
 config again from the start on every row, the all-rows run by
 construction.  Binding rows are reported in the model's numbering.
+
+When to test.  A rising or falling run tests only at a backup whose
+residual is at most ``_RETEST_FALL`` times the residual at its last
+test; the first backup that may test does.  Both cuts shrink with the
+residual, so a test soon after the last one rarely drops a row.  A
+skipped test only delays a drop, and a delay moves no iterate: a rising
+run's argument holds for a test at any ``w`` of the run, a row not yet
+dropped is summed and read exactly as in the all-rows run, and a
+falling run's guard still runs at every iteration.
 
 Every other run sums every row: a plain run whose first backup does not
 rise everywhere, an unchecked or screened accelerated run (whose points
@@ -382,6 +388,20 @@ def screens_sums(m: MdpModel, config: SolverConfig) -> bool:
     )
 
 
+# A run that drops rows tests for them only once the backup residual has
+# fallen to this share of its value at the last test (module doc).  Drop
+# tests per run, and kernel entries summed over testing at every backup,
+# VI / checked PAVI / checked LAVI on band-vi's shape (seeds 100-102, rows
+# eliminated equal throughout):
+#   every backup:  2,905-3,990 / 420-480 / 1,090-1,799 tests
+#   0.9:   134-183 / 146-164 / 156-162 tests,  0.995-1.001 / 0.980-0.998 / 0.992-0.999
+#   0.75:  52-70 / 57-62 / 62-64 tests,        0.997-1.005 / 0.999-1.095 / 0.998-1.054
+#   0.5:   22-30 / 26-27 / 27-28 tests,        1.023-1.032 / 1.083-1.188 / 1.033-1.048
+# At 0.9 dense-pa's and sparse-gs's shapes summed at most 1.5% and 0.7%
+# more entries; at 0.5, up to 11.9% and 4.9%.
+_RETEST_FALL = 0.9
+
+
 def _elimination_slack(m: MdpModel, w_norm: float, residual: float) -> float:
     """How far below its state's backup a row's one-step value at ``w`` must lie to be dropped for good.
 
@@ -424,29 +444,6 @@ def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> flo
     """A bound on the distance of the linear extension's carried sums from the kernel sums (module doc)."""
     rounding = 4.0 * drift + 16.0 * (1.0 + m.row_sum_deviation) * norm
     return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
-
-
-def _reward_span(m: MdpModel) -> float:
-    """The widest spread of the rewards of one state's rows."""
-    starts = m.state_ptr[:-1]
-    return float((np.maximum.reduceat(m.rewards, starts) - np.minimum.reduceat(m.rewards, starts)).max())
-
-
-def _gap_falls_short(m: MdpModel, span: float, top: float, bottom: float, residual: float,
-                     drift: float, cut: float) -> bool:
-    """Whether no two rows of one state can lie ``cut`` apart in their one-step values at ``w``.
-
-    ``top`` and ``bottom`` are ``w``'s largest and smallest entries.  Two
-    rows of a state differ in reward by at most ``span`` and in sum by at
-    most ``sp(w) + 2 * rho * |w|``, as every sum lies in ``[min w - rho *
-    |min w|, max w + rho * |max w|]``; each computed value lies within
-    ``row_value_error`` and ``discount * drift`` of its exact value, and the
-    surplus covers the rounding of the comparison with the cut.
-    """
-    norm = max(top, -bottom) + 2.0 * residual
-    e = row_value_error(m, norm) + m.discount * drift
-    widest = span + m.discount * (top - bottom + 2.0 * m.row_sum_deviation * max(top, -bottom)) + 2.0 * e
-    return widest + 8.0 * UNIT_ROUNDOFF * (norm + cut) <= cut
 
 
 def _rows_model(m: MdpModel, rows: np.ndarray) -> MdpModel:
@@ -510,12 +507,12 @@ class _Loop:
         self.rise = 0.0
         if self.eliminates:
             self.c = solve_model.discount * (1.0 + solve_model.row_sum_deviation)
-            self.span = _reward_span(solve_model)
-            self.pretest = True
+            # the residual at the last drop test: the first eligible backup tests
+            self.tested_at = math.inf
         if self.falling:
-            # w's extremes, and how far its held sums may lie from its kernel sums
-            self.top, self.bottom = float(start.max()), float(start.min())
-            self.drift = sum_error(solve_model, max(self.top, -self.bottom))
+            # w's sup norm, and how far its held sums may lie from its kernel sums
+            self.norm = sup_norm(start)
+            self.drift = sum_error(solve_model, self.norm)
         if self.screened:
             # the zero vector's sums are exactly zero; the start's drift from it
             zero = WeightedSums(np.zeros(solve_model.num_rows), np.zeros(solve_model.num_states))
@@ -549,22 +546,17 @@ class _Loop:
                 return
             self.held = np.arange(m.num_rows)
             self.live = np.ones(m.num_rows, dtype=bool)
-        # w's extremes, which a falling run carries
-        top, bottom = (self.top, self.bottom) if self.falling else (float(w.max()), float(w.min()))
+        if residual > _RETEST_FALL * self.tested_at:
+            return
+        self.tested_at = residual
         if self.falling:
-            norm = max(top, -bottom) + 2.0 * residual  # bounds |w|, |u| and |u - w|
+            norm = self.norm + 2.0 * residual  # bounds |w|, |u| and |u - w|
             e = row_value_error(m, norm) + m.discount * self.drift
             # below the MacQueen lower bound u + k * min(d) by the margin
             k = self.c / (1.0 - self.c)
             cut = _fall_margin(m, self.c, norm, self.drift) - k * min(float(d.min()), 0.0)
         else:
-            cut = _elimination_slack(m, max(top, -bottom), residual)
-        if self.pretest:
-            drift = self.drift if self.falling else 0.0
-            if _gap_falls_short(m, self.span, top, bottom, residual, drift, cut):
-                return
-            # the cut shrinks as the run settles: once a test runs, later ones rarely could be skipped
-            self.pretest = False
+            cut = _elimination_slack(m, sup_norm(w), residual)
         work = self.work
         q = one_step_row_values(work, sums_w)
         low = q < np.repeat(u - cut, work.row_counts)
@@ -598,9 +590,9 @@ class _Loop:
                 iteration read its rows at.
         """
         m, z = self.m, self.w
-        top, bottom = float(z.max()), float(z.min())
+        z_norm = sup_norm(z)
         # bounds |w|, |u|, |z| and |u - w|
-        norm = max(max(self.top, -self.bottom) + 2.0 * residual, top, -bottom)
+        norm = max(self.norm + 2.0 * residual, z_norm)
         if self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION and not (
                 self.sums is None or self.sums.from_kernel):
             drift = _extended_drift(m, alpha.alpha, self.drift, norm)
@@ -622,7 +614,7 @@ class _Loop:
         if self.eliminates and alpha is not None:
             self.eliminate(w, u, d, residual, sums_w)
         self.rise += zup
-        self.top, self.bottom, self.drift = top, bottom, drift
+        self.norm, self.drift = z_norm, drift
 
     def in_model(self, work, alpha: AlphaResult) -> AlphaResult:
         """``alpha`` of a scan over ``work``, with its binding row in ``self.m``'s numbering."""

@@ -133,6 +133,13 @@ class TestGenerate:
         assert code == 2
         assert "bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, field", [("uniform", "density"), ("band", "bandwidth")])
+    def test_missing_family_field_is_named(self, tmp_path, capsys, family, field):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--family", family, "--states", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {family} family needs a {field}\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def test_converged_run(self, tmp_path, capsys):

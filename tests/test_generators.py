@@ -32,17 +32,19 @@ from test_model import action_row, num_actions
 
 class TestSpecValidation:
     def test_uniform_requires_density(self):
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match=r"^uniform family needs a density$"):
             GeneratorSpec(family="uniform", num_states=10)
+        with pytest.raises(ValueError, match=r"^density must lie in \(0, 1\]$"):
+            GeneratorSpec(family="uniform", num_states=10, density=1.5)
 
     def test_uniform_rejects_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             GeneratorSpec(family="uniform", num_states=10, density=0.5, bandwidth=3)
 
     def test_band_requires_bandwidth(self):
-        with pytest.raises(ValueError, match="bandwidth"):
+        with pytest.raises(ValueError, match=r"^band family needs a bandwidth$"):
             GeneratorSpec(family="band", num_states=10)
-        with pytest.raises(ValueError, match="bandwidth"):
+        with pytest.raises(ValueError, match=r"^bandwidth must satisfy 1 <= bandwidth < num_states$"):
             GeneratorSpec(family="band", num_states=10, bandwidth=10)
 
     def test_band_rejects_density(self):

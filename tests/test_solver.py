@@ -443,6 +443,36 @@ class TestActionElimination:
         res = solve(m, SolverConfig())
         assert res.converged and res.rows_eliminated == 0
 
+    def test_drop_tests_follow_the_residual_schedule(self, monkeypatch):
+        m = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        at, tested = [], []
+        real_eliminate, real_values = solver_mod._Loop.eliminate, solver_mod.one_step_row_values
+
+        def eliminate(loop, w, u, d, residual, sums_w):
+            at.append(residual)
+            real_eliminate(loop, w, u, d, residual, sums_w)
+
+        def values(work, sums):
+            # a drop test: the residual of the backup it reads
+            tested.append(at[-1])
+            return real_values(work, sums)
+
+        for accelerator in ("none", "projective", "linear"):
+            cfg = SolverConfig(accelerator=accelerator)
+            expected = all_rows_solve(monkeypatch, m, cfg)
+            at.clear()
+            tested.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_mod._Loop, "eliminate", eliminate)
+                patch.setattr(solver_mod, "one_step_row_values", values)
+                res = solve(m, cfg)
+            assert tested[0] == at[0] and len(tested) > 1
+            assert all(later <= 0.9 * earlier for earlier, later in zip(tested, tested[1:]))
+            # the schedule skips most backups the loop could have tested at
+            assert len(tested) < len(at) / 2
+            assert 0 < res.rows_eliminated <= m.num_rows - m.num_states
+            assert_same_result(res, expected)
+
     def test_slack_that_bounds_no_later_iterate_drops_nothing(self):
         m = pinned_models()[0]
         assert 0.0 < solver_mod._elimination_slack(m, 0.0, 1.0) < math.inf
