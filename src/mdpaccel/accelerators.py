@@ -51,10 +51,17 @@ and one one-step backup per point it tests: the projective step tests
 its input and the screened rows of its output; the linear extension
 tests ``v``, ``u`` and its output's screened rows.  All-rows sums hold
 the one-step backup once it is formed, so the test of a point whose sums
-a backup already read forms nothing new.  The scans spread per-state
-values over the rows with ``np.repeat`` over ``MdpModel.row_counts``,
-and from all-rows sums divide only the rows that can bound the step,
-with one masked ``np.divide``.
+a backup already read forms nothing new; they hold their point's sup
+norm too (``norm``), which the tolerances, the screen and the caller
+read, and the projective step's point takes its input's norm scaled.  The extension forms ``u - v`` once,
+or takes it from the caller, and the difference of the sums once
+(``WeightedSums.less``), for the scan and for its point and that point's
+sums.  A screen that clears every row costs no kernel call and no row
+value.  On a compacted model of about one row per state these fixed
+costs, not the kernel, set the price of a step (README, action
+elimination).  The scans spread per-state values over the rows with
+``np.repeat`` over ``MdpModel.row_counts``, and from all-rows sums divide
+only the rows that can bound the step, with one masked ``np.divide``.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ from .operators import (
     WeightedSums,
     _membership_tol,
     is_feasible,
-    membership_tolerance,
     one_step_row_values,
     require_sums,
     row_value_error,
@@ -143,13 +149,12 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
         FeasibilityError: negative rewards, or (with checks enabled) a
             ``v`` that does not dominate its backup.
     """
-    if m.num_rows and float(m.rewards.min()) < 0.0:
+    if m.min_reward < 0.0:
         raise FeasibilityError(
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
     s = require_sums(m, v, sums)
-    norm = sup_norm(v)
-    if check_membership and not is_feasible(m, v, tol=_membership_tol(norm), sums=s):
+    if check_membership and not is_feasible(m, v, tol=_membership_tol(s.norm), sums=s):
         raise FeasibilityError("point does not dominate its one-step backup")
     spread = v.repeat(m.row_counts)
     if isinstance(s, ScreenedSums):
@@ -196,7 +201,8 @@ def _rows_to_scan(m, spread, s) -> np.ndarray:
     return np.flatnonzero(reach >= ratio_lo.max())
 
 
-def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True) -> AlphaResult:
+def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True,
+                           direction=None) -> AlphaResult:
     """Largest step along ``v + alpha * (u - v)`` that keeps dominance.
 
     Requires both endpoints to dominate their own backups; any such ``u``
@@ -210,13 +216,19 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     can only shorten the step.  When no row bounds the step the result is
     ``ALPHA_CAP`` with the fallback flag set.
 
+    ``direction`` is ``u - v`` when the caller has formed it.  Sums of
+    ``v`` hold its sup norm, and the difference of the sums is held by
+    ``sums_u`` (``WeightedSums.less``) for the step to form its point's
+    sums from.
+
     Raises:
         AlreadyConvergedError: ``|u - v| <= RATIO_GUARD_SCALE * (1 + |v|)``.
         FeasibilityError: with checks enabled, an endpoint that does not
             dominate its backup.
     """
-    norm = sup_norm(v)
-    direction = u - v
+    norm = sums_v.norm if sums_v is not None and sums_v.base is v else sup_norm(v)
+    if direction is None:
+        direction = u - v
     if sup_norm(direction) <= RATIO_GUARD_SCALE * (1.0 + norm):
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
@@ -230,14 +242,14 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     c -= m.rewards
     c -= m.discount * sv.values
     # -d, the exact negation of d: the rows with -d positive bind
-    neg_d = su.values - sv.values
-    neg_d *= m.discount
+    neg_d = m.discount * su.less(sv)
     neg_d -= direction.repeat(m.row_counts)
     binding = neg_d > 0.0
-    if not binding.any():
-        return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     ratios = np.divide(c, neg_d, out=np.full(m.num_rows, np.inf), where=binding)
     row = int(ratios.argmin())
+    # the first row of least ratio binds unless every ratio is inf, so only then can none bind
+    if not binding[row] and not binding.any():
+        return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
     alpha = max(1.0, float(ratios[row]))
     if alpha >= ALPHA_CAP:
         return AlphaResult(alpha=ALPHA_CAP, binding=_row_location(m, row), fallback_used=True)
@@ -268,9 +280,8 @@ def _rows_to_check(m, z, tol, p_sums):
     """
     if not (p_sums.from_kernel and m.discount >= 0.0):
         return None
-    p = p_sums.base
-    delta = float((z - p).max())
-    e = row_value_error(m, max(sup_norm(z), sup_norm(p)))
+    delta = float((z - p_sums.base).max())
+    e = row_value_error(m, max(sup_norm(z), p_sums.norm))
     margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
     if not math.isfinite(margin):
         return None
@@ -279,7 +290,7 @@ def _rows_to_check(m, z, tol, p_sums):
     else:
         # the precondition check on p formed these row values; they are read, not rebuilt
         bound = one_step_row_values(m, p_sums) + margin
-    return np.flatnonzero(bound > (z + tol).repeat(m.row_counts))
+    return (bound > (z + tol).repeat(m.row_counts)).nonzero()[0]
 
 
 def _checked(m, zsums, fallback_sums, alpha, check):
@@ -291,7 +302,7 @@ def _checked(m, zsums, fallback_sums, alpha, check):
     """
     z = zsums.base
     if check:
-        tol = membership_tolerance(z)
+        tol = _membership_tol(zsums.norm)
         fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, tol, fallback_sums))
         if not is_feasible(m, z, tol=tol, sums=fresh):
             safe = fallback_sums.base.copy()
@@ -309,17 +320,23 @@ def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
     return _checked(m, s.scaled(res.alpha), s, res, check_membership)
 
 
-def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True) -> AccelStep:
+def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True,
+                           direction=None) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
-    A failed output check falls back to ``u`` (already a valid descent).
+    ``direction`` is ``u - v`` when the caller has formed it; the scan and
+    the step read it, and the difference of the sums, without forming
+    either again.  A failed output check falls back to ``u`` (already a
+    valid descent).
     """
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
-    res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership)
-    z = v + res.alpha * (u - v)
-    zvalues = su.values - sv.values
-    zvalues *= res.alpha
+    if direction is None:
+        direction = u - v
+    res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
+                                 direction=direction)
+    z = v + res.alpha * direction
+    zvalues = res.alpha * su.less(sv)
     zvalues += sv.values
     zsums = WeightedSums(values=zvalues, base=z, from_kernel=False)
     return _checked(m, zsums, su, res, check_membership)

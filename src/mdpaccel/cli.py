@@ -219,6 +219,8 @@ def cmd_solve(args) -> int:
     print(f"final residual: {result.final_residual:.6g} (threshold {result.threshold:.6g})")
     print(_alpha_summary(result))
     print(f"rows eliminated: {result.rows_eliminated} of {model.num_rows}")
+    if result.guard_failed_at is not None:
+        print(f"guard failed at backup {result.guard_failed_at}; solved again on every row")
     if "csv" in args:
         meta = dict(model.metadata or {}, num_states=model.num_states, discount=model.discount)
         _write_csv(args.csv, [_row(meta, config, [result])], append=True)

@@ -15,8 +15,8 @@ Those of the transitions and discount (the sparse matrix over rows, every
 state's row count, the owning state and self-loop probability of every
 row, the Jacobi denominators, and the row statistics the rounding bound
 reads) live in one ``_views`` dict, which a reward-shifted copy shares by
-reference.  ``max_abs_reward`` and the Gauss-Seidel sweep's per-state
-table read the rewards and are cached per instance.
+reference.  ``max_abs_reward``, ``min_reward`` and the Gauss-Seidel
+sweep's per-state table read the rewards and are cached per instance.
 """
 
 from __future__ import annotations
@@ -295,6 +295,11 @@ class MdpModel:
     def max_abs_reward(self) -> float:
         """Largest reward magnitude."""
         return float(np.abs(self.rewards).max()) if self.num_rows else 0.0
+
+    @_view
+    def min_reward(self) -> float:
+        """Smallest reward; inf for a model without rows."""
+        return float(self.rewards.min()) if self.num_rows else math.inf
 
 
 def _column_array(cols) -> np.ndarray:

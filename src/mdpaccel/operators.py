@@ -88,7 +88,9 @@ class WeightedSums:
     ``row_value_error`` does not cover them.  ``values`` is never changed
     in place once the sums exist, so what is derived from it, the one-step
     row values and their state maxima (the one-step backup), is formed once
-    per model (``one_step_row_values``).
+    per model (``one_step_row_values``), and so is the difference from
+    another point's sums (``less``).  Nor is ``base``, so its sup norm is
+    held once formed (``norm``).
     """
 
     values: np.ndarray
@@ -96,13 +98,36 @@ class WeightedSums:
     rows: np.ndarray | None = None
     from_kernel: bool = True
     _one_step: tuple | None = field(default=None, repr=False, compare=False)
+    _norm: float | None = field(default=None, repr=False, compare=False)
+    _less: tuple | None = field(default=None, repr=False, compare=False)
 
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
 
+    @property
+    def norm(self) -> float:
+        """``sup_norm(base)``, formed once and held."""
+        if self._norm is None:
+            self._norm = sup_norm(self.base)
+        return self._norm
+
+    def less(self, other: WeightedSums) -> np.ndarray:
+        """``values - other.values``, formed once per ``other`` and held; the caller must not change it."""
+        held = self._less
+        if held is None or held[0] is not other:
+            held = self._less = (other, self.values - other.values)
+        return held[1]
+
     def scaled(self, factor: float) -> WeightedSums:
-        """The sums of ``factor * base`` by linearity: ``factor * values``."""
-        return WeightedSums(values=factor * self.values, base=factor * self.base, from_kernel=False)
+        """The sums of ``factor * base`` by linearity: ``factor * values``.
+
+        For ``factor >= 0`` the rounded product ``factor * x`` is odd and
+        nondecreasing in ``x``, so the sup norm of ``factor * base`` is
+        ``factor * norm`` exactly: a held norm is scaled, not formed again.
+        """
+        norm = self._norm * factor if self._norm is not None and factor >= 0.0 else None
+        return WeightedSums(values=factor * self.values, base=factor * self.base, from_kernel=False,
+                            _norm=norm)
 
 
 @dataclass
@@ -129,10 +154,14 @@ class ScreenedSums:
     factor: float
     lo: np.ndarray
     hi: np.ndarray
+    _norm: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def from_kernel(self) -> bool:
         return self.factor == 1.0
+
+    # the sup norm of base, held once formed; ``scaled`` scales it as WeightedSums does
+    norm = WeightedSums.norm
 
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
@@ -146,7 +175,8 @@ class ScreenedSums:
         """
         if self.factor != 1.0:
             raise ValueError("screened sums are scaled once, from the kernel sums")
-        return replace(self, base=factor * self.base, factor=factor)
+        norm = self._norm * factor if self._norm is not None and factor >= 0.0 else None
+        return replace(self, base=factor * self.base, factor=factor, _norm=norm)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every row's sum at ``base``."""
@@ -237,7 +267,7 @@ def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
         raise ValueError(
             f"row indices must be a 1-D integer sequence, got shape {idx.shape} of {idx.dtype}"
         )
-    if not (idx[:-1] <= idx[1:]).all():
+    if idx.size > 1 and not (idx[:-1] <= idx[1:]).all():
         k = int((idx[:-1] > idx[1:]).argmax()) + 1
         raise ValueError(f"row indices must ascend; row {idx[k]} at position {k} follows row {idx[k - 1]}")
     if idx.size and (idx[0] < 0 or idx[-1] >= m.num_rows):
@@ -267,6 +297,8 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
     indptr = m.row_matrix.indptr
     if rows is not None:
         idx = _kernel_rows(m, rows)
+        if not idx.size:
+            return WeightedSums(values=np.zeros(0), base=v, rows=rows)
         if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
             down = idx[::-1]
             ptr = np.empty(2 * len(idx) + 1, dtype=indptr.dtype)
@@ -549,7 +581,8 @@ def apply_operator(m, v, kind, sums=None):
         ArithmeticError: a Jacobi kind the model's self-loops do not allow
             (``check_fit``).
     """
-    kind = OperatorKind(kind)
+    if not isinstance(kind, OperatorKind):
+        kind = OperatorKind(kind)
     check_fit(m, kind)
     v = np.asarray(v, dtype=np.float64)
     if kind in _SWEEP_KINDS:
@@ -594,12 +627,15 @@ def is_feasible(m, v, tol=None, sums=None):
     the maximum of its rows' values, so with every other row cleared the
     verdict is the all-rows one.
 
+    The default ``tol`` reads the sup norm that sums of ``v`` itself hold
+    (``WeightedSums.norm``).
+
     Raises:
         ValueError: ``sums`` were computed for a different vector.
     """
     v = np.asarray(v, dtype=np.float64)
     if tol is None:
-        tol = membership_tolerance(v)
+        tol = _membership_tol(sums.norm) if sums is not None and sums.base is v else membership_tolerance(v)
     if isinstance(sums, ScreenedSums):
         # the rows whose upper bound clears v + tol pass; the others are judged exactly
         rows = np.flatnonzero(sums.one_step_upper(m) > (v + tol).repeat(m.row_counts))
@@ -607,8 +643,10 @@ def is_feasible(m, v, tol=None, sums=None):
     if sums is not None and sums.rows is not None:
         if not sums.matches(v):
             raise ValueError("weighted sums were computed for a different vector")
+        if not len(sums.rows):
+            return True
         values = _row_values(m, OperatorKind.STANDARD, None, sums.values, sums.rows)
-        return bool((values <= (v + tol)[m.row_state[sums.rows]]).all())
+        return bool((values <= v[m.row_state[sums.rows]] + tol).all())
     return bool((_one_step_of(m, require_sums(m, v, sums))[1] <= v + tol).all())
 
 

@@ -45,7 +45,13 @@ and one screened pass over the rows the bound leaves (under 1% of them
 on the benchmark models), two full backups and one over those rows.
 The Jacobi and sweep operators back ``w`` up once more, from its
 carried sums.  Without checks the step adds neither passes nor backups
-to the sums pass at ``u`` and the loop's own backup.
+to the sums pass at ``u`` and the loop's own backup.  The loop hands the
+extension the direction ``u - w`` it formed for the residual, and a
+falling run's guard reads the sup norm of the new iterate from the sums
+carried to it, where the output check formed it.  So an iteration forms
+each of its vectors and differences once, and each sup norm once but two:
+the scan's of the direction, which is the residual, and the screen's of
+the accelerated point (``accelerators._rows_to_check``).
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -146,7 +152,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 
@@ -299,6 +305,8 @@ class SolveResult:
     model certified out of every later backup, plain or checked
     accelerated on all-rows sums (see the module doc); it is 0 on every
     other path, and after a guard failure reran the solve on every row.
+    ``guard_failed_at`` is then the backup (counted from 1) at which the
+    first run's guard failed, and None when no guard failed.
     """
 
     iterations: int
@@ -312,6 +320,7 @@ class SolveResult:
     threshold: float
     reward_offset: float = 0.0
     rows_eliminated: int = 0
+    guard_failed_at: int | None = None
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -590,7 +599,8 @@ class _Loop:
                 iteration read its rows at.
         """
         m, z = self.m, self.w
-        z_norm = sup_norm(z)
+        # the sums carried to z hold its norm; the output check formed it
+        z_norm = sup_norm(z) if self.sums is None else self.sums.norm
         # bounds |w|, |u|, |z| and |u - w|
         norm = max(self.norm + 2.0 * residual, z_norm)
         if self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION and not (
@@ -600,7 +610,11 @@ class _Loop:
             # kernel sums, the projective step's scaling of them, or none left to carry
             drift = sum_error(m, norm)
         up = max(float(d.max()), 0.0)
-        zup = up if alpha is None else max(float((z - w).max()), 0.0)
+        if alpha is None or (up == 0.0 and self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION):
+            # z is u, or w + alpha * d with alpha > 0: a rounded sum falls where d does not rise
+            zup = up
+        else:
+            zup = max(float((z - w).max()), 0.0)
         if self.bound is not None:
             if alpha is None:
                 lowest, factor = u, 1.0
@@ -622,7 +636,7 @@ class _Loop:
             return alpha
         state, action = alpha.binding
         row = int(self.held[work.state_ptr[state] + action])
-        return replace(alpha, binding=(state, row - int(self.m.state_ptr[state])))
+        return AlphaResult(alpha.alpha, (state, row - int(self.m.state_ptr[state])), alpha.fallback_used)
 
     def step(self) -> _Step:
         cfg, m, w, sums_w = self.config, self.m, self.w, self.sums
@@ -652,7 +666,8 @@ class _Loop:
         else:
             try:
                 accel = apply_linear_extension(
-                    work, w, u, sums_v=sums_w, sums_u=s_u, check_membership=cfg.membership_checks
+                    work, w, u, sums_v=sums_w, sums_u=s_u, check_membership=cfg.membership_checks,
+                    direction=d,
                 )
             except AlreadyConvergedError:
                 # Residual above the stopping threshold but below the
@@ -671,10 +686,13 @@ class _Loop:
         return _Step(self.w, residual, alpha, False)
 
 
-def _iterate(loop: _Loop, max_iterations: int, iterates: list | None, correction: float):
-    """Step ``loop`` until it converges or the budget runs out; returns residuals, alphas, converged."""
-    residuals: list[float] = []
-    alphas: list[AlphaResult | None] = []
+def _iterate(loop: _Loop, max_iterations: int, iterates: list | None, correction: float,
+             residuals: list[float], alphas: list[AlphaResult | None]) -> bool:
+    """Step ``loop`` until it converges or the budget runs out; returns whether it converged.
+
+    Each step's residual and alpha are appended to ``residuals`` and
+    ``alphas``, which keep the steps taken when a step raises.
+    """
     for _ in range(max_iterations):
         step = loop.step()
         residuals.append(step.residual)
@@ -682,8 +700,8 @@ def _iterate(loop: _Loop, max_iterations: int, iterates: list | None, correction
         if iterates is not None:
             iterates.append(step.iterate - correction)
         if step.converged:
-            return residuals, alphas, True
-    return residuals, alphas, False
+            return True
+    return False
 
 
 def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
@@ -702,7 +720,8 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     runs take the same steps (the benchmark shapes, seeds 100-109).
 
     A falling run whose guard fails (module doc) runs again from the
-    start on every row; ``wall_ms`` counts both runs.
+    start on every row; ``wall_ms`` counts both runs, and
+    ``guard_failed_at`` names the backup of the failure.
 
     Returns a ``SolveResult``; ``converged`` is False when the backup
     budget ran out first.
@@ -717,15 +736,18 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
         threshold = stopping_threshold(config.epsilon, m.discount) / m.num_states
 
     correction = offset / (1.0 - m.discount) if offset else 0.0
+    guard_failed_at = None
     t0 = time.perf_counter()
     for eliminate in (True, False):
         loop = _Loop(solve_model, config, start, threshold, eliminate)
         iterates = [start - correction] if config.record_iterates else None
+        residuals, alphas = [], []
         try:
-            residuals, alphas, converged = _iterate(loop, config.max_iterations, iterates, correction)
+            converged = _iterate(loop, config.max_iterations, iterates, correction, residuals, alphas)
             break
         except _Rerun:
-            continue
+            # the step that raised appended nothing
+            guard_failed_at = len(residuals) + 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     value = loop.w.copy()
@@ -744,6 +766,7 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
         threshold=threshold,
         reward_offset=offset,
         rows_eliminated=loop.rows_eliminated,
+        guard_failed_at=guard_failed_at,
         iterates=iterates,
     )
 

@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import mdpaccel.cli as cli
+import mdpaccel.solver as solver_mod
 import mdpaccel.verification as verif
 from mdpaccel.cli import CSV_COLUMNS, main
 from mdpaccel.model import SHOWN_CHARS, MdpModel, RewardMode, load_model, save_model, too_many_digits
@@ -185,6 +187,28 @@ class TestSolve:
         line = next(x for x in out.splitlines() if x.startswith("rows eliminated:"))
         eliminated, of = line.removeprefix("rows eliminated: ").split(" of ")
         assert 0 < int(eliminated) <= rows - 40 and int(of) == rows
+        assert "guard failed" not in out
+
+    def test_guard_failure_is_reported(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.json"
+        assert main(["generate", "--family", "band", "--states", "40", "--bandwidth", "8",
+                     "--discount", "0.995", "--seed", "45", "-o", str(path)]) == 0
+        rows = load_model(path).num_rows
+        # no margin of rounding clears a dropped row: the first guard after a drop fails
+        monkeypatch.setattr(solver_mod, "_read_error", lambda *args: math.inf)
+        results, solve = [], cli.solve
+
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "solve", recorded)
+        assert main(["solve", str(path), "--accel", "linear"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        at = results[0].guard_failed_at
+        assert at is not None and 1 < at
+        assert f"rows eliminated: 0 of {rows}" in out
+        assert f"guard failed at backup {at}; solved again on every row" in out
 
     @pytest.mark.parametrize("argv", [[], ["--op", "gs", "--accel", "projective"], ["--op", "jacobi", "--accel", "linear"]],
                              ids=["VI", "PAGS", "LAJ"])

@@ -509,6 +509,7 @@ class TestAcceleratedElimination:
                 continue
             res = solve(m, cfg)
             assert 0 < res.rows_eliminated <= m.num_rows - m.num_states
+            assert res.guard_failed_at is None
             expected = all_rows_solve(monkeypatch, m, cfg)
             assert expected.rows_eliminated == 0
             assert_same_result(res, expected)
@@ -552,19 +553,27 @@ class TestAcceleratedElimination:
         m = pinned_models()[0]
         cfg = SolverConfig(accelerator=accelerator, record_iterates=True)
         expected = all_rows_solve(monkeypatch, m, cfg)
-        loops = []
-        real_init = solver_mod._Loop.__init__
+        loops, steps = [], []
+        real_init, real_step = solver_mod._Loop.__init__, solver_mod._Loop.step
 
         def recording_init(loop, *args, **kwargs):
             real_init(loop, *args, **kwargs)
             loops.append(loop)
 
+        def recording_step(loop):
+            steps.append(loop)
+            return real_step(loop)
+
         monkeypatch.setattr(solver_mod._Loop, "__init__", recording_init)
+        monkeypatch.setattr(solver_mod._Loop, "step", recording_step)
         # no margin of rounding clears a dropped row: the first guard after a drop fails
         monkeypatch.setattr(solver_mod, "_read_error", lambda *args: math.inf)
         res = solve(m, cfg)
         assert len(loops) == 2 and loops[0].rows_eliminated > 0
         assert res.rows_eliminated == 0
+        # the first run's last step raised
+        assert res.guard_failed_at == steps.count(loops[0]) > 1
+        assert steps.count(loops[1]) == res.iterations
         assert_same_result(res, expected)
         assert len(res.iterates) == res.iterations + 1
         assert all(np.array_equal(a, b) for a, b in zip(res.iterates, expected.iterates))
@@ -841,6 +850,17 @@ class TestSumsPassBudget:
     def test_plain_iteration(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "none", checks=False)
         assert (s, a) == (6, 0)
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_checked_runs_on_a_compacted_model(self, monkeypatch, accelerator):
+        # the band model drops rows and rebuilds its compacted copy on the way
+        m = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        res, s, a = counted_solve(monkeypatch, m, SolverConfig(accelerator=accelerator))
+        assert res.converged and res.rows_eliminated > 0
+        steps = sum(alpha is not None for alpha in res.alphas)
+        assert steps > 0
+        # 1 at setup + 1 per backup that did not converge; 1 validation pass per accelerated step
+        assert (s, a) == (1 + res.iterations - 1, steps)
 
 
 class TestOneStepBackupBudget:

@@ -1,0 +1,184 @@
+"""Print the time per backup of each solve config, split by how many rows the loop holds.
+
+Usage::
+
+    PYTHONPATH=src python tools/step_costs.py [--shape band-vi] [--seeds 100 101 102]
+        [--repeat 9] [--against OTHER/src]
+
+For each seed the shape's model is generated once and each config (VI,
+PAVI and LAVI: the standard backup, membership checks on) is solved
+``--repeat`` times.  ``_Loop.step`` is wrapped from outside the solver,
+and each backup is timed and put in one of three phases by the model the
+loop iterates on when the step starts:
+
+* ``all``: every row of the model (a run that drops no row stays here);
+* ``compacted``: a copy holding only the live rows, more than two per
+  state on average;
+* ``two``: a compacted copy holding at most two rows per state on average
+  (``2 * num_states`` rows in all).
+
+Each line holds the config key, the backups of the solve, the solve's
+``wall_ms`` and, per phase, its backups and microseconds per backup; each
+time is the minimum over the repeats (backup counts do not vary).  With
+``--against``, a second copy of the package is imported from that source
+directory under another name, its solves alternate with this one's (the
+order flips at every repeat), and each line is followed by the other
+copy's line and the ratios of this copy's times over it.  Run with one
+BLAS thread (``OPENBLAS_NUM_THREADS=1``) and nothing else busy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+PHASES = ("all", "compacted", "two")
+# the benchmark workloads' generator specs, with their action range
+SHAPES = {
+    "dense-pa": dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56)),
+    "band-vi": dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56)),
+    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(45, 56)),
+}
+CONFIGS = (
+    ("VI", dict(operator="standard")),
+    ("PAVI", dict(operator="standard", accelerator="projective")),
+    ("LAVI", dict(operator="standard", accelerator="linear")),
+)
+
+
+def load_package(src: str, name: str):
+    """The ``mdpaccel`` package under ``src``, imported as ``name``."""
+    init = Path(src) / "mdpaccel" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class StepTimer:
+    """Wraps one package's ``_Loop.step`` while installed, and sums each phase's step times."""
+
+    def __init__(self, package):
+        self.loop_class = package.solver._Loop
+        self.step = self.loop_class.step
+        self.phases = {}  # the work model, by id, and its phase
+        self.times = dict.fromkeys(PHASES, 0.0)
+        self.counts = dict.fromkeys(PHASES, 0)
+
+    def phase(self, loop) -> str:
+        work = loop.work
+        key = id(work)
+        if key not in self.phases:
+            if work is loop.m:
+                phase = "all"
+            else:
+                phase = "two" if work.num_rows <= 2 * work.num_states else "compacted"
+            # the model is kept so that its id is not reused
+            self.phases[key] = (work, phase)
+        return self.phases[key][1]
+
+    def __enter__(self):
+        self.times = dict.fromkeys(PHASES, 0.0)
+        self.counts = dict.fromkeys(PHASES, 0)
+        step, clock, timer = self.step, time.perf_counter, self
+
+        def timed_step(loop):
+            phase = timer.phase(loop)
+            t0 = clock()
+            out = step(loop)
+            timer.times[phase] += clock() - t0
+            timer.counts[phase] += 1
+            return out
+
+        self.loop_class.step = timed_step
+        return self
+
+    def __exit__(self, *exc):
+        self.loop_class.step = self.step
+        self.phases.clear()
+
+
+class Costs:
+    """The minimum over repeated solves of one config's solve time and phase times."""
+
+    def __init__(self):
+        self.iterations = None
+        self.wall_ms = float("inf")
+        self.times = dict.fromkeys(PHASES, float("inf"))
+        self.counts = None
+
+    def add(self, result, timer: StepTimer) -> None:
+        if self.counts is None:
+            self.iterations, self.counts = result.iterations, dict(timer.counts)
+        elif (result.iterations, self.counts) != (result.iterations, timer.counts):
+            raise RuntimeError("repeated solves of one config took different steps")
+        self.wall_ms = min(self.wall_ms, result.wall_ms)
+        for phase in PHASES:
+            self.times[phase] = min(self.times[phase], timer.times[phase])
+
+    def us_per_backup(self, phase: str) -> float:
+        n = self.counts[phase]
+        return self.times[phase] / n * 1e6 if n else float("nan")
+
+    def line(self, key: str) -> str:
+        cells = [f"{key} {self.iterations} backups {self.wall_ms:.2f} ms"]
+        cells += [f"{phase} {self.counts[phase]} x {self.us_per_backup(phase):.1f} us" for phase in PHASES]
+        return " | ".join(cells)
+
+
+def measure(packages, spec: dict, seeds, repeat: int) -> list[tuple[str, list[Costs]]]:
+    """``(key, [Costs per package])`` for every seed and config, solving each ``repeat`` times."""
+    out = []
+    for seed in seeds:
+        models = [p.generate(p.GeneratorSpec(seed=seed, **spec)) for p in packages]
+        for label, options in CONFIGS:
+            costs = [Costs() for _ in packages]
+            timers = [StepTimer(p) for p in packages]
+            for r in range(repeat):
+                order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
+                for i in order:
+                    config = packages[i].SolverConfig(**options)
+                    with timers[i]:
+                        result = packages[i].solve(models[i], config)
+                    costs[i].add(result, timers[i])
+            out.append((f"{label}/{seed}", costs))
+    return out
+
+
+def ratio_line(ours: Costs, theirs: Costs) -> str:
+    cells = [f"  ratio wall {ours.wall_ms / theirs.wall_ms:.3f}"]
+    for phase in PHASES:
+        if ours.counts[phase] and theirs.counts[phase]:
+            cells.append(f"{phase} {ours.us_per_backup(phase) / theirs.us_per_backup(phase):.3f}")
+    return " | ".join(cells)
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--shape", choices=sorted(SHAPES), default="band-vi")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[100])
+    parser.add_argument("--repeat", type=int, default=9)
+    parser.add_argument("--against", metavar="SRC",
+                        help="source directory of a second mdpaccel to compare with")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    import mdpaccel
+
+    packages = [mdpaccel]
+    if args.against:
+        packages.append(load_package(args.against, "mdpaccel_against"))
+    for key, costs in measure(packages, SHAPES[args.shape], args.seeds, args.repeat):
+        print(costs[0].line(f"{args.shape}/{key}"))
+        if len(costs) > 1:
+            print(costs[1].line(f"{args.shape}/{key} against"))
+            print(ratio_line(costs[0], costs[1]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
