@@ -256,10 +256,11 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
 
 
-def _rows_to_check(m, z, tol, p_sums):
+def _rows_to_check(m, z, z_norm, tol, p_sums):
     """The rows of ``z``'s membership check at ``z + tol`` that a rounding bound cannot clear.
 
-    ``p_sums`` are the sums at the step's input point ``p``.  In exact
+    ``z_norm`` is ``sup_norm(z)``, which the caller holds, and ``p_sums``
+    are the sums at the step's input point ``p``.  In exact
     arithmetic, with no negative probability and a row sum within ``rho``
     (``MdpModel.row_sum_deviation``) of 1, every row's value moves from
     ``p`` to ``z`` by ``discount * sum_j p(k, j) * (z - p)_j``, at most
@@ -281,7 +282,7 @@ def _rows_to_check(m, z, tol, p_sums):
     if not (p_sums.from_kernel and m.discount >= 0.0):
         return None
     delta = float((z - p_sums.base).max())
-    e = row_value_error(m, max(sup_norm(z), p_sums.norm))
+    e = row_value_error(m, max(z_norm, p_sums.norm))
     margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
     if not math.isfinite(margin):
         return None
@@ -303,7 +304,7 @@ def _checked(m, zsums, fallback_sums, alpha, check):
     z = zsums.base
     if check:
         tol = _membership_tol(zsums.norm)
-        fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, tol, fallback_sums))
+        fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, zsums.norm, tol, fallback_sums))
         if not is_feasible(m, z, tol=tol, sums=fresh):
             safe = fallback_sums.base.copy()
             return AccelStep(

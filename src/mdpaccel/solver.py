@@ -48,10 +48,11 @@ carried sums.  Without checks the step adds neither passes nor backups
 to the sums pass at ``u`` and the loop's own backup.  The loop hands the
 extension the direction ``u - w`` it formed for the residual, and a
 falling run's guard reads the sup norm of the new iterate from the sums
-carried to it, where the output check formed it.  So an iteration forms
-each of its vectors and differences once, and each sup norm once but two:
-the scan's of the direction, which is the residual, and the screen's of
-the accelerated point (``accelerators._rows_to_check``).
+carried to it, where the output check, if any, formed it.  So an
+iteration forms each of its vectors and differences once, and each sup
+norm once but one: the extension scan's of the direction, which is the
+residual, but which ``accelerators.linear_extension_alpha``'s public
+signature has no place to take.
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -86,17 +87,19 @@ the carried sums are cut to the kept rows elementwise, which moves no
 bit.
 
 Falling runs.  A projective or linear-extension run of the standard
-backup on such a model, with membership checks on and all-rows sums
-(not ``screens_sums``), falls toward the fixed point ``v*`` from inside
-the dominance region: every point ``y`` it checks has ``y >= T~(y) -
-tol``, so ``y >= v* - (tol + e) / (1 - c)``.  After an accelerated
-iteration from ``w`` it may test the row values that ``w``'s backup
-``u`` read against the MacQueen lower bound ``L = u + k * min(min(u -
-w), 0) <= v*``, ``k = c / (1 - c)``, and drop for good each row with
-``q < L - margin``.  The margin (``_fall_margin``) covers the
-tolerance, the rounding and the drift of the held sums at every later
-checked point, scaled by ``1 / (1 - c)``, so a dropped row stays below
-each later state maximum unless the iterates rise past it.
+backup on such a model, on all-rows sums (not ``screens_sums``), checked
+or not, drops rows too.  From a dominating start it falls toward the
+fixed point ``v*``: every point ``y`` a checked run checks has ``y >=
+T~(y) - tol``, so ``y >= v* - (tol + e) / (1 - c)``, and on every
+measured model an unchecked run takes the checked run's steps (see
+``solve``).  After an accelerated iteration from ``w`` it may test the
+row values that ``w``'s backup ``u`` read against the MacQueen lower
+bound ``L = u + k * min(min(u - w), 0) <= v*``, ``k = c / (1 - c)``,
+which holds from any ``w``, and drop for good each row with ``q < L -
+margin``.  The margin (``_fall_margin``) covers the tolerance, the
+rounding and the drift of the held sums at every later checked point,
+scaled by ``1 / (1 - c)``, so a dropped row stays below each later state
+maximum unless the iterates rise past it.
 
 That argument only sizes the margin; a guard checked at run time makes
 the result exact.  A row's exact value moves from ``x`` to ``y`` by at
@@ -104,20 +107,23 @@ most ``c * max(y - x, 0)`` upward, so the loop keeps per state a bound
 on every dropped row's exact value at the iterate: the largest dropped
 ``q`` plus its error (``row_value_error`` and ``discount`` times the
 drift of the sums it was read from), raised by ``c`` times each later
-rise of the iterate.  An iteration from ``w`` reads rows at ``w`` (the
-backup and the linear extension's precondition test), at ``u`` (its
+rise of the iterate.  A checked iteration from ``w`` reads rows at ``w``
+(the backup and the linear extension's precondition test), at ``u`` (its
 precondition test) and at the step's point ``z`` (the scan and the
-output check).  A dropped row changes none of them while its value
-bound, raised by ``c`` times the rise of ``u`` and ``z`` over ``w``,
-lies below ``min(u, z)`` by more than ``_read_error``: the projective
-ratio ``r / (u_i - discount * s)`` stays below the step factor
-``alpha`` exactly when the row's value at ``alpha * u`` stays below
-``alpha * u_i``, and the extension's ratio of a row's slack at ``w`` to
-its fall along the ray stays above ``alpha`` exactly when the row's
-value at ``w + alpha * (u - w)`` stays below that point; ``_read_error``
-bounds the rounding of those per-row tests and of the values, and the
-drift of the sums, ``max(alpha, 1)`` times over; its surplus covers the
-rounding of the guard's own few operations.
+output check).  An unchecked one reads rows only at ``w`` (the backup,
+and the extension's slacks) and at ``u`` (the scan), with no
+precondition test or output check; the guard below covers those reads
+from any start, dominating or not.  A dropped row changes none of them
+while its value bound, raised by ``c`` times the rise of ``u`` and ``z``
+over ``w``, lies below ``min(u, z)`` by more than ``_read_error``: the
+projective ratio ``r / (u_i - discount * s)`` stays below the step
+factor ``alpha`` exactly when the row's value at ``alpha * u`` stays
+below ``alpha * u_i``, and the extension's ratio of a row's slack at
+``w`` to its fall along the ray stays above ``alpha`` exactly when the
+row's value at ``w + alpha * (u - w)`` stays below that point;
+``_read_error`` bounds the rounding of those per-row tests and of the
+values, and the drift of the sums, ``max(alpha, 1)`` times over; its
+surplus covers the rounding of the guard's own few operations.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
 alpha * (sum_error + rounding)`` from the previous drift ``E``
@@ -136,9 +142,8 @@ dropped is summed and read exactly as in the all-rows run, and a
 falling run's guard still runs at every iteration.
 
 Every other run sums every row: a plain run whose first backup does not
-rise everywhere, an unchecked or screened accelerated run (whose points
-the checks do not hold to the dominance region, or whose sums are
-bounds), and every Jacobi, sweep or total-reward run.
+rise everywhere, a screened accelerated run (whose sums are bounds), and
+every Jacobi, sweep or total-reward run.
 
 Stopping.  Discounted runs stop when the backup residual in the
 componentwise maximum norm falls below ``stopping_threshold(epsilon,
@@ -302,8 +307,8 @@ class SolveResult:
     ``iterates`` (present when recording was requested) holds the start
     vector followed by every iterate, in those same corrected units.
     ``rows_eliminated`` counts the rows a standard run on a discounted
-    model certified out of every later backup, plain or checked
-    accelerated on all-rows sums (see the module doc); it is 0 on every
+    model certified out of every later backup, plain or accelerated on
+    all-rows sums, checked or not (see the module doc); it is 0 on every
     other path, and after a guard failure reran the solve on every row.
     ``guard_failed_at`` is then the backup (counted from 1) at which the
     first run's guard failed, and None when no guard failed.
@@ -499,17 +504,15 @@ class _Loop:
         self.screened = screens_sums(solve_model, config)
         # the model the simultaneous backups run on: solve_model, or its live rows
         self.work = solve_model
-        # checked all-rows accelerated runs fall toward the fixed point; plain runs may rise
-        falling = (config.accelerator is not AcceleratorKind.NONE and config.membership_checks
-                   and not self.screened)
         self.eliminates = (
             eliminate
-            and (falling or config.accelerator is AcceleratorKind.NONE)
+            and not self.screened
             and config.operator is OperatorKind.STANDARD
             and solve_model.mode is RewardMode.DISCOUNTED
             and 0.0 < solve_model.discount * (1.0 + solve_model.row_sum_deviation) < 1.0
         )
-        self.falling = self.eliminates and falling
+        # accelerated runs fall toward the fixed point; plain runs may rise
+        self.falling = self.eliminates and config.accelerator is not AcceleratorKind.NONE
         self.held = self.live = None  # the work model's rows in solve_model, and which are live
         # falling runs: every row dropped from state i is worth at most bound[i] + c * rise at w
         self.bound = None
@@ -599,7 +602,7 @@ class _Loop:
                 iteration read its rows at.
         """
         m, z = self.m, self.w
-        # the sums carried to z hold its norm; the output check formed it
+        # the sums carried to z hold its norm, formed by the output check if one ran
         z_norm = sup_norm(z) if self.sums is None else self.sums.norm
         # bounds |w|, |u|, |z| and |u - w|
         norm = max(self.norm + 2.0 * residual, z_norm)
@@ -717,7 +720,8 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     Membership checks cost time and, on the measured models, change no
     step: both scans test their rows against zero, so a row whose slope
     is rounding noise can only shorten a step, and checked and unchecked
-    runs take the same steps (the benchmark shapes, seeds 100-109).
+    runs take the same steps (the benchmark shapes, seeds 100-109).  Nor
+    do they select a path: a run drops rows or not with them on or off.
 
     A falling run whose guard fails (module doc) runs again from the
     start on every row; ``wall_ms`` counts both runs, and

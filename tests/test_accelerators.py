@@ -573,7 +573,7 @@ class TestDescent:
 
 
 def screened_verdict(m, z, p_sums):
-    rows = accel_mod._rows_to_check(m, z, membership_tolerance(z), p_sums)
+    rows = accel_mod._rows_to_check(m, z, sup_norm(z), membership_tolerance(z), p_sums)
     return is_feasible(m, z, sums=weighted_sums(m, z, rows=rows)), rows
 
 

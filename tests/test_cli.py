@@ -176,12 +176,13 @@ class TestSolve:
         eliminated, of = line.removeprefix("rows eliminated: ").split(" of ")
         assert 0 < int(eliminated) <= rows - 12 and int(of) == rows
 
-    def test_linear_extension_run_reports_the_rows_it_eliminated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("checks", [[], ["--no-checks"]], ids=["checked", "unchecked"])
+    def test_linear_extension_run_reports_the_rows_it_eliminated(self, tmp_path, capsys, checks):
         path = tmp_path / "m.json"
         assert main(["generate", "--family", "band", "--states", "40", "--bandwidth", "8",
                      "--discount", "0.995", "--seed", "45", "-o", str(path)]) == 0
         rows = load_model(path).num_rows
-        assert main(["solve", str(path), "--accel", "linear"]) == 0
+        assert main(["solve", str(path), "--accel", "linear", *checks]) == 0
         out = capsys.readouterr().out
         assert "algorithm: LAVI" in out
         line = next(x for x in out.splitlines() if x.startswith("rows eliminated:"))

@@ -497,13 +497,15 @@ def assert_same_result(got, expected):
 
 
 class TestAcceleratedElimination:
-    """Checked PAVI and LAVI runs on all-rows sums drop the rows below the
-    MacQueen lower bound, and run the all-rows iterates bit for bit."""
+    """PAVI and LAVI runs on all-rows sums, checked or not, drop the rows
+    below the MacQueen lower bound, and run the all-rows iterates bit for
+    bit."""
 
+    @pytest.mark.parametrize("checks", [True, False])
     @pytest.mark.parametrize("accelerator", ["projective", "linear"])
-    def test_checked_runs_drop_rows_and_keep_every_iterate(self, monkeypatch, accelerator):
+    def test_all_rows_runs_drop_rows_and_keep_every_iterate(self, monkeypatch, accelerator, checks):
         band = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
-        cfg = SolverConfig(accelerator=accelerator)
+        cfg = SolverConfig(accelerator=accelerator, membership_checks=checks)
         for m in [*pinned_models(), band]:
             if screens_sums(m, cfg):
                 continue
@@ -516,7 +518,6 @@ class TestAcceleratedElimination:
             assert_same_run(m, cfg)
 
     @pytest.mark.parametrize("operator, accelerator, checks", [
-        ("standard", "projective", False), ("standard", "linear", False),
         ("jacobi", "projective", True), ("jacobi", "linear", True),
         ("gs", "projective", True), ("gs", "linear", True),
         ("gsj", "projective", True), ("gsj", "linear", True),
@@ -548,10 +549,11 @@ class TestAcceleratedElimination:
         assert res.rows_eliminated == 2
         assert res.final_policy[0] == 0
 
+    @pytest.mark.parametrize("checks", [True, False])
     @pytest.mark.parametrize("accelerator", ["projective", "linear"])
-    def test_forced_guard_failure_reruns_on_every_row(self, monkeypatch, accelerator):
+    def test_forced_guard_failure_reruns_on_every_row(self, monkeypatch, accelerator, checks):
         m = pinned_models()[0]
-        cfg = SolverConfig(accelerator=accelerator, record_iterates=True)
+        cfg = SolverConfig(accelerator=accelerator, membership_checks=checks, record_iterates=True)
         expected = all_rows_solve(monkeypatch, m, cfg)
         loops, steps = [], []
         real_init, real_step = solver_mod._Loop.__init__, solver_mod._Loop.step
@@ -577,6 +579,19 @@ class TestAcceleratedElimination:
         assert_same_result(res, expected)
         assert len(res.iterates) == res.iterations + 1
         assert all(np.array_equal(a, b) for a, b in zip(res.iterates, expected.iterates))
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_unchecked_run_from_below_its_backup_reruns_on_every_row(self, monkeypatch, accelerator):
+        m = pinned_models()[0]
+        zeros = np.zeros(m.num_states)
+        assert not is_feasible(m, zeros)
+        cfg = SolverConfig(accelerator=accelerator, membership_checks=False, initial_point=zeros)
+        expected = all_rows_solve(monkeypatch, m, cfg)
+        res = solve(m, cfg)
+        # the iterates rise past the rows dropped at the first test
+        assert res.guard_failed_at is not None
+        assert res.rows_eliminated == 0
+        assert_same_result(res, expected)
 
     def test_guard_refuses_a_dropped_row_that_reaches_the_iterates(self):
         m = pinned_models()[0]
@@ -636,22 +651,30 @@ class TestSharedRowMatrix:
             assert all(getattr(s, view) is m._views[view] for s in shifted)
 
 
-    def test_checked_solves_measure_the_row_sums_once(self, monkeypatch):
+    def test_accelerated_solves_measure_the_row_sums_once(self, monkeypatch):
         m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
-        shifted = []
+        shifted, measured = [], []
+        view = MdpModel.__dict__["row_sum_deviation"]
+        build = view.build
 
         def recording_shift(model):
             out = adjust_rewards_nonnegative(model)
             shifted.append(out[0])
             return out
 
+        def counting_build(model):
+            measured.append(model)
+            return build(model)
+
         monkeypatch.setattr(solver_mod, "adjust_rewards_nonnegative", recording_shift)
-        assert solve(m, SolverConfig(accelerator="projective", membership_checks=False)).converged
-        assert "row_sum_deviation" not in m._views
+        monkeypatch.setattr(view, "build", counting_build)
         for accelerator in ("projective", "linear"):
-            assert solve(m, SolverConfig(accelerator=accelerator)).converged
-        assert "row_sum_deviation" in m._views
+            for checks in (True, False):
+                assert solve(m, SolverConfig(accelerator=accelerator, membership_checks=checks)).converged
+        assert len(measured) == 1
+        assert len(shifted) == 4
         assert all(s._views is m._views for s in shifted)
+        assert all(s.row_sum_deviation == m._views["row_sum_deviation"] for s in shifted)
 
 
 class TestTotalReward:

@@ -22,7 +22,7 @@ def tool(monkeypatch):
     spec = importlib.util.spec_from_file_location("step_costs", TOOLS / "step_costs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # band-vi's shape, small: its checked runs drop rows and compact
+    # band-vi's shape, small: its accelerated runs drop rows and compact
     monkeypatch.setattr(module, "SHAPES", {
         "tiny": dict(family="band", num_states=30, bandwidth=6, discount=0.995, action_range=(4, 8)),
     })

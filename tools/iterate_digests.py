@@ -10,8 +10,8 @@ operator (standard, jacobi, gs, gsj), and two more shapes under
 ``standard`` alone: a total-reward shape, whose models take no other
 backup, and band-vi's shape with rewards in (-100, -1), whose plain runs
 fall from the zero start and so sum every row where band-vi's drop the
-rows that can no longer win.  The checked projective and linear
-``standard`` runs of every discounted shape drop rows too, but for
+rows that can no longer win.  The projective and linear ``standard``
+runs of every discounted shape, checked or not, drop rows too, but for
 dense-pa's projective ones, which carry screened sums.  Each is solved
 under every accelerator setting (none, or projective and linear with
 membership checks on and off), with epsilon 1e-3 and at most 20,000

@@ -5,11 +5,12 @@ Usage::
     PYTHONPATH=src python tools/step_costs.py [--shape band-vi] [--seeds 100 101 102]
         [--repeat 9] [--against OTHER/src]
 
-For each seed the shape's model is generated once and each config (VI,
-PAVI and LAVI: the standard backup, membership checks on) is solved
-``--repeat`` times.  ``_Loop.step`` is wrapped from outside the solver,
-and each backup is timed and put in one of three phases by the model the
-loop iterates on when the step starts:
+For each seed the shape's model is generated once and each config is
+solved ``--repeat`` times: VI, PAVI and LAVI, all of the standard backup,
+the accelerated ones with membership checks on and, as ``PAVI_nochecks``
+and ``LAVI_nochecks``, off.  ``_Loop.step`` is wrapped from outside the
+solver, and each backup is timed and put in one of three phases by the
+model the loop iterates on when the step starts:
 
 * ``all``: every row of the model (a run that drops no row stays here);
 * ``compacted``: a copy holding only the live rows, more than two per
@@ -46,6 +47,8 @@ CONFIGS = (
     ("VI", dict(operator="standard")),
     ("PAVI", dict(operator="standard", accelerator="projective")),
     ("LAVI", dict(operator="standard", accelerator="linear")),
+    ("PAVI_nochecks", dict(operator="standard", accelerator="projective", membership_checks=False)),
+    ("LAVI_nochecks", dict(operator="standard", accelerator="linear", membership_checks=False)),
 )
 
 
