@@ -46,6 +46,44 @@ from the upper bounds of the input's row values; all-rows sums are the
 zero-width case of that screen.  The results are the all-rows ones bit
 for bit.
 
+Certificates.  A caller that holds bounds on the step's inputs passes
+them, and each membership test that a bound settles takes sums over no
+rows, so its verdict, True, costs no row value (``_precondition_sums``,
+``_output_certified``).  The solver's falling runs do (``solver``, falling
+runs); a call without them tests as described above.  Both rest on the
+exact backup ``T`` of the stored numbers being monotone, with ``T(x) <=
+T(y) + c * max(x - y, 0)`` for ``c = discount * (1 + rho)`` and no
+negative probability, and on ``operators.row_value_error`` bounding the
+rounding of a computed row value (Puterman, Markov Decision Processes,
+1994, sections 6.2 and 6.6).
+
+* The precondition at ``u = T~(w)``, the backup the caller computed from
+  sums of ``w`` within ``drift`` of its exact sums: ``u`` lies within
+  ``e_w = row_value_error + discount * drift`` of ``T(w)``, and the
+  computed backup at ``u`` within ``e_u = row_value_error`` of ``T(u)``,
+  so ``T~(u) <= u + c * max(u - w, 0) + e_w + e_u``.  That bound is the
+  ``excess`` the caller passes; when it is inside ``u``'s tolerance,
+  every row passes.
+* The output at ``z``, whose sums are carried by linearity.  The
+  projective step's, ``alpha * s_u`` from kernel sums ``s_u``, lie within
+  ``sum_error`` of the exact sums at ``z`` (``operators.sum_error``), and
+  the kernel sums of ``z`` within ``sum_error`` of those, so ``E_z =
+  2 * sum_error``.  The extension's, ``s_v + alpha * (s_u - s_v)``, lie
+  within ``_extended_drift`` of the exact sums at ``z``, from the
+  ``drift`` of ``s_v`` the caller passes and kernel sums ``s_u``; the
+  kernel sums of ``z`` add ``sum_error``.  A row value from carried sums
+  is then within ``discount * E_z`` of the value from kernel sums, but
+  for rounding (``_output_margin``).  The state maxima of the carried
+  one-step values, raised by that margin, bound every row value the
+  all-rows test would form; when they stay within ``z + tol``, every row
+  passes.  The maxima stay held on ``z``'s sums, where the standard
+  backup of ``z`` reads them.
+
+A bound that fails, or is not finite, leaves its test as without it, so
+every verdict, fallback and iterate is the uncertified one bit for bit.
+The output certificate forms nothing at all when its margin is not
+finite.
+
 A checked step therefore costs one screened sums pass, for its output,
 and one one-step backup per point it tests: the projective step tests
 its input and the screened rows of its output; the linear extension
@@ -53,15 +91,19 @@ tests ``v``, ``u`` and its output's screened rows.  All-rows sums hold
 the one-step backup once it is formed, so the test of a point whose sums
 a backup already read forms nothing new; they hold their point's sup
 norm too (``norm``), which the tolerances, the screen and the caller
-read, and the projective step's point takes its input's norm scaled.  The extension forms ``u - v`` once,
-or takes it from the caller, and the difference of the sums once
-(``WeightedSums.less``), for the scan and for its point and that point's
-sums.  A screen that clears every row costs no kernel call and no row
-value.  On a compacted model of about one row per state these fixed
-costs, not the kernel, set the price of a step (README, action
-elimination).  The scans spread per-state values over the rows with
-``np.repeat`` over ``MdpModel.row_counts``, and from all-rows sums divide
-only the rows that can bound the step, with one masked ``np.divide``.
+read, and the projective step's point takes its input's norm scaled.
+With both certificates settled a step forms one one-step backup, at its
+output ``z`` from the carried sums, which the next standard backup reads
+instead of forming it, and its output's sums pass covers no row.  The
+extension forms ``u - v`` once, or takes it and its sup norm from the
+caller, and the difference of the sums once (``WeightedSums.less``), for
+the scan and for its point and that point's sums.  A screen that clears
+every row costs no kernel call and no row value.  On a compacted model
+of about one row per state these fixed costs, not the kernel, set the
+price of a step (README, action elimination).  The scans spread
+per-state values over the rows with ``np.repeat`` over
+``MdpModel.row_counts``, and from all-rows sums divide only the rows that
+can bound the step, with one masked ``np.divide``.
 """
 
 from __future__ import annotations
@@ -71,15 +113,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MdpModel
+from .model import UNIT_ROUNDOFF, MdpModel
 from .operators import (
     ScreenedSums,
     WeightedSums,
     _membership_tol,
+    _one_step_of,
     is_feasible,
     one_step_row_values,
     require_sums,
     row_value_error,
+    sum_error,
     sup_norm,
     weighted_sums,
 )
@@ -129,7 +173,7 @@ def _row_location(m: MdpModel, row: int) -> tuple[int, int]:
     return state, int(row - m.state_ptr[state])
 
 
-def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
+def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> AlphaResult:
     """Smallest scale factor keeping ``alpha * v`` above its own backup.
 
     For each row the constraint is ``alpha * (v_i - discount * s_i) >=
@@ -145,6 +189,10 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     slacks; the others can neither be tight nor attain the maximum ratio,
     so the result is the all-rows one bit for bit.
 
+    ``excess``, when given, bounds ``T~(v) - v`` componentwise; the
+    membership test then clears every row without forming ``v``'s backup
+    when that bound is inside its tolerance (``_precondition_sums``).
+
     Raises:
         FeasibilityError: negative rewards, or (with checks enabled) a
             ``v`` that does not dominate its backup.
@@ -154,8 +202,10 @@ def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
     s = require_sums(m, v, sums)
-    if check_membership and not is_feasible(m, v, tol=_membership_tol(s.norm), sums=s):
-        raise FeasibilityError("point does not dominate its one-step backup")
+    if check_membership:
+        tol = _membership_tol(s.norm)
+        if not is_feasible(m, v, tol=tol, sums=_precondition_sums(v, s, tol, excess)):
+            raise FeasibilityError("point does not dominate its one-step backup")
     spread = v.repeat(m.row_counts)
     if isinstance(s, ScreenedSums):
         rows = _rows_to_scan(m, spread, s)
@@ -202,7 +252,7 @@ def _rows_to_scan(m, spread, s) -> np.ndarray:
 
 
 def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True,
-                           direction=None) -> AlphaResult:
+                           direction=None, direction_norm=None, excess=None) -> AlphaResult:
     """Largest step along ``v + alpha * (u - v)`` that keeps dominance.
 
     Requires both endpoints to dominate their own backups; any such ``u``
@@ -216,10 +266,12 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     can only shorten the step.  When no row bounds the step the result is
     ``ALPHA_CAP`` with the fallback flag set.
 
-    ``direction`` is ``u - v`` when the caller has formed it.  Sums of
-    ``v`` hold its sup norm, and the difference of the sums is held by
-    ``sums_u`` (``WeightedSums.less``) for the step to form its point's
-    sums from.
+    ``direction`` is ``u - v`` when the caller has formed it, and
+    ``direction_norm`` its sup norm.  Sums of ``v`` hold its sup norm, and
+    the difference of the sums is held by ``sums_u`` (``WeightedSums.less``)
+    for the step to form its point's sums from.  ``excess``, when given,
+    bounds ``T~(u) - u`` componentwise, and clears ``u``'s membership test
+    as ``projective_alpha``'s clears ``v``'s.
 
     Raises:
         AlreadyConvergedError: ``|u - v| <= RATIO_GUARD_SCALE * (1 + |v|)``.
@@ -229,14 +281,17 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     norm = sums_v.norm if sums_v is not None and sums_v.base is v else sup_norm(v)
     if direction is None:
         direction = u - v
-    if sup_norm(direction) <= RATIO_GUARD_SCALE * (1.0 + norm):
+    if direction_norm is None:
+        direction_norm = sup_norm(direction)
+    if direction_norm <= RATIO_GUARD_SCALE * (1.0 + norm):
         raise AlreadyConvergedError("direction point coincides with the current point")
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     if check_membership:
         if not is_feasible(m, v, tol=_membership_tol(norm), sums=sv):
             raise FeasibilityError("current point does not dominate its one-step backup")
-        if not is_feasible(m, u, sums=su):
+        tol = _membership_tol(su.norm)
+        if not is_feasible(m, u, tol=tol, sums=_precondition_sums(u, su, tol, excess)):
             raise FeasibilityError("direction point does not dominate its one-step backup")
     c = v.repeat(m.row_counts)
     c -= m.rewards
@@ -254,6 +309,79 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     if alpha >= ALPHA_CAP:
         return AlphaResult(alpha=ALPHA_CAP, binding=_row_location(m, row), fallback_used=True)
     return AlphaResult(alpha=alpha, binding=_row_location(m, row))
+
+
+# the rows a membership test reads once a bound has cleared them all
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _precondition_sums(v, s, tol, excess):
+    """The sums a membership test of ``v`` at ``v + tol`` reads: ``s``, or none of its rows.
+
+    ``excess`` bounds ``T~(v) - v`` componentwise, or is None.  Every row
+    value the test would compute is then at most ``v_i + excess``, and the
+    test compares it with ``v_i + tol`` rounded, which is at least ``v_i +
+    tol - u * (|v_i| + tol)``.  So when ``excess + 8u * (norm + tol)`` is at
+    most ``tol``, every row passes, and the test takes sums over no rows: a
+    bound has cleared every row (``operators.is_feasible``).  The surplus
+    covers the rounding of this test and of ``excess``, a few operations on
+    a value it holds below ``tol``.  A bound that is not finite clears none.
+    """
+    if excess is not None and excess + 8.0 * UNIT_ROUNDOFF * (s.norm + tol) <= tol:
+        return WeightedSums(values=np.zeros(0), base=v, rows=_NO_ROWS)
+    return s
+
+
+def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> float:
+    """A bound on the distance of the linear extension's carried sums from the exact sums at its point.
+
+    The step from ``v`` through ``u`` carries ``h_z = h_v + alpha * (h_u -
+    h_v)`` for the computed ``z = v + alpha * (u - v)``.  With ``S`` the
+    exact sums of the stored numbers, linear, ``S(z)`` is ``(1 - alpha) *
+    S(v) + alpha * S(u)`` but for the rounding of ``z``, so ``h_z - S(z)``
+    is ``(1 - alpha) * (h_v - S(v)) + alpha * (h_u - S(u))`` plus the
+    rounding of ``h_z`` and of ``z``.  ``drift`` bounds ``|h_v - S(v)|``;
+    ``h_u`` are kernel sums, within ``sum_error`` of ``S(u)``; and ``norm``
+    bounds ``|v|``, ``|u|``, ``|z|`` and ``|u - v|``, so that rounding, a
+    few operations per row on magnitudes up to ``alpha * (1 + rho) *
+    norm`` and ``alpha`` times the drift, is at most ``alpha * u * (4 *
+    drift + 16 * (1 + rho) * norm)``.  ``alpha >= 1``.
+    """
+    rounding = 4.0 * drift + 16.0 * (1.0 + m.row_sum_deviation) * norm
+    return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
+
+
+def _output_margin(m: MdpModel, norm: float, error: float) -> float:
+    """How far the carried one-step values of ``z`` must clear ``z + tol`` to certify it.
+
+    ``error`` bounds the distance of ``z``'s carried sums from its kernel
+    sums and ``norm`` is ``sup_norm(z)``.  A row value is ``r + discount *
+    s`` rounded twice, about ``2u * K`` at most, where ``K`` is the scale
+    that ``e = row_value_error(m, norm)`` multiplies and ``e >= 3u * K``.
+    So the value from the kernel sum lies within ``discount * error + 4u *
+    K`` of the value from the carried sum, and the carried maximum plus
+    this margin rounds by about ``u * K`` more; ``4e >= 12u * K`` covers
+    both.
+    """
+    return m.discount * error + 4.0 * row_value_error(m, norm)
+
+
+def _output_certified(m, zsums, tol, error) -> bool:
+    """Whether ``zsums``, carried sums of ``z``, clear every row of ``z``'s membership test at ``z + tol``.
+
+    ``error`` bounds the distance of the carried sums from the kernel sums
+    of ``z``, or is None.  The state maxima of the carried one-step values,
+    raised by ``_output_margin``, bound every row value the test would
+    form from kernel sums; when they are within ``z + tol``, rounded as
+    the test rounds it, the test's verdict is True.  Those maxima are held
+    on ``zsums``, where a standard backup of ``z`` from them reads them.
+    """
+    if error is None:
+        return False
+    margin = _output_margin(m, zsums.norm, error)
+    if not math.isfinite(margin):
+        return False
+    return bool((_one_step_of(m, zsums)[1] + margin <= zsums.base + tol).all())
 
 
 def _rows_to_check(m, z, z_norm, tol, p_sums):
@@ -289,22 +417,29 @@ def _rows_to_check(m, z, z_norm, tol, p_sums):
     if isinstance(p_sums, ScreenedSums):
         bound = p_sums.one_step_upper(m) + margin
     else:
-        # the precondition check on p formed these row values; they are read, not rebuilt
+        # the row values p's backup or membership test formed, unless a bound cleared that test
         bound = one_step_row_values(m, p_sums) + margin
     return (bound > (z + tol).repeat(m.row_counts)).nonzero()[0]
 
 
-def _checked(m, zsums, fallback_sums, alpha, check):
+def _checked(m, zsums, fallback_sums, alpha, check, error=None):
     """Validate the accelerated point ``zsums.base``; swap in the fallback when it fails.
 
-    The check takes fresh sums at the point only for the rows that
-    ``_rows_to_check`` cannot clear from ``fallback_sums``, the sums at
-    the step's input, and its verdict is the all-rows one bit for bit.
+    ``error``, when given, bounds the distance of ``zsums`` from the
+    kernel sums of the point; when ``_output_certified`` clears every row
+    from them, the check takes sums over no rows.  Otherwise it takes fresh
+    sums at the point only for the rows that ``_rows_to_check`` cannot
+    clear from ``fallback_sums``, the sums at the step's input.  Either
+    way its verdict is the all-rows one bit for bit.
     """
     z = zsums.base
     if check:
         tol = _membership_tol(zsums.norm)
-        fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, zsums.norm, tol, fallback_sums))
+        if _output_certified(m, zsums, tol, error):
+            rows = _NO_ROWS
+        else:
+            rows = _rows_to_check(m, z, zsums.norm, tol, fallback_sums)
+        fresh = weighted_sums(m, z, rows=rows)
         if not is_feasible(m, z, tol=tol, sums=fresh):
             safe = fallback_sums.base.copy()
             return AccelStep(
@@ -314,30 +449,57 @@ def _checked(m, zsums, fallback_sums, alpha, check):
     return AccelStep(point=z, sums=zsums, alpha=alpha)
 
 
-def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
-    """Scale ``v`` toward the fixed point; returns point, sums, and scan info."""
+def _is_kernel(sums) -> bool:
+    return isinstance(sums, WeightedSums) and sums.from_kernel
+
+
+def apply_projective(m, v, sums=None, check_membership=True, excess=None) -> AccelStep:
+    """Scale ``v`` toward the fixed point; returns point, sums, and scan info.
+
+    ``excess``, when given, bounds ``T~(v) - v`` componentwise and lets
+    both membership tests clear every row from a bound (module doc): the
+    precondition from ``excess``, and the output from its sums, scaled
+    kernel sums of ``v``, which lie within ``2 * sum_error`` of the kernel
+    sums of ``alpha * v``.
+    """
     s = require_sums(m, v, sums)
-    res = projective_alpha(m, v, sums=s, check_membership=check_membership)
-    return _checked(m, s.scaled(res.alpha), s, res, check_membership)
+    res = projective_alpha(m, v, sums=s, check_membership=check_membership, excess=excess)
+    error = None
+    if check_membership and excess is not None and _is_kernel(s):
+        error = 2.0 * sum_error(m, s.norm)
+    return _checked(m, s.scaled(res.alpha), s, res, check_membership, error)
 
 
 def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True,
-                           direction=None) -> AccelStep:
+                           direction=None, direction_norm=None, excess=None,
+                           drift=None) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
-    ``direction`` is ``u - v`` when the caller has formed it; the scan and
-    the step read it, and the difference of the sums, without forming
-    either again.  A failed output check falls back to ``u`` (already a
-    valid descent).
+    ``direction`` is ``u - v`` when the caller has formed it, and
+    ``direction_norm`` its sup norm; the scan and the step read them, and
+    the difference of the sums, without forming any again.  ``excess``
+    bounds ``T~(u) - u`` componentwise, and ``drift`` the distance of
+    ``sums_v`` from the exact sums of ``v``; each, when given, lets one
+    membership test clear every row from a bound (module doc): ``excess``
+    the test of ``u``, and ``drift`` the output's, for kernel sums of
+    ``u``.  A failed output check falls back to ``u`` (already a valid
+    descent).
     """
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
     if direction is None:
         direction = u - v
+    if direction_norm is None:
+        direction_norm = sup_norm(direction)
     res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
-                                 direction=direction)
+                                 direction=direction, direction_norm=direction_norm, excess=excess)
     z = v + res.alpha * direction
     zvalues = res.alpha * su.less(sv)
     zvalues += sv.values
     zsums = WeightedSums(values=zvalues, base=z, from_kernel=False)
-    return _checked(m, zsums, su, res, check_membership)
+    error = None
+    if check_membership and drift is not None and _is_kernel(su):
+        # the carried sums' distance from the exact sums at z, and the kernel sums' from those
+        norm = max(sv.norm, su.norm, direction_norm, zsums.norm)
+        error = _extended_drift(m, res.alpha, drift, norm) + sum_error(m, norm)
+    return _checked(m, zsums, su, res, check_membership, error)

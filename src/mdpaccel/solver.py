@@ -40,19 +40,24 @@ accelerators) and one of the accelerated point's screened rows, from
 the validation pass.  The linear extension also tests the current
 iterate ``w``; when the configured operator is ``standard``, the
 one-step backup, that test reads the backup ``u`` that ``w``'s sums
-already hold, so an accelerated iteration costs one all-rows sums pass
-and one screened pass over the rows the bound leaves (under 1% of them
-on the benchmark models), two full backups and one over those rows.
-The Jacobi and sweep operators back ``w`` up once more, from its
+already hold.  A falling run (below) certifies both other tests from
+what it holds (``accelerators``, certificates): ``u``'s from the bound
+``T~(u) <= u + c * max(u - w, 0) + 2 * row_value_error + discount *
+drift`` (``_backup_excess``), and the accelerated point ``z``'s from the
+one-step backup of its carried sums, which the next iteration's backup
+of ``z`` reads.  So a checked falling iteration forms one full one-step
+backup, and its validation pass covers no row; where a certificate
+fails, the test runs as in every other checked run: one all-rows sums
+pass and one screened pass over the rows the bound leaves (under 1% of
+them on the benchmark models), two full backups and one over those
+rows.  The Jacobi and sweep operators back ``w`` up once more, from its
 carried sums.  Without checks the step adds neither passes nor backups
 to the sums pass at ``u`` and the loop's own backup.  The loop hands the
-extension the direction ``u - w`` it formed for the residual, and a
-falling run's guard reads the sup norm of the new iterate from the sums
-carried to it, where the output check, if any, formed it.  So an
-iteration forms each of its vectors and differences once, and each sup
-norm once but one: the extension scan's of the direction, which is the
-residual, but which ``accelerators.linear_extension_alpha``'s public
-signature has no place to take.
+extension the direction ``u - w`` it formed for the residual and the
+residual, its sup norm, and a falling run's guard reads the sup norm of
+the new iterate from the sums carried to it, where the output check, if
+any, formed it.  So an iteration forms each of its vectors, differences
+and sup norms once.
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -127,10 +132,10 @@ surplus covers the rounding of the guard's own few operations.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
 alpha * (sum_error + rounding)`` from the previous drift ``E``
-(``_extended_drift``).  The guard also fails on a step that falls back
-or whose scan finds no binding row.  When it fails, ``solve`` runs the
-config again from the start on every row, the all-rows run by
-construction.  Binding rows are reported in the model's numbering.
+(``accelerators._extended_drift``).  The guard also fails on a step
+that falls back or whose scan finds no binding row.  When it fails,
+``solve`` runs the config again from the start on every row, the
+all-rows run by construction.  Binding rows are reported in the model's numbering.
 
 When to test.  A rising or falling run tests only at a backup whose
 residual is at most ``_RETEST_FALL`` times the residual at its last
@@ -166,6 +171,7 @@ import numpy as np
 from .accelerators import (
     AlphaResult,
     AlreadyConvergedError,
+    _extended_drift,
     apply_linear_extension,
     apply_projective,
 )
@@ -241,7 +247,9 @@ class SolverConfig:
         max_iterations: hard backup budget.
         membership_checks: validate acceleration pre/postconditions at the
             cost of one extra weighted-sums pass per accelerated iteration,
-            screened down to the rows a rounding bound cannot clear.
+            screened down to the rows a rounding bound cannot clear; a
+            falling run certifies both from bounds it holds, so its pass
+            covers no row and its tests form no backup of their own.
         initial_point: explicit start vector; when None the driver picks
             one (see ``solve``).
         record_iterates: keep a copy of every iterate in the result
@@ -454,10 +462,17 @@ def _read_error(m: MdpModel, alpha: float, drift: float, norm: float) -> float:
     )
 
 
-def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> float:
-    """A bound on the distance of the linear extension's carried sums from the kernel sums (module doc)."""
-    rounding = 4.0 * drift + 16.0 * (1.0 + m.row_sum_deviation) * norm
-    return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
+def _backup_excess(m: MdpModel, c: float, up: float, norm: float, drift: float) -> float:
+    """A bound on ``T~(u) - u`` for a falling run's backup ``u = T~(w)`` (module doc).
+
+    ``up`` is ``max(u - w, 0)``, ``norm`` bounds ``|w|`` and ``|u|``, and
+    ``drift`` the distance of ``w``'s held sums from its exact sums.  The
+    backup ``u`` rounds each row value twice from the held sums, against
+    the ``N + 2`` roundings ``row_value_error`` allows, and that surplus
+    covers the rounding of ``up``, which is exact where ``u <= w``: a
+    rounded difference keeps its sign.
+    """
+    return c * up + 2.0 * row_value_error(m, norm) + m.discount * drift
 
 
 def _rows_model(m: MdpModel, rows: np.ndarray) -> MdpModel:
@@ -591,11 +606,11 @@ class _Loop:
             self.live = np.ones(live, dtype=bool)
         self.eliminates = live > m.num_states
 
-    def follow(self, w, d, residual, u, alpha, sums_w) -> None:
+    def follow(self, w, d, residual, up, u, alpha, sums_w) -> None:
         """Guard a falling run's dropped rows over one iteration from ``w``, then test for more.
 
-        ``alpha`` is the step's scan outcome, None when the iteration took
-        no step; the new iterate is ``self.w``.
+        ``up`` is ``max(d, 0)``; ``alpha`` is the step's scan outcome, None
+        when the iteration took no step; the new iterate is ``self.w``.
 
         Raises:
             _Rerun: the guard cannot clear a dropped row at some point the
@@ -612,7 +627,6 @@ class _Loop:
         else:
             # kernel sums, the projective step's scaling of them, or none left to carry
             drift = sum_error(m, norm)
-        up = max(float(d.max()), 0.0)
         if alpha is None or (up == 0.0 and self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION):
             # z is u, or w + alpha * d with alpha > 0: a rounded sum falls where d does not rise
             zup = up
@@ -649,6 +663,8 @@ class _Loop:
             u = apply_operator(self.work, w, cfg.operator, sums=sums_w)
         d = u - w
         residual = sup_norm(d)
+        if self.falling:
+            up = max(float(d.max()), 0.0)
         if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
             converged = residual <= self.threshold
             self.w = u
@@ -660,17 +676,23 @@ class _Loop:
             elif self.carry_sums:
                 self.sums = None if converged else weighted_sums(self.work, u)
             if self.falling:
-                self.follow(w, d, residual, u, None, sums_w)
+                self.follow(w, d, residual, up, u, None, sums_w)
             return _Step(u, residual, None, converged)
         work = self.work
         s_u = drifted_sums(m, sums_w, u) if self.screened else weighted_sums(work, u)
+        # a falling run certifies its membership tests from what it holds (module doc)
+        excess = drift = None
+        if self.falling and cfg.membership_checks:
+            excess = _backup_excess(m, self.c, up, self.norm + 2.0 * residual, self.drift)
+            drift = self.drift
         if cfg.accelerator is AcceleratorKind.PROJECTIVE:
-            accel = apply_projective(work, u, sums=s_u, check_membership=cfg.membership_checks)
+            accel = apply_projective(work, u, sums=s_u, check_membership=cfg.membership_checks,
+                                     excess=excess)
         else:
             try:
                 accel = apply_linear_extension(
                     work, w, u, sums_v=sums_w, sums_u=s_u, check_membership=cfg.membership_checks,
-                    direction=d,
+                    direction=d, direction_norm=residual, excess=excess, drift=drift,
                 )
             except AlreadyConvergedError:
                 # Residual above the stopping threshold but below the
@@ -679,13 +701,13 @@ class _Loop:
                 self.w = u
                 self.sums = s_u if self.carry_sums else None
                 if self.falling:
-                    self.follow(w, d, residual, u, None, sums_w)
+                    self.follow(w, d, residual, up, u, None, sums_w)
                 return _Step(u, residual, None, False)
         self.w = accel.point
         self.sums = accel.sums if self.carry_sums else None
         alpha = self.in_model(work, accel.alpha)
         if self.falling:
-            self.follow(w, d, residual, u, accel.alpha, sums_w)
+            self.follow(w, d, residual, up, u, accel.alpha, sums_w)
         return _Step(self.w, residual, alpha, False)
 
 
@@ -722,6 +744,9 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     is rounding noise can only shorten a step, and checked and unchecked
     runs take the same steps (the benchmark shapes, seeds 100-109).  Nor
     do they select a path: a run drops rows or not with them on or off.
+    A falling run settles its tests from certificates (module doc): on
+    band-vi's shape (seeds 100-102) checked LAVI takes 1.26-1.46 times
+    the unchecked run's time, against 1.54-1.56 without them.
 
     A falling run whose guard fails (module doc) runs again from the
     start on every row; ``wall_ms`` counts both runs, and

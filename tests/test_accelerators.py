@@ -554,6 +554,133 @@ class TestApplyLinearExtension:
         assert step.point[0] == pytest.approx(60.0 + ALPHA_CAP)
 
 
+class TestCertificates:
+    """Bounds passed to a step settle its membership tests without moving it."""
+
+    @staticmethod
+    def cases(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)),
+                             discount=float(rng.choice([0.5, 0.9, 0.995])))
+            v = initial_feasible_point(m) * float(rng.uniform(1.0, 2.0))
+            sv = weighted_sums(m, v)
+            u = apply_operator(m, v, "standard", sums=sv)
+            # the exact excess of u's backup over u: a bound by construction
+            excess = max(float((apply_operator(m, u, "standard") - u).max()), 0.0)
+            yield m, v, sv, u, excess
+
+    @staticmethod
+    def assert_same_step(a, b):
+        assert np.array_equal(a.point, b.point)
+        assert np.array_equal(a.sums.values, b.sums.values)
+        assert a.alpha == b.alpha
+
+    @staticmethod
+    def output_rows(monkeypatch):
+        """The row counts of the sums the steps take, None for all rows."""
+        counted = []
+
+        def recording_sums(m, v, rows=None):
+            counted.append(None if rows is None else len(rows))
+            return weighted_sums(m, v, rows=rows)
+
+        monkeypatch.setattr(accel_mod, "weighted_sums", recording_sums)
+        return counted
+
+    def test_projective(self, monkeypatch):
+        rows = self.output_rows(monkeypatch)
+        for m, _, _, u, excess in self.cases(28):
+            plain = apply_projective(m, u, sums=weighted_sums(m, u))
+            rows.clear()
+            certified = apply_projective(m, u, sums=weighted_sums(m, u), excess=excess)
+            self.assert_same_step(certified, plain)
+            # the output check took sums over no rows
+            assert rows == [0]
+
+    def test_linear_extension(self, monkeypatch):
+        rows = self.output_rows(monkeypatch)
+        for m, v, sv, u, excess in self.cases(29):
+            su = weighted_sums(m, u)
+            plain = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
+            rows.clear()
+            certified = apply_linear_extension(
+                m, v, u, sums_v=sv, sums_u=su, direction=u - v, direction_norm=sup_norm(u - v),
+                excess=excess, drift=operators_mod.sum_error(m, sup_norm(v)),
+            )
+            self.assert_same_step(certified, plain)
+            assert rows == [0]
+
+    @pytest.mark.parametrize("bound", [np.inf, np.nan, 1.0])
+    def test_a_bound_that_fails_tests_as_without_it(self, monkeypatch, bound):
+        formed = []
+        real = operators_mod._row_values
+
+        def counting_row_values(m, kind, own, sums, rows=slice(None)):
+            formed.append(isinstance(rows, slice))
+            return real(m, kind, own, sums, rows)
+
+        monkeypatch.setattr(operators_mod, "_row_values", counting_row_values)
+        monkeypatch.setattr(accel_mod, "_output_margin", lambda *args: bound)
+        for m, _, _, u, _ in self.cases(30):
+            formed.clear()
+            plain = apply_projective(m, u, sums=weighted_sums(m, u))
+            without = list(formed)
+            formed.clear()
+            failed = apply_projective(m, u, sums=weighted_sums(m, u), excess=bound)
+            self.assert_same_step(failed, plain)
+            if not np.isfinite(bound):
+                # neither certificate formed anything
+                assert formed == without
+
+    @pytest.mark.parametrize("excess", [np.inf, np.nan, 1.0])
+    def test_a_bound_outside_the_tolerance_leaves_the_precondition_to_the_rows(self, excess):
+        for m, v, _, _, _ in self.cases(33):
+            # half the constant start: its best-rewarded row rises above it
+            low = 0.5 * initial_feasible_point(m)
+            with pytest.raises(FeasibilityError):
+                projective_alpha(m, low, excess=excess)
+            with pytest.raises(FeasibilityError):
+                linear_extension_alpha(m, v, low, excess=excess)
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_output_at_the_tolerance_is_certified_only_when_it_passes(self, ulps):
+        # the binding row of the projective step's point made to reach z + tol exactly, or pass it by
+        # one unit in the last place: the all-rows test then fails, and the certificate must too
+        rng = np.random.default_rng(32 + ulps)
+        for _ in range(40):
+            m = random_model(rng, num_states=int(rng.integers(2, 20)), discount=0.995)
+            p = descended_point(m, rng)
+            sp = weighted_sums(m, p)
+            zsums = sp.scaled(projective_alpha(m, p, sums=sp).alpha)
+            z = zsums.base
+            tol = membership_tolerance(z)
+            a = m.discount * weighted_sums(m, z).values
+            t = (z + tol).repeat(m.row_counts)
+            k = int(np.argmax(a + m.rewards - t))
+            target = np.nextafter(t[k], np.inf) if ulps else t[k]
+            rewards = m.rewards.copy()
+            rewards[k] = reward_reaching(a[k], target)
+            tight = dataclasses.replace(m, rewards=rewards)
+            carried = WeightedSums(values=zsums.values, base=z, from_kernel=False)
+            error = 2.0 * operators_mod.sum_error(tight, sup_norm(p))
+            certified = accel_mod._output_certified(tight, carried, tol, error)
+            assert not certified or full_verdict(tight, z)
+            assert full_verdict(tight, z) is not bool(ulps)
+
+    def test_direction_norm_is_read_as_given(self):
+        for m, v, sv, u, _ in self.cases(31):
+            su = weighted_sums(m, u)
+            res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su)
+            given = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, direction=u - v,
+                                           direction_norm=sup_norm(u - v))
+            assert given == res
+        m, v, sv, u, _ = next(self.cases(31))
+        # a norm at the degeneracy guard reads as coincident points
+        with pytest.raises(AlreadyConvergedError):
+            linear_extension_alpha(m, v, u, sums_v=sv, direction_norm=0.0)
+
+
 class TestDescent:
     def test_both_operators_never_go_below_the_fixed_point(self):
         rng = np.random.default_rng(24)

@@ -39,7 +39,7 @@ from mdpaccel.solver import (
 )
 from mdpaccel.verification import exact_fixed_point
 
-from test_model import chain_to_absorbing, two_state_swap
+from test_model import chain_to_absorbing, random_model, two_state_swap
 
 
 def linear_tail_model():
@@ -888,10 +888,12 @@ class TestSumsPassBudget:
 
 class TestOneStepBackupBudget:
     """A checked standard LAVI iteration forms the one-step row values and
-    their state maxima twice: at ``w``, for the backup that ``w``'s
-    membership check then reads, and at ``u``, for ``u``'s check."""
+    their state maxima once: at the accelerated point ``z``, for the output
+    check's certificate, which the backup of ``z`` in the next iteration
+    reads.  The first iteration also forms them at the start, for its
+    backup; neither certificate forms them at ``u``."""
 
-    def test_two_formations_per_iteration(self, monkeypatch):
+    def count(self, monkeypatch):
         m = generate(GeneratorSpec(family="uniform", num_states=20, density=0.5,
                                    action_range=(2, 5), seed=17))
         cfg = SolverConfig(operator="standard", accelerator="linear", max_iterations=5)
@@ -922,9 +924,94 @@ class TestOneStepBackupBudget:
         monkeypatch.setattr(operators_mod, "_state_max", counting_state_max)
         monkeypatch.setattr(solver_mod._Loop, "step", counting_step)
         res = solve(m, cfg)
+        monkeypatch.undo()
         assert res.iterations == 5
         assert all(a is not None and not a.fallback_used for a in res.alphas)
+        return counts, res
+
+    def test_two_formations_per_iteration(self, monkeypatch):
+        counts, _ = self.count(monkeypatch)
+        assert counts == [[2, 2]] + [[1, 1]] * 4
+
+    def test_failed_certificates_form_at_u_and_take_the_same_steps(self, monkeypatch):
+        _, certified = self.count(monkeypatch)
+        monkeypatch.setattr(solver_mod, "_backup_excess", lambda *args: math.inf)
+        monkeypatch.setattr(accel_mod, "_output_margin", lambda *args: math.inf)
+        counts, screened = self.count(monkeypatch)
+        # at w for the backup and at u for u's check, as without certificates
         assert counts == [[2, 2]] * 5
+        assert np.array_equal(screened.residuals, certified.residuals)
+        assert np.array_equal(screened.final_value, certified.final_value)
+        assert screened.alphas == certified.alphas
+
+
+class TestCertifiedMembership:
+    """Every membership test that a falling run clears from a bound, its
+    precondition at ``u`` or its output at ``z``, has the verdict of the
+    test from fresh all-rows kernel sums at that point."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(28)
+        draws = [
+            random_model(rng, num_states=int(rng.integers(2, 25)), max_actions=int(rng.integers(1, 6)),
+                         density=float(rng.uniform(0.1, 1.0)),
+                         discount=float(rng.choice([0.5, 0.9, 0.995])))
+            for _ in range(24)
+        ]
+        band = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        return draws + pinned_models() + [band]
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_certified_verdicts_are_the_all_rows_ones(self, monkeypatch, accelerator):
+        real_pre, real_out = accel_mod._precondition_sums, accel_mod._output_certified
+        real_feasible = accel_mod.is_feasible
+        scan_name = "projective_alpha" if accelerator == "projective" else "linear_extension_alpha"
+        real_scan = getattr(accel_mod, scan_name)
+        pending, certified, work = [], {"precondition": 0, "output": 0}, [None]
+
+        def scan(m, *args, **kwargs):
+            work[0] = m
+            return real_scan(m, *args, **kwargs)
+
+        def precondition_sums(v, s, tol, excess):
+            out = real_pre(v, s, tol, excess)
+            if excess is not None:
+                # the bound holds: the backup of v, formed from its kernel sums, exceeds v by no more
+                m = work[0]
+                backup = np.maximum.reduceat(m.discount * s.values + m.rewards, m.state_ptr[:-1])
+                assert float((backup - v).max()) <= excess
+            if out is not s:
+                pending.append(("precondition", v))
+            return out
+
+        def output_certified(m, zsums, tol, error):
+            ok = real_out(m, zsums, tol, error)
+            if ok:
+                pending.append(("output", zsums.base))
+            return ok
+
+        def feasible(m, v, tol=None, sums=None):
+            verdict = real_feasible(m, v, tol=tol, sums=sums)
+            if pending:
+                kind, point = pending.pop()
+                assert point is v and not pending
+                assert verdict is real_feasible(m, v, tol=tol, sums=weighted_sums(m, v))
+                certified[kind] += 1
+            return verdict
+
+        monkeypatch.setattr(accel_mod, scan_name, scan)
+        monkeypatch.setattr(accel_mod, "_precondition_sums", precondition_sums)
+        monkeypatch.setattr(accel_mod, "_output_certified", output_certified)
+        monkeypatch.setattr(accel_mod, "is_feasible", feasible)
+        steps = 0
+        for m in self.models():
+            res = solve(m, SolverConfig(accelerator=accelerator))
+            assert res.converged
+            steps += sum(a is not None for a in res.alphas)
+        assert not pending
+        # the bounds clear nearly every step's tests
+        assert min(certified.values()) >= 0.9 * steps
 
 
 class TestScreenSelection:

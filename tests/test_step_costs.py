@@ -1,4 +1,5 @@
-"""tools/step_costs.py: one line per config, whose phases add up to the solve's backups."""
+"""tools/step_costs.py: one line per config, whose phases add up to the solve's backups,
+and one line per seed with the cost of the membership checks."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ LINE = re.compile(
     r"^tiny/(\w+)/(\d+) (\d+) backups [\d.]+ ms"
     r" \| all (\d+) x (\S+) us \| compacted (\d+) x (\S+) us \| two (\d+) x (\S+) us$"
 )
+CHECKS = re.compile(r"^tiny/checks/(\d+)( against)? checked/unchecked wall PAVI (\S+) \| LAVI (\S+)$")
 
 
 @pytest.fixture
@@ -32,9 +34,13 @@ def tool(monkeypatch):
 def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
     assert tool.main(["--shape", "tiny", "--seeds", "3", "4", "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * len(tool.CONFIGS)
+    per_seed = len(tool.CONFIGS) + 1
+    assert len(lines) == 2 * per_seed
     keys = []
-    for line in lines:
+    for k, line in enumerate(lines):
+        if k % per_seed == len(tool.CONFIGS):
+            keys.append(check_ratios(line))
+            continue
         match = LINE.match(line)
         assert match, line
         label, seed, backups, *cells = match.groups()
@@ -50,19 +56,34 @@ def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
         assert solved.iterations == int(backups)
         # a run that drops rows leaves the all-rows phase
         assert (counts[0] < int(backups)) is (solved.rows_eliminated > 0)
-    assert keys == [(label, seed) for seed in (3, 4) for label, _ in tool.CONFIGS]
+    assert keys == [
+        key for seed in (3, 4) for key in [(label, seed) for label, _ in tool.CONFIGS] + [seed]
+    ]
+
+
+def check_ratios(line: str) -> int:
+    """The seed of a ``checks`` line, whose two ratios are positive and finite."""
+    match = CHECKS.match(line)
+    assert match, line
+    for ratio in match.group(3, 4):
+        assert 0.0 < float(ratio) < float("inf")
+    return int(match.group(1))
 
 
 def test_against_a_second_copy_prints_its_line_and_the_ratios(tool, capsys):
     src = Path(mdpaccel.__file__).resolve().parents[1]
     assert tool.main(["--shape", "tiny", "--seeds", "3", "--repeat", "1", "--against", str(src)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * len(tool.CONFIGS)
-    for ours, theirs, ratios in zip(lines[0::3], lines[1::3], lines[2::3]):
+    configs = 3 * len(tool.CONFIGS)
+    assert len(lines) == configs + 2
+    for ours, theirs, ratios in zip(lines[0:configs:3], lines[1:configs:3], lines[2:configs:3]):
         assert LINE.match(ours) and theirs.startswith(ours.split(" ")[0] + " against ")
         # the same code takes the same steps in each phase
         assert phase_counts(ours) == phase_counts(theirs)
         assert ratios.startswith("  ratio wall ")
+    # the checks line of each copy
+    assert [check_ratios(line) for line in lines[configs:]] == [3, 3]
+    assert CHECKS.match(lines[-1]).group(2) == " against"
 
 
 def phase_counts(line: str) -> list[str]:

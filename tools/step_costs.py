@@ -20,12 +20,15 @@ model the loop iterates on when the step starts:
 
 Each line holds the config key, the backups of the solve, the solve's
 ``wall_ms`` and, per phase, its backups and microseconds per backup; each
-time is the minimum over the repeats (backup counts do not vary).  With
-``--against``, a second copy of the package is imported from that source
-directory under another name, its solves alternate with this one's (the
-order flips at every repeat), and each line is followed by the other
-copy's line and the ratios of this copy's times over it.  Run with one
-BLAS thread (``OPENBLAS_NUM_THREADS=1``) and nothing else busy.
+time is the minimum over the repeats (backup counts do not vary).  After
+each seed's configs a ``checks`` line gives the cost of the membership
+checks: the checked solve's ``wall_ms`` over the unchecked one's, for
+PAVI and LAVI.  With ``--against``, a second copy of the package is
+imported from that source directory under another name, its solves
+alternate with this one's (the order flips at every repeat), and each
+line is followed by the other copy's line and, for a config, the ratios
+of this copy's times over it.  Run with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``) and nothing else busy.
 """
 
 from __future__ import annotations
@@ -133,23 +136,29 @@ class Costs:
         return " | ".join(cells)
 
 
-def measure(packages, spec: dict, seeds, repeat: int) -> list[tuple[str, list[Costs]]]:
-    """``(key, [Costs per package])`` for every seed and config, solving each ``repeat`` times."""
-    out = []
-    for seed in seeds:
-        models = [p.generate(p.GeneratorSpec(seed=seed, **spec)) for p in packages]
-        for label, options in CONFIGS:
-            costs = [Costs() for _ in packages]
-            timers = [StepTimer(p) for p in packages]
-            for r in range(repeat):
-                order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
-                for i in order:
-                    config = packages[i].SolverConfig(**options)
-                    with timers[i]:
-                        result = packages[i].solve(models[i], config)
-                    costs[i].add(result, timers[i])
-            out.append((f"{label}/{seed}", costs))
+def measure(packages, spec: dict, seed: int, repeat: int) -> dict[str, list[Costs]]:
+    """``[Costs per package]`` of every config by label, for one seed, solving each ``repeat`` times."""
+    models = [p.generate(p.GeneratorSpec(seed=seed, **spec)) for p in packages]
+    out = {}
+    for label, options in CONFIGS:
+        costs = [Costs() for _ in packages]
+        timers = [StepTimer(p) for p in packages]
+        for r in range(repeat):
+            order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
+            for i in order:
+                config = packages[i].SolverConfig(**options)
+                with timers[i]:
+                    result = packages[i].solve(models[i], config)
+                costs[i].add(result, timers[i])
+        out[label] = costs
     return out
+
+
+def checks_line(key: str, costs: dict[str, Costs]) -> str:
+    """The checked solve's time over the unchecked one's, for PAVI and LAVI."""
+    cells = [f"{label} {costs[label].wall_ms / costs[label + '_nochecks'].wall_ms:.3f}"
+             for label in ("PAVI", "LAVI")]
+    return f"{key} checked/unchecked wall " + " | ".join(cells)
 
 
 def ratio_line(ours: Costs, theirs: Costs) -> str:
@@ -175,11 +184,17 @@ def main(argv) -> int:
     packages = [mdpaccel]
     if args.against:
         packages.append(load_package(args.against, "mdpaccel_against"))
-    for key, costs in measure(packages, SHAPES[args.shape], args.seeds, args.repeat):
-        print(costs[0].line(f"{args.shape}/{key}"))
-        if len(costs) > 1:
-            print(costs[1].line(f"{args.shape}/{key} against"))
-            print(ratio_line(costs[0], costs[1]))
+    for seed in args.seeds:
+        by_label = measure(packages, SHAPES[args.shape], seed, args.repeat)
+        for label, costs in by_label.items():
+            key = f"{args.shape}/{label}/{seed}"
+            print(costs[0].line(key))
+            if len(costs) > 1:
+                print(costs[1].line(f"{key} against"))
+                print(ratio_line(costs[0], costs[1]))
+        for i, suffix in zip(range(len(packages)), ("", " against")):
+            print(checks_line(f"{args.shape}/checks/{seed}{suffix}",
+                              {label: costs[i] for label, costs in by_label.items()}))
     return 0
 
 
