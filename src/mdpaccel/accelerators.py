@@ -95,28 +95,42 @@ read, and the projective step's point takes its input's norm scaled.
 With both certificates settled a step forms one one-step backup, at its
 output ``z`` from the carried sums, which the next standard backup reads
 instead of forming it, and its output's sums pass covers no row.  The
-extension forms ``u - v`` once, or takes it and its sup norm from the
-caller, and the difference of the sums once (``WeightedSums.less``), for
-the scan and for its point and that point's sums.  A screen that clears
-every row costs no kernel call and no row value.  On a compacted model
-of about one row per state these fixed costs, not the kernel, set the
-price of a step (README, action elimination).  The scans spread
-per-state values over the rows with ``np.repeat`` over
-``MdpModel.row_counts``, and from all-rows sums divide only the rows that
-can bound the step, with one masked ``np.divide``.
+certified verdict is held on those sums too, so the next extension
+step's test of ``z``, its ``v``, compares nothing.  The extension forms
+``u - v`` once, or takes it and its sup norm from the caller, and the
+difference of the sums once (``WeightedSums.less``), for the scan and
+for its point and that point's sums.  A screen that clears every row
+costs no kernel call and no row value, and a sums call over no rows
+checks its vector and returns.  The scans spread per-state values over
+the rows with ``np.repeat`` over ``MdpModel.row_counts``; the projective
+scan divides every row, masked only when some row is tight, and the
+extension divides only the rows whose slope binds.  They read single
+entries and extremes with ``item`` and ``argmax``/``argmin``, a third of
+a full reduction's fixed cost on short vectors.
+
+On a compacted model of about one row per state these fixed costs, not
+the kernel, set the price of a step (README, action elimination).  On
+band-vi's shape with at most two rows per state (seeds 100-102, one BLAS
+thread) a checked LAVI step costs 44-46 us and a PAVI step 41-44 us,
+3.1-4.3 VI steps (10-14 us); what is left is mostly calls, about 150
+per LAVI step with numpy's, at 0.1-0.5 us each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import UNIT_ROUNDOFF, MdpModel
 from .operators import (
+    _NO_SUMS,
     ScreenedSums,
     WeightedSums,
+    _all,
+    _any,
     _membership_tol,
     _one_step_of,
     is_feasible,
@@ -142,9 +156,11 @@ class AlreadyConvergedError(ValueError):
     """The two points of an extension scan coincide to working precision."""
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Outcome of one acceleration scan.
+
+    A named tuple: immutable, and built at a third of a frozen dataclass's
+    cost, once per scan and once more where the solver renumbers its row.
 
     Attributes:
         alpha: the step factor found by the scan.
@@ -169,8 +185,8 @@ class AccelStep:
 
 
 def _row_location(m: MdpModel, row: int) -> tuple[int, int]:
-    state = int(m.row_state[row])
-    return state, int(row - m.state_ptr[state])
+    state = m.row_state.item(row)
+    return state, row - m.state_ptr.item(state)
 
 
 def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> AlphaResult:
@@ -215,16 +231,18 @@ def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> Alp
         rows, q, rewards = None, spread, m.rewards
         q -= m.discount * s.values
     tight = q <= 0.0
-    if tight.any():
-        if (tight & (rewards > 0.0)).any():
+    if _any(tight):
+        if _any(tight & (rewards > 0.0)):
             return AlphaResult(alpha=1.0, binding=None, fallback_used=True)
         # a row left out is not tight
-        if q.size == m.num_rows and tight.all():
+        if q.size == m.num_rows and _all(tight):
             return AlphaResult(alpha=0.0, binding=None)
-    ratios = np.divide(rewards, q, out=np.full(q.size, -np.inf), where=~tight)
-    k = int(ratios.argmax())
-    alpha = min(1.0, max(0.0, float(ratios[k])))
-    return AlphaResult(alpha=alpha, binding=_row_location(m, k if rows is None else int(rows[k])))
+        ratios = np.divide(rewards, q, out=np.full(q.size, -np.inf), where=~tight)
+    else:
+        ratios = rewards / q
+    k = ratios.argmax()
+    alpha = min(1.0, max(0.0, ratios.item(k)))
+    return AlphaResult(alpha, _row_location(m, int(k) if rows is None else rows.item(k)))
 
 
 def _rows_to_scan(m, spread, s) -> np.ndarray:
@@ -299,16 +317,18 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     # -d, the exact negation of d: the rows with -d positive bind
     neg_d = m.discount * su.less(sv)
     neg_d -= direction.repeat(m.row_counts)
-    binding = neg_d > 0.0
-    ratios = np.divide(c, neg_d, out=np.full(m.num_rows, np.inf), where=binding)
-    row = int(ratios.argmin())
-    # the first row of least ratio binds unless every ratio is inf, so only then can none bind
-    if not binding[row] and not binding.any():
+    binding = (neg_d > 0.0).nonzero()[0]
+    if not binding.size:
         return AlphaResult(alpha=ALPHA_CAP, binding=None, fallback_used=True)
-    alpha = max(1.0, float(ratios[row]))
+    ratios = c[binding] / neg_d[binding]
+    k = ratios.argmin()
+    ratio = ratios.item(k)
+    # the all-rows argmin's row, where a row that does not bind reads inf: row 0 when every ratio is inf
+    row = 0 if ratio == math.inf else binding.item(k)
+    alpha = max(1.0, ratio)
     if alpha >= ALPHA_CAP:
-        return AlphaResult(alpha=ALPHA_CAP, binding=_row_location(m, row), fallback_used=True)
-    return AlphaResult(alpha=alpha, binding=_row_location(m, row))
+        return AlphaResult(ALPHA_CAP, _row_location(m, row), True)
+    return AlphaResult(alpha, _row_location(m, row))
 
 
 # the rows a membership test reads once a bound has cleared them all
@@ -328,11 +348,11 @@ def _precondition_sums(v, s, tol, excess):
     a value it holds below ``tol``.  A bound that is not finite clears none.
     """
     if excess is not None and excess + 8.0 * UNIT_ROUNDOFF * (s.norm + tol) <= tol:
-        return WeightedSums(values=np.zeros(0), base=v, rows=_NO_ROWS)
+        return WeightedSums(_NO_SUMS, v, _NO_ROWS)
     return s
 
 
-def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> float:
+def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float, e: float) -> float:
     """A bound on the distance of the linear extension's carried sums from the exact sums at its point.
 
     The step from ``v`` through ``u`` carries ``h_z = h_v + alpha * (h_u -
@@ -341,14 +361,15 @@ def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> flo
     S(v) + alpha * S(u)`` but for the rounding of ``z``, so ``h_z - S(z)``
     is ``(1 - alpha) * (h_v - S(v)) + alpha * (h_u - S(u))`` plus the
     rounding of ``h_z`` and of ``z``.  ``drift`` bounds ``|h_v - S(v)|``;
-    ``h_u`` are kernel sums, within ``sum_error`` of ``S(u)``; and ``norm``
+    ``h_u`` are kernel sums, within ``e = sum_error(m, norm)`` of ``S(u)``,
+    which the caller passes; and ``norm``
     bounds ``|v|``, ``|u|``, ``|z|`` and ``|u - v|``, so that rounding, a
     few operations per row on magnitudes up to ``alpha * (1 + rho) *
     norm`` and ``alpha`` times the drift, is at most ``alpha * u * (4 *
     drift + 16 * (1 + rho) * norm)``.  ``alpha >= 1``.
     """
     rounding = 4.0 * drift + 16.0 * (1.0 + m.row_sum_deviation) * norm
-    return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
+    return (alpha - 1.0) * drift + alpha * (e + UNIT_ROUNDOFF * rounding)
 
 
 def _output_margin(m: MdpModel, norm: float, error: float) -> float:
@@ -375,13 +396,19 @@ def _output_certified(m, zsums, tol, error) -> bool:
     form from kernel sums; when they are within ``z + tol``, rounded as
     the test rounds it, the test's verdict is True.  Those maxima are held
     on ``zsums``, where a standard backup of ``z`` from them reads them.
+    With a margin that is not negative the maxima themselves pass at ``z +
+    tol``, and that verdict of the membership test of ``z`` from these sums,
+    which the next extension step from ``z`` makes, is held on them too
+    (``WeightedSums._clears``).
     """
     if error is None:
         return False
     margin = _output_margin(m, zsums.norm, error)
-    if not math.isfinite(margin):
+    if not (math.isfinite(margin) and _all(_one_step_of(m, zsums)[1] + margin <= zsums.base + tol)):
         return False
-    return bool((_one_step_of(m, zsums)[1] + margin <= zsums.base + tol).all())
+    if margin >= 0.0:
+        zsums._clears = (m, tol)
+    return True
 
 
 def _rows_to_check(m, z, z_norm, tol, p_sums):
@@ -442,11 +469,8 @@ def _checked(m, zsums, fallback_sums, alpha, check, error=None):
         fresh = weighted_sums(m, z, rows=rows)
         if not is_feasible(m, z, tol=tol, sums=fresh):
             safe = fallback_sums.base.copy()
-            return AccelStep(
-                point=safe, sums=replace(fallback_sums, base=safe),
-                alpha=AlphaResult(alpha.alpha, alpha.binding, fallback_used=True),
-            )
-    return AccelStep(point=z, sums=zsums, alpha=alpha)
+            return AccelStep(safe, replace(fallback_sums, base=safe), alpha._replace(fallback_used=True))
+    return AccelStep(z, zsums, alpha)
 
 
 def _is_kernel(sums) -> bool:
@@ -496,10 +520,11 @@ def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=T
     z = v + res.alpha * direction
     zvalues = res.alpha * su.less(sv)
     zvalues += sv.values
-    zsums = WeightedSums(values=zvalues, base=z, from_kernel=False)
+    zsums = WeightedSums(zvalues, z, None, False)
     error = None
     if check_membership and drift is not None and _is_kernel(su):
         # the carried sums' distance from the exact sums at z, and the kernel sums' from those
         norm = max(sv.norm, su.norm, direction_norm, zsums.norm)
-        error = _extended_drift(m, res.alpha, drift, norm) + sum_error(m, norm)
+        e = sum_error(m, norm)
+        error = _extended_drift(m, res.alpha, drift, norm, e) + e
     return _checked(m, zsums, su, res, check_membership, error)

@@ -35,6 +35,7 @@ all-rows one bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -60,10 +61,31 @@ class OperatorKind(str, Enum):
 
 
 _JACOBI_KINDS = (OperatorKind.JACOBI, OperatorKind.GAUSS_SEIDEL_JACOBI)
+# read on every backup: an Enum member lookup costs several attribute loads on Python 3.11
+_STANDARD = OperatorKind.STANDARD
 
 
 def sup_norm(v: np.ndarray) -> float:
-    return float(np.abs(v).max()) if v.size else 0.0
+    """``max |v_i|``, 0.0 for an empty vector and NaN when an entry is NaN.
+
+    It is taken from the extremes, which ``argmax`` and ``argmin`` find at a
+    third of a reduction's fixed cost on the short vectors of a solve; both
+    return the first NaN, and ``abs`` turns the norm of zeros of either sign
+    into 0.0.
+    """
+    if not v.size:
+        return 0.0
+    return abs(max(v.item(v.argmax()), -v.item(v.argmin())))
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()`` for a boolean vector: its least entry, at a third of a reduction's fixed cost."""
+    return not mask.size or mask.item(mask.argmin())
+
+
+def _any(mask: np.ndarray) -> bool:
+    """``mask.any()`` for a boolean vector: its greatest entry, as ``_all`` finds its least."""
+    return bool(mask.size) and mask.item(mask.argmax())
 
 
 def membership_tolerance(v: np.ndarray) -> float:
@@ -90,7 +112,9 @@ class WeightedSums:
     row values and their state maxima (the one-step backup), is formed once
     per model (``one_step_row_values``), and so is the difference from
     another point's sums (``less``).  Nor is ``base``, so its sup norm is
-    held once formed (``norm``).
+    held once formed (``norm``), and so is a membership verdict that a
+    bound has settled (``_clears``: the model and the tolerance at which
+    every row of ``base`` passes), which ``is_feasible`` reads.
     """
 
     values: np.ndarray
@@ -100,6 +124,7 @@ class WeightedSums:
     _one_step: tuple | None = field(default=None, repr=False, compare=False)
     _norm: float | None = field(default=None, repr=False, compare=False)
     _less: tuple | None = field(default=None, repr=False, compare=False)
+    _clears: tuple | None = field(default=None, repr=False, compare=False)
 
     def matches(self, v: np.ndarray) -> bool:
         return self.base is v or np.array_equal(self.base, v)
@@ -220,6 +245,10 @@ class ScreenedSums:
 #   1.00    1.56      1.55     1.81       1.58
 GATHER_MAX_SHARE = 3 / 10
 
+# the values of sums over no rows, shared by every such sums: sums are never changed in place
+_NO_SUMS = np.zeros(0)
+_NO_SUMS.flags.writeable = False
+
 
 def _kernel(m: MdpModel, v) -> tuple:
     """The one entry to the CSR kernel behind every weighted sum, bound to ``v``.
@@ -248,11 +277,20 @@ def _kernel(m: MdpModel, v) -> tuple:
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries.
     """
+    csr = m.row_matrix
+    return m.num_states, csr.indices, csr.data, np.ascontiguousarray(_vector(m, v), dtype=np.float64)
+
+
+def _vector(m: MdpModel, v) -> np.ndarray:
+    """``v`` as an array, checked to be a vector of ``num_states`` entries.
+
+    Raises:
+        ValueError: ``v`` is not a vector of ``num_states`` entries.
+    """
     x = np.asarray(v)
     if x.shape != (m.num_states,):
         raise ValueError(f"vector of shape {x.shape} given for a model of {m.num_states} states")
-    csr = m.row_matrix
-    return m.num_states, csr.indices, csr.data, np.ascontiguousarray(x, dtype=np.float64)
+    return x
 
 
 def _kernel_rows(m: MdpModel, rows) -> np.ndarray:
@@ -287,18 +325,21 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
     nothing.  Each chosen row is accumulated as in the all-rows pass, bit
     for bit, at the cost of its own entries, and is read back in ascending
     order.  More than ``GATHER_MAX_SHARE`` of the rows take the all-rows
-    pass instead, and its values at ``rows`` are kept.
+    pass instead, and its values at ``rows`` are kept.  No rows take no
+    pass: the call checks ``v`` and ``rows`` and returns empty sums.
 
     Raises:
         ValueError: ``v`` is not a vector of ``num_states`` entries, or
             ``rows`` holds something other than ascending row indices.
     """
+    if rows is not None:
+        _vector(m, v)
+        idx = _kernel_rows(m, rows)
+        if not idx.size:
+            return WeightedSums(_NO_SUMS, v, rows)
     n, indices, data, x = _kernel(m, v)
     indptr = m.row_matrix.indptr
     if rows is not None:
-        idx = _kernel_rows(m, rows)
-        if not idx.size:
-            return WeightedSums(values=np.zeros(0), base=v, rows=rows)
         if len(idx) <= GATHER_MAX_SHARE * m.num_rows:
             down = idx[::-1]
             ptr = np.empty(2 * len(idx) + 1, dtype=indptr.dtype)
@@ -311,7 +352,7 @@ def weighted_sums(m: MdpModel, v: np.ndarray, rows=None) -> WeightedSums:
     values = np.zeros(m.num_rows)
     csr_matvec(m.num_rows, n, indptr, indices, data, x, values)
     if rows is None:
-        return WeightedSums(values=values, base=v)
+        return WeightedSums(values, v)
     return WeightedSums(values=values[idx], base=v, rows=rows)
 
 
@@ -324,7 +365,7 @@ def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> Weigh
     """
     if sums is None:
         return weighted_sums(m, v)
-    if not sums.matches(v):
+    if sums.base is not v and not sums.matches(v):
         raise ValueError("weighted sums were computed for a different vector")
     if isinstance(sums, WeightedSums) and sums.rows is not None:
         raise ValueError("weighted sums cover only some rows")
@@ -383,12 +424,23 @@ def drifted_sums(m: MdpModel, sums, y: np.ndarray):
     return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi)
 
 
+@functools.cache
+def _rounding_terms(n: int) -> tuple[float, float]:
+    """``gamma(n)`` and ``n * eta``, the terms of a rounding bound over ``n`` roundings.
+
+    They are formed once per ``n``: ``n * eta`` is subnormal, and forming
+    it costs the processor's slow subnormal path, several times the rest of
+    a bound.
+    """
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF), n * 2.0**-1074
+
+
 def _rounding_bound(m: MdpModel, scale: float) -> float:
     """``gamma(N + 2) * scale + (N + 2) * eta``, inf when ``4 * scale`` is not finite."""
-    n = m.max_row_nnz + 2
     if not math.isfinite(4.0 * scale):
         return math.inf
-    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * scale + n * 2.0**-1074
+    gamma, floor = _rounding_terms(m.max_row_nnz + 2)
+    return gamma * scale + floor
 
 
 def sum_error(m: MdpModel, norm: float) -> float:
@@ -449,7 +501,7 @@ def check_fit(m: MdpModel, kind: OperatorKind) -> None:
         ArithmeticError: a Jacobi kind on a model whose self-loop
             denominator ``1 - discount * p(i,i)`` falls below ``DIAG_GUARD``.
     """
-    if kind is not OperatorKind.STANDARD and m.mode is RewardMode.TOTAL_REWARD:
+    if kind is not _STANDARD and m.mode is RewardMode.TOTAL_REWARD:
         raise ValueError(
             f"the {kind.value} backup is undefined on a total-reward model; "
             "total-reward models take only the standard backup"
@@ -494,7 +546,7 @@ def _one_step_of(m: MdpModel, sums: WeightedSums) -> tuple[np.ndarray, np.ndarra
     """
     held = sums._one_step
     if held is None or held[0] is not m:
-        values = _row_values(m, OperatorKind.STANDARD, None, sums.values)
+        values = _row_values(m, _STANDARD, None, sums.values)
         held = sums._one_step = (m, values, _state_max(m, values))
     return held[1], held[2]
 
@@ -628,7 +680,9 @@ def is_feasible(m, v, tol=None, sums=None):
     verdict is the all-rows one.
 
     The default ``tol`` reads the sup norm that sums of ``v`` itself hold
-    (``WeightedSums.norm``).
+    (``WeightedSums.norm``), and all-rows sums that hold a verdict settled
+    at a tolerance no larger than ``tol`` (``WeightedSums._clears``) give it
+    without a comparison.
 
     Raises:
         ValueError: ``sums`` were computed for a different vector.
@@ -641,13 +695,18 @@ def is_feasible(m, v, tol=None, sums=None):
         rows = np.flatnonzero(sums.one_step_upper(m) > (v + tol).repeat(m.row_counts))
         sums = WeightedSums(values=sums.take(m, rows), base=sums.base, rows=rows)
     if sums is not None and sums.rows is not None:
-        if not sums.matches(v):
+        if sums.base is not v and not sums.matches(v):
             raise ValueError("weighted sums were computed for a different vector")
         if not len(sums.rows):
             return True
         values = _row_values(m, OperatorKind.STANDARD, None, sums.values, sums.rows)
-        return bool((values <= v[m.row_state[sums.rows]] + tol).all())
-    return bool((_one_step_of(m, require_sums(m, v, sums))[1] <= v + tol).all())
+        return _all(values <= v[m.row_state[sums.rows]] + tol)
+    sums = require_sums(m, v, sums)
+    held = sums._clears
+    if held is not None and held[0] is m and tol >= held[1]:
+        # every row passes at a tolerance no larger, and v + tol rounds no lower
+        return True
+    return _all(_one_step_of(m, sums)[1] <= v + tol)
 
 
 def is_feasible_gs(m, v, tol=None):

@@ -45,8 +45,10 @@ what it holds (``accelerators``, certificates): ``u``'s from the bound
 ``T~(u) <= u + c * max(u - w, 0) + 2 * row_value_error + discount *
 drift`` (``_backup_excess``), and the accelerated point ``z``'s from the
 one-step backup of its carried sums, which the next iteration's backup
-of ``z`` reads.  So a checked falling iteration forms one full one-step
-backup, and its validation pass covers no row; where a certificate
+of ``z`` reads, and on which the certified verdict stays held for the
+next extension step's test of ``z`` as its ``w``.  So a checked falling
+iteration forms one full one-step backup, its validation pass covers no
+row, and its tests compare nothing; where a certificate
 fails, the test runs as in every other checked run: one all-rows sums
 pass and one screened pass over the rows the bound leaves (under 1% of
 them on the benchmark models), two full backups and one over those
@@ -57,7 +59,11 @@ extension the direction ``u - w`` it formed for the residual and the
 residual, its sup norm, and a falling run's guard reads the sup norm of
 the new iterate from the sums carried to it, where the output check, if
 any, formed it.  So an iteration forms each of its vectors, differences
-and sup norms once.
+and sup norms once.  Its fixed costs then set its price once elimination
+has compacted the model: with at most two rows per state on band-vi's
+shape (seeds 100-102, one BLAS thread) a checked falling PAVI or LAVI
+iteration costs 3.1-4.3 plain ones (41-46 us against 10-14 us; the
+``tail`` line of ``tools/step_costs.py``).
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -128,7 +134,12 @@ below ``alpha * u_i``, and the extension's ratio of a row's slack at
 row's value at ``w + alpha * (u - w)`` stays below that point;
 ``_read_error`` bounds the rounding of those per-row tests and of the
 values, and the drift of the sums, ``max(alpha, 1)`` times over; its
-surplus covers the rounding of the guard's own few operations.
+surplus covers the rounding of the guard's own few operations.  A
+projective run from a nonnegative start takes ``z`` for ``min(u, z)``,
+and no rise of ``z`` where ``u`` does not rise: its rewards are
+nonnegative (the scan refuses others), so every backup of a nonnegative
+point is nonnegative, and the rounded product ``alpha * u`` with
+``alpha`` in [0, 1] is at most ``u``.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
 alpha * (sum_error + rounding)`` from the previous drift ``E``
@@ -167,6 +178,9 @@ from enum import Enum
 from numbers import Integral, Real
 
 import numpy as np
+import scipy.sparse as sp
+# the kernel behind row_matrix[rows]; tests pin it to that public form
+from scipy.sparse._sparsetools import csr_row_index
 
 from .accelerators import (
     AlphaResult,
@@ -187,6 +201,8 @@ from .model import (
 from .operators import (
     OperatorKind,
     WeightedSums,
+    _all,
+    _any,
     _membership_tol,
     apply_operator,
     check_fit,
@@ -478,18 +494,27 @@ def _backup_excess(m: MdpModel, c: float, up: float, norm: float, drift: float) 
 def _rows_model(m: MdpModel, rows: np.ndarray) -> MdpModel:
     """``m`` with only the ascending ``rows``, at least one of every state.
 
-    The row matrix is scipy's row copy of ``m``'s, which keeps every row's
-    entries in order, so each kept row's weighted sum is ``m``'s bit for
-    bit; it is set as the copy's view, so no matrix is built from the
-    copy's arrays.  ``m``'s ``row_sum_deviation`` bounds the kept rows
-    too, and is set as the copy's, so no pass measures it again.
+    The kept rows' entries are copied in order by scipy's row-copy kernel
+    (``csr_row_index``, the kernel behind ``row_matrix[rows]``), in the row
+    matrix's own index dtype, so each kept row's weighted sum is ``m``'s
+    bit for bit.  The copy's row matrix is built from those arrays and set
+    as its view, so the model does not build it again.  ``m``'s
+    ``row_sum_deviation`` bounds the kept rows too, and is set as the
+    copy's, so no pass measures it again.
     """
-    csr = m.row_matrix[rows]
+    csr = m.row_matrix
+    indptr, indices = csr.indptr, csr.indices
+    picked = rows.astype(indices.dtype)
+    row_ptr = np.zeros(len(rows) + 1, dtype=indices.dtype)
+    np.cumsum(indptr[picked + 1] - indptr[picked], out=row_ptr[1:])
+    cols, probs = np.empty(row_ptr[-1], dtype=indices.dtype), np.empty(row_ptr[-1])
+    csr_row_index(len(picked), picked, indptr, indices, csr.data, cols, probs)
+    kept = sp.csr_matrix((probs, cols, row_ptr), shape=(len(rows), m.num_states))
     state_ptr = np.zeros(m.num_states + 1, dtype=np.int64)
     np.cumsum(np.bincount(m.row_state[rows], minlength=m.num_states), out=state_ptr[1:])
     out = MdpModel(num_states=m.num_states, discount=m.discount, mode=m.mode, state_ptr=state_ptr,
-                   rewards=m.rewards[rows], row_ptr=csr.indptr, cols=csr.indices, probs=csr.data)
-    out._views["row_matrix"] = csr
+                   rewards=m.rewards[rows], row_ptr=row_ptr, cols=kept.indices, probs=kept.data)
+    out._views["row_matrix"] = kept
     out._views["row_sum_deviation"] = m.row_sum_deviation
     return out
 
@@ -515,7 +540,9 @@ class _Loop:
         self.w = start
         self.threshold = threshold
         self.sweep = sweep_carries_state(config.operator)
-        self.carry_sums = not self.sweep or config.accelerator is AcceleratorKind.LINEAR_EXTENSION
+        self.accelerated = config.accelerator is not AcceleratorKind.NONE
+        self.linear = config.accelerator is AcceleratorKind.LINEAR_EXTENSION
+        self.carry_sums = not self.sweep or self.linear
         self.screened = screens_sums(solve_model, config)
         # the model the simultaneous backups run on: solve_model, or its live rows
         self.work = solve_model
@@ -527,7 +554,7 @@ class _Loop:
             and 0.0 < solve_model.discount * (1.0 + solve_model.row_sum_deviation) < 1.0
         )
         # accelerated runs fall toward the fixed point; plain runs may rise
-        self.falling = self.eliminates and config.accelerator is not AcceleratorKind.NONE
+        self.falling = self.eliminates and self.accelerated
         self.held = self.live = None  # the work model's rows in solve_model, and which are live
         # falling runs: every row dropped from state i is worth at most bound[i] + c * rise at w
         self.bound = None
@@ -540,6 +567,8 @@ class _Loop:
             # w's sup norm, and how far its held sums may lie from its kernel sums
             self.norm = sup_norm(start)
             self.drift = sum_error(solve_model, self.norm)
+            # a projective run from a nonnegative start: every iterate and backup is nonnegative
+            self.nonnegative = not self.linear and bool(start[start.argmin()] >= 0.0)
         if self.screened:
             # the zero vector's sums are exactly zero; the start's drift from it
             zero = WeightedSums(np.zeros(solve_model.num_rows), np.zeros(solve_model.num_states))
@@ -581,14 +610,14 @@ class _Loop:
             e = row_value_error(m, norm) + m.discount * self.drift
             # below the MacQueen lower bound u + k * min(d) by the margin
             k = self.c / (1.0 - self.c)
-            cut = _fall_margin(m, self.c, norm, self.drift) - k * min(float(d.min()), 0.0)
+            cut = _fall_margin(m, self.c, norm, self.drift) - k * min(d.item(d.argmin()), 0.0)
         else:
             cut = _elimination_slack(m, sup_norm(w), residual)
         work = self.work
         q = one_step_row_values(work, sums_w)
         low = q < np.repeat(u - cut, work.row_counts)
         if self.falling:
-            if not low.any():
+            if not _any(low):
                 return
             worth = np.maximum.reduceat(np.where(low, q, -np.inf), work.state_ptr[:-1])
             worth += e - self.c * self.rise
@@ -599,6 +628,9 @@ class _Loop:
             keep = self.live
             self.held = self.held[keep]
             self.work = _rows_model(m, self.held)
+            # the work model's first row of each state, and each work row's action in m (in_model)
+            self.actions = (self.work.state_ptr.tolist(),
+                            (self.held - m.state_ptr[m.row_state[self.held]]).tolist())
             if self.falling:
                 # the sums carried into the next step, cut elementwise: no kept row's sum moves
                 self.sums = WeightedSums(self.sums.values[keep], self.sums.base,
@@ -616,31 +648,32 @@ class _Loop:
             _Rerun: the guard cannot clear a dropped row at some point the
                 iteration read its rows at.
         """
-        m, z = self.m, self.w
+        m, z, sums = self.m, self.w, self.sums
         # the sums carried to z hold its norm, formed by the output check if one ran
-        z_norm = sup_norm(z) if self.sums is None else self.sums.norm
+        z_norm = sup_norm(z) if sums is None else sums.norm
         # bounds |w|, |u|, |z| and |u - w|
         norm = max(self.norm + 2.0 * residual, z_norm)
-        if self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION and not (
-                self.sums is None or self.sums.from_kernel):
-            drift = _extended_drift(m, alpha.alpha, self.drift, norm)
-        else:
-            # kernel sums, the projective step's scaling of them, or none left to carry
-            drift = sum_error(m, norm)
-        if alpha is None or (up == 0.0 and self.config.accelerator is AcceleratorKind.LINEAR_EXTENSION):
-            # z is u, or w + alpha * d with alpha > 0: a rounded sum falls where d does not rise
+        # kernel sums, the projective step's scaling of them, or none left to carry drift by
+        # sum_error; the extension's carried sums by more
+        drift = sum_error(m, norm)
+        if self.linear and not (sums is None or sums.from_kernel):
+            drift = _extended_drift(m, alpha.alpha, self.drift, norm, drift)
+        # z is u, w + alpha * d with alpha > 0, or alpha * u with alpha in [0, 1]: a rounded sum
+        # falls where d does not rise, and a rounded product of u >= 0 is at most u
+        if alpha is None or (up == 0.0 and (self.linear or self.nonnegative)):
             zup = up
         else:
-            zup = max(float((z - w).max()), 0.0)
+            rise = z - w
+            zup = max(rise.item(rise.argmax()), 0.0)
         if self.bound is not None:
             if alpha is None:
                 lowest, factor = u, 1.0
             elif alpha.binding is None or alpha.fallback_used:
                 raise _Rerun
             else:
-                lowest, factor = np.minimum(u, z), alpha.alpha
+                lowest, factor = z if self.nonnegative else np.minimum(u, z), alpha.alpha
             reach = self.c * (self.rise + max(up, zup)) + _read_error(m, factor, self.drift, norm)
-            if not (math.isfinite(reach) and (self.bound + reach < lowest).all()):
+            if not (math.isfinite(reach) and _all(self.bound + reach < lowest)):
                 raise _Rerun
         if self.eliminates and alpha is not None:
             self.eliminate(w, u, d, residual, sums_w)
@@ -652,8 +685,8 @@ class _Loop:
         if work is self.m or alpha.binding is None:
             return alpha
         state, action = alpha.binding
-        row = int(self.held[work.state_ptr[state] + action])
-        return AlphaResult(alpha.alpha, (state, row - int(self.m.state_ptr[state])), alpha.fallback_used)
+        first, actions = self.actions  # of self.work, which is work
+        return AlphaResult(alpha.alpha, (state, actions[first[state] + action]), alpha.fallback_used)
 
     def step(self) -> _Step:
         cfg, m, w, sums_w = self.config, self.m, self.w, self.sums
@@ -662,10 +695,11 @@ class _Loop:
         else:
             u = apply_operator(self.work, w, cfg.operator, sums=sums_w)
         d = u - w
-        residual = sup_norm(d)
-        if self.falling:
-            up = max(float(d.max()), 0.0)
-        if residual <= self.threshold or cfg.accelerator is AcceleratorKind.NONE:
+        # sup_norm(d), from the greatest entry, which a falling run's rise reads too
+        high = d.item(d.argmax())
+        residual = abs(max(high, -d.item(d.argmin())))
+        up = max(high, 0.0)
+        if residual <= self.threshold or not self.accelerated:
             converged = residual <= self.threshold
             self.w = u
             if self.eliminates and not converged:
@@ -685,7 +719,7 @@ class _Loop:
         if self.falling and cfg.membership_checks:
             excess = _backup_excess(m, self.c, up, self.norm + 2.0 * residual, self.drift)
             drift = self.drift
-        if cfg.accelerator is AcceleratorKind.PROJECTIVE:
+        if not self.linear:
             accel = apply_projective(work, u, sums=s_u, check_membership=cfg.membership_checks,
                                      excess=excess)
         else:
@@ -745,8 +779,9 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     runs take the same steps (the benchmark shapes, seeds 100-109).  Nor
     do they select a path: a run drops rows or not with them on or off.
     A falling run settles its tests from certificates (module doc): on
-    band-vi's shape (seeds 100-102) checked LAVI takes 1.26-1.46 times
-    the unchecked run's time, against 1.54-1.56 without them.
+    band-vi's shape (seeds 100-102) checked LAVI takes 1.12-1.21 times
+    the unchecked run's time and checked PAVI 1.23-1.46, against 1.54-1.56
+    for LAVI without the certificates.
 
     A falling run whose guard fails (module doc) runs again from the
     start on every row; ``wall_ms`` counts both runs, and

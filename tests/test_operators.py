@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from mdpaccel.generators import GeneratorSpec, generate
 from mdpaccel.model import (
@@ -232,7 +232,8 @@ class TestKernelInputChecks:
     def test_wrong_vector_shape_raises_on_every_path(self, shape):
         m = self.model()
         v = np.ones(shape)
-        for rows in self.row_sets(m):
+        # no rows at all take no pass, but still check the vector
+        for rows in self.row_sets(m) + [[], np.zeros(0, dtype=np.intp)]:
             with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
                 weighted_sums(m, v, rows=rows)
         for kind in ("standard", "gs", "gsj"):
@@ -278,9 +279,10 @@ class TestScipyKernelPins:
     """scipy's private matvec kernel equals its public matvec and row indexing bit for bit.
 
     ``operators`` calls ``csr_matvec`` directly, with row pointers that
-    interleave the chosen rows with gap rows running backwards; a scipy
-    release that changes the kernel or its loop fails here rather than in
-    the iterates.
+    interleave the chosen rows with gap rows running backwards, and
+    ``solver._rows_model`` calls the row-copy kernel ``csr_row_index``; a
+    scipy release that changes a kernel or its loop fails here rather than
+    in the iterates.
     """
 
     @staticmethod
@@ -323,6 +325,21 @@ class TestScipyKernelPins:
             out = np.zeros(hi - lo)
             csr_matvec(hi - lo, n_cols, a.indptr[lo:hi + 1], a.indices, a.data, v, out)
             assert np.array_equal(out, a[lo:hi] @ v)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_row_copy_equals_row_indexing(self, index_dtype):
+        # solver._rows_model's form: ascending rows copied in the matrix's own index dtype
+        for a, _, rng in self.matrices(index_dtype):
+            rows = np.flatnonzero(rng.random(a.shape[0]) < float(rng.uniform(0.1, 0.9)))
+            picked = rows.astype(index_dtype)
+            indptr = np.zeros(len(rows) + 1, dtype=index_dtype)
+            np.cumsum(a.indptr[picked + 1] - a.indptr[picked], out=indptr[1:])
+            indices, data = np.empty(indptr[-1], dtype=index_dtype), np.empty(indptr[-1])
+            csr_row_index(len(picked), picked, a.indptr, a.indices, a.data, indices, data)
+            expected = a[rows]
+            # scipy narrows int64 indices that fit to int32; the entries are the same
+            assert np.array_equal(indptr, expected.indptr) and np.array_equal(indices, expected.indices)
+            assert np.array_equal(data, expected.data) and data.dtype == expected.data.dtype
 
     def test_matvec_accumulates_into_its_output(self):
         a, v, _ = next(self.matrices(np.int32))
@@ -923,6 +940,24 @@ class TestSupNorm:
     def test_values(self):
         assert sup_norm(np.array([-3.0, 2.0])) == 3.0
         assert sup_norm(np.array([])) == 0.0
+
+    def test_equals_the_reduction_bit_for_bit(self):
+        rng = np.random.default_rng(65)
+        cases = [rng.normal(size=int(rng.integers(1, 300))) * float(rng.choice([1e-300, 1.0, 1e300]))
+                 for _ in range(200)]
+        cases += [np.array(c) for c in ([-0.0], [0.0, -0.0], [-0.0, 0.0], [np.inf, -1.0], [1.0, -np.inf],
+                                         [1.0, np.nan, -2.0], [np.nan], [5e-324, -5e-324])]
+        for v in cases:
+            got, want = sup_norm(v), float(np.abs(v).max())
+            assert type(got) is float
+            assert (np.isnan(got) and np.isnan(want)) or (got == want and not np.signbit(got))
+
+    def test_all_and_any_equal_the_reductions(self):
+        rng = np.random.default_rng(66)
+        masks = [rng.random(int(rng.integers(0, 50))) < p for p in (0.0, 0.5, 0.97, 1.0) for _ in range(20)]
+        for mask in masks:
+            assert operators_mod._all(mask) is bool(mask.all())
+            assert operators_mod._any(mask) is bool(mask.any())
 
 
 class TestOneStepRowValues:

@@ -593,6 +593,46 @@ class TestAcceleratedElimination:
         assert res.rows_eliminated == 0
         assert_same_result(res, expected)
 
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_nonnegative_projective_points_stay_below_their_backup(self, monkeypatch, checks):
+        # the guard reads z for min(u, z), and 0 for the rise of z where u does not rise
+        band = generate(GeneratorSpec(family="band", num_states=40, bandwidth=8, discount=0.995, seed=45))
+        cfg = SolverConfig(accelerator="projective", membership_checks=checks)
+        real_follow, seen = solver_mod._Loop.follow, []
+
+        def follow(loop, w, d, residual, up, u, alpha, sums_w):
+            assert loop.nonnegative
+            if alpha is not None:
+                z = loop.w
+                assert (z >= 0.0).all() and (z <= u).all()
+                if up == 0.0:
+                    assert (z - w).max() <= 0.0
+                seen.append(up == 0.0)
+            return real_follow(loop, w, d, residual, up, u, alpha, sums_w)
+
+        monkeypatch.setattr(solver_mod._Loop, "follow", follow)
+        for m in [*pinned_models(), band]:
+            if not screens_sums(m, cfg):
+                solve(m, cfg)
+        assert len(seen) > 50 and sum(seen) > 0.9 * len(seen)
+
+    def test_projective_run_from_a_start_with_a_negative_entry_guards_every_rise(self, monkeypatch):
+        m = pinned_models()[0]
+        start = initial_feasible_point(m)
+        start[0] = -1.0
+        cfg = SolverConfig(accelerator="projective", membership_checks=False, initial_point=start)
+        loops, real_init = [], solver_mod._Loop.__init__
+
+        def recording_init(loop, *args, **kwargs):
+            real_init(loop, *args, **kwargs)
+            loops.append(loop)
+
+        expected = all_rows_solve(monkeypatch, m, cfg)
+        monkeypatch.setattr(solver_mod._Loop, "__init__", recording_init)
+        res = solve(m, cfg)
+        assert loops[0].falling and not loops[0].nonnegative
+        assert_same_result(res, expected)
+
     def test_guard_refuses_a_dropped_row_that_reaches_the_iterates(self):
         m = pinned_models()[0]
         model, _ = adjust_rewards_nonnegative(m)
@@ -609,6 +649,24 @@ class TestAcceleratedElimination:
 
 
 class TestSharedRowMatrix:
+    def test_rows_model_copies_the_rows_as_row_indexing_does(self):
+        rng = np.random.default_rng(29)
+        for m in [*pinned_models(), random_model(rng, num_states=30, max_actions=6, density=0.3)]:
+            rows = np.flatnonzero(rng.random(m.num_rows) < 0.5)
+            rows = np.union1d(rows, m.state_ptr[:-1])  # at least one row of every state
+            work = solver_mod._rows_model(m, rows)
+            expected = m.row_matrix[rows]
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(work.row_matrix, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert work.row_matrix.shape == expected.shape
+            assert np.array_equal(work.row_ptr, expected.indptr) and work.row_ptr.dtype == np.int64
+            assert work.cols is work.row_matrix.indices and work.probs is work.row_matrix.data
+            assert np.array_equal(work.rewards, m.rewards[rows])
+            assert np.array_equal(work.row_state, m.row_state[rows])
+            v = rng.normal(size=m.num_states)
+            assert np.array_equal(weighted_sums(work, v).values, weighted_sums(m, v).values[rows])
+
     def test_accelerated_solves_build_the_matrix_once(self, monkeypatch):
         m = generate(GeneratorSpec(family="uniform", num_states=15, density=0.5, seed=4))
         built, shifted = [], []
@@ -1012,6 +1070,36 @@ class TestCertifiedMembership:
         assert not pending
         # the bounds clear nearly every step's tests
         assert min(certified.values()) >= 0.9 * steps
+
+
+class TestHeldVerdicts:
+    """A verdict an output certificate held on the carried sums of ``z``,
+    read by the next extension step's membership test of ``z``, is the
+    verdict of the test from fresh all-rows kernel sums and from the
+    carried sums themselves."""
+
+    def test_held_verdicts_are_the_all_rows_ones(self, monkeypatch):
+        real_feasible = accel_mod.is_feasible
+        held = []
+
+        def feasible(m, v, tol=None, sums=None):
+            verdict = real_feasible(m, v, tol=tol, sums=sums)
+            clears = getattr(sums, "_clears", None)
+            if sums.rows is None and clears is not None and clears[0] is m and tol >= clears[1]:
+                assert verdict is True
+                assert real_feasible(m, v, tol=tol, sums=weighted_sums(m, v)) is True
+                assert real_feasible(m, v, tol=tol, sums=dataclasses.replace(sums, _clears=None)) is True
+                held.append(v)
+            return verdict
+
+        monkeypatch.setattr(accel_mod, "is_feasible", feasible)
+        steps = 0
+        for m in TestCertifiedMembership.models():
+            res = solve(m, SolverConfig(accelerator="linear"))
+            assert res.converged
+            steps += sum(a is not None for a in res.alphas)
+        # every extension step but the first reads the verdict its predecessor held
+        assert len(held) >= 0.9 * steps
 
 
 class TestScreenSelection:

@@ -1,5 +1,6 @@
 """tools/step_costs.py: one line per config, whose phases add up to the solve's backups,
-and one line per seed with the cost of the membership checks."""
+and two lines per seed: the cost of the membership checks, and of an accelerated step on
+the compacted model against a plain one."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ LINE = re.compile(
     r" \| all (\d+) x (\S+) us \| compacted (\d+) x (\S+) us \| two (\d+) x (\S+) us$"
 )
 CHECKS = re.compile(r"^tiny/checks/(\d+)( against)? checked/unchecked wall PAVI (\S+) \| LAVI (\S+)$")
+TAIL = re.compile(r"^tiny/tail/(\d+)( against)? two/VI us per backup PAVI (\S+) \| LAVI (\S+)$")
 
 
 @pytest.fixture
@@ -34,12 +36,15 @@ def tool(monkeypatch):
 def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
     assert tool.main(["--shape", "tiny", "--seeds", "3", "4", "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    per_seed = len(tool.CONFIGS) + 1
+    per_seed = len(tool.CONFIGS) + 2
     assert len(lines) == 2 * per_seed
     keys = []
     for k, line in enumerate(lines):
         if k % per_seed == len(tool.CONFIGS):
             keys.append(check_ratios(line))
+            continue
+        if k % per_seed == len(tool.CONFIGS) + 1:
+            keys.append(("tail", tail_ratios(line, lines[k - per_seed + 1:k - 1])))
             continue
         match = LINE.match(line)
         assert match, line
@@ -57,7 +62,7 @@ def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
         # a run that drops rows leaves the all-rows phase
         assert (counts[0] < int(backups)) is (solved.rows_eliminated > 0)
     assert keys == [
-        key for seed in (3, 4) for key in [(label, seed) for label, _ in tool.CONFIGS] + [seed]
+        key for seed in (3, 4) for key in [(label, seed) for label, _ in tool.CONFIGS] + [seed, ("tail", seed)]
     ]
 
 
@@ -70,20 +75,35 @@ def check_ratios(line: str) -> int:
     return int(match.group(1))
 
 
+def tail_ratios(line: str, config_lines: list[str]) -> int:
+    """The seed of a ``tail`` line, whose ratios are PAVI's and LAVI's two-phase times over VI's."""
+    match = TAIL.match(line)
+    assert match, line
+    matches = [LINE.match(c.replace(" against ", " ", 1)) for c in config_lines]
+    two = {m.group(1): float(m.group(9)) for m in matches}
+    for label, ratio in zip(("PAVI", "LAVI"), match.group(3, 4)):
+        # the tiny shape's runs all reach the two-rows phase
+        assert 0.0 < float(ratio) < float("inf")
+        assert float(ratio) == pytest.approx(two[label] / two["VI"], rel=0.02, abs=1e-3)
+    return int(match.group(1))
+
+
 def test_against_a_second_copy_prints_its_line_and_the_ratios(tool, capsys):
     src = Path(mdpaccel.__file__).resolve().parents[1]
     assert tool.main(["--shape", "tiny", "--seeds", "3", "--repeat", "1", "--against", str(src)]) == 0
     lines = capsys.readouterr().out.splitlines()
     configs = 3 * len(tool.CONFIGS)
-    assert len(lines) == configs + 2
+    assert len(lines) == configs + 4
     for ours, theirs, ratios in zip(lines[0:configs:3], lines[1:configs:3], lines[2:configs:3]):
         assert LINE.match(ours) and theirs.startswith(ours.split(" ")[0] + " against ")
         # the same code takes the same steps in each phase
         assert phase_counts(ours) == phase_counts(theirs)
         assert ratios.startswith("  ratio wall ")
-    # the checks line of each copy
-    assert [check_ratios(line) for line in lines[configs:]] == [3, 3]
-    assert CHECKS.match(lines[-1]).group(2) == " against"
+    # the checks and tail lines of each copy
+    ours, theirs = lines[0:configs:3], lines[1:configs:3]
+    assert [check_ratios(line) for line in lines[configs::2]] == [3, 3]
+    assert [tail_ratios(line, copy) for line, copy in zip(lines[configs + 1::2], (ours, theirs))] == [3, 3]
+    assert CHECKS.match(lines[-2]).group(2) == TAIL.match(lines[-1]).group(2) == " against"
 
 
 def phase_counts(line: str) -> list[str]:

@@ -23,11 +23,15 @@ Each line holds the config key, the backups of the solve, the solve's
 time is the minimum over the repeats (backup counts do not vary).  After
 each seed's configs a ``checks`` line gives the cost of the membership
 checks: the checked solve's ``wall_ms`` over the unchecked one's, for
-PAVI and LAVI.  With ``--against``, a second copy of the package is
+PAVI and LAVI; and a ``tail`` line the cost of an accelerated step once
+elimination has compacted the model: checked PAVI's and LAVI's
+microseconds per backup in the ``two`` phase over VI's (nan where a
+config never reaches it).  With ``--against``, a second copy of the package is
 imported from that source directory under another name, its solves
 alternate with this one's (the order flips at every repeat), and each
 line is followed by the other copy's line and, for a config, the ratios
-of this copy's times over it.  Run with one BLAS thread
+of this copy's times over it, and each seed's ``checks`` and ``tail``
+lines by the other copy's.  Run with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``) and nothing else busy.
 """
 
@@ -161,6 +165,13 @@ def checks_line(key: str, costs: dict[str, Costs]) -> str:
     return f"{key} checked/unchecked wall " + " | ".join(cells)
 
 
+def tail_line(key: str, costs: dict[str, Costs]) -> str:
+    """PAVI's and LAVI's microseconds per backup over VI's, with at most two rows per state."""
+    vi = costs["VI"].us_per_backup("two")
+    cells = [f"{label} {costs[label].us_per_backup('two') / vi:.3f}" for label in ("PAVI", "LAVI")]
+    return f"{key} two/VI us per backup " + " | ".join(cells)
+
+
 def ratio_line(ours: Costs, theirs: Costs) -> str:
     cells = [f"  ratio wall {ours.wall_ms / theirs.wall_ms:.3f}"]
     for phase in PHASES:
@@ -193,8 +204,9 @@ def main(argv) -> int:
                 print(costs[1].line(f"{key} against"))
                 print(ratio_line(costs[0], costs[1]))
         for i, suffix in zip(range(len(packages)), ("", " against")):
-            print(checks_line(f"{args.shape}/checks/{seed}{suffix}",
-                              {label: costs[i] for label, costs in by_label.items()}))
+            copy = {label: costs[i] for label, costs in by_label.items()}
+            print(checks_line(f"{args.shape}/checks/{seed}{suffix}", copy))
+            print(tail_line(f"{args.shape}/tail/{seed}{suffix}", copy))
     return 0
 
 
