@@ -46,43 +46,46 @@ from the upper bounds of the input's row values; all-rows sums are the
 zero-width case of that screen.  The results are the all-rows ones bit
 for bit.
 
-Certificates.  A caller that holds bounds on the step's inputs passes
-them, and each membership test that a bound settles takes sums over no
-rows, so its verdict, True, costs no row value (``_precondition_sums``,
-``_output_certified``).  The solver's falling runs do (``solver``, falling
-runs); a call without them tests as described above.  Both rest on the
-exact backup ``T`` of the stored numbers being monotone, with ``T(x) <=
-T(y) + c * max(x - y, 0)`` for ``c = discount * (1 + rho)`` and no
-negative probability, and on ``operators.row_value_error`` bounding the
-rounding of a computed row value (Puterman, Markov Decision Processes,
-1994, sections 6.2 and 6.6).
+Certificates.  A membership verdict held on a point's all-rows sums
+(``WeightedSums._clears``) is the one channel by which a bound settles a
+test: ``operators.is_feasible`` gives it without forming a row value.
+Two bounds record it, and both rest on the exact backup ``T`` of the
+stored numbers being monotone, with ``T(x) <= T(y) + c * max(x - y, 0)``
+for ``c = discount * (1 + rho)`` and no negative probability, and on
+``operators.row_value_error`` bounding the rounding of a computed row
+value (Puterman, Markov Decision Processes, 1994, sections 6.2 and 6.6).
 
 * The precondition at ``u = T~(w)``, the backup the caller computed from
   sums of ``w`` within ``drift`` of its exact sums: ``u`` lies within
   ``e_w = row_value_error + discount * drift`` of ``T(w)``, and the
   computed backup at ``u`` within ``e_u = row_value_error`` of ``T(u)``,
-  so ``T~(u) <= u + c * max(u - w, 0) + e_w + e_u``.  That bound is the
-  ``excess`` the caller passes; when it is inside ``u``'s tolerance,
-  every row passes.
-* The output at ``z``, whose sums are carried by linearity.  The
+  so ``T~(u) <= u + c * max(u - w, 0) + e_w + e_u``.  The caller passes
+  that bound to ``operators.certify_membership`` on the sums of ``u``
+  before the step, which holds the verdict when the bound is inside
+  ``u``'s tolerance; the solver's falling runs do (``solver``, falling
+  runs).
+* The output at ``z``, whose sums are carried by linearity and hold their
+  ``drift`` from the exact sums at ``z`` (``WeightedSums.drift``).  The
   projective step's, ``alpha * s_u`` from kernel sums ``s_u``, lie within
-  ``sum_error`` of the exact sums at ``z`` (``operators.sum_error``), and
-  the kernel sums of ``z`` within ``sum_error`` of those, so ``E_z =
-  2 * sum_error``.  The extension's, ``s_v + alpha * (s_u - s_v)``, lie
-  within ``_extended_drift`` of the exact sums at ``z``, from the
-  ``drift`` of ``s_v`` the caller passes and kernel sums ``s_u``; the
-  kernel sums of ``z`` add ``sum_error``.  A row value from carried sums
-  is then within ``discount * E_z`` of the value from kernel sums, but
-  for rounding (``_output_margin``).  The state maxima of the carried
-  one-step values, raised by that margin, bound every row value the
-  all-rows test would form; when they stay within ``z + tol``, every row
-  passes.  The maxima stay held on ``z``'s sums, where the standard
-  backup of ``z`` reads them.
+  ``sum_error`` of them (``operators.sum_error``); the extension's,
+  ``s_v + alpha * (s_u - s_v)`` from kernel sums ``s_u``, within
+  ``_extended_drift``, from the drift of ``s_v``.  The kernel sums of
+  ``z`` add ``sum_error``.  A row value from carried sums is then within
+  ``discount`` times that of the value from kernel sums, but for rounding
+  (``_output_margin``).  The state maxima of the carried one-step values,
+  raised by that margin, bound every row value the all-rows test would
+  form; when they stay within ``z + tol``, every row passes
+  (``_output_certified``).  A step tries this certificate exactly when
+  its input's sums hold their verdict, and a certified point takes no
+  sums pass and no test.  The maxima stay held on ``z``'s sums, where the
+  standard backup of ``z`` reads them, and so does the verdict, which the
+  next extension step's test of ``z`` reads.
 
-A bound that fails, or is not finite, leaves its test as without it, so
-every verdict, fallback and iterate is the uncertified one bit for bit.
-The output certificate forms nothing at all when its margin is not
-finite.
+A bound that fails, or is not finite, records nothing and leaves its
+test as without it, so every verdict, fallback and iterate is the
+uncertified one bit for bit.  The output certificate forms nothing at
+all when its margin is not finite.  A call whose input sums hold no
+verdict tests and screens as described above.
 
 A checked step therefore costs one screened sums pass, for its output,
 and one one-step backup per point it tests: the projective step tests
@@ -94,26 +97,18 @@ norm too (``norm``), which the tolerances, the screen and the caller
 read, and the projective step's point takes its input's norm scaled.
 With both certificates settled a step forms one one-step backup, at its
 output ``z`` from the carried sums, which the next standard backup reads
-instead of forming it, and its output's sums pass covers no row.  The
-certified verdict is held on those sums too, so the next extension
-step's test of ``z``, its ``v``, compares nothing.  The extension forms
-``u - v`` once, or takes it and its sup norm from the caller, and the
+instead of forming it, and takes no sums pass.  The extension forms ``u
+- v`` once, or takes it and its sup norm from the caller, and the
 difference of the sums once (``WeightedSums.less``), for the scan and
 for its point and that point's sums.  A screen that clears every row
-costs no kernel call and no row value, and a sums call over no rows
-checks its vector and returns.  The scans spread per-state values over
-the rows with ``np.repeat`` over ``MdpModel.row_counts``; the projective
-scan divides every row, masked only when some row is tight, and the
-extension divides only the rows whose slope binds.  They read single
-entries and extremes with ``item`` and ``argmax``/``argmin``, a third of
-a full reduction's fixed cost on short vectors.
-
+costs no kernel call and no row value.  The scans spread per-state
+values over the rows with ``np.repeat`` over ``MdpModel.row_counts``;
+the projective scan divides every row, masked only when some row is
+tight, and the extension divides only the rows whose slope binds.  They
+read single entries and extremes with ``item`` and ``argmax``/
+``argmin``, a third of a full reduction's fixed cost on short vectors.
 On a compacted model of about one row per state these fixed costs, not
-the kernel, set the price of a step (README, action elimination).  On
-band-vi's shape with at most two rows per state (seeds 100-102, one BLAS
-thread) a checked LAVI step costs 44-46 us and a PAVI step 41-44 us,
-3.1-4.3 VI steps (10-14 us); what is left is mostly calls, about 150
-per LAVI step with numpy's, at 0.1-0.5 us each.
+the kernel, set the price of a step (README, action elimination).
 """
 
 from __future__ import annotations
@@ -126,7 +121,6 @@ import numpy as np
 
 from .model import UNIT_ROUNDOFF, MdpModel
 from .operators import (
-    _NO_SUMS,
     ScreenedSums,
     WeightedSums,
     _all,
@@ -138,6 +132,7 @@ from .operators import (
     require_sums,
     row_value_error,
     sum_error,
+    sums_drift,
     sup_norm,
     weighted_sums,
 )
@@ -189,7 +184,7 @@ def _row_location(m: MdpModel, row: int) -> tuple[int, int]:
     return state, row - m.state_ptr.item(state)
 
 
-def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> AlphaResult:
+def projective_alpha(m, v, sums=None, check_membership=True) -> AlphaResult:
     """Smallest scale factor keeping ``alpha * v`` above its own backup.
 
     For each row the constraint is ``alpha * (v_i - discount * s_i) >=
@@ -205,10 +200,6 @@ def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> Alp
     slacks; the others can neither be tight nor attain the maximum ratio,
     so the result is the all-rows one bit for bit.
 
-    ``excess``, when given, bounds ``T~(v) - v`` componentwise; the
-    membership test then clears every row without forming ``v``'s backup
-    when that bound is inside its tolerance (``_precondition_sums``).
-
     Raises:
         FeasibilityError: negative rewards, or (with checks enabled) a
             ``v`` that does not dominate its backup.
@@ -218,10 +209,8 @@ def projective_alpha(m, v, sums=None, check_membership=True, excess=None) -> Alp
             "projective scaling needs nonnegative rewards; shift rewards first"
         )
     s = require_sums(m, v, sums)
-    if check_membership:
-        tol = _membership_tol(s.norm)
-        if not is_feasible(m, v, tol=tol, sums=_precondition_sums(v, s, tol, excess)):
-            raise FeasibilityError("point does not dominate its one-step backup")
+    if check_membership and not is_feasible(m, v, tol=_membership_tol(s.norm), sums=s):
+        raise FeasibilityError("point does not dominate its one-step backup")
     spread = v.repeat(m.row_counts)
     if isinstance(s, ScreenedSums):
         rows = _rows_to_scan(m, spread, s)
@@ -270,7 +259,7 @@ def _rows_to_scan(m, spread, s) -> np.ndarray:
 
 
 def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True,
-                           direction=None, direction_norm=None, excess=None) -> AlphaResult:
+                           direction=None, direction_norm=None) -> AlphaResult:
     """Largest step along ``v + alpha * (u - v)`` that keeps dominance.
 
     Requires both endpoints to dominate their own backups; any such ``u``
@@ -287,9 +276,7 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     ``direction`` is ``u - v`` when the caller has formed it, and
     ``direction_norm`` its sup norm.  Sums of ``v`` hold its sup norm, and
     the difference of the sums is held by ``sums_u`` (``WeightedSums.less``)
-    for the step to form its point's sums from.  ``excess``, when given,
-    bounds ``T~(u) - u`` componentwise, and clears ``u``'s membership test
-    as ``projective_alpha``'s clears ``v``'s.
+    for the step to form its point's sums from.
 
     Raises:
         AlreadyConvergedError: ``|u - v| <= RATIO_GUARD_SCALE * (1 + |v|)``.
@@ -308,8 +295,7 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     if check_membership:
         if not is_feasible(m, v, tol=_membership_tol(norm), sums=sv):
             raise FeasibilityError("current point does not dominate its one-step backup")
-        tol = _membership_tol(su.norm)
-        if not is_feasible(m, u, tol=tol, sums=_precondition_sums(u, su, tol, excess)):
+        if not is_feasible(m, u, tol=_membership_tol(su.norm), sums=su):
             raise FeasibilityError("direction point does not dominate its one-step backup")
     c = v.repeat(m.row_counts)
     c -= m.rewards
@@ -331,28 +317,7 @@ def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=T
     return AlphaResult(alpha, _row_location(m, row))
 
 
-# the rows a membership test reads once a bound has cleared them all
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-
-
-def _precondition_sums(v, s, tol, excess):
-    """The sums a membership test of ``v`` at ``v + tol`` reads: ``s``, or none of its rows.
-
-    ``excess`` bounds ``T~(v) - v`` componentwise, or is None.  Every row
-    value the test would compute is then at most ``v_i + excess``, and the
-    test compares it with ``v_i + tol`` rounded, which is at least ``v_i +
-    tol - u * (|v_i| + tol)``.  So when ``excess + 8u * (norm + tol)`` is at
-    most ``tol``, every row passes, and the test takes sums over no rows: a
-    bound has cleared every row (``operators.is_feasible``).  The surplus
-    covers the rounding of this test and of ``excess``, a few operations on
-    a value it holds below ``tol``.  A bound that is not finite clears none.
-    """
-    if excess is not None and excess + 8.0 * UNIT_ROUNDOFF * (s.norm + tol) <= tol:
-        return WeightedSums(_NO_SUMS, v, _NO_ROWS)
-    return s
-
-
-def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float, e: float) -> float:
+def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> float:
     """A bound on the distance of the linear extension's carried sums from the exact sums at its point.
 
     The step from ``v`` through ``u`` carries ``h_z = h_v + alpha * (h_u -
@@ -361,49 +326,49 @@ def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float, e: flo
     S(v) + alpha * S(u)`` but for the rounding of ``z``, so ``h_z - S(z)``
     is ``(1 - alpha) * (h_v - S(v)) + alpha * (h_u - S(u))`` plus the
     rounding of ``h_z`` and of ``z``.  ``drift`` bounds ``|h_v - S(v)|``;
-    ``h_u`` are kernel sums, within ``e = sum_error(m, norm)`` of ``S(u)``,
-    which the caller passes; and ``norm``
-    bounds ``|v|``, ``|u|``, ``|z|`` and ``|u - v|``, so that rounding, a
-    few operations per row on magnitudes up to ``alpha * (1 + rho) *
-    norm`` and ``alpha`` times the drift, is at most ``alpha * u * (4 *
-    drift + 16 * (1 + rho) * norm)``.  ``alpha >= 1``.
+    ``h_u`` are kernel sums, within ``e = sum_error(m, norm)`` of ``S(u)``;
+    and ``norm`` bounds ``|v|``, ``|u|``, ``|z|`` and ``|u - v|``, so that
+    rounding, a few operations per row on magnitudes up to ``alpha * (1 +
+    rho) * norm`` and ``alpha`` times the drift, is at most ``alpha * u *
+    (4 * drift + 16 * (1 + rho) * norm)``.  ``alpha >= 1``.
     """
     rounding = 4.0 * drift + 16.0 * (1.0 + m.row_sum_deviation) * norm
-    return (alpha - 1.0) * drift + alpha * (e + UNIT_ROUNDOFF * rounding)
+    return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
 
 
-def _output_margin(m: MdpModel, norm: float, error: float) -> float:
+def _output_margin(m: MdpModel, norm: float, drift: float) -> float:
     """How far the carried one-step values of ``z`` must clear ``z + tol`` to certify it.
 
-    ``error`` bounds the distance of ``z``'s carried sums from its kernel
-    sums and ``norm`` is ``sup_norm(z)``.  A row value is ``r + discount *
-    s`` rounded twice, about ``2u * K`` at most, where ``K`` is the scale
-    that ``e = row_value_error(m, norm)`` multiplies and ``e >= 3u * K``.
-    So the value from the kernel sum lies within ``discount * error + 4u *
-    K`` of the value from the carried sum, and the carried maximum plus
-    this margin rounds by about ``u * K`` more; ``4e >= 12u * K`` covers
-    both.
+    ``drift`` bounds the distance of ``z``'s carried sums from its exact
+    sums, and ``norm`` is ``sup_norm(z)``, so the carried sums lie within
+    ``error = drift + sum_error(m, norm)`` of its kernel sums.  A row value
+    is ``r + discount * s`` rounded twice, about ``2u * K`` at most, where
+    ``K`` is the scale that ``e = row_value_error(m, norm)`` multiplies and
+    ``e >= 3u * K``.  So the value from the kernel sum lies within
+    ``discount * error + 4u * K`` of the value from the carried sum, and
+    the carried maximum plus this margin rounds by about ``u * K`` more;
+    ``4e >= 12u * K`` covers both.
     """
-    return m.discount * error + 4.0 * row_value_error(m, norm)
+    return m.discount * (drift + sum_error(m, norm)) + 4.0 * row_value_error(m, norm)
 
 
-def _output_certified(m, zsums, tol, error) -> bool:
+def _output_certified(m, zsums, tol) -> bool:
     """Whether ``zsums``, carried sums of ``z``, clear every row of ``z``'s membership test at ``z + tol``.
 
-    ``error`` bounds the distance of the carried sums from the kernel sums
-    of ``z``, or is None.  The state maxima of the carried one-step values,
-    raised by ``_output_margin``, bound every row value the test would
-    form from kernel sums; when they are within ``z + tol``, rounded as
-    the test rounds it, the test's verdict is True.  Those maxima are held
-    on ``zsums``, where a standard backup of ``z`` from them reads them.
-    With a margin that is not negative the maxima themselves pass at ``z +
-    tol``, and that verdict of the membership test of ``z`` from these sums,
-    which the next extension step from ``z`` makes, is held on them too
+    The state maxima of the carried one-step values, raised by
+    ``_output_margin`` from the sums' ``drift``, bound every row value the
+    test would form from kernel sums; when they are within ``z + tol``,
+    rounded as the test rounds it, the test's verdict is True.  Sums with no
+    drift bound certify nothing.  Those maxima are held on ``zsums``, where
+    a standard backup of ``z`` from them reads them.  With a margin that is
+    not negative the maxima themselves pass at ``z + tol``, and that verdict
+    of the membership test of ``z`` from these sums, which the next
+    extension step from ``z`` makes, is held on them too
     (``WeightedSums._clears``).
     """
-    if error is None:
+    if zsums.drift is None:
         return False
-    margin = _output_margin(m, zsums.norm, error)
+    margin = _output_margin(m, zsums.norm, zsums.drift)
     if not (math.isfinite(margin) and _all(_one_step_of(m, zsums)[1] + margin <= zsums.base + tol)):
         return False
     if margin >= 0.0:
@@ -449,65 +414,58 @@ def _rows_to_check(m, z, z_norm, tol, p_sums):
     return (bound > (z + tol).repeat(m.row_counts)).nonzero()[0]
 
 
-def _checked(m, zsums, fallback_sums, alpha, check, error=None):
+def _checked(m, zsums, fallback_sums, alpha, check):
     """Validate the accelerated point ``zsums.base``; swap in the fallback when it fails.
 
-    ``error``, when given, bounds the distance of ``zsums`` from the
-    kernel sums of the point; when ``_output_certified`` clears every row
-    from them, the check takes sums over no rows.  Otherwise it takes fresh
-    sums at the point only for the rows that ``_rows_to_check`` cannot
-    clear from ``fallback_sums``, the sums at the step's input.  Either
-    way its verdict is the all-rows one bit for bit.
+    ``fallback_sums`` are the sums at the step's input.  When they hold
+    that input's membership verdict (``operators.certify_membership``), the
+    check first tries to certify the point from its carried sums
+    (``_output_certified``); a certified point takes no sums pass and no
+    test.  Otherwise the check takes fresh sums at the point only for the
+    rows that ``_rows_to_check`` cannot clear from ``fallback_sums``.
+    Either way its verdict is the all-rows one bit for bit.
     """
     z = zsums.base
     if check:
         tol = _membership_tol(zsums.norm)
-        if _output_certified(m, zsums, tol, error):
-            rows = _NO_ROWS
-        else:
-            rows = _rows_to_check(m, z, zsums.norm, tol, fallback_sums)
-        fresh = weighted_sums(m, z, rows=rows)
-        if not is_feasible(m, z, tol=tol, sums=fresh):
-            safe = fallback_sums.base.copy()
-            return AccelStep(safe, replace(fallback_sums, base=safe), alpha._replace(fallback_used=True))
+        held = getattr(fallback_sums, "_clears", None)
+        if not (held is not None and held[0] is m and _output_certified(m, zsums, tol)):
+            fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, zsums.norm, tol, fallback_sums))
+            if not is_feasible(m, z, tol=tol, sums=fresh):
+                safe = fallback_sums.base.copy()
+                return AccelStep(safe, replace(fallback_sums, base=safe), alpha._replace(fallback_used=True))
     return AccelStep(z, zsums, alpha)
 
 
-def _is_kernel(sums) -> bool:
-    return isinstance(sums, WeightedSums) and sums.from_kernel
-
-
-def apply_projective(m, v, sums=None, check_membership=True, excess=None) -> AccelStep:
+def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
     """Scale ``v`` toward the fixed point; returns point, sums, and scan info.
 
-    ``excess``, when given, bounds ``T~(v) - v`` componentwise and lets
-    both membership tests clear every row from a bound (module doc): the
-    precondition from ``excess``, and the output from its sums, scaled
-    kernel sums of ``v``, which lie within ``2 * sum_error`` of the kernel
-    sums of ``alpha * v``.
+    The point's sums are ``sums`` scaled; scaled all-rows kernel sums lie
+    within ``sum_error`` of the exact sums at the point
+    (``operators.sum_error``), which they hold as their ``drift``.
     """
     s = require_sums(m, v, sums)
-    res = projective_alpha(m, v, sums=s, check_membership=check_membership, excess=excess)
-    error = None
-    if check_membership and excess is not None and _is_kernel(s):
-        error = 2.0 * sum_error(m, s.norm)
-    return _checked(m, s.scaled(res.alpha), s, res, check_membership, error)
+    res = projective_alpha(m, v, sums=s, check_membership=check_membership)
+    kernel = type(s) is WeightedSums and s.from_kernel
+    # formed before the scaling, which passes the norm of v to the point's sums scaled
+    drift = sum_error(m, s.norm) if kernel else None
+    zsums = s.scaled(res.alpha)
+    if kernel:
+        zsums.drift = drift
+    return _checked(m, zsums, s, res, check_membership)
 
 
 def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True,
-                           direction=None, direction_norm=None, excess=None,
-                           drift=None) -> AccelStep:
+                           direction=None, direction_norm=None) -> AccelStep:
     """Extend from ``v`` through ``u``; returns point, sums, and scan info.
 
     ``direction`` is ``u - v`` when the caller has formed it, and
     ``direction_norm`` its sup norm; the scan and the step read them, and
-    the difference of the sums, without forming any again.  ``excess``
-    bounds ``T~(u) - u`` componentwise, and ``drift`` the distance of
-    ``sums_v`` from the exact sums of ``v``; each, when given, lets one
-    membership test clear every row from a bound (module doc): ``excess``
-    the test of ``u``, and ``drift`` the output's, for kernel sums of
-    ``u``.  A failed output check falls back to ``u`` (already a valid
-    descent).
+    the difference of the sums, without forming any again.  From kernel
+    sums of ``u`` the point's carried sums hold their ``drift``
+    (``_extended_drift``), taken at ``max(|v| + 2 * |u - v|, |z|)``, which
+    bounds ``|u|`` too from norms already held.  A failed output check
+    falls back to ``u`` (already a valid descent).
     """
     sv = require_sums(m, v, sums_v)
     su = require_sums(m, u, sums_u)
@@ -516,15 +474,12 @@ def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=T
     if direction_norm is None:
         direction_norm = sup_norm(direction)
     res = linear_extension_alpha(m, v, u, sums_v=sv, sums_u=su, check_membership=check_membership,
-                                 direction=direction, direction_norm=direction_norm, excess=excess)
+                                 direction=direction, direction_norm=direction_norm)
     z = v + res.alpha * direction
     zvalues = res.alpha * su.less(sv)
     zvalues += sv.values
     zsums = WeightedSums(zvalues, z, None, False)
-    error = None
-    if check_membership and drift is not None and _is_kernel(su):
-        # the carried sums' distance from the exact sums at z, and the kernel sums' from those
-        norm = max(sv.norm, su.norm, direction_norm, zsums.norm)
-        e = sum_error(m, norm)
-        error = _extended_drift(m, res.alpha, drift, norm, e) + e
-    return _checked(m, zsums, su, res, check_membership, error)
+    if su.from_kernel:
+        norm = max(sv.norm + 2.0 * direction_norm, zsums.norm)
+        zsums.drift = _extended_drift(m, res.alpha, sums_drift(m, sv), norm)
+    return _checked(m, zsums, su, res, check_membership)

@@ -107,20 +107,26 @@ class WeightedSums:
     lets consumers assert they were handed sums for the vector they are
     about to back up.  ``from_kernel`` is False for sums derived from other
     sums by linearity: their rounding is not the CSR kernel's, so
-    ``row_value_error`` does not cover them.  ``values`` is never changed
-    in place once the sums exist, so what is derived from it, the one-step
-    row values and their state maxima (the one-step backup), is formed once
-    per model (``one_step_row_values``), and so is the difference from
-    another point's sums (``less``).  Nor is ``base``, so its sup norm is
-    held once formed (``norm``), and so is a membership verdict that a
-    bound has settled (``_clears``: the model and the tolerance at which
-    every row of ``base`` passes), which ``is_feasible`` reads.
+    ``row_value_error`` does not cover them.  ``drift`` bounds the distance
+    of ``values`` from the exact sums of ``base``; it is None for kernel
+    sums, whose bound is ``sum_error`` at their norm, and for derived sums
+    whose distance no step bounded (``sums_drift``).  ``values`` is never
+    changed in place once the sums exist, so what is derived from it, the
+    one-step row values and their state maxima (the one-step backup), is
+    formed once per model (``one_step_row_values``), and so is the
+    difference from another point's sums (``less``).  Nor is ``base``, so
+    its sup norm is held once formed (``norm``), and so is a membership
+    verdict that a bound has settled (``_clears``: the model and the
+    tolerance at which every row of ``base`` passes), which
+    ``certify_membership`` and the accelerated step's output certificate
+    record and ``is_feasible`` reads.
     """
 
     values: np.ndarray
     base: np.ndarray
     rows: np.ndarray | None = None
     from_kernel: bool = True
+    drift: float | None = None
     _one_step: tuple | None = field(default=None, repr=False, compare=False)
     _norm: float | None = field(default=None, repr=False, compare=False)
     _less: tuple | None = field(default=None, repr=False, compare=False)
@@ -370,6 +376,17 @@ def require_sums(m: MdpModel, v: np.ndarray, sums: WeightedSums | None) -> Weigh
     if isinstance(sums, WeightedSums) and sums.rows is not None:
         raise ValueError("weighted sums cover only some rows")
     return sums
+
+
+def sums_drift(m: MdpModel, sums: WeightedSums) -> float:
+    """A bound on the distance of all-rows ``sums`` from the exact sums of their point.
+
+    ``sums.drift`` when a step set it; else ``sum_error`` at their norm for
+    kernel sums, and inf for derived sums.
+    """
+    if sums.drift is not None:
+        return sums.drift
+    return sum_error(m, sums.norm) if sums.from_kernel else math.inf
 
 
 def drifted_sums(m: MdpModel, sums, y: np.ndarray):
@@ -707,6 +724,26 @@ def is_feasible(m, v, tol=None, sums=None):
         # every row passes at a tolerance no larger, and v + tol rounds no lower
         return True
     return _all(_one_step_of(m, sums)[1] <= v + tol)
+
+
+def certify_membership(m: MdpModel, sums: WeightedSums, excess: float) -> None:
+    """Hold on all-rows ``sums`` the verdict of their point's membership test, when ``excess`` settles it.
+
+    ``excess`` bounds ``T~(v) - v`` componentwise for ``v = sums.base``.
+    Every row value the test of ``v`` would compute is then at most ``v_i +
+    excess``, and the test compares it with ``v_i + tol`` rounded, for the
+    default ``tol = membership_tolerance(v)``, which is at least ``v_i + tol -
+    u * (|v_i| + tol)``.  So when ``excess + 8u * (norm + tol)`` is at most
+    ``tol``, every row passes at ``tol``, and the verdict is held on the
+    sums (``WeightedSums._clears``) for ``is_feasible`` to give at that
+    tolerance or a larger one without a comparison.  The surplus covers the
+    rounding of this test and of ``excess``, a few operations on a value it
+    holds below ``tol``.  An ``excess`` that is not finite, or too large,
+    records nothing.
+    """
+    tol = _membership_tol(sums.norm)
+    if excess + 8.0 * UNIT_ROUNDOFF * (sums.norm + tol) <= tol:
+        sums._clears = (m, tol)
 
 
 def is_feasible_gs(m, v, tol=None):

@@ -41,29 +41,30 @@ the validation pass.  The linear extension also tests the current
 iterate ``w``; when the configured operator is ``standard``, the
 one-step backup, that test reads the backup ``u`` that ``w``'s sums
 already hold.  A falling run (below) certifies both other tests from
-what it holds (``accelerators``, certificates): ``u``'s from the bound
-``T~(u) <= u + c * max(u - w, 0) + 2 * row_value_error + discount *
-drift`` (``_backup_excess``), and the accelerated point ``z``'s from the
+what it holds (``accelerators``, certificates), each by a verdict held
+on the sums of its point: ``u``'s from the bound ``T~(u) <= u + c *
+max(u - w, 0) + 2 * row_value_error + discount * drift``
+(``_backup_excess``), which the loop hands ``certify_membership``
+before the step, with ``drift`` the drift the sums of ``w`` hold
+(``operators.sums_drift``); and the accelerated point ``z``'s from the
 one-step backup of its carried sums, which the next iteration's backup
-of ``z`` reads, and on which the certified verdict stays held for the
-next extension step's test of ``z`` as its ``w``.  So a checked falling
-iteration forms one full one-step backup, its validation pass covers no
-row, and its tests compare nothing; where a certificate
-fails, the test runs as in every other checked run: one all-rows sums
-pass and one screened pass over the rows the bound leaves (under 1% of
-them on the benchmark models), two full backups and one over those
-rows.  The Jacobi and sweep operators back ``w`` up once more, from its
-carried sums.  Without checks the step adds neither passes nor backups
-to the sums pass at ``u`` and the loop's own backup.  The loop hands the
-extension the direction ``u - w`` it formed for the residual and the
-residual, its sup norm, and a falling run's guard reads the sup norm of
-the new iterate from the sums carried to it, where the output check, if
-any, formed it.  So an iteration forms each of its vectors, differences
-and sup norms once.  Its fixed costs then set its price once elimination
-has compacted the model: with at most two rows per state on band-vi's
-shape (seeds 100-102, one BLAS thread) a checked falling PAVI or LAVI
-iteration costs 3.1-4.3 plain ones (41-46 us against 10-14 us; the
-``tail`` line of ``tools/step_costs.py``).
+of ``z`` reads, and whose verdict the next extension step's test of
+``z``, as its ``w``, reads.  So a checked falling iteration forms one
+full one-step backup, takes no validation pass, and its tests compare
+nothing; where a certificate fails, the test runs as in every other
+checked run: one all-rows sums pass and one screened pass over the rows
+the bound leaves (under 1% of them on the benchmark models), two full
+backups and one over those rows.  The Jacobi and sweep operators back
+``w`` up once more, from its carried sums.  Without checks the step
+adds neither passes nor backups to the sums pass at ``u`` and the
+loop's own backup.  The loop hands the extension the direction ``u -
+w`` it formed for the residual and the residual, its sup norm, and a
+falling run's guard reads the sup norms of ``w`` and of the new iterate
+from the sums carried to them, where the output check, if any, formed
+it.  So an iteration forms each of its vectors, differences and sup
+norms once, and its fixed costs set its price once elimination has
+compacted the model (README, action elimination, for the measured
+costs; the ``tail`` line of ``tools/step_costs.py``).
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -142,9 +143,10 @@ point is nonnegative, and the rounded product ``alpha * u`` with
 ``alpha`` in [0, 1] is at most ``u``.
 The projective step's scaled sums drift by ``sum_error``; the linear
 extension's carried sums, an affine recursion, by ``(alpha - 1) * E +
-alpha * (sum_error + rounding)`` from the previous drift ``E``
-(``accelerators._extended_drift``).  The guard also fails on a step
-that falls back or whose scan finds no binding row.  When it fails,
+alpha * (sum_error + rounding)`` from the previous drift ``E``.  Each
+step records that bound on the sums it forms (``WeightedSums.drift``),
+and the guard reads it from the sums of ``w``.  The guard also fails on
+a step that falls back or whose scan finds no binding row.  When it fails,
 ``solve`` runs the config again from the start on every row, the
 all-rows run by construction.  Binding rows are reported in the model's numbering.
 
@@ -185,7 +187,6 @@ from scipy.sparse._sparsetools import csr_row_index
 from .accelerators import (
     AlphaResult,
     AlreadyConvergedError,
-    _extended_drift,
     apply_linear_extension,
     apply_projective,
 )
@@ -205,13 +206,14 @@ from .operators import (
     _any,
     _membership_tol,
     apply_operator,
+    certify_membership,
     check_fit,
     drifted_sums,
     extract_policy,
     is_feasible,
     one_step_row_values,
     row_value_error,
-    sum_error,
+    sums_drift,
     sup_norm,
     sweep_carries_state,
     weighted_sums,
@@ -264,8 +266,8 @@ class SolverConfig:
         membership_checks: validate acceleration pre/postconditions at the
             cost of one extra weighted-sums pass per accelerated iteration,
             screened down to the rows a rounding bound cannot clear; a
-            falling run certifies both from bounds it holds, so its pass
-            covers no row and its tests form no backup of their own.
+            falling run certifies both by verdicts held on its sums, so it
+            takes no pass and its tests form no backup of their own.
         initial_point: explicit start vector; when None the driver picks
             one (see ``solve``).
         record_iterates: keep a copy of every iterate in the result
@@ -564,9 +566,6 @@ class _Loop:
             # the residual at the last drop test: the first eligible backup tests
             self.tested_at = math.inf
         if self.falling:
-            # w's sup norm, and how far its held sums may lie from its kernel sums
-            self.norm = sup_norm(start)
-            self.drift = sum_error(solve_model, self.norm)
             # a projective run from a nonnegative start: every iterate and backup is nonnegative
             self.nonnegative = not self.linear and bool(start[start.argmin()] >= 0.0)
         if self.screened:
@@ -606,11 +605,12 @@ class _Loop:
             return
         self.tested_at = residual
         if self.falling:
-            norm = self.norm + 2.0 * residual  # bounds |w|, |u| and |u - w|
-            e = row_value_error(m, norm) + m.discount * self.drift
+            norm = sums_w.norm + 2.0 * residual  # bounds |w|, |u| and |u - w|
+            drift = sums_drift(m, sums_w)
+            e = row_value_error(m, norm) + m.discount * drift
             # below the MacQueen lower bound u + k * min(d) by the margin
             k = self.c / (1.0 - self.c)
-            cut = _fall_margin(m, self.c, norm, self.drift) - k * min(d.item(d.argmin()), 0.0)
+            cut = _fall_margin(m, self.c, norm, drift) - k * min(d.item(d.argmin()), 0.0)
         else:
             cut = _elimination_slack(m, sup_norm(w), residual)
         work = self.work
@@ -633,8 +633,9 @@ class _Loop:
                             (self.held - m.state_ptr[m.row_state[self.held]]).tolist())
             if self.falling:
                 # the sums carried into the next step, cut elementwise: no kept row's sum moves
-                self.sums = WeightedSums(self.sums.values[keep], self.sums.base,
-                                         from_kernel=self.sums.from_kernel)
+                sums = self.sums
+                self.sums = WeightedSums(sums.values[keep], sums.base, from_kernel=sums.from_kernel,
+                                         drift=sums.drift, _norm=sums._norm)
             self.live = np.ones(live, dtype=bool)
         self.eliminates = live > m.num_states
 
@@ -649,15 +650,6 @@ class _Loop:
                 iteration read its rows at.
         """
         m, z, sums = self.m, self.w, self.sums
-        # the sums carried to z hold its norm, formed by the output check if one ran
-        z_norm = sup_norm(z) if sums is None else sums.norm
-        # bounds |w|, |u|, |z| and |u - w|
-        norm = max(self.norm + 2.0 * residual, z_norm)
-        # kernel sums, the projective step's scaling of them, or none left to carry drift by
-        # sum_error; the extension's carried sums by more
-        drift = sum_error(m, norm)
-        if self.linear and not (sums is None or sums.from_kernel):
-            drift = _extended_drift(m, alpha.alpha, self.drift, norm, drift)
         # z is u, w + alpha * d with alpha > 0, or alpha * u with alpha in [0, 1]: a rounded sum
         # falls where d does not rise, and a rounded product of u >= 0 is at most u
         if alpha is None or (up == 0.0 and (self.linear or self.nonnegative)):
@@ -672,77 +664,76 @@ class _Loop:
                 raise _Rerun
             else:
                 lowest, factor = z if self.nonnegative else np.minimum(u, z), alpha.alpha
-            reach = self.c * (self.rise + max(up, zup)) + _read_error(m, factor, self.drift, norm)
+            # the sums carried to z hold its norm, formed by the output check if one ran
+            z_norm = sup_norm(z) if sums is None else sums.norm
+            # bounds |w|, |u|, |z| and |u - w|
+            norm = max(sums_w.norm + 2.0 * residual, z_norm)
+            drift = sums_drift(m, sums_w)
+            reach = self.c * (self.rise + max(up, zup)) + _read_error(m, factor, drift, norm)
             if not (math.isfinite(reach) and _all(self.bound + reach < lowest)):
                 raise _Rerun
         if self.eliminates and alpha is not None:
             self.eliminate(w, u, d, residual, sums_w)
         self.rise += zup
-        self.norm, self.drift = z_norm, drift
 
-    def in_model(self, work, alpha: AlphaResult) -> AlphaResult:
-        """``alpha`` of a scan over ``work``, with its binding row in ``self.m``'s numbering."""
-        if work is self.m or alpha.binding is None:
+    def in_model(self, alpha: AlphaResult) -> AlphaResult:
+        """``alpha`` of a scan over the work model, with its binding row in ``self.m``'s numbering."""
+        if alpha.binding is None:
             return alpha
         state, action = alpha.binding
-        first, actions = self.actions  # of self.work, which is work
+        first, actions = self.actions  # of self.work
         return AlphaResult(alpha.alpha, (state, actions[first[state] + action]), alpha.fallback_used)
 
     def step(self) -> _Step:
-        cfg, m, w, sums_w = self.config, self.m, self.w, self.sums
+        cfg, m, w, sums_w, work = self.config, self.m, self.w, self.sums, self.work
         if self.sweep:
             u = apply_operator(m, w, cfg.operator)
         else:
-            u = apply_operator(self.work, w, cfg.operator, sums=sums_w)
+            u = apply_operator(work, w, cfg.operator, sums=sums_w)
         d = u - w
         # sup_norm(d), from the greatest entry, which a falling run's rise reads too
         high = d.item(d.argmax())
         residual = abs(max(high, -d.item(d.argmin())))
         up = max(high, 0.0)
-        if residual <= self.threshold or not self.accelerated:
-            converged = residual <= self.threshold
-            self.w = u
+        converged = residual <= self.threshold
+        z, sums, alpha = u, None, None
+        if converged or not self.accelerated:
             if self.eliminates and not converged:
                 # a plain run: before the sums pass at u, so it sums only the rows left
                 self.eliminate(w, u, d, residual, sums_w)
             if self.screened:
-                self.sums = drifted_sums(m, sums_w, u)
-            elif self.carry_sums:
-                self.sums = None if converged else weighted_sums(self.work, u)
-            if self.falling:
-                self.follow(w, d, residual, up, u, None, sums_w)
-            return _Step(u, residual, None, converged)
-        work = self.work
-        s_u = drifted_sums(m, sums_w, u) if self.screened else weighted_sums(work, u)
-        # a falling run certifies its membership tests from what it holds (module doc)
-        excess = drift = None
-        if self.falling and cfg.membership_checks:
-            excess = _backup_excess(m, self.c, up, self.norm + 2.0 * residual, self.drift)
-            drift = self.drift
-        if not self.linear:
-            accel = apply_projective(work, u, sums=s_u, check_membership=cfg.membership_checks,
-                                     excess=excess)
+                sums = drifted_sums(m, sums_w, u)
+            elif self.carry_sums and not converged:
+                # on the rows left: the drop test may have rebuilt the work model
+                sums = weighted_sums(self.work, u)
         else:
+            sums = drifted_sums(m, sums_w, u) if self.screened else weighted_sums(work, u)
+            if self.falling and cfg.membership_checks:
+                # a falling run settles u's membership test from a bound (module doc)
+                excess = _backup_excess(m, self.c, up, sums_w.norm + 2.0 * residual, sums_drift(m, sums_w))
+                certify_membership(work, sums, excess)
             try:
-                accel = apply_linear_extension(
-                    work, w, u, sums_v=sums_w, sums_u=s_u, check_membership=cfg.membership_checks,
-                    direction=d, direction_norm=residual, excess=excess, drift=drift,
-                )
+                if self.linear:
+                    accel = apply_linear_extension(
+                        work, w, u, sums_v=sums_w, sums_u=sums, check_membership=cfg.membership_checks,
+                        direction=d, direction_norm=residual,
+                    )
+                else:
+                    accel = apply_projective(work, u, sums=sums, check_membership=cfg.membership_checks)
+                z, sums, alpha = accel.point, accel.sums, accel.alpha
             except AlreadyConvergedError:
                 # Residual above the stopping threshold but below the
                 # scan's degeneracy guard (possible at high discount on
                 # large-magnitude values): take the plain backup step.
-                self.w = u
-                self.sums = s_u if self.carry_sums else None
-                if self.falling:
-                    self.follow(w, d, residual, up, u, None, sums_w)
-                return _Step(u, residual, None, False)
-        self.w = accel.point
-        self.sums = accel.sums if self.carry_sums else None
-        alpha = self.in_model(work, accel.alpha)
+                pass
+        self.w = z
+        self.sums = sums if self.carry_sums else None
+        if alpha is not None and work is not m:
+            # before follow, whose rebuild of the work model replaces self.actions
+            alpha = self.in_model(alpha)
         if self.falling:
-            self.follow(w, d, residual, up, u, accel.alpha, sums_w)
-        return _Step(self.w, residual, alpha, False)
+            self.follow(w, d, residual, up, u, alpha, sums_w)
+        return _Step(z, residual, alpha, converged)
 
 
 def _iterate(loop: _Loop, max_iterations: int, iterates: list | None, correction: float,
@@ -778,10 +769,8 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     is rounding noise can only shorten a step, and checked and unchecked
     runs take the same steps (the benchmark shapes, seeds 100-109).  Nor
     do they select a path: a run drops rows or not with them on or off.
-    A falling run settles its tests from certificates (module doc): on
-    band-vi's shape (seeds 100-102) checked LAVI takes 1.12-1.21 times
-    the unchecked run's time and checked PAVI 1.23-1.46, against 1.54-1.56
-    for LAVI without the certificates.
+    A falling run settles its tests from certificates (module doc), which
+    leave the checks a small share of its time (README).
 
     A falling run whose guard fails (module doc) runs again from the
     start on every row; ``wall_ms`` counts both runs, and

@@ -9,6 +9,7 @@ import pytest
 
 import mdpaccel.accelerators as accel_mod
 import mdpaccel.operators as operators_mod
+import mdpaccel.solver as solver_mod
 from mdpaccel.accelerators import (
     ALPHA_CAP,
     RATIO_GUARD_SCALE,
@@ -21,11 +22,12 @@ from mdpaccel.accelerators import (
     projective_alpha,
 )
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import MdpModel, initial_feasible_point
+from mdpaccel.model import UNIT_ROUNDOFF, MdpModel, initial_feasible_point
 from mdpaccel.operators import (
     ScreenedSums,
     WeightedSums,
     apply_operator,
+    certify_membership,
     drifted_sums,
     is_feasible,
     membership_tolerance,
@@ -555,7 +557,7 @@ class TestApplyLinearExtension:
 
 
 class TestCertificates:
-    """Bounds passed to a step settle its membership tests without moving it."""
+    """A verdict held on a step's input sums settles its membership tests without moving it."""
 
     @staticmethod
     def cases(seed):
@@ -569,6 +571,13 @@ class TestCertificates:
             # the exact excess of u's backup over u: a bound by construction
             excess = max(float((apply_operator(m, u, "standard") - u).max()), 0.0)
             yield m, v, sv, u, excess
+
+    @staticmethod
+    def certified_sums(m, u, excess):
+        su = weighted_sums(m, u)
+        certify_membership(m, su, excess)
+        assert su._clears is not None
+        return su
 
     @staticmethod
     def assert_same_step(a, b):
@@ -592,27 +601,44 @@ class TestCertificates:
         rows = self.output_rows(monkeypatch)
         for m, _, _, u, excess in self.cases(28):
             plain = apply_projective(m, u, sums=weighted_sums(m, u))
+            su = self.certified_sums(m, u, excess)
             rows.clear()
-            certified = apply_projective(m, u, sums=weighted_sums(m, u), excess=excess)
+            certified = apply_projective(m, u, sums=su)
             self.assert_same_step(certified, plain)
-            # the output check took sums over no rows
-            assert rows == [0]
+            # the certified output took no sums pass
+            assert rows == []
 
     def test_linear_extension(self, monkeypatch):
         rows = self.output_rows(monkeypatch)
         for m, v, sv, u, excess in self.cases(29):
-            su = weighted_sums(m, u)
-            plain = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su)
+            plain = apply_linear_extension(m, v, u, sums_v=sv, sums_u=weighted_sums(m, u))
+            su = self.certified_sums(m, u, excess)
             rows.clear()
-            certified = apply_linear_extension(
-                m, v, u, sums_v=sv, sums_u=su, direction=u - v, direction_norm=sup_norm(u - v),
-                excess=excess, drift=operators_mod.sum_error(m, sup_norm(v)),
-            )
+            certified = apply_linear_extension(m, v, u, sums_v=sv, sums_u=su, direction=u - v,
+                                               direction_norm=sup_norm(u - v))
             self.assert_same_step(certified, plain)
-            assert rows == [0]
+            assert rows == []
+
+    @pytest.mark.parametrize("accelerator", ["projective", "linear"])
+    def test_sums_with_no_held_verdict_screen_the_output(self, monkeypatch, accelerator):
+        rows = self.output_rows(monkeypatch)
+
+        def refused(*args):
+            raise AssertionError("an output certificate was tried without a held verdict")
+
+        monkeypatch.setattr(accel_mod, "_output_certified", refused)
+        for m, v, sv, u, _ in self.cases(35):
+            rows.clear()
+            if accelerator == "projective":
+                step = apply_projective(m, u, sums=weighted_sums(m, u))
+            else:
+                step = apply_linear_extension(m, v, u, sums_v=sv, sums_u=weighted_sums(m, u))
+            # the step's sums carry a drift bound, and its output still takes one screened pass
+            assert step.sums.drift is not None
+            assert len(rows) == 1 and rows[0] is not None
 
     @pytest.mark.parametrize("bound", [np.inf, np.nan, 1.0])
-    def test_a_bound_that_fails_tests_as_without_it(self, monkeypatch, bound):
+    def test_a_failed_output_certificate_checks_as_without_it(self, monkeypatch, bound):
         formed = []
         real = operators_mod._row_values
 
@@ -622,26 +648,53 @@ class TestCertificates:
 
         monkeypatch.setattr(operators_mod, "_row_values", counting_row_values)
         monkeypatch.setattr(accel_mod, "_output_margin", lambda *args: bound)
-        for m, _, _, u, _ in self.cases(30):
+        for m, _, _, u, excess in self.cases(30):
             formed.clear()
             plain = apply_projective(m, u, sums=weighted_sums(m, u))
             without = list(formed)
+            su = self.certified_sums(m, u, excess)
             formed.clear()
-            failed = apply_projective(m, u, sums=weighted_sums(m, u), excess=bound)
+            failed = apply_projective(m, u, sums=su)
             self.assert_same_step(failed, plain)
             if not np.isfinite(bound):
-                # neither certificate formed anything
+                # the certificate formed nothing: the screen forms u's row values, which the
+                # uncertified precondition test formed
                 assert formed == without
 
     @pytest.mark.parametrize("excess", [np.inf, np.nan, 1.0])
-    def test_a_bound_outside_the_tolerance_leaves_the_precondition_to_the_rows(self, excess):
+    def test_a_bound_outside_the_tolerance_records_nothing(self, excess):
         for m, v, _, _, _ in self.cases(33):
             # half the constant start: its best-rewarded row rises above it
             low = 0.5 * initial_feasible_point(m)
+            s = weighted_sums(m, low)
+            certify_membership(m, s, excess)
+            assert s._clears is None
             with pytest.raises(FeasibilityError):
-                projective_alpha(m, low, excess=excess)
+                projective_alpha(m, low, sums=s)
             with pytest.raises(FeasibilityError):
-                linear_extension_alpha(m, v, low, excess=excess)
+                linear_extension_alpha(m, v, low, sums_u=s)
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_a_bound_at_the_tolerance_is_recorded_and_one_ulp_past_it_is_not(self, ulps):
+        for m, _, _, _, _ in self.cases(34):
+            # a point that does not dominate its backup: a held verdict is the only way it passes
+            low = 0.5 * initial_feasible_point(m)
+            s = weighted_sums(m, low)
+            tol = membership_tolerance(low)
+            surplus = 8.0 * UNIT_ROUNDOFF * (sup_norm(low) + tol)
+            # the largest bound whose rounding surplus stays within the tolerance
+            excess = tol - surplus
+            while excess + surplus > tol:
+                excess = float(np.nextafter(excess, -np.inf))
+            while float(np.nextafter(excess, np.inf)) + surplus <= tol:
+                excess = float(np.nextafter(excess, np.inf))
+            if ulps:
+                excess = float(np.nextafter(excess, np.inf))
+            certify_membership(m, s, excess)
+            assert (s._clears is None) is bool(ulps)
+            if not ulps:
+                assert s._clears[0] is m and s._clears[1] == tol
+            assert is_feasible(m, low, sums=s) is not bool(ulps)
 
     @pytest.mark.parametrize("ulps", [0, 1])
     def test_output_at_the_tolerance_is_certified_only_when_it_passes(self, ulps):
@@ -662,9 +715,9 @@ class TestCertificates:
             rewards = m.rewards.copy()
             rewards[k] = reward_reaching(a[k], target)
             tight = dataclasses.replace(m, rewards=rewards)
-            carried = WeightedSums(values=zsums.values, base=z, from_kernel=False)
-            error = 2.0 * operators_mod.sum_error(tight, sup_norm(p))
-            certified = accel_mod._output_certified(tight, carried, tol, error)
+            carried = WeightedSums(values=zsums.values, base=z, from_kernel=False,
+                                   drift=operators_mod.sum_error(tight, sup_norm(p)))
+            certified = accel_mod._output_certified(tight, carried, tol)
             assert not certified or full_verdict(tight, z)
             assert full_verdict(tight, z) is not bool(ulps)
 
@@ -829,6 +882,9 @@ class TestScreenedOutputCheck:
         m = generate(GeneratorSpec(family="uniform", num_states=40, density=1.0,
                                    discount=0.995, seed=5))
         computed = []
+        # the runs drop rows, and would certify every output: fail the certificates to screen
+        monkeypatch.setattr(solver_mod, "_backup_excess", lambda *args: np.inf)
+        monkeypatch.setattr(accel_mod, "_output_margin", lambda *args: np.inf)
 
         def counting_sums(model, v, rows=None):
             computed.append(model.num_rows if rows is None else len(rows))

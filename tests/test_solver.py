@@ -352,28 +352,35 @@ class TestIterateSequencePinned:
     def test_degenerate_scans_and_fallbacks(self, monkeypatch, operator):
         # at epsilon 1e-8 the stopping threshold lies below the scan's
         # degeneracy guard, so late scans raise AlreadyConvergedError; no
-        # output check fails on this model, so each run's third one is made to
+        # output check fails on this model, so each run's third checked step's is made to
         m = generate(GeneratorSpec(family="uniform", num_states=10, density=0.5, discount=0.9,
                                    action_range=(2, 4), seed=0))
         cfg = SolverConfig(operator=operator, accelerator="linear", epsilon=1e-8)
-        output_checks = []
-        real_sums, real_feasible = accel_mod.weighted_sums, accel_mod.is_feasible
+        checked, failing = [], [False]
+        real_checked, real_certified = accel_mod._checked, accel_mod._output_certified
+        real_feasible = accel_mod.is_feasible
 
-        def output_sums(m, z, rows=None):
-            # the accelerators take fresh sums only for the output check
-            output_checks.append(real_sums(m, z, rows=rows))
-            return output_checks[-1]
+        def checked_step(*args):
+            # each accelerated step checks its output once
+            checked.append(None)
+            failing[0] = len(checked) == 3
+            try:
+                return real_checked(*args)
+            finally:
+                failing[0] = False
+
+        def certified(m, zsums, tol):
+            return not failing[0] and real_certified(m, zsums, tol)
 
         def feasible(m, v, tol=None, sums=None):
-            if len(output_checks) == 3 and sums is output_checks[-1]:
-                return False
-            return real_feasible(m, v, tol=tol, sums=sums)
+            return not failing[0] and real_feasible(m, v, tol=tol, sums=sums)
 
-        monkeypatch.setattr(accel_mod, "weighted_sums", output_sums)
+        monkeypatch.setattr(accel_mod, "_checked", checked_step)
+        monkeypatch.setattr(accel_mod, "_output_certified", certified)
         monkeypatch.setattr(accel_mod, "is_feasible", feasible)
-        alphas, already = assert_same_run(m, cfg, before_each=output_checks.clear)[3:]
+        alphas, already = assert_same_run(m, cfg, before_each=checked.clear)[3:]
         assert already > 0
-        assert any(a is not None and a.fallback_used for a in alphas)
+        assert [i for i, a in enumerate(a for a in alphas if a is not None) if a.fallback_used] == [2]
 
 
 def negative_state_model():
@@ -882,7 +889,8 @@ def counted_solve(monkeypatch, m, cfg):
 
 class TestSumsPassBudget:
     """One fresh weighted-sums pass per iteration, plus one at setup when
-    the operator consumes carried sums; membership checks cost one more."""
+    the operator consumes carried sums; a checked step whose output is not
+    certified costs one more."""
 
     def setup_method(self):
         spec = GeneratorSpec(family="uniform", num_states=20, density=0.5,
@@ -902,7 +910,7 @@ class TestSumsPassBudget:
 
     def test_standard_projective_checked(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "projective", checks=True)
-        assert (s, a) == (6, 5)  # + 1 validation pass per accelerated step
+        assert (s, a) == (6, 0)  # a certified step's output takes no validation pass
 
     def test_standard_linear(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "linear", checks=False)
@@ -910,7 +918,7 @@ class TestSumsPassBudget:
 
     def test_standard_linear_checked(self, monkeypatch):
         s, a = self.run(monkeypatch, "standard", "linear", checks=True)
-        assert (s, a) == (6, 5)  # the held backup of w costs no pass
+        assert (s, a) == (6, 0)  # nor does the held backup of w
 
     def test_sweep_projective(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "projective", checks=False)
@@ -940,8 +948,8 @@ class TestSumsPassBudget:
         assert res.converged and res.rows_eliminated > 0
         steps = sum(alpha is not None for alpha in res.alphas)
         assert steps > 0
-        # 1 at setup + 1 per backup that did not converge; 1 validation pass per accelerated step
-        assert (s, a) == (1 + res.iterations - 1, steps)
+        # 1 at setup + 1 per backup that did not converge; every step's output is certified
+        assert (s, a) == (1 + res.iterations - 1, 0)
 
 
 class TestOneStepBackupBudget:
@@ -1022,52 +1030,33 @@ class TestCertifiedMembership:
 
     @pytest.mark.parametrize("accelerator", ["projective", "linear"])
     def test_certified_verdicts_are_the_all_rows_ones(self, monkeypatch, accelerator):
-        real_pre, real_out = accel_mod._precondition_sums, accel_mod._output_certified
-        real_feasible = accel_mod.is_feasible
-        scan_name = "projective_alpha" if accelerator == "projective" else "linear_extension_alpha"
-        real_scan = getattr(accel_mod, scan_name)
-        pending, certified, work = [], {"precondition": 0, "output": 0}, [None]
+        real_certify, real_out = solver_mod.certify_membership, accel_mod._output_certified
+        certified = {"precondition": 0, "output": 0}
 
-        def scan(m, *args, **kwargs):
-            work[0] = m
-            return real_scan(m, *args, **kwargs)
-
-        def precondition_sums(v, s, tol, excess):
-            out = real_pre(v, s, tol, excess)
-            if excess is not None:
+        def certify(m, sums, excess):
+            real_certify(m, sums, excess)
+            if sums._clears is not None:
+                v, tol = sums.base, sums._clears[1]
                 # the bound holds: the backup of v, formed from its kernel sums, exceeds v by no more
-                m = work[0]
-                backup = np.maximum.reduceat(m.discount * s.values + m.rewards, m.state_ptr[:-1])
+                backup = np.maximum.reduceat(m.discount * sums.values + m.rewards, m.state_ptr[:-1])
                 assert float((backup - v).max()) <= excess
-            if out is not s:
-                pending.append(("precondition", v))
-            return out
+                assert is_feasible(m, v, tol=tol, sums=weighted_sums(m, v)) is True
+                certified["precondition"] += 1
 
-        def output_certified(m, zsums, tol, error):
-            ok = real_out(m, zsums, tol, error)
+        def output_certified(m, zsums, tol):
+            ok = real_out(m, zsums, tol)
             if ok:
-                pending.append(("output", zsums.base))
+                assert is_feasible(m, zsums.base, tol=tol, sums=weighted_sums(m, zsums.base)) is True
+                certified["output"] += 1
             return ok
 
-        def feasible(m, v, tol=None, sums=None):
-            verdict = real_feasible(m, v, tol=tol, sums=sums)
-            if pending:
-                kind, point = pending.pop()
-                assert point is v and not pending
-                assert verdict is real_feasible(m, v, tol=tol, sums=weighted_sums(m, v))
-                certified[kind] += 1
-            return verdict
-
-        monkeypatch.setattr(accel_mod, scan_name, scan)
-        monkeypatch.setattr(accel_mod, "_precondition_sums", precondition_sums)
+        monkeypatch.setattr(solver_mod, "certify_membership", certify)
         monkeypatch.setattr(accel_mod, "_output_certified", output_certified)
-        monkeypatch.setattr(accel_mod, "is_feasible", feasible)
         steps = 0
         for m in self.models():
             res = solve(m, SolverConfig(accelerator=accelerator))
             assert res.converged
             steps += sum(a is not None for a in res.alphas)
-        assert not pending
         # the bounds clear nearly every step's tests
         assert min(certified.values()) >= 0.9 * steps
 

@@ -1,11 +1,13 @@
-"""tools/step_costs.py: one line per config, whose phases add up to the solve's backups,
-and two lines per seed: the cost of the membership checks, and of an accelerated step on
-the compacted model against a plain one."""
+"""tools/step_costs.py: one line per config, the shape's other benchmark-mix configs
+included, whose phases add up to the solve's backups, and two lines per seed: the cost of
+the membership checks, and of an accelerated step on the compacted model against a plain
+one."""
 
 from __future__ import annotations
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import mdpaccel
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PERFBENCH = TOOLS.parent / "perfbench"
 LINE = re.compile(
     r"^tiny/(\w+)/(\d+) (\d+) backups [\d.]+ ms"
     r" \| all (\d+) x (\S+) us \| compacted (\d+) x (\S+) us \| two (\d+) x (\S+) us$"
@@ -23,27 +26,50 @@ TAIL = re.compile(r"^tiny/tail/(\d+)( against)? two/VI us per backup PAVI (\S+) 
 
 @pytest.fixture
 def tool(monkeypatch):
-    spec = importlib.util.spec_from_file_location("step_costs", TOOLS / "step_costs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load(monkeypatch, TOOLS, "step_costs")
     # band-vi's shape, small: its accelerated runs drop rows and compact
     monkeypatch.setattr(module, "SHAPES", {
         "tiny": dict(family="band", num_states=30, bandwidth=6, discount=0.995, action_range=(4, 8)),
     })
+    # sparse-gs's mix configs, which drop no row
+    monkeypatch.setattr(module, "MIX_CONFIGS", {"tiny": module.MIX_CONFIGS["sparse-gs"]})
     return module
+
+
+def load(monkeypatch, directory: Path, name: str):
+    """The module ``name`` of ``directory``, which it imports its siblings from."""
+    monkeypatch.syspath_prepend(str(directory))
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_shapes_and_configs_are_the_benchmark_workloads(monkeypatch):
+    tool = load(monkeypatch, TOOLS, "step_costs")
+    workload = load(monkeypatch, PERFBENCH, "workload")
+    assert sorted(tool.SHAPES) == sorted(workload.WORKLOADS)
+    for name, w in workload.WORKLOADS.items():
+        assert tool.SHAPES[name] == dict(w.spec, action_range=workload.ACTIONS)
+        timed = [options for _, options in tool.shape_configs(name)]
+        # every mix config is timed, once
+        assert all(timed.count(options) == 1 for _, options in w.mix)
 
 
 def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
     assert tool.main(["--shape", "tiny", "--seeds", "3", "4", "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    per_seed = len(tool.CONFIGS) + 2
+    configs = tool.shape_configs("tiny")
+    assert [label for label, _ in configs[len(tool.CONFIGS):]] == ["GS", "LAGS"]
+    per_seed = len(configs) + 2
     assert len(lines) == 2 * per_seed
     keys = []
     for k, line in enumerate(lines):
-        if k % per_seed == len(tool.CONFIGS):
+        if k % per_seed == len(configs):
             keys.append(check_ratios(line))
             continue
-        if k % per_seed == len(tool.CONFIGS) + 1:
+        if k % per_seed == len(configs) + 1:
             keys.append(("tail", tail_ratios(line, lines[k - per_seed + 1:k - 1])))
             continue
         match = LINE.match(line)
@@ -56,13 +82,13 @@ def test_one_line_per_config_whose_phases_sum_to_the_backups(tool, capsys):
             assert (us == "nan") is (n == 0)
         solved = mdpaccel.solve(
             mdpaccel.generate(mdpaccel.GeneratorSpec(seed=int(seed), **tool.SHAPES["tiny"])),
-            mdpaccel.SolverConfig(**dict(tool.CONFIGS)[label]),
+            mdpaccel.SolverConfig(**dict(configs)[label]),
         )
         assert solved.iterations == int(backups)
         # a run that drops rows leaves the all-rows phase
         assert (counts[0] < int(backups)) is (solved.rows_eliminated > 0)
     assert keys == [
-        key for seed in (3, 4) for key in [(label, seed) for label, _ in tool.CONFIGS] + [seed, ("tail", seed)]
+        key for seed in (3, 4) for key in [(label, seed) for label, _ in configs] + [seed, ("tail", seed)]
     ]
 
 
@@ -92,7 +118,7 @@ def test_against_a_second_copy_prints_its_line_and_the_ratios(tool, capsys):
     src = Path(mdpaccel.__file__).resolve().parents[1]
     assert tool.main(["--shape", "tiny", "--seeds", "3", "--repeat", "1", "--against", str(src)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    configs = 3 * len(tool.CONFIGS)
+    configs = 3 * len(tool.shape_configs("tiny"))
     assert len(lines) == configs + 4
     for ours, theirs, ratios in zip(lines[0:configs:3], lines[1:configs:3], lines[2:configs:3]):
         assert LINE.match(ours) and theirs.startswith(ours.split(" ")[0] + " against ")

@@ -40,27 +40,21 @@ import numpy as np
 import mdpaccel
 
 OPERATORS = ("standard", "jacobi", "gs", "gsj")
+# the benchmark workloads' model shapes: their GeneratorSpec fields but the seed, with their action range
+BENCHMARK_SHAPES = {
+    "dense-pa": dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56)),
+    "band-vi": dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56)),
+    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(45, 56)),
+}
 # shape: (its GeneratorSpec fields but the seed, the operators it is solved under)
 SHAPES = {
-    "dense-pa": (
-        dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56)),
-        OPERATORS,
-    ),
-    "band-vi": (
-        dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56)),
-        OPERATORS,
-    ),
-    "sparse-gs": (
-        dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(45, 56)),
-        OPERATORS,
-    ),
+    **{shape: (spec, OPERATORS) for shape, spec in BENCHMARK_SHAPES.items()},
     "total-reward": (
         dict(family="total_reward_positive", num_states=12, action_range=(45, 56)),
         ("standard",),
     ),
     "negative-reward": (
-        dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56),
-             reward_range=(-100.0, -1.0)),
+        dict(BENCHMARK_SHAPES["band-vi"], reward_range=(-100.0, -1.0)),
         ("standard",),
     ),
 }

@@ -8,9 +8,12 @@ Usage::
 For each seed the shape's model is generated once and each config is
 solved ``--repeat`` times: VI, PAVI and LAVI, all of the standard backup,
 the accelerated ones with membership checks on and, as ``PAVI_nochecks``
-and ``LAVI_nochecks``, off.  ``_Loop.step`` is wrapped from outside the
-solver, and each backup is timed and put in one of three phases by the
-model the loop iterates on when the step starts:
+and ``LAVI_nochecks``, off; then the shape's other benchmark-mix configs
+(``MIX_CONFIGS``): PAJ on dense-pa, and GS and LAGS on sparse-gs.  The
+shapes are the benchmark workloads' (``iterate_digests.BENCHMARK_SHAPES``).
+``_Loop.step`` is wrapped from outside the solver, and each backup is
+timed and put in one of three phases by the model the loop iterates on
+when the step starts:
 
 * ``all``: every row of the model (a run that drops no row stays here);
 * ``compacted``: a copy holding only the live rows, more than two per
@@ -43,13 +46,9 @@ import sys
 import time
 from pathlib import Path
 
+from iterate_digests import BENCHMARK_SHAPES as SHAPES
+
 PHASES = ("all", "compacted", "two")
-# the benchmark workloads' generator specs, with their action range
-SHAPES = {
-    "dense-pa": dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56)),
-    "band-vi": dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(45, 56)),
-    "sparse-gs": dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(45, 56)),
-}
 CONFIGS = (
     ("VI", dict(operator="standard")),
     ("PAVI", dict(operator="standard", accelerator="projective")),
@@ -57,7 +56,16 @@ CONFIGS = (
     ("PAVI_nochecks", dict(operator="standard", accelerator="projective", membership_checks=False)),
     ("LAVI_nochecks", dict(operator="standard", accelerator="linear", membership_checks=False)),
 )
+# each shape's benchmark-mix configs that CONFIGS leaves out
+MIX_CONFIGS = {
+    "dense-pa": (("PAJ", dict(operator="jacobi", accelerator="projective")),),
+    "sparse-gs": (("GS", dict(operator="gs")), ("LAGS", dict(operator="gs", accelerator="linear"))),
+}
 
+
+def shape_configs(shape: str) -> tuple:
+    """The configs timed on ``shape``: ``CONFIGS``, then its other mix configs."""
+    return CONFIGS + MIX_CONFIGS.get(shape, ())
 
 def load_package(src: str, name: str):
     """The ``mdpaccel`` package under ``src``, imported as ``name``."""
@@ -140,11 +148,11 @@ class Costs:
         return " | ".join(cells)
 
 
-def measure(packages, spec: dict, seed: int, repeat: int) -> dict[str, list[Costs]]:
-    """``[Costs per package]`` of every config by label, for one seed, solving each ``repeat`` times."""
-    models = [p.generate(p.GeneratorSpec(seed=seed, **spec)) for p in packages]
+def measure(packages, shape: str, seed: int, repeat: int) -> dict[str, list[Costs]]:
+    """``[Costs per package]`` of each config of ``shape`` by label, at one seed, solved ``repeat`` times."""
+    models = [p.generate(p.GeneratorSpec(seed=seed, **SHAPES[shape])) for p in packages]
     out = {}
-    for label, options in CONFIGS:
+    for label, options in shape_configs(shape):
         costs = [Costs() for _ in packages]
         timers = [StepTimer(p) for p in packages]
         for r in range(repeat):
@@ -196,7 +204,7 @@ def main(argv) -> int:
     if args.against:
         packages.append(load_package(args.against, "mdpaccel_against"))
     for seed in args.seeds:
-        by_label = measure(packages, SHAPES[args.shape], seed, args.repeat)
+        by_label = measure(packages, args.shape, seed, args.repeat)
         for label, costs in by_label.items():
             key = f"{args.shape}/{label}/{seed}"
             print(costs[0].line(key))
