@@ -121,6 +121,7 @@ import numpy as np
 
 from .model import UNIT_ROUNDOFF, MdpModel
 from .operators import (
+    GATHER_MAX_SHARE,
     ScreenedSums,
     WeightedSums,
     _all,
@@ -242,9 +243,14 @@ def _rows_to_scan(m, spread, s) -> np.ndarray:
     and a row whose lower bound is positive is surely not tight.
     Among those rows, whose ratio ``reward / q`` is bounded the same way,
     the largest lower bound is a floor under the scan's maximum; a row
-    whose upper bound falls short of it can neither attain nor tie it.
-    Every other row is kept, so the tight-row rules, the maximum ratio and
-    the first row attaining it are the all-rows ones.
+    whose upper bound, its reach, falls short of it can neither attain nor
+    tie it.  Every other row is kept, so the tight-row rules, the maximum
+    ratio and the first row attaining it are the all-rows ones.
+
+    When the rows kept pass ``GATHER_MAX_SHARE`` of the rows and none may
+    be tight, the share past which ``take`` would sum every row,
+    ``_ordered_scan`` takes them by descending reach instead, and keeps
+    only those that reach the best exact ratio.
     """
     lo, hi = s.bounds()
     q_lo = spread - m.discount * hi
@@ -252,10 +258,47 @@ def _rows_to_scan(m, spread, s) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio_lo = m.rewards / (spread - m.discount * lo)
         reach = m.rewards / q_lo
-    if not loose.all():
+    if not _all(loose):
         ratio_lo[~loose] = -np.inf
         reach[~loose] = np.inf
-    return np.flatnonzero(reach >= ratio_lo.max())
+        return np.flatnonzero(reach >= ratio_lo.max())
+    rows = np.flatnonzero(reach >= ratio_lo.max())
+    if rows.size > GATHER_MAX_SHARE * m.num_rows:
+        return _ordered_scan(m, spread, s, rows, reach[rows])
+    return rows
+
+
+def _ordered_scan(m, spread, s, rows, reach) -> np.ndarray:
+    """The ascending ``rows`` that reach the best exact ratio, their sums taken from ``s``.
+
+    The threshold rule of Fagin, Lotem and Naor (2001).  ``reach`` bounds
+    each row's ratio from above, and every row is loose.  The rows are
+    taken in descending reach, in batches of ``num_states`` rows that
+    double, each batch one gathered ``take``, and their exact ratios are
+    formed as the scan forms them.  Once the next reach falls below the
+    best exact ratio, no row left can attain or tie it, and every row whose
+    ratio equals the best reaches it.  So the rows kept, in ascending order,
+    give the scan the all-rows maximum and the first row attaining it.
+    """
+    best, size = -math.inf, m.num_states
+    left, taken = np.arange(rows.size), []
+    while left.size:
+        if size < left.size:
+            part = np.argpartition(reach[left], left.size - size)
+            batch, left = left[part[left.size - size:]], left[part[:left.size - size]]
+        else:
+            batch, left = left, left[:0]
+        picked = np.sort(rows[batch])
+        q = spread[picked] - m.discount * s.take(m, picked)
+        best = max(best, (m.rewards[picked] / q).max())
+        taken.append(batch)
+        if left.size and reach[left].max() < best:
+            break
+        size *= 2
+    taken = np.concatenate(taken)
+    out = rows[taken[reach[taken] >= best]]
+    out.sort()
+    return out
 
 
 def linear_extension_alpha(m, v, u, sums_v=None, sums_u=None, check_membership=True,

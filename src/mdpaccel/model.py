@@ -33,6 +33,8 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel behind row_matrix[rows, cols]; tests pin it to that public form
+from scipy.sparse._sparsetools import csr_sample_values
 
 ROW_SUM_TOL = 1e-9
 # Unit roundoff of float64: a rounded operation's relative error is at most this.
@@ -239,10 +241,35 @@ class MdpModel:
 
     @_shared_view
     def self_loop_probs(self) -> np.ndarray:
-        """Per-row probability of staying in the owning state (0 when absent)."""
-        # scipy's element lookup reads each row's own-state entry in place
-        own = self.row_matrix[np.arange(self.num_rows), self.row_state]
-        return np.asarray(own, dtype=np.float64).ravel()
+        """Per-row probability of staying in the owning state (0 when absent).
+
+        A row whose columns run on without a gap from its first holds its
+        own state's entry at ``row_ptr[k] + (state - cols[row_ptr[k]])``.
+        One gather checks that guess for every row; the rows it misses (an
+        own state absent, or a gap before it) take scipy's element lookup
+        (``csr_sample_values``, the kernel behind ``row_matrix[rows,
+        cols]``).  In a row of ascending columns, as ``validate_model``
+        requires, the entry a guess finds is the only one in that column,
+        so every value is the lookup's.
+        """
+        out = np.zeros(self.num_rows)
+        starts, ends = self.row_ptr[:-1], self.row_ptr[1:]
+        if not self.cols.size:
+            return out
+        state = self.row_state
+        guess = starts + (state - self.cols[np.minimum(starts, self.cols.size - 1)])
+        inside = (guess >= starts) & (guess < ends)
+        guess[~inside] = 0
+        hit = inside & (self.cols[guess] == state)
+        out[hit] = self.probs[guess[hit]]
+        missed = np.flatnonzero(~hit & (ends > starts))
+        if missed.size:
+            csr = self.row_matrix
+            values = np.zeros(missed.size)
+            csr_sample_values(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data, missed.size,
+                              missed.astype(csr.indices.dtype), state[missed].astype(csr.indices.dtype), values)
+            out[missed] = values
+        return out
 
     @_shared_view
     def jacobi_denominator(self) -> tuple[np.ndarray, float]:

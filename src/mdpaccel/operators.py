@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -177,7 +177,8 @@ class ScreenedSums:
     A consumer reads the bounds, asks ``take`` for the rows they cannot
     settle, and decides from those rows as it would from all of them; the
     bounds are shared by every sums of one ``source`` and tighten as rows
-    are taken.  ``drifted_sums`` forms them.
+    are taken.  ``drifted_sums`` forms them, with the sup norm of their
+    point, which it has in hand.
     """
 
     base: np.ndarray
@@ -207,7 +208,7 @@ class ScreenedSums:
         if self.factor != 1.0:
             raise ValueError("screened sums are scaled once, from the kernel sums")
         norm = self._norm * factor if self._norm is not None and factor >= 0.0 else None
-        return replace(self, base=factor * self.base, factor=factor, _norm=norm)
+        return ScreenedSums(factor * self.base, self.source, factor, self.lo, self.hi, norm)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every row's sum at ``base``."""
@@ -418,27 +419,36 @@ def drifted_sums(m: MdpModel, sums, y: np.ndarray):
     """
     x = sums.base
     if isinstance(sums, ScreenedSums):
-        lo, hi = sums.bounds()
+        lo, hi, f = sums.lo, sums.hi, sums.factor
         held = sums.source
     elif sums.from_kernel and sums.rows is None:
         lo = hi = sums.values
-        held = x
+        held, f = x, 1.0
     else:
         return weighted_sums(m, y)
     if not y.size:
         return weighted_sums(m, y)
     d = y - x
-    low, high, y_low, y_high = float(d.min()), float(d.max()), float(y.min()), float(y.max())
-    norm = max(sup_norm(held), sup_norm(x), -y_low, y_high)
+    # the extremes from argmin and argmax, which return the first NaN as min and max do
+    low, high = d.item(d.argmin()), d.item(d.argmax())
+    y_low, y_high = y.item(y.argmin()), y.item(y.argmax())
+    norm = max(sums.norm if held is x else sup_norm(held), sums.norm, -y_low, y_high)
     # a NaN in d or y fails the test through the extremes of d
     if not (m.discount >= 0.0 and math.isfinite(row_value_error(m, norm + high - low))):
         return weighted_sums(m, y)
     rho, e = m.row_sum_deviation, sum_error(m, norm)
-    lo = lo + (low - abs(low) * rho - 10.0 * e)
-    hi = hi + (high + abs(high) * rho + 10.0 * e)
+    rise = high + abs(high) * rho + 10.0 * e
+    if f == 1.0:
+        lo = lo + (low - abs(low) * rho - 10.0 * e)
+        hi = hi + rise
+    else:
+        # the scaled bounds, shifted in place: the same two roundings per row
+        lo, hi = f * lo, f * hi
+        lo += low - abs(low) * rho - 10.0 * e
+        hi += rise
     np.maximum(lo, y_low - abs(y_low) * rho - 2.0 * e, out=lo)
     np.minimum(hi, y_high + abs(y_high) * rho + 2.0 * e, out=hi)
-    return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi)
+    return ScreenedSums(base=y, source=y, factor=1.0, lo=lo, hi=hi, _norm=abs(max(y_high, -y_low)))
 
 
 @functools.cache
@@ -573,26 +583,34 @@ def one_step_row_values(m: MdpModel, sums: WeightedSums) -> np.ndarray:
     return _one_step_of(m, sums)[0]
 
 
-def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> np.ndarray:
-    """Every row's value from all-rows ``sums``; from ``ScreenedSums``, -inf where it cannot win.
+def _held_row_values(m: MdpModel, kind: OperatorKind, own, sums) -> tuple[np.ndarray | None, np.ndarray]:
+    """The rows whose values can win, ascending, and their values: every row from all-rows ``sums``.
 
-    A row value is monotone in the row's sum (the discount is not negative,
-    the Jacobi denominators positive), and a rounded operation is
-    monotone, so the row-value formula at the screened sums' bounds bounds
-    each computed value.  A state's maximum is at least the largest lower
-    bound among its rows; a row whose upper bound falls short of it can
-    neither attain that maximum nor tie it, and is left at -inf.  The
-    other rows take their exact sums, so the state maxima and the first
-    rows attaining them are the all-rows ones.
+    From all-rows sums the rows are None and the values every row's.  From
+    ``ScreenedSums`` they are the rows that can attain their state's
+    maximum, at least one of every state, with their exact values.  A row
+    value is monotone in the row's sum (the discount is not negative, the
+    Jacobi denominators positive), and a rounded operation is monotone, so
+    the row-value formula at the screened sums' bounds bounds each computed
+    value.  A state's maximum is at least the largest lower bound among its
+    rows; a row whose upper bound falls short of it can neither attain that
+    maximum nor tie it, and is left out.  Its state's row of that largest
+    lower bound is not.  The rows kept take their exact sums, so the state
+    maxima and the first rows attaining them are the all-rows ones.
     """
     if not isinstance(sums, ScreenedSums):
-        return _row_values(m, kind, own, sums.values)
+        return None, _row_values(m, kind, own, sums.values)
     lo, hi = sums.bounds()
     floor = _state_max(m, _row_values(m, kind, own, lo)).repeat(m.row_counts)
     rows = np.flatnonzero(_row_values(m, kind, own, hi) >= floor)
-    out = np.full(m.num_rows, -np.inf)
-    out[rows] = _row_values(m, kind, None if own is None else own[rows], sums.take(m, rows), rows)
-    return out
+    return rows, _row_values(m, kind, None if own is None else own[rows], sums.take(m, rows), rows)
+
+
+def _state_max_of(m: MdpModel, rows: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """Each state's largest value of ``_held_row_values``' ``(rows, values)``."""
+    if rows is None:
+        return _state_max(m, values)
+    return np.maximum.reduceat(values, np.searchsorted(rows, m.state_ptr[:-1]))
 
 
 def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
@@ -604,7 +622,7 @@ def _backup(m: MdpModel, kind: OperatorKind, v: np.ndarray, sums) -> np.ndarray:
     if kind not in _JACOBI_KINDS and isinstance(sums, WeightedSums):
         return _one_step_of(m, sums)[1].copy()
     own = v.repeat(m.row_counts) if kind in _JACOBI_KINDS else None
-    return _state_max(m, _held_row_values(m, kind, own, sums))
+    return _state_max_of(m, *_held_row_values(m, kind, own, sums))
 
 
 def _sweep(m: MdpModel, kind: OperatorKind, v: np.ndarray) -> np.ndarray:
@@ -670,13 +688,14 @@ def extract_policy(m, v, sums=None) -> np.ndarray:
     Raises:
         ValueError: ``sums`` were computed for a different vector.
     """
-    rows = _held_row_values(m, OperatorKind.STANDARD, None, require_sums(m, v, sums))
-    cand = np.where(
-        rows == _state_max(m, rows)[m.row_state],
-        np.arange(m.num_rows, dtype=np.int64),
-        m.num_rows,
-    )
-    return np.minimum.reduceat(cand, m.state_ptr[:-1]) - m.state_ptr[:-1]
+    rows, values = _held_row_values(m, OperatorKind.STANDARD, None, require_sums(m, v, sums))
+    if rows is None:
+        rows = np.arange(m.num_rows, dtype=np.int64)
+    # every state has a row among them; a state whose maximum is NaN reads num_rows
+    starts = np.searchsorted(rows, m.state_ptr[:-1])
+    best = np.maximum.reduceat(values, starts)
+    cand = np.where(values == best[m.row_state[rows]], rows, m.num_rows)
+    return np.minimum.reduceat(cand, starts) - m.state_ptr[:-1]
 
 
 def is_feasible(m, v, tol=None, sums=None):

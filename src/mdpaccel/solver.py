@@ -27,8 +27,12 @@ backup ``u`` are bounds drifted from the sums at ``w``
 (``operators.drifted_sums``), with no kernel pass, and the backup, the
 precondition test, the scan, the output check and the final policy each
 take exact sums, through ``weighted_sums`` over some rows, only for the
-rows their bounds cannot settle.  Every iterate, residual, step factor
-and policy is the all-rows one bit for bit.  The linear extension keeps
+rows their bounds cannot settle; the backup and the policy reduce over
+the rows that can still win alone, and a first scan whose candidates
+would take the all-rows pass takes them by descending upper ratio until
+the best exact ratio stops it (``accelerators._ordered_scan``).  Every
+iterate, residual, step factor and policy is the all-rows one bit for
+bit.  The linear extension keeps
 all-rows sums: its carried sums are an affine recursion over every past
 kernel sum, which a row skipped once cannot rejoin bit for bit.
 
@@ -386,15 +390,16 @@ def _resolve_initial(m: MdpModel, config: SolverConfig):
 # (``operators.ScreenedSums``): there the kernel work they skip outweighs
 # the per-row bounds they keep, whose cost is per row and per call.  Solve
 # time per iteration, screened over all-rows, for PAVI / PAJ / checks-off
-# PAVI (median of seeds 100-102, 45-56 actions per state, one BLAS
-# thread, 2-CPU x86-64 guest; entries per row in brackets):
-#   uniform dense, 40 states, discount 0.995 (40):  1.18 / 1.53 / 1.42
-#   uniform dense, 50 states (50):                  1.12 / 1.14 / 1.25
-#   uniform dense, 60 states (60):                  0.96 / 0.91 / 0.85
-#   uniform dense, 80 states, dense-pa (80):        0.59 / 0.63 / 0.54
-#   band 120 states, discount 0.995 (29, band-vi):  0.94 / 1.10 / 0.89
-#   band 120 states (53):                           0.67 / 0.84 / 0.61
-#   uniform 100 states, discount 0.9 (50):          0.73 / 0.85 / 0.72
+# PAVI (median of seeds 100-102, min of 5, 45-56 actions per state, one
+# BLAS thread, 2-CPU x86-64 guest; entries per row in brackets; all-rows
+# ``standard`` runs drop rows):
+#   uniform dense, 40 states, discount 0.995 (40):  1.04 / 1.39 / 0.96
+#   uniform dense, 50 states (50):                  0.97 / 1.05 / 0.80
+#   uniform dense, 60 states (60):                  0.87 / 0.85 / 0.69
+#   uniform dense, 80 states, dense-pa (80):        0.75 / 0.61 / 0.56
+#   band 120 states, discount 0.995 (29, band-vi):  3.00 / 1.01 / 2.57
+#   band 120 states (53):                           1.70 / 0.70 / 1.43
+#   uniform 100 states, discount 0.9 (50):          0.98 / 0.79 / 0.77
 # The smallest count at which no measured model ran slower is 60.
 SCREEN_MIN_ROW_NNZ = 60
 # ... and with at least this many rows per state, on average: a screened
@@ -402,19 +407,19 @@ SCREEN_MIN_ROW_NNZ = 60
 # bounds and still sums nearly every row.  Same measure, uniform dense
 # models, discount 0.995, seed 100, min of 5 toggling the rule, median of 3
 # (rows per state in brackets):
-#   100 states, 2-4 actions (3.1):    2.08 / 1.41 / 2.17
-#   200 states, 2-4 actions (3.1):    1.43 / 1.46 / 1.67
-#   500 states, 2-4 actions (3.0):    1.17 / 1.27 / 1.27
-#   1000 states, 2-4 actions (3.0):   0.98 / 0.98 / 0.98
-#   200 states, 3-6 actions (4.6):    1.05 / 1.17 / 1.09
-#   500 states, 3-6 actions (4.4):    0.73 / 0.73 / 0.63
-#   100 states, 5-12 actions (8.8):   1.26 / 1.30 / 1.35
-#   200 states, 5-12 actions (8.7):   0.75 / 0.82 / 0.67
-#   100 states, 9-17 actions (13.0):  1.09 / 1.15 / 1.19
-#   100 states, 10-20 actions (15.3): 0.93 / 0.95 / 0.90
-#   100 states, 45-56 actions (50.7): 0.57 / 0.66 / 0.51
-# Below 4 no measured model gained more than 2%; from 4 up the sign follows
-# the model's size.
+#   100 states, 2-4 actions (3.1):    1.81 / 1.94 / 1.62
+#   200 states, 2-4 actions (3.1):    1.87 / 1.54 / 1.60
+#   500 states, 2-4 actions (3.0):    1.84 / 1.10 / 1.48
+#   1000 states, 2-4 actions (3.0):   1.93 / 1.04 / 1.36
+#   200 states, 3-6 actions (4.6):    1.19 / 0.93 / 0.97
+#   500 states, 3-6 actions (4.4):    1.08 / 0.66 / 0.81
+#   100 states, 5-12 actions (8.8):   1.18 / 1.29 / 0.96
+#   200 states, 5-12 actions (8.7):   0.83 / 0.63 / 0.66
+#   100 states, 9-17 actions (13.0):  1.00 / 1.02 / 0.80
+#   100 states, 10-20 actions (15.3): 0.87 / 0.90 / 0.68
+#   100 states, 45-56 actions (50.7): 0.63 / 0.47 / 0.51
+# Below 4 no measured model gained; from 4 up the sign follows the model's
+# size.
 SCREEN_MIN_ROWS_PER_STATE = 4
 
 

@@ -22,7 +22,7 @@ from mdpaccel.accelerators import (
     projective_alpha,
 )
 from mdpaccel.generators import GeneratorSpec, generate
-from mdpaccel.model import UNIT_ROUNDOFF, MdpModel, initial_feasible_point
+from mdpaccel.model import UNIT_ROUNDOFF, MdpModel, adjust_rewards_nonnegative, initial_feasible_point
 from mdpaccel.operators import (
     ScreenedSums,
     WeightedSums,
@@ -248,6 +248,113 @@ class TestScreenedScanMatchesReference:
                     assert np.array_equal(step.point, expected.point)
                     every = np.arange(m.num_rows)
                     assert np.array_equal(step.sums.take(m, every), expected.sums.values)
+
+
+def first_scan(m):
+    """The shifted model a projective solve of ``m`` runs on, its first backup ``u`` and the screened sums of ``u``."""
+    model, _ = adjust_rewards_nonnegative(m)
+    w = initial_feasible_point(model)
+    zero = WeightedSums(np.zeros(model.num_rows), np.zeros(model.num_states))
+    sums_w = drifted_sums(model, zero, w)
+    u = apply_operator(model, w, "standard", sums=sums_w)
+    return model, u, sums_w, drifted_sums(model, sums_w, u)
+
+
+def with_row_copied(m, row):
+    """``m`` with a copy of ``row`` inserted after it, as one more action of its state."""
+    rows = np.insert(np.arange(m.num_rows), row + 1, row)
+    lengths = np.diff(m.row_ptr)[rows]
+    entries = np.concatenate([np.arange(m.row_ptr[k], m.row_ptr[k + 1]) for k in rows])
+    state_ptr = m.state_ptr.copy()
+    state_ptr[m.row_state[row] + 1:] += 1
+    return MdpModel(num_states=m.num_states, discount=m.discount, mode=m.mode, state_ptr=state_ptr,
+                    rewards=m.rewards[rows], row_ptr=np.concatenate(([0], np.cumsum(lengths))),
+                    cols=m.cols[entries], probs=m.probs[entries])
+
+
+class TestOrderedScan:
+    """A first scan whose candidates pass ``GATHER_MAX_SHARE`` of the rows takes them by
+    descending reach, and gives the all-rows scan bit for bit."""
+
+    @staticmethod
+    def model():
+        # the shape of criterion 9's model, small: from the constant start its first scan
+        # keeps 209 of 505 rows
+        return generate(GeneratorSpec(family="uniform", num_states=60, density=1.0, discount=0.9,
+                                      reward_range=(0.01, 0.1), action_range=(5, 12), seed=0))
+
+    @pytest.fixture
+    def ordered(self, monkeypatch):
+        calls = []
+        real = accel_mod._ordered_scan
+
+        def recording(m, spread, s, rows, reach):
+            calls.append(len(rows))
+            return real(m, spread, s, rows, reach)
+
+        monkeypatch.setattr(accel_mod, "_ordered_scan", recording)
+        return calls
+
+    def test_first_scan_takes_the_rows_that_reach_the_best_ratio(self, ordered, monkeypatch):
+        model, u, _, s = first_scan(self.model())
+        summed = []
+        real = operators_mod.weighted_sums
+
+        def counting(m, v, rows=None):
+            summed.append(m.num_rows if rows is None else len(rows))
+            return real(m, v, rows=rows)
+
+        monkeypatch.setattr(operators_mod, "weighted_sums", counting)
+        got = projective_alpha(model, u, sums=s, check_membership=False)
+        assert ordered and ordered[0] > accel_mod.GATHER_MAX_SHARE * model.num_rows
+        assert got == projective_alpha(model, u, sums=weighted_sums(model, u), check_membership=False)
+        # batches of one row per state, doubling, each one gathered call
+        assert summed and all(n <= 2 ** k * model.num_states for k, n in enumerate(summed))
+        assert sum(summed) < ordered[0]
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_a_tied_binding_row_goes_to_the_first(self, ordered, checks):
+        model, u, _, s = first_scan(self.model())
+        state, action = projective_alpha(model, u, sums=s, check_membership=False).binding
+        tied = with_row_copied(self.model(), int(model.state_ptr[state]) + action)
+        model, u, _, s = first_scan(tied)
+        ordered.clear()
+        got = apply_projective(model, u, sums=s, check_membership=checks)
+        expected = apply_projective(model, u, sums=weighted_sums(model, u), check_membership=checks)
+        assert ordered
+        assert got.alpha == expected.alpha and got.alpha.binding == (state, action)
+        assert np.array_equal(got.point, expected.point)
+
+    def test_the_best_ratio_past_the_first_batches_is_found(self, ordered):
+        # exact lower bounds, so the floor is the best ratio itself; decoy rows of loose
+        # upper bounds reach a thousand times their ratio and fill the first batches
+        model, u, _, _ = first_scan(self.model())
+        exact = weighted_sums(model, u).values
+        slack = u.repeat(model.row_counts) - model.discount * exact
+        ratios = model.rewards / slack
+        best = int(np.argmax(ratios))
+        decoys = np.flatnonzero((model.rewards > 0.0) & (np.arange(model.num_rows) != best))[:200]
+        hi = exact.copy()
+        hi[decoys] += 0.999 * slack[decoys] / model.discount
+        assert (hi >= exact).all()
+        s = ScreenedSums(base=u, source=u, factor=1.0, lo=exact.copy(), hi=hi)
+        got = projective_alpha(model, u, sums=s, check_membership=False)
+        assert ordered and ordered[0] > 3 * model.num_states
+        assert got == projective_alpha(model, u, sums=weighted_sums(model, u), check_membership=False)
+        assert got.binding == accel_mod._row_location(model, best)
+
+    def test_a_tight_row_falls_back_to_the_rows_that_reach_the_floor(self, ordered):
+        model, u, sums_w, _ = first_scan(self.model())
+        # a state lowered so far that its rows' slack bounds reach zero: its rewarded rows are tight
+        for low in (0.5, 0.0):
+            v = u.copy()
+            v[7] *= low
+            s = drifted_sums(model, sums_w, v)
+            ordered.clear()
+            got = projective_alpha(model, v, sums=s, check_membership=False)
+            assert not ordered
+            assert got == projective_alpha(model, v, sums=weighted_sums(model, v), check_membership=False)
+            assert got.fallback_used
 
 
 class TestProjectiveAlpha:

@@ -107,6 +107,54 @@ class TestConstruction:
         np.testing.assert_array_equal(m.row_state, [0, 0, 1])
         np.testing.assert_allclose(m.self_loop_probs, [1.0, 0.0, 0.7])
 
+    @staticmethod
+    def looked_up(m):
+        """Each row's own-state entry by scipy's element lookup."""
+        return np.asarray(m.row_matrix[np.arange(m.num_rows), m.row_state], dtype=np.float64).ravel()
+
+    @pytest.mark.parametrize("spec", [
+        dict(family="uniform", num_states=80, density=1.0, discount=0.995, action_range=(45, 56), seed=100),
+        dict(family="band", num_states=120, bandwidth=30, discount=0.995, action_range=(4, 8), seed=100),
+        dict(family="uniform", num_states=100, density=0.2, discount=0.9, action_range=(4, 8), seed=100),
+        dict(family="uniform", num_states=14, density=0.5, discount=0.95, action_range=(2, 5), seed=41),
+        dict(family="total_reward_positive", num_states=12, action_range=(2, 5), seed=3),
+    ], ids=["dense-pa", "band-vi", "sparse-gs", "uniform-half", "total-reward"])
+    def test_self_loops_are_the_element_lookups(self, spec):
+        m = generate(GeneratorSpec(**spec))
+        assert m.self_loop_probs.tobytes() == self.looked_up(m).tobytes()
+
+    def test_self_loops_of_rows_without_one_with_gaps_and_of_int64_columns(self, monkeypatch):
+        rows = [
+            [(1.0, [(1, 1.0)]), (0.0, [(0, 0.25), (2, 0.75)]), (0.0, [(0, 0.5), (1, 0.5)])],
+            # rows with and without their own state, and with gaps before or after it
+            [(1.0, [(1, 0.6), (2, 0.4)]), (0.0, [(0, 0.2), (2, 0.8)]), (0.0, [(0, 0.1), (1, 0.2), (3, 0.7)])],
+            [(0.0, [(0, 0.5), (2, 0.5)]), (0.0, [(2, 1.0)]), (2.0, [(3, 1.0)])],
+            [(0.0, [(0, 0.2), (1, 0.2), (2, 0.2), (3, 0.4)])],
+        ]
+        looked = []
+        real = model_module.csr_sample_values
+
+        def lookup(*args):
+            looked.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(model_module, "csr_sample_values", lookup)
+        m = MdpModel.from_rows(rows, discount=0.9)
+        assert m.cols.dtype == np.int32
+        assert m.self_loop_probs.tobytes() == self.looked_up(m).tobytes()
+        np.testing.assert_array_equal(m.self_loop_probs, [0.0, 0.25, 0.5, 0.6, 0.0, 0.2, 0.5, 1.0, 0.0, 0.4])
+        # only the rows whose guess missed took the lookup
+        assert looked == [4]
+        # a column past int32 keeps the columns in int64
+        wide = MdpModel.from_rows(rows + [[(0.0, [(1, 0.5), (2**31 + 5, 0.5)])]], discount=0.9)
+        assert wide.cols.dtype == np.int64
+        assert wide.self_loop_probs.tobytes() == self.looked_up(wide).tobytes()
+
+    def test_self_loops_of_a_dense_model_take_no_lookup(self, monkeypatch):
+        monkeypatch.setattr(model_module, "csr_sample_values", None)
+        m = generate(GeneratorSpec(family="uniform", num_states=20, density=1.0, seed=5))
+        assert m.self_loop_probs.tobytes() == self.looked_up(m).tobytes()
+
     def test_row_statistics(self):
         m = MdpModel.from_rows(
             [

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-
+import functools
 import math
 
 import numpy as np
@@ -285,6 +285,13 @@ def pinned_models():
     ]
 
 
+@functools.cache
+def criterion_9_model():
+    """The model of ``test_acceptance``'s criterion 9: 24,874 rows of 500 entries."""
+    return generate(GeneratorSpec(family="uniform", num_states=500, density=1.0, discount=0.9,
+                                  reward_range=(0.01, 0.1), seed=0))
+
+
 def assert_same_run(m, cfg, before_each=lambda: None):
     before_each()
     expected = reference_solve(m, cfg)
@@ -315,6 +322,14 @@ class TestIterateSequencePinned:
         m = generate(GeneratorSpec(family="uniform", num_states=80, density=1.0, discount=0.995,
                                    action_range=(45, 56), seed=100))
         cfg = SolverConfig(operator=operator, accelerator="projective", membership_checks=checks)
+        assert screens_sums(m, cfg)
+        assert_same_run(m, cfg)
+
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    def test_screened_runs_on_criterion_9s_model_match(self, checks):
+        # its first scan keeps about 45% of the rows, and takes them by descending reach
+        m = criterion_9_model()
+        cfg = SolverConfig(accelerator="projective", membership_checks=checks)
         assert screens_sums(m, cfg)
         assert_same_run(m, cfg)
 
@@ -1117,8 +1132,38 @@ class TestScreenSelection:
         assert screens_sums(m, SolverConfig(operator="standard", accelerator="projective"))
 
 
+def rows_summed_per_iteration(monkeypatch, m, cfg):
+    """The solve of ``m`` under ``cfg``, and the rows its weighted sums covered at setup and at each iteration."""
+    per_iteration = [0]
+
+    def counting_sums(model, v, rows=None):
+        per_iteration[-1] += model.num_rows if rows is None else len(rows)
+        return weighted_sums(model, v, rows=rows)
+
+    step = solver_mod._Loop.step
+
+    def counting_step(loop):
+        per_iteration.append(0)
+        return step(loop)
+
+    for module in (operators_mod, accel_mod, solver_mod):
+        monkeypatch.setattr(module, "weighted_sums", counting_sums)
+    monkeypatch.setattr(solver_mod._Loop, "step", counting_step)
+    return solve(m, cfg), per_iteration
+
+
 class TestScreenedRowShare:
     """A screened dense solve takes exact sums for few rows once under way."""
+
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
+    def test_criterion_9s_first_iteration_sums_at_most_a_tenth_of_the_rows(self, monkeypatch, checks):
+        # its first scan keeps 11,181 of 24,874 rows, of which 1,166 reach the largest ratio
+        m = criterion_9_model()
+        cfg = SolverConfig(accelerator="projective", membership_checks=checks)
+        res, per_iteration = rows_summed_per_iteration(monkeypatch, m, cfg)
+        assert res.converged and len(per_iteration) == res.iterations + 1
+        assert per_iteration[0] == 0
+        assert per_iteration[1] <= m.num_rows / 10
 
     @pytest.mark.parametrize("checks", [True, False], ids=["checks", "nochecks"])
     @pytest.mark.parametrize("operator", ["standard", "jacobi"])
@@ -1127,22 +1172,7 @@ class TestScreenedRowShare:
                                    action_range=(30, 40), seed=7))
         cfg = SolverConfig(operator=operator, accelerator="projective", membership_checks=checks)
         assert screens_sums(m, cfg)
-        per_iteration = [0]
-
-        def counting_sums(model, v, rows=None):
-            per_iteration[-1] += model.num_rows if rows is None else len(rows)
-            return weighted_sums(model, v, rows=rows)
-
-        step = solver_mod._Loop.step
-
-        def counting_step(loop):
-            per_iteration.append(0)
-            return step(loop)
-
-        for module in (operators_mod, accel_mod, solver_mod):
-            monkeypatch.setattr(module, "weighted_sums", counting_sums)
-        monkeypatch.setattr(solver_mod._Loop, "step", counting_step)
-        res = solve(m, cfg)
+        res, per_iteration = rows_summed_per_iteration(monkeypatch, m, cfg)
         assert res.converged and len(per_iteration) == res.iterations + 1
         # setup takes none; from the constant start the first iteration takes more
         assert per_iteration[0] == 0

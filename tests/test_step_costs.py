@@ -136,6 +136,36 @@ def phase_counts(line: str) -> list[str]:
     return [cell.split(" x ")[0] for cell in line.split(" | ")[1:]]
 
 
+C9 = re.compile(r"^criterion-9/c9/(\d+)( against)? PAVI_nochecks/VI ms per backup (\S+)$")
+C9_CONFIG = re.compile(r"^criterion-9/(\w+)/(\d+) (\d+) backups ([\d.]+) ms")
+
+
+@pytest.mark.parametrize("against", [False, True])
+def test_criterion_9_prints_checks_off_paviS_time_per_backup_over_vis(monkeypatch, capsys, against):
+    tool = load(monkeypatch, TOOLS, "step_costs")
+    # criterion 9's shape, small
+    monkeypatch.setitem(tool.ANCHOR_SHAPES, "criterion-9",
+                        dict(family="uniform", num_states=40, density=1.0, discount=0.9, reward_range=(0.01, 0.1)))
+    args = ["--shape", "criterion-9", "--seeds", "0", "--repeat", "2"]
+    if against:
+        args += ["--against", str(Path(mdpaccel.__file__).resolve().parents[1])]
+    assert tool.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    per_backup = {}
+    for line in lines:
+        match = C9_CONFIG.match(line)
+        if match and " against " not in line:
+            label, seed, backups, ms = match.groups()
+            per_backup[label] = float(ms) / int(backups)
+    assert sorted(per_backup) == ["PAVI_nochecks", "VI"]
+    ratios = [C9.match(line) for line in lines if line.startswith("criterion-9/c9/")]
+    assert [(m.group(1), m.group(2)) for m in ratios] == [("0", None)] + ([("0", " against")] if against else [])
+    # the wall times are printed rounded to 0.01 ms
+    expected = per_backup["PAVI_nochecks"] / per_backup["VI"]
+    assert float(ratios[0].group(3)) == pytest.approx(expected, rel=0.05)
+    assert not any(line.startswith(("criterion-9/checks/", "criterion-9/tail/")) for line in lines)
+
+
 def test_repeat_below_one_is_refused(tool):
     with pytest.raises(SystemExit):
         tool.main(["--repeat", "0"])

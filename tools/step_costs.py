@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tools/step_costs.py [--shape band-vi] [--seeds 100 101 102]
+    PYTHONPATH=src python tools/step_costs.py --shape criterion-9 --seeds 0
         [--repeat 9] [--against OTHER/src]
 
 For each seed the shape's model is generated once and each config is
@@ -29,7 +30,12 @@ checks: the checked solve's ``wall_ms`` over the unchecked one's, for
 PAVI and LAVI; and a ``tail`` line the cost of an accelerated step once
 elimination has compacted the model: checked PAVI's and LAVI's
 microseconds per backup in the ``two`` phase over VI's (nan where a
-config never reaches it).  With ``--against``, a second copy of the package is
+config never reaches it).  ``--shape criterion-9`` times criterion 9's
+model (``tests/test_acceptance.py``; pass ``--seeds 0`` for its seed)
+under VI and ``PAVI_nochecks`` only, and prints a ``c9`` line in place of
+those two: checks-off PAVI's milliseconds per backup over VI's, each from
+the solve's ``wall_ms`` at its minimum, the quantity the criterion bounds
+by 1.5.  With ``--against``, a second copy of the package is
 imported from that source directory under another name, its solves
 alternate with this one's (the order flips at every repeat), and each
 line is followed by the other copy's line and, for a config, the ratios
@@ -63,13 +69,31 @@ MIX_CONFIGS = {
 }
 
 
+# criterion 9's model (tests/test_acceptance.py; its seed is 0), and the two configs whose time
+# per backup the criterion compares
+ANCHOR_SHAPES = {
+    "criterion-9": dict(family="uniform", num_states=500, density=1.0, discount=0.9, reward_range=(0.01, 0.1)),
+}
+ANCHOR_CONFIGS = (CONFIGS[0], CONFIGS[3])
+
+
+def shape_spec(shape: str) -> dict:
+    """The ``GeneratorSpec`` fields, but the seed, of ``shape``."""
+    return ANCHOR_SHAPES[shape] if shape in ANCHOR_SHAPES else SHAPES[shape]
+
+
 def shape_configs(shape: str) -> tuple:
-    """The configs timed on ``shape``: ``CONFIGS``, then its other mix configs."""
+    """The configs timed on ``shape``: ``CONFIGS``, then its other mix configs; VI and checks-off PAVI on an anchor's."""
+    if shape in ANCHOR_SHAPES:
+        return ANCHOR_CONFIGS
     return CONFIGS + MIX_CONFIGS.get(shape, ())
 
 def load_package(src: str, name: str):
     """The ``mdpaccel`` package under ``src``, imported as ``name``."""
     init = Path(src) / "mdpaccel" / "__init__.py"
+    # submodules of an earlier load under this name would stand in for the new package's own
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -150,7 +174,7 @@ class Costs:
 
 def measure(packages, shape: str, seed: int, repeat: int) -> dict[str, list[Costs]]:
     """``[Costs per package]`` of each config of ``shape`` by label, at one seed, solved ``repeat`` times."""
-    models = [p.generate(p.GeneratorSpec(seed=seed, **SHAPES[shape])) for p in packages]
+    models = [p.generate(p.GeneratorSpec(seed=seed, **shape_spec(shape))) for p in packages]
     out = {}
     for label, options in shape_configs(shape):
         costs = [Costs() for _ in packages]
@@ -180,6 +204,13 @@ def tail_line(key: str, costs: dict[str, Costs]) -> str:
     return f"{key} two/VI us per backup " + " | ".join(cells)
 
 
+def c9_line(key: str, costs: dict[str, Costs]) -> str:
+    """Checks-off PAVI's milliseconds per backup over VI's: what criterion 9 bounds by 1.5."""
+    pavi, vi = costs["PAVI_nochecks"], costs["VI"]
+    ratio = (pavi.wall_ms / pavi.iterations) / (vi.wall_ms / vi.iterations)
+    return f"{key} PAVI_nochecks/VI ms per backup {ratio:.3f}"
+
+
 def ratio_line(ours: Costs, theirs: Costs) -> str:
     cells = [f"  ratio wall {ours.wall_ms / theirs.wall_ms:.3f}"]
     for phase in PHASES:
@@ -190,7 +221,7 @@ def ratio_line(ours: Costs, theirs: Costs) -> str:
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shape", choices=sorted(SHAPES), default="band-vi")
+    parser.add_argument("--shape", choices=sorted(SHAPES) + sorted(ANCHOR_SHAPES), default="band-vi")
     parser.add_argument("--seeds", type=int, nargs="+", default=[100])
     parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--against", metavar="SRC",
@@ -213,6 +244,9 @@ def main(argv) -> int:
                 print(ratio_line(costs[0], costs[1]))
         for i, suffix in zip(range(len(packages)), ("", " against")):
             copy = {label: costs[i] for label, costs in by_label.items()}
+            if args.shape in ANCHOR_SHAPES:
+                print(c9_line(f"{args.shape}/c9/{seed}{suffix}", copy))
+                continue
             print(checks_line(f"{args.shape}/checks/{seed}{suffix}", copy))
             print(tail_line(f"{args.shape}/tail/{seed}{suffix}", copy))
     return 0
