@@ -141,7 +141,7 @@ C9_CONFIG = re.compile(r"^criterion-9/(\w+)/(\d+) (\d+) backups ([\d.]+) ms")
 
 
 @pytest.mark.parametrize("against", [False, True])
-def test_criterion_9_prints_checks_off_paviS_time_per_backup_over_vis(monkeypatch, capsys, against):
+def test_criterion_9_prints_checks_off_pavis_time_per_backup_over_vis(monkeypatch, capsys, against):
     tool = load(monkeypatch, TOOLS, "step_costs")
     # criterion 9's shape, small
     monkeypatch.setitem(tool.ANCHOR_SHAPES, "criterion-9",
