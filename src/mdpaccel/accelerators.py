@@ -21,94 +21,82 @@ v``, or ``z = v + alpha * (u - v)``.
 Dominance is always judged by ``operators.is_feasible``, the one-step
 backup of the shared row-value kernel.  When enabled, membership checks
 validate the preconditions (inputs dominate their backups) from the sums
-already in hand, and validate the output with one screened weighted-sums
-pass; a failed output check falls back to the safe input point and flags
-the step instead of raising.
-
-The output check (``_checked``) reads both points from their sums.  Its
-screen (``_rows_to_check``) bounds every row's one-step value at the
-output from the input's kernel sums, starting from the row values the
-input's membership test formed from them, and takes fresh sums only for
-the rows whose bound the membership tolerance, formed once for the screen
-and the test, cannot clear: about 0.1-0.6% of the rows on the benchmark
-models.  The bound covers the rounding of both values
-(``operators.row_value_error``), so the verdict, and with it every
-fallback and iterate, is the all-rows one bit for bit.  Every row is
-checked when the input's sums were derived by linearity, when a point is
-not finite, or when the model has a negative probability.
+already in hand, and the output from its carried sums (output check,
+below); a failed output check falls back to the safe input point and
+flags the step instead of raising.
 
 The projective scan and step also take ``operators.ScreenedSums``, which
 bound every row's sum and hold exact sums only for the rows asked for.
 The scan then takes exact sums only for the rows whose bounds leave their
 slack's sign unsure or let them reach the largest ratio
-(``_rows_to_scan``), and the output check's screen starts
-from the upper bounds of the input's row values; all-rows sums are the
-zero-width case of that screen.  The results are the all-rows ones bit
-for bit.
+(``_rows_to_scan``).  The results are the all-rows ones bit for bit.
+
+Output check.  The step's point ``z`` carries sums by linearity, and
+they lie within ``drift`` of the exact sums of the stored numbers at
+``z``.  The projective step's, ``alpha * s_u`` from kernel sums ``s_u``,
+lie within ``sum_error`` at the norm of ``u`` (``operators.sum_error``);
+scaled ``ScreenedSums`` stand for them by their upper bounds, which a
+rounded product keeps above them, with the same ``drift``.  The
+extension's, ``s_v + alpha * (s_u - s_v)`` from kernel sums ``s_u``, lie
+within ``_extended_drift``, from the drift of ``s_v``.  All-rows sums
+hold that bound (``WeightedSums.drift``); the projective step passes it
+for screened ones.  The kernel sums of ``z`` add ``sum_error``, so a row
+value from them is at most the value from the carried sums plus
+``discount`` times both distances and the rounding (``_output_margin``);
+a row value rises with its sum when the discount is not negative.
+``_output_passes`` raises the state maxima of the carried one-step
+values by that margin: a state within ``z + tol`` passes every row, and
+only the rows whose own carried value the margin cannot clear take fresh
+kernel sums and the test.  So the verdict, and with it every fallback
+and iterate, is the all-rows one bit for bit.  When every state passes,
+the check makes no kernel call and no test; on all-rows sums the maxima
+stay held, where the standard backup of ``z`` reads them, and so does
+the verdict (``WeightedSums._clears``), which the next extension step's
+test of ``z`` reads.  A margin that is not finite takes the all-rows
+pass: sums whose drift nothing bounds (derived from sums that were
+derived themselves), a point that is not finite, a negative probability
+or a negative discount.
 
 Certificates.  A membership verdict held on a point's all-rows sums
 (``WeightedSums._clears``) is the one channel by which a bound settles a
 test: ``operators.is_feasible`` gives it without forming a row value.
-Two bounds record it, and both rest on the exact backup ``T`` of the
+The output check holds one, as above.  The precondition at ``u =
+T~(w)``, the backup the caller computed from sums of ``w`` within
+``drift`` of its exact sums, rests on the exact backup ``T`` of the
 stored numbers being monotone, with ``T(x) <= T(y) + c * max(x - y, 0)``
 for ``c = discount * (1 + rho)`` and no negative probability, and on
 ``operators.row_value_error`` bounding the rounding of a computed row
-value (Puterman, Markov Decision Processes, 1994, sections 6.2 and 6.6).
+value (Puterman, Markov Decision Processes, 1994, sections 6.2 and 6.6):
+``u`` lies within ``e_w = row_value_error + discount * drift`` of
+``T(w)``, and the computed backup at ``u`` within ``e_u =
+row_value_error`` of ``T(u)``, so ``T~(u) <= u + c * max(u - w, 0) + e_w
++ e_u``.  The caller passes that bound to ``operators.certify_membership``
+on the sums of ``u`` before the step, which holds the verdict when the
+bound is inside ``u``'s tolerance; the solver's falling runs do
+(``solver``, falling runs).  A bound that fails, or is not finite,
+records nothing and leaves its test as without it, so every verdict,
+fallback and iterate is the uncertified one bit for bit.
 
-* The precondition at ``u = T~(w)``, the backup the caller computed from
-  sums of ``w`` within ``drift`` of its exact sums: ``u`` lies within
-  ``e_w = row_value_error + discount * drift`` of ``T(w)``, and the
-  computed backup at ``u`` within ``e_u = row_value_error`` of ``T(u)``,
-  so ``T~(u) <= u + c * max(u - w, 0) + e_w + e_u``.  The caller passes
-  that bound to ``operators.certify_membership`` on the sums of ``u``
-  before the step, which holds the verdict when the bound is inside
-  ``u``'s tolerance; the solver's falling runs do (``solver``, falling
-  runs).
-* The output at ``z``, whose sums are carried by linearity and hold their
-  ``drift`` from the exact sums at ``z`` (``WeightedSums.drift``).  The
-  projective step's, ``alpha * s_u`` from kernel sums ``s_u``, lie within
-  ``sum_error`` of them (``operators.sum_error``); the extension's,
-  ``s_v + alpha * (s_u - s_v)`` from kernel sums ``s_u``, within
-  ``_extended_drift``, from the drift of ``s_v``.  The kernel sums of
-  ``z`` add ``sum_error``.  A row value from carried sums is then within
-  ``discount`` times that of the value from kernel sums, but for rounding
-  (``_output_margin``).  The state maxima of the carried one-step values,
-  raised by that margin, bound every row value the all-rows test would
-  form; when they stay within ``z + tol``, every row passes
-  (``_output_certified``).  A step tries this certificate exactly when
-  its input's sums hold their verdict, and a certified point takes no
-  sums pass and no test.  The maxima stay held on ``z``'s sums, where the
-  standard backup of ``z`` reads them, and so does the verdict, which the
-  next extension step's test of ``z`` reads.
-
-A bound that fails, or is not finite, records nothing and leaves its
-test as without it, so every verdict, fallback and iterate is the
-uncertified one bit for bit.  The output certificate forms nothing at
-all when its margin is not finite.  A call whose input sums hold no
-verdict tests and screens as described above.
-
-A checked step therefore costs one screened sums pass, for its output,
-and one one-step backup per point it tests: the projective step tests
-its input and the screened rows of its output; the linear extension
-tests ``v``, ``u`` and its output's screened rows.  All-rows sums hold
-the one-step backup once it is formed, so the test of a point whose sums
-a backup already read forms nothing new; they hold their point's sup
-norm too (``norm``), which the tolerances, the screen and the caller
+A checked step therefore forms one one-step backup per point it tests:
+the projective step tests its input and its output; the linear extension
+tests ``v``, ``u`` and its output.  All-rows sums hold the one-step
+backup once it is formed, so the test of a point whose sums a backup
+already read forms nothing new, and the output's, from its carried sums,
+is the backup the next standard backup of ``z`` reads; they hold their
+point's sup norm too (``norm``), which the tolerances and the caller
 read, and the projective step's point takes its input's norm scaled.
-With both certificates settled a step forms one one-step backup, at its
-output ``z`` from the carried sums, which the next standard backup reads
-instead of forming it, and takes no sums pass.  The extension forms ``u
-- v`` once, or takes it and its sup norm from the caller, and the
-difference of the sums once (``WeightedSums.less``), for the scan and
-for its point and that point's sums.  A screen that clears every row
-costs no kernel call and no row value.  The scans spread per-state
-values over the rows with ``np.repeat`` over ``MdpModel.row_counts``;
-the projective scan divides every row, masked only when some row is
-tight, and the extension divides only the rows whose slope binds.  They
-read single entries and extremes with ``item`` and ``argmax``/
-``argmin``, a third of a full reduction's fixed cost on short vectors.
-On a compacted model of about one row per state these fixed costs, not
-the kernel, set the price of a step (README, action elimination).
+With the precondition certified too, a step forms one one-step backup,
+at its output, and takes no sums pass.  The extension forms ``u - v``
+once, or takes it and its sup norm from the caller, and the difference
+of the sums once (``WeightedSums.less``), for the scan and for its point
+and that point's sums.  The scans spread per-state values over the rows
+with ``np.repeat`` over ``MdpModel.row_counts``; the projective scan
+divides every row, masked only when some row is tight, and the extension
+divides only the rows whose slope binds.  They read single entries and
+extremes with ``item`` and ``argmax``/``argmin``, a third of a full
+reduction's fixed cost on short vectors.  On a compacted model of about
+one row per state these fixed costs, not the kernel, set the price of a
+step (README, action elimination).
 """
 
 from __future__ import annotations
@@ -128,8 +116,8 @@ from .operators import (
     _any,
     _membership_tol,
     _one_step_of,
+    _state_max,
     is_feasible,
-    one_step_row_values,
     require_sums,
     row_value_error,
     sum_error,
@@ -379,8 +367,8 @@ def _extended_drift(m: MdpModel, alpha: float, drift: float, norm: float) -> flo
     return (alpha - 1.0) * drift + alpha * (sum_error(m, norm) + UNIT_ROUNDOFF * rounding)
 
 
-def _output_margin(m: MdpModel, norm: float, drift: float) -> float:
-    """How far the carried one-step values of ``z`` must clear ``z + tol`` to certify it.
+def _output_margin(m: MdpModel, norm: float, drift: float | None) -> float:
+    """How far the carried one-step values of ``z`` must clear ``z + tol`` for its rows to pass.
 
     ``drift`` bounds the distance of ``z``'s carried sums from its exact
     sums, and ``norm`` is ``sup_norm(z)``, so the carried sums lie within
@@ -389,95 +377,62 @@ def _output_margin(m: MdpModel, norm: float, drift: float) -> float:
     ``K`` is the scale that ``e = row_value_error(m, norm)`` multiplies and
     ``e >= 3u * K``.  So the value from the kernel sum lies within
     ``discount * error + 4u * K`` of the value from the carried sum, and
-    the carried maximum plus this margin rounds by about ``u * K`` more;
-    ``4e >= 12u * K`` covers both.
+    the carried value plus this margin rounds by about ``u * K`` more;
+    ``4e >= 12u * K`` covers both.  Returns inf when no drift bound is
+    held (None) or the discount is negative, where a row value falls as
+    its sum rises and an upper bound on a sum bounds nothing.
     """
+    if drift is None or not m.discount >= 0.0:
+        return math.inf
     return m.discount * (drift + sum_error(m, norm)) + 4.0 * row_value_error(m, norm)
 
 
-def _output_certified(m, zsums, tol) -> bool:
-    """Whether ``zsums``, carried sums of ``z``, clear every row of ``z``'s membership test at ``z + tol``.
+def _output_passes(m, zsums, drift, tol) -> bool:
+    """The verdict of the membership test of ``z = zsums.base`` at ``z + tol`` from fresh kernel sums.
 
-    The state maxima of the carried one-step values, raised by
-    ``_output_margin`` from the sums' ``drift``, bound every row value the
-    test would form from kernel sums; when they are within ``z + tol``,
-    rounded as the test rounds it, the test's verdict is True.  Sums with no
-    drift bound certify nothing.  Those maxima are held on ``zsums``, where
-    a standard backup of ``z`` from them reads them.  With a margin that is
-    not negative the maxima themselves pass at ``z + tol``, and that verdict
-    of the membership test of ``z`` from these sums, which the next
-    extension step from ``z`` makes, is held on them too
-    (``WeightedSums._clears``).
-    """
-    if zsums.drift is None:
-        return False
-    margin = _output_margin(m, zsums.norm, zsums.drift)
-    if not (math.isfinite(margin) and _all(_one_step_of(m, zsums)[1] + margin <= zsums.base + tol)):
-        return False
-    if margin >= 0.0:
-        zsums._clears = (m, tol)
-    return True
-
-
-def _rows_to_check(m, z, z_norm, tol, p_sums):
-    """The rows of ``z``'s membership check at ``z + tol`` that a rounding bound cannot clear.
-
-    ``z_norm`` is ``sup_norm(z)``, which the caller holds, and ``p_sums``
-    are the sums at the step's input point ``p``.  In exact
-    arithmetic, with no negative probability and a row sum within ``rho``
-    (``MdpModel.row_sum_deviation``) of 1, every row's value moves from
-    ``p`` to ``z`` by ``discount * sum_j p(k, j) * (z - p)_j``, at most
-    ``discount * (D + |D| * rho)`` with ``D = max(z - p)``.  A computed row
-    value lies within ``e = row_value_error(m, max(|z|, |p|))`` of the
-    exact one, so row ``k`` of state ``i`` passes the check at ``z`` when
-
-        fl(r_k + discount * s_k(p)) + discount * (D + |D| * rho) + 10 * e
-
-    is at most ``z_i + tol``.  ``2e`` covers the two computed values, and
-    ``8e`` the rounding of this bound's own evaluation: about a dozen
-    operations on magnitudes below ``3K``, where ``K`` is the scale
-    ``row_value_error`` multiplies and ``e >= 2uK``.  Returns the ascending
-    indices of the other rows, or
-    None when every row needs fresh sums: sums at ``p`` derived by
-    linearity, a negative discount, or a bound that is not finite
-    (non-finite points or a negative probability).
-    """
-    if not (p_sums.from_kernel and m.discount >= 0.0):
-        return None
-    delta = float((z - p_sums.base).max())
-    e = row_value_error(m, max(z_norm, p_sums.norm))
-    margin = m.discount * (delta + abs(delta) * m.row_sum_deviation) + 10.0 * e
-    if not math.isfinite(margin):
-        return None
-    if isinstance(p_sums, ScreenedSums):
-        bound = p_sums.one_step_upper(m) + margin
-    else:
-        # the row values p's backup or membership test formed, unless a bound cleared that test
-        bound = one_step_row_values(m, p_sums) + margin
-    return (bound > (z + tol).repeat(m.row_counts)).nonzero()[0]
-
-
-def _checked(m, zsums, fallback_sums, alpha, check):
-    """Validate the accelerated point ``zsums.base``; swap in the fallback when it fails.
-
-    ``fallback_sums`` are the sums at the step's input.  When they hold
-    that input's membership verdict (``operators.certify_membership``), the
-    check first tries to certify the point from its carried sums
-    (``_output_certified``); a certified point takes no sums pass and no
-    test.  Otherwise the check takes fresh sums at the point only for the
-    rows that ``_rows_to_check`` cannot clear from ``fallback_sums``.
-    Either way its verdict is the all-rows one bit for bit.
+    ``zsums`` are the carried all-rows sums of ``z``, or the projective
+    step's scaled ``ScreenedSums``, whose upper bounds stand for them, and
+    ``drift`` bounds their distance from the exact sums at ``z`` (None
+    when nothing does).  A state whose carried maximum, raised by
+    ``_output_margin``, stays within ``z + tol`` passes every row; only
+    the rows whose own carried value the margin cannot clear take fresh
+    sums and the test, so the verdict is the all-rows one.  When every
+    state passes, no kernel call is made, and on all-rows sums the maxima
+    stay held, where a standard backup of ``z`` reads them, as does the
+    verdict (``WeightedSums._clears``), which the next extension step's
+    test of ``z`` reads.  A margin that is not finite takes the all-rows
+    pass.
     """
     z = zsums.base
-    if check:
-        tol = _membership_tol(zsums.norm)
-        held = getattr(fallback_sums, "_clears", None)
-        if not (held is not None and held[0] is m and _output_certified(m, zsums, tol)):
-            fresh = weighted_sums(m, z, rows=_rows_to_check(m, z, zsums.norm, tol, fallback_sums))
-            if not is_feasible(m, z, tol=tol, sums=fresh):
-                safe = fallback_sums.base.copy()
-                return AccelStep(safe, replace(fallback_sums, base=safe), alpha._replace(fallback_used=True))
-    return AccelStep(z, zsums, alpha)
+    margin = _output_margin(m, zsums.norm, drift)
+    if not math.isfinite(margin):
+        return is_feasible(m, z, tol=tol, sums=weighted_sums(m, z))
+    if isinstance(zsums, ScreenedSums):
+        values = zsums.one_step_upper(m)
+        maxima = _state_max(m, values)
+    else:
+        values, maxima = _one_step_of(m, zsums)
+    limit = z + tol
+    if _all(maxima + margin <= limit):
+        if isinstance(zsums, WeightedSums):
+            zsums._clears = (m, tol)
+        return True
+    # a NaN value is not cleared
+    rows = np.flatnonzero(~(values + margin <= limit.repeat(m.row_counts)))
+    return is_feasible(m, z, tol=tol, sums=weighted_sums(m, z, rows=rows))
+
+
+def _checked(m, zsums, drift, fallback_sums, alpha, check):
+    """Validate the accelerated point ``zsums.base``; swap in the fallback when it fails.
+
+    ``drift`` bounds the distance of ``zsums`` from the exact sums at their
+    point (``_output_passes``), and ``fallback_sums`` are the sums at the
+    step's input.
+    """
+    if check and not _output_passes(m, zsums, drift, _membership_tol(zsums.norm)):
+        safe = fallback_sums.base.copy()
+        return AccelStep(safe, replace(fallback_sums, base=safe), alpha._replace(fallback_used=True))
+    return AccelStep(zsums.base, zsums, alpha)
 
 
 def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
@@ -485,17 +440,17 @@ def apply_projective(m, v, sums=None, check_membership=True) -> AccelStep:
 
     The point's sums are ``sums`` scaled; scaled all-rows kernel sums lie
     within ``sum_error`` of the exact sums at the point
-    (``operators.sum_error``), which they hold as their ``drift``.
+    (``operators.sum_error``), which they hold as their ``drift``, and the
+    output check takes that bound for scaled screened sums too.
     """
     s = require_sums(m, v, sums)
     res = projective_alpha(m, v, sums=s, check_membership=check_membership)
-    kernel = type(s) is WeightedSums and s.from_kernel
     # formed before the scaling, which passes the norm of v to the point's sums scaled
-    drift = sum_error(m, s.norm) if kernel else None
+    drift = sum_error(m, s.norm) if s.from_kernel else None
     zsums = s.scaled(res.alpha)
-    if kernel:
+    if isinstance(zsums, WeightedSums):
         zsums.drift = drift
-    return _checked(m, zsums, s, res, check_membership)
+    return _checked(m, zsums, drift, s, res, check_membership)
 
 
 def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=True,
@@ -525,4 +480,4 @@ def apply_linear_extension(m, v, u, sums_v=None, sums_u=None, check_membership=T
     if su.from_kernel:
         norm = max(sv.norm + 2.0 * direction_norm, zsums.norm)
         zsums.drift = _extended_drift(m, res.alpha, sums_drift(m, sv), norm)
-    return _checked(m, zsums, su, res, check_membership)
+    return _checked(m, zsums, zsums.drift, su, res, check_membership)

@@ -118,8 +118,8 @@ class WeightedSums:
     its sup norm is held once formed (``norm``), and so is a membership
     verdict that a bound has settled (``_clears``: the model and the
     tolerance at which every row of ``base`` passes), which
-    ``certify_membership`` and the accelerated step's output certificate
-    record and ``is_feasible`` reads.
+    ``certify_membership`` and the accelerated step's output check record
+    and ``is_feasible`` reads.
     """
 
     values: np.ndarray
@@ -236,8 +236,9 @@ class ScreenedSums:
         return values if self.factor == 1.0 else self.factor * values
 
     def one_step_upper(self, m: MdpModel) -> np.ndarray:
-        """Upper bounds on the one-step row values at ``base``, from the current bounds."""
-        return _row_values(m, OperatorKind.STANDARD, None, self.bounds()[1])
+        """Upper bounds on the one-step row values at ``base``, from the current upper bounds."""
+        hi = self.hi if self.factor == 1.0 else self.factor * self.hi
+        return _row_values(m, OperatorKind.STANDARD, None, hi)
 
 
 # An ascending row subset of at most this share of the rows is summed in
@@ -567,8 +568,8 @@ def _one_step_of(m: MdpModel, sums: WeightedSums) -> tuple[np.ndarray, np.ndarra
     """The one-step row values ``r + discount * s`` of all-rows ``sums`` and their state maxima.
 
     They are formed once per sums and model, and kept with the sums: the
-    backup of a point, its membership check and the screen of an
-    accelerated step from it read the same values.  The caller must not
+    backup of a point, its membership check and the output check of an
+    accelerated step to it read the same values.  The caller must not
     change them.
     """
     held = sums._one_step

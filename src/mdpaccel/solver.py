@@ -14,10 +14,11 @@ in-place sweep operators compute their per-state sums inside the sweep;
 combined with the linear extension they carry the current iterate's sums
 from the previous iteration's affine combination, so the one-pass budget
 holds for every operator/accelerator pairing.  Membership checks, when
-enabled, cost one additional validation pass per accelerated iteration,
-screened down to the rows of the accelerated point that a rounding bound
-from the sums at ``u`` cannot clear (see ``accelerators``); disabling
-them removes that cost without changing the iterate sequence.
+enabled, test the accelerated point from the sums it carries, and take
+fresh sums only for the rows whose carried value a rounding margin
+cannot clear, none on the benchmark models (``accelerators``, output
+check); disabling them removes their cost without changing the iterate
+sequence.
 
 Screened sums.  Projective runs of a simultaneous backup on models with
 at least ``SCREEN_MIN_ROW_NNZ`` stored entries per row and
@@ -40,35 +41,31 @@ Backups per iteration.  Every iteration runs one backup ``u = T(w)`` of
 the configured operator.  With membership checks an accelerated
 iteration adds the one-step backups its dominance tests need, all from
 sums already in hand: one of the scan's input point (``u`` for both
-accelerators) and one of the accelerated point's screened rows, from
-the validation pass.  The linear extension also tests the current
-iterate ``w``; when the configured operator is ``standard``, the
-one-step backup, that test reads the backup ``u`` that ``w``'s sums
-already hold.  A falling run (below) certifies both other tests from
-what it holds (``accelerators``, certificates), each by a verdict held
-on the sums of its point: ``u``'s from the bound ``T~(u) <= u + c *
-max(u - w, 0) + 2 * row_value_error + discount * drift``
-(``_backup_excess``), which the loop hands ``certify_membership``
-before the step, with ``drift`` the drift the sums of ``w`` hold
-(``operators.sums_drift``); and the accelerated point ``z``'s from the
-one-step backup of its carried sums, which the next iteration's backup
-of ``z`` reads, and whose verdict the next extension step's test of
-``z``, as its ``w``, reads.  So a checked falling iteration forms one
-full one-step backup, takes no validation pass, and its tests compare
-nothing; where a certificate fails, the test runs as in every other
-checked run: one all-rows sums pass and one screened pass over the rows
-the bound leaves (under 1% of them on the benchmark models), two full
-backups and one over those rows.  The Jacobi and sweep operators back
-``w`` up once more, from its carried sums.  Without checks the step
-adds neither passes nor backups to the sums pass at ``u`` and the
-loop's own backup.  The loop hands the extension the direction ``u -
-w`` it formed for the residual and the residual, its sup norm, and a
-falling run's guard reads the sup norms of ``w`` and of the new iterate
-from the sums carried to them, where the output check, if any, formed
-it.  So an iteration forms each of its vectors, differences and sup
-norms once, and its fixed costs set its price once elimination has
-compacted the model (README, action elimination, for the measured
-costs; the ``tail`` line of ``tools/step_costs.py``).
+accelerators) and one of the accelerated point ``z``, from its carried
+sums, which the output check forms (``accelerators``, output check).
+With the ``standard`` operator the next iteration's backup of ``z``
+reads that one.  When the carried sums alone pass it, the verdict is
+held on them, and the linear extension's test of its current iterate
+``w``, the previous step's ``z``, reads it; otherwise, with the
+``standard`` operator, that test reads the backup ``u`` that ``w``'s
+sums already hold.  A falling run (below) also certifies ``u``'s test
+from what it holds (``accelerators``, certificates), by a verdict held
+on ``u``'s sums from the bound ``T~(u) <= u + c * max(u - w, 0) + 2 *
+row_value_error + discount * drift`` (``_backup_excess``), which the
+loop hands ``certify_membership`` before the step, with ``drift`` the
+drift the sums of ``w`` hold (``operators.sums_drift``).  So a checked
+falling iteration forms one full one-step backup, takes no validation
+pass, and compares only the state maxima of ``z``; where the certificate
+fails, ``u``'s test forms one more backup.  Without checks the step adds
+neither passes nor backups to the sums pass at ``u`` and the loop's own
+backup.  The loop hands the extension the direction ``u - w`` it formed
+for the residual and the residual, its sup norm, and a falling run's
+guard reads the sup norms of ``w`` and of the new iterate from the sums
+carried to them, where the output check, if any, formed it.  So an
+iteration forms each of its vectors, differences and sup norms once, and
+its fixed costs set its price once elimination has compacted the model
+(README, action elimination, for the measured costs; the ``tail`` line
+of ``tools/step_costs.py``).
 
 Action elimination.  A plain run of the standard backup on a discounted
 model, with ``c = discount * (1 + rho)`` in (0, 1) where ``rho`` is the
@@ -267,11 +264,12 @@ class SolverConfig:
             applies the factor its scan finds.
         epsilon: target accuracy driving the stopping rule.
         max_iterations: hard backup budget.
-        membership_checks: validate acceleration pre/postconditions at the
-            cost of one extra weighted-sums pass per accelerated iteration,
-            screened down to the rows a rounding bound cannot clear; a
-            falling run certifies both by verdicts held on its sums, so it
-            takes no pass and its tests form no backup of their own.
+        membership_checks: validate acceleration pre/postconditions; the
+            output is tested from its carried sums, with fresh sums only
+            for the rows a rounding margin cannot clear, and a falling
+            run certifies the precondition by a verdict held on its sums,
+            so it takes no pass and its tests form one backup, at the
+            output, which the next backup reads.
         initial_point: explicit start vector; when None the driver picks
             one (see ``solve``).
         record_iterates: keep a copy of every iterate in the result

@@ -367,32 +367,19 @@ class TestIterateSequencePinned:
     def test_degenerate_scans_and_fallbacks(self, monkeypatch, operator):
         # at epsilon 1e-8 the stopping threshold lies below the scan's
         # degeneracy guard, so late scans raise AlreadyConvergedError; no
-        # output check fails on this model, so each run's third checked step's is made to
+        # output check fails on this model, so each run's third is made to
         m = generate(GeneratorSpec(family="uniform", num_states=10, density=0.5, discount=0.9,
                                    action_range=(2, 4), seed=0))
         cfg = SolverConfig(operator=operator, accelerator="linear", epsilon=1e-8)
-        checked, failing = [], [False]
-        real_checked, real_certified = accel_mod._checked, accel_mod._output_certified
-        real_feasible = accel_mod.is_feasible
+        checked = []
+        real_passes = accel_mod._output_passes
 
-        def checked_step(*args):
+        def output_passes(*args):
             # each accelerated step checks its output once
             checked.append(None)
-            failing[0] = len(checked) == 3
-            try:
-                return real_checked(*args)
-            finally:
-                failing[0] = False
+            return len(checked) != 3 and real_passes(*args)
 
-        def certified(m, zsums, tol):
-            return not failing[0] and real_certified(m, zsums, tol)
-
-        def feasible(m, v, tol=None, sums=None):
-            return not failing[0] and real_feasible(m, v, tol=tol, sums=sums)
-
-        monkeypatch.setattr(accel_mod, "_checked", checked_step)
-        monkeypatch.setattr(accel_mod, "_output_certified", certified)
-        monkeypatch.setattr(accel_mod, "is_feasible", feasible)
+        monkeypatch.setattr(accel_mod, "_output_passes", output_passes)
         alphas, already = assert_same_run(m, cfg, before_each=checked.clear)[3:]
         assert already > 0
         assert [i for i, a in enumerate(a for a in alphas if a is not None) if a.fallback_used] == [2]
@@ -904,8 +891,8 @@ def counted_solve(monkeypatch, m, cfg):
 
 class TestSumsPassBudget:
     """One fresh weighted-sums pass per iteration, plus one at setup when
-    the operator consumes carried sums; a checked step whose output is not
-    certified costs one more."""
+    the operator consumes carried sums; a checked step whose output check
+    its margin does not settle costs one more, over the rows it leaves."""
 
     def setup_method(self):
         spec = GeneratorSpec(family="uniform", num_states=20, density=0.5,
@@ -945,7 +932,7 @@ class TestSumsPassBudget:
 
     def test_sweep_linear_checked(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "linear", checks=True)
-        assert (s, a) == (6, 5)  # w's check backs up from its carried sums
+        assert (s, a) == (6, 0)  # the output's carried sums settle its check
 
     def test_sweep_plain(self, monkeypatch):
         s, a = self.run(monkeypatch, "gs", "none", checks=False)
@@ -1019,8 +1006,8 @@ class TestOneStepBackupBudget:
         monkeypatch.setattr(solver_mod, "_backup_excess", lambda *args: math.inf)
         monkeypatch.setattr(accel_mod, "_output_margin", lambda *args: math.inf)
         counts, screened = self.count(monkeypatch)
-        # at w for the backup and at u for u's check, as without certificates
-        assert counts == [[2, 2]] * 5
+        # at w for the backup, at u for u's check, and at z from the all-rows pass of the output check
+        assert counts == [[3, 3]] * 5
         assert np.array_equal(screened.residuals, certified.residuals)
         assert np.array_equal(screened.final_value, certified.final_value)
         assert screened.alphas == certified.alphas
@@ -1045,7 +1032,7 @@ class TestCertifiedMembership:
 
     @pytest.mark.parametrize("accelerator", ["projective", "linear"])
     def test_certified_verdicts_are_the_all_rows_ones(self, monkeypatch, accelerator):
-        real_certify, real_out = solver_mod.certify_membership, accel_mod._output_certified
+        real_certify, real_out = solver_mod.certify_membership, accel_mod._output_passes
         certified = {"precondition": 0, "output": 0}
 
         def certify(m, sums, excess):
@@ -1058,15 +1045,17 @@ class TestCertifiedMembership:
                 assert is_feasible(m, v, tol=tol, sums=weighted_sums(m, v)) is True
                 certified["precondition"] += 1
 
-        def output_certified(m, zsums, tol):
-            ok = real_out(m, zsums, tol)
-            if ok:
-                assert is_feasible(m, zsums.base, tol=tol, sums=weighted_sums(m, zsums.base)) is True
+        def output_passes(m, zsums, drift, tol):
+            verdict = real_out(m, zsums, drift, tol)
+            assert verdict is is_feasible(m, zsums.base, tol=tol, sums=weighted_sums(m, zsums.base))
+            # screened sums hold no verdict
+            if getattr(zsums, "_clears", None) is not None:
+                assert verdict is True and zsums._clears == (m, tol)
                 certified["output"] += 1
-            return ok
+            return verdict
 
         monkeypatch.setattr(solver_mod, "certify_membership", certify)
-        monkeypatch.setattr(accel_mod, "_output_certified", output_certified)
+        monkeypatch.setattr(accel_mod, "_output_passes", output_passes)
         steps = 0
         for m in self.models():
             res = solve(m, SolverConfig(accelerator=accelerator))
@@ -1077,7 +1066,7 @@ class TestCertifiedMembership:
 
 
 class TestHeldVerdicts:
-    """A verdict an output certificate held on the carried sums of ``z``,
+    """A verdict the output check held on the carried sums of ``z``,
     read by the next extension step's membership test of ``z``, is the
     verdict of the test from fresh all-rows kernel sums and from the
     carried sums themselves."""
@@ -1177,6 +1166,24 @@ class TestScreenedRowShare:
         # setup takes none; from the constant start the first iteration takes more
         assert per_iteration[0] == 0
         assert max(per_iteration[2:]) < m.num_rows / 20
+
+    @pytest.mark.parametrize("operator", ["standard", "jacobi"])
+    def test_dense_pa_output_checks_make_no_kernel_call(self, monkeypatch, operator):
+        # the dense-pa shape: every output passes on the scaled upper bounds of its screened sums
+        m = generate(GeneratorSpec(family="uniform", num_states=80, density=1.0, discount=0.995,
+                                   action_range=(45, 56), seed=100))
+        calls = []
+
+        def counting_sums(model, v, rows=None):
+            calls.append(rows)
+            return weighted_sums(model, v, rows=rows)
+
+        monkeypatch.setattr(accel_mod, "weighted_sums", counting_sums)
+        cfg = SolverConfig(operator=operator, accelerator="projective")
+        assert screens_sums(m, cfg)
+        res = solve(m, cfg)
+        assert res.converged and any(alpha is not None for alpha in res.alphas)
+        assert calls == []
 
 
 class TestAlgorithmLabels:
