@@ -136,7 +136,8 @@ class MdpModel:
         num_states: number of states, indexed 0..num_states-1.
         discount: discount factor; strictly below 1 for discounted models
             and exactly 1 for total-reward models.
-        mode: reward criterion the model is meant to be solved under.
+        mode: reward criterion the model is meant to be solved under; a
+            ``RewardMode`` or its value (``"discounted"``).
         state_ptr: int array of length num_states+1; the rows belonging to
             state i are state_ptr[i]:state_ptr[i+1].
         rewards: per-row immediate reward, length num_rows.
@@ -163,6 +164,8 @@ class MdpModel:
     _views: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
+        # a plain string is taken as its mode, and one that names none raises here
+        self.mode = RewardMode(self.mode)
         self.state_ptr = np.ascontiguousarray(self.state_ptr, dtype=np.int64)
         self.rewards = np.ascontiguousarray(self.rewards, dtype=np.float64)
         self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
@@ -197,7 +200,7 @@ class MdpModel:
         return cls(
             num_states=len(states),
             discount=float(discount),
-            mode=RewardMode(mode),
+            mode=mode,
             state_ptr=np.array(state_ptr, dtype=np.int64),
             rewards=np.array(rewards, dtype=np.float64),
             row_ptr=np.array(row_ptr, dtype=np.int64),

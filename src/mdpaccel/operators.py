@@ -192,11 +192,10 @@ class ScreenedSums:
     def from_kernel(self) -> bool:
         return self.factor == 1.0
 
-    # the sup norm of base, held once formed; ``scaled`` scales it as WeightedSums does
+    # shared with WeightedSums: the tag test, and the sup norm of base, held once formed, which
+    # ``scaled`` scales as WeightedSums does
+    matches = WeightedSums.matches
     norm = WeightedSums.norm
-
-    def matches(self, v: np.ndarray) -> bool:
-        return self.base is v or np.array_equal(self.base, v)
 
     def scaled(self, factor: float) -> ScreenedSums:
         """The sums of ``factor * base``, for ``factor`` in [0, 1].
@@ -395,10 +394,12 @@ def drifted_sums(m: MdpModel, sums, y: np.ndarray):
     """The sums of ``y``, bounded from ``sums`` at ``x = sums.base`` without a kernel pass.
 
     ``sums`` are ``ScreenedSums`` or all-rows kernel sums (the zero
-    vector's are exactly zero, which starts a run).  With ``D = y - x``, no
-    negative probability and every row sum within ``rho`` of 1, the exact
-    sum of row ``k`` moves from ``x`` to ``y`` by ``sum_j p(k, j) * D_j``,
-    which lies in ``[min D - |min D| * rho, max D + |max D| * rho]``, and
+    vector's are exactly zero, which starts a run), and ``y`` has an
+    entry: a model has at least one state (``validate_model``).  With
+    ``D = y - x``, no negative probability and every row sum within
+    ``rho`` of 1, the exact sum of row ``k`` moves from ``x`` to ``y`` by
+    ``sum_j p(k, j) * D_j``, which lies in
+    ``[min D - |min D| * rho, max D + |max D| * rho]``, and
     itself lies in ``[min y - |min y| * rho, max y + |max y| * rho]``.  The
     held sums lie within ``e = sum_error(m, norm)`` of the exact sums at
     ``x``, and the kernel sums of ``y`` within ``e`` of theirs, where
@@ -426,8 +427,6 @@ def drifted_sums(m: MdpModel, sums, y: np.ndarray):
         lo = hi = sums.values
         held, f = x, 1.0
     else:
-        return weighted_sums(m, y)
-    if not y.size:
         return weighted_sums(m, y)
     d = y - x
     # the extremes from argmin and argmax, which return the first NaN as min and max do

@@ -4,7 +4,11 @@ One iteration of the driver is one backup of the current iterate under
 the configured operator, followed (when the run is accelerated and not
 yet converged) by one acceleration step.  Iteration counts reported by
 the driver are therefore backup counts, directly comparable across plain
-and accelerated runs.
+and accelerated runs.  One object owns a run (``_Loop``): its iterate,
+the sums it carries, the model of its live rows, and the record of its
+steps (the residual, the scan outcome and, when asked, the iterate),
+which each step appends once its guard has passed; ``solve`` reads the
+result off it.
 
 The driver keeps the weighted-sums bookkeeping exact: per iteration it
 performs exactly one fresh weighted-sums pass — at the new backup — and
@@ -53,7 +57,10 @@ from what it holds (``accelerators``, certificates), by a verdict held
 on ``u``'s sums from the bound ``T~(u) <= u + c * max(u - w, 0) + 2 *
 row_value_error + discount * drift`` (``_backup_excess``), which the
 loop hands ``certify_membership`` before the step, with ``drift`` the
-drift the sums of ``w`` hold (``operators.sums_drift``).  So a checked
+drift the sums of ``w`` hold (``operators.sums_drift``).  A falling
+iteration forms that drift and its bound ``sup_norm(w) + 2 * residual``
+on ``|w|``, ``|u|`` and ``|u - w|`` once, and the certificate, the guard
+and the drop test (below) read them.  So a checked
 falling iteration forms one full one-step backup, takes no validation
 pass, and compares only the state maxima of ``z``; where the certificate
 fails, ``u``'s test forms one more backup.  Without checks the step adds
@@ -149,7 +156,9 @@ step records that bound on the sums it forms (``WeightedSums.drift``),
 and the guard reads it from the sums of ``w``.  The guard also fails on
 a step that falls back or whose scan finds no binding row.  When it fails,
 ``solve`` runs the config again from the start on every row, the
-all-rows run by construction.  Binding rows are reported in the model's numbering.
+all-rows run by construction, and reports that run's steps.  A step on
+the live rows renumbers its binding row into the model's numbering from
+the rows it ran on.
 
 When to test.  A rising or falling run tests only at a backup whose
 residual is at most ``_RETEST_FALL`` times the residual at its last
@@ -528,22 +537,22 @@ class _Rerun(Exception):
     """A falling run cannot certify that the rows it dropped changed nothing."""
 
 
-@dataclass
-class _Step:
-    iterate: np.ndarray
-    residual: float
-    alpha: AlphaResult | None
-    converged: bool
-
-
 class _Loop:
-    """Mutable state of one run: current iterate and its carried sums."""
+    """One run: the current iterate, its carried sums and the record of every step taken.
 
-    def __init__(self, solve_model, config, start, threshold, eliminate=True):
+    ``residuals``, ``alphas`` and, when the config records iterates,
+    ``iterates`` (the start first, each less ``correction``) hold one entry
+    per step that returned; a step that raises ``_Rerun`` records nothing.
+    """
+
+    def __init__(self, solve_model, config, start, threshold, eliminate=True, correction=0.0):
         self.m = solve_model
         self.config = config
         self.w = start
         self.threshold = threshold
+        self.correction = correction
+        self.residuals, self.alphas = [], []
+        self.iterates = [start - correction] if config.record_iterates else None
         self.sweep = sweep_carries_state(config.operator)
         self.accelerated = config.accelerator is not AcceleratorKind.NONE
         self.linear = config.accelerator is AcceleratorKind.LINEAR_EXTENSION
@@ -591,11 +600,13 @@ class _Loop:
     def rows_eliminated(self) -> int:
         return 0 if self.live is None else self.m.num_rows - int(np.count_nonzero(self.live))
 
-    def eliminate(self, w, u, d, residual, sums_w) -> None:
+    def eliminate(self, w, u, d, residual, sums_w, norm, drift) -> None:
         """Drop the rows that can no longer attain their state's maximum (module doc).
 
         ``d = u - w``, ``residual`` its sup norm, and ``sums_w`` the sums
-        the backup ``u`` of ``w`` read, which hold the row values tested.
+        the backup ``u`` of ``w`` read, which hold the row values tested.  A
+        falling run passes its step's bound ``norm`` on ``|w|``, ``|u|`` and
+        ``|u - w|`` and the ``drift`` of ``sums_w``; a rising run, None.
         """
         m = self.m
         if self.live is None:
@@ -608,8 +619,6 @@ class _Loop:
             return
         self.tested_at = residual
         if self.falling:
-            norm = sums_w.norm + 2.0 * residual  # bounds |w|, |u| and |u - w|
-            drift = sums_drift(m, sums_w)
             e = row_value_error(m, norm) + m.discount * drift
             # below the MacQueen lower bound u + k * min(d) by the margin
             k = self.c / (1.0 - self.c)
@@ -631,9 +640,6 @@ class _Loop:
             keep = self.live
             self.held = self.held[keep]
             self.work = _rows_model(m, self.held)
-            # the work model's first row of each state, and each work row's action in m (in_model)
-            self.actions = (self.work.state_ptr.tolist(),
-                            (self.held - m.state_ptr[m.row_state[self.held]]).tolist())
             if self.falling:
                 # the sums carried into the next step, cut elementwise: no kept row's sum moves
                 sums = self.sums
@@ -642,11 +648,12 @@ class _Loop:
             self.live = np.ones(live, dtype=bool)
         self.eliminates = live > m.num_states
 
-    def follow(self, w, d, residual, up, u, alpha, sums_w) -> None:
+    def follow(self, w, u, d, residual, up, alpha, sums_w, norm, drift) -> None:
         """Guard a falling run's dropped rows over one iteration from ``w``, then test for more.
 
         ``up`` is ``max(d, 0)``; ``alpha`` is the step's scan outcome, None
         when the iteration took no step; the new iterate is ``self.w``.
+        ``norm`` and ``drift`` are the step's bounds (``eliminate``).
 
         Raises:
             _Rerun: the guard cannot clear a dropped row at some point the
@@ -669,26 +676,20 @@ class _Loop:
                 lowest, factor = z if self.nonnegative else np.minimum(u, z), alpha.alpha
             # the sums carried to z hold its norm, formed by the output check if one ran
             z_norm = sup_norm(z) if sums is None else sums.norm
-            # bounds |w|, |u|, |z| and |u - w|
-            norm = max(sums_w.norm + 2.0 * residual, z_norm)
-            drift = sums_drift(m, sums_w)
-            reach = self.c * (self.rise + max(up, zup)) + _read_error(m, factor, drift, norm)
+            reach = self.c * (self.rise + max(up, zup)) + _read_error(m, factor, drift, max(norm, z_norm))
             if not (math.isfinite(reach) and _all(self.bound + reach < lowest)):
                 raise _Rerun
         if self.eliminates and alpha is not None:
-            self.eliminate(w, u, d, residual, sums_w)
+            self.eliminate(w, u, d, residual, sums_w, norm, drift)
         self.rise += zup
 
-    def in_model(self, alpha: AlphaResult) -> AlphaResult:
-        """``alpha`` of a scan over the work model, with its binding row in ``self.m``'s numbering."""
-        if alpha.binding is None:
-            return alpha
-        state, action = alpha.binding
-        first, actions = self.actions  # of self.work
-        return AlphaResult(alpha.alpha, (state, actions[first[state] + action]), alpha.fallback_used)
+    def step(self) -> bool:
+        """One backup and, unless it converged, one acceleration step, recorded; returns whether it converged.
 
-    def step(self) -> _Step:
-        cfg, m, w, sums_w, work = self.config, self.m, self.w, self.sums, self.work
+        Raises:
+            _Rerun: a falling run's guard failed; the step records nothing.
+        """
+        cfg, m, w, sums_w, work, held = self.config, self.m, self.w, self.sums, self.work, self.held
         if self.sweep:
             u = apply_operator(m, w, cfg.operator)
         else:
@@ -699,11 +700,15 @@ class _Loop:
         residual = abs(max(high, -d.item(d.argmin())))
         up = max(high, 0.0)
         converged = residual <= self.threshold
+        if self.falling:
+            # bounds |w|, |u| and |u - w|, and the drift of w's sums: the step's certificate,
+            # guard and drop test read them
+            norm, drift = sums_w.norm + 2.0 * residual, sums_drift(m, sums_w)
         z, sums, alpha = u, None, None
         if converged or not self.accelerated:
             if self.eliminates and not converged:
                 # a plain run: before the sums pass at u, so it sums only the rows left
-                self.eliminate(w, u, d, residual, sums_w)
+                self.eliminate(w, u, d, residual, sums_w, None, None)
             if self.screened:
                 sums = drifted_sums(m, sums_w, u)
             elif self.carry_sums and not converged:
@@ -713,8 +718,7 @@ class _Loop:
             sums = drifted_sums(m, sums_w, u) if self.screened else weighted_sums(work, u)
             if self.falling and cfg.membership_checks:
                 # a falling run settles u's membership test from a bound (module doc)
-                excess = _backup_excess(m, self.c, up, sums_w.norm + 2.0 * residual, sums_drift(m, sums_w))
-                certify_membership(work, sums, excess)
+                certify_membership(work, sums, _backup_excess(m, self.c, up, norm, drift))
             try:
                 if self.linear:
                     accel = apply_linear_extension(
@@ -729,32 +733,20 @@ class _Loop:
                 # scan's degeneracy guard (possible at high discount on
                 # large-magnitude values): take the plain backup step.
                 pass
+            if alpha is not None and alpha.binding is not None and work is not m:
+                # the binding row in m's numbering, from the rows the step ran on
+                state, action = alpha.binding
+                row = held.item(work.state_ptr.item(state) + action)
+                alpha = AlphaResult(alpha.alpha, (state, row - m.state_ptr.item(state)), alpha.fallback_used)
         self.w = z
         self.sums = sums if self.carry_sums else None
-        if alpha is not None and work is not m:
-            # before follow, whose rebuild of the work model replaces self.actions
-            alpha = self.in_model(alpha)
         if self.falling:
-            self.follow(w, d, residual, up, u, alpha, sums_w)
-        return _Step(z, residual, alpha, converged)
-
-
-def _iterate(loop: _Loop, max_iterations: int, iterates: list | None, correction: float,
-             residuals: list[float], alphas: list[AlphaResult | None]) -> bool:
-    """Step ``loop`` until it converges or the budget runs out; returns whether it converged.
-
-    Each step's residual and alpha are appended to ``residuals`` and
-    ``alphas``, which keep the steps taken when a step raises.
-    """
-    for _ in range(max_iterations):
-        step = loop.step()
-        residuals.append(step.residual)
-        alphas.append(step.alpha)
-        if iterates is not None:
-            iterates.append(step.iterate - correction)
-        if step.converged:
-            return True
-    return False
+            self.follow(w, u, d, residual, up, alpha, sums_w, norm, drift)
+        self.residuals.append(residual)
+        self.alphas.append(alpha)
+        if self.iterates is not None:
+            self.iterates.append(z - self.correction)
+        return converged
 
 
 def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
@@ -795,26 +787,25 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
     guard_failed_at = None
     t0 = time.perf_counter()
     for eliminate in (True, False):
-        loop = _Loop(solve_model, config, start, threshold, eliminate)
-        iterates = [start - correction] if config.record_iterates else None
-        residuals, alphas = [], []
+        loop = _Loop(solve_model, config, start, threshold, eliminate, correction)
         try:
-            converged = _iterate(loop, config.max_iterations, iterates, correction, residuals, alphas)
+            converged = any(loop.step() for _ in range(config.max_iterations))
             break
         except _Rerun:
-            # the step that raised appended nothing
-            guard_failed_at = len(residuals) + 1
+            # the step that raised recorded nothing
+            guard_failed_at = len(loop.residuals) + 1
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     value = loop.w.copy()
     if offset:
         value -= correction
     policy = extract_policy(solve_model, loop.w, loop.policy_sums())
+    alphas = loop.alphas
     return SolveResult(
-        iterations=len(residuals),
+        iterations=len(loop.residuals),
         converged=converged,
         wall_ms=wall_ms,
-        residuals=np.asarray(residuals),
+        residuals=np.asarray(loop.residuals),
         alphas=alphas,
         fallback_count=sum(1 for a in alphas if a is not None and a.fallback_used),
         final_value=value,
@@ -823,7 +814,7 @@ def solve(m: MdpModel, config: SolverConfig | None = None) -> SolveResult:
         reward_offset=offset,
         rows_eliminated=loop.rows_eliminated,
         guard_failed_at=guard_failed_at,
-        iterates=iterates,
+        iterates=loop.iterates,
     )
 
 

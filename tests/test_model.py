@@ -150,6 +150,19 @@ class TestConstruction:
         assert wide.cols.dtype == np.int64
         assert wide.self_loop_probs.tobytes() == self.looked_up(wide).tobytes()
 
+    def test_mode_given_as_its_value_is_the_mode(self):
+        m = generate(GeneratorSpec(family="uniform", num_states=20, density=0.5, seed=1))
+        for value, mode in (("discounted", RewardMode.DISCOUNTED), ("total_reward", RewardMode.TOTAL_REWARD)):
+            assert dataclasses.replace(m, mode=value).mode is mode
+        # a mode given as its value is checked against the discount as the mode itself is
+        total = dataclasses.replace(m, mode="total_reward")
+        assert [v.rule for v in validate_model(total)] == ["discount-mode"]
+
+    def test_mode_that_names_no_mode_raises_at_construction(self):
+        m = generate(GeneratorSpec(family="uniform", num_states=20, density=0.5, seed=1))
+        with pytest.raises(ValueError, match="'bogus' is not a valid RewardMode"):
+            dataclasses.replace(m, mode="bogus")
+
     def test_self_loops_of_a_dense_model_take_no_lookup(self, monkeypatch):
         monkeypatch.setattr(model_module, "csr_sample_values", None)
         m = generate(GeneratorSpec(family="uniform", num_states=20, density=1.0, seed=5))

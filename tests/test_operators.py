@@ -936,6 +936,42 @@ class TestScreenedBounds:
         assert checked > 100
 
 
+class TestScreenedSumsTag:
+    """Screened sums are taken for an equal copy of their point, and refused for another point."""
+
+    @staticmethod
+    def points(seed):
+        """A model, a point below its backup and a point above it, and screened sums of each."""
+        rng = np.random.default_rng(seed)
+        m, _ = adjust_rewards_nonnegative(random_model(rng, num_states=15, density=0.5))
+        x = rng.normal(size=m.num_states) * 100.0
+        for point in (apply_operator(m, x, "standard"), initial_feasible_point(m)):
+            yield m, point, drifted_sums(m, weighted_sums(m, x), point)
+
+    def test_an_equal_copy_of_the_point_takes_them(self):
+        verdicts = []
+        for m, point, screened in self.points(75):
+            assert isinstance(screened, ScreenedSums)
+            copy = point.copy()
+            assert operators_mod.require_sums(m, copy, screened) is screened
+            verdicts.append(is_feasible(m, copy, sums=screened))
+            assert verdicts[-1] == is_feasible(m, point)
+            assert apply_operator(m, copy, "standard", sums=screened).tobytes() == \
+                apply_operator(m, point, "standard").tobytes()
+        assert verdicts == [False, True]
+
+    def test_another_point_is_refused(self):
+        for m, point, screened in self.points(76):
+            other = point.copy()
+            other[0] += 1.0
+            calls = (lambda: operators_mod.require_sums(m, other, screened),
+                     lambda: is_feasible(m, other, sums=screened),
+                     lambda: apply_operator(m, other, "standard", sums=screened))
+            for call in calls:
+                with pytest.raises(ValueError, match="different vector"):
+                    call()
+
+
 class TestSupNorm:
     def test_values(self):
         assert sup_norm(np.array([-3.0, 2.0])) == 3.0

@@ -457,9 +457,9 @@ class TestActionElimination:
         at, tested = [], []
         real_eliminate, real_values = solver_mod._Loop.eliminate, solver_mod.one_step_row_values
 
-        def eliminate(loop, w, u, d, residual, sums_w):
+        def eliminate(loop, w, u, d, residual, sums_w, norm, drift):
             at.append(residual)
-            real_eliminate(loop, w, u, d, residual, sums_w)
+            real_eliminate(loop, w, u, d, residual, sums_w, norm, drift)
 
         def values(work, sums):
             # a drop test: the residual of the backup it reads
@@ -481,6 +481,16 @@ class TestActionElimination:
             assert len(tested) < len(at) / 2
             assert 0 < res.rows_eliminated <= m.num_rows - m.num_states
             assert_same_result(res, expected)
+
+    @pytest.mark.parametrize("accelerator", ["none", "projective", "linear"])
+    def test_mode_given_as_its_value_solves_as_the_mode(self, accelerator):
+        m = generate(GeneratorSpec(family="uniform", num_states=20, density=0.5, seed=1))
+        cfg = SolverConfig(accelerator=accelerator, record_iterates=True)
+        expected = solve(m, cfg)
+        res = solve(dataclasses.replace(m, mode="discounted"), cfg)
+        assert res.rows_eliminated == expected.rows_eliminated > 0
+        assert_same_result(res, expected)
+        assert all(np.array_equal(a, b) for a, b in zip(res.iterates, expected.iterates, strict=True))
 
     def test_slack_that_bounds_no_later_iterate_drops_nothing(self):
         m = pinned_models()[0]
@@ -585,6 +595,12 @@ class TestAcceleratedElimination:
         # the first run's last step raised
         assert res.guard_failed_at == steps.count(loops[0]) > 1
         assert steps.count(loops[1]) == res.iterations
+        # the failed run recorded every step but the one that raised; the result holds the rerun's
+        first, rerun = loops
+        assert len(first.residuals) == len(first.alphas) == res.guard_failed_at - 1
+        assert len(first.iterates) == res.guard_failed_at
+        assert np.array_equal(res.residuals, rerun.residuals)
+        assert res.alphas is rerun.alphas and res.iterates is rerun.iterates
         assert_same_result(res, expected)
         assert len(res.iterates) == res.iterations + 1
         assert all(np.array_equal(a, b) for a, b in zip(res.iterates, expected.iterates))
@@ -609,7 +625,7 @@ class TestAcceleratedElimination:
         cfg = SolverConfig(accelerator="projective", membership_checks=checks)
         real_follow, seen = solver_mod._Loop.follow, []
 
-        def follow(loop, w, d, residual, up, u, alpha, sums_w):
+        def follow(loop, w, u, d, residual, up, alpha, sums_w, norm, drift):
             assert loop.nonnegative
             if alpha is not None:
                 z = loop.w
@@ -617,7 +633,7 @@ class TestAcceleratedElimination:
                 if up == 0.0:
                     assert (z - w).max() <= 0.0
                 seen.append(up == 0.0)
-            return real_follow(loop, w, d, residual, up, u, alpha, sums_w)
+            return real_follow(loop, w, u, d, residual, up, alpha, sums_w, norm, drift)
 
         monkeypatch.setattr(solver_mod._Loop, "follow", follow)
         for m in [*pinned_models(), band]:
@@ -648,7 +664,7 @@ class TestAcceleratedElimination:
         loop = solver_mod._Loop(model, SolverConfig(accelerator="linear"), initial_feasible_point(model),
                                 threshold=stopping_threshold(1e-3, m.discount) / m.num_states)
         while loop.bound is None:
-            assert not loop.step().converged
+            assert not loop.step()
         loop.step()
         # a dropped row said to be worth as much as its state's value could win
         state = int(np.flatnonzero(np.isfinite(loop.bound))[0])

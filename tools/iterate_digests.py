@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/iterate_digests.py [SEED ...]
+    PYTHONPATH=src python tools/iterate_digests.py [SEED ...] [--against OTHER/src]
 
 The seeds default to 100 and 101.  For each seed the benchmark's three
 model shapes (dense-pa, band-vi and sparse-gs) are solved under every
@@ -22,18 +22,24 @@ sha256 over the residuals, the final value, the policy and every step's
 ``(alpha.hex(), binding, fallback_used)``.  A config that raises prints
 the exception's name in place of the counts.
 
-Two checkouts whose runs are bit-identical print the same lines, so::
+Two checkouts whose runs are bit-identical print the same lines, which
+are sorted by key.  With ``--against``, the ``mdpaccel`` package under
+that source directory is imported under another name (``load_package``)
+and solved too, and only the configs whose lines differ are printed, each
+as the other checkout's line after ``- `` and this one's after ``+ ``;
+the exit status is 1 when any differ, else 0.  So the bit-identity gate
+of a change against its parent is::
 
-    diff <(PYTHONPATH=a/src python tools/iterate_digests.py) \\
-         <(PYTHONPATH=b/src python tools/iterate_digests.py)
-
-prints nothing.  The lines are sorted by key.
+    PYTHONPATH=src python tools/iterate_digests.py 100 101 --against PARENT/src
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -77,35 +83,60 @@ def digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-def lines(seeds) -> list[str]:
-    """One line per config of every shape at every seed, sorted."""
-    return sorted(_lines(seeds))
+def lines(seeds, package=mdpaccel) -> list[str]:
+    """One line per config of every shape at every seed, solved by ``package``, sorted."""
+    return sorted(_lines(seeds, package))
 
 
-def _lines(seeds):
+def _lines(seeds, package):
     for seed in seeds:
         for shape, (spec, operators) in SHAPES.items():
-            m = mdpaccel.generate(mdpaccel.GeneratorSpec(seed=seed, **spec))
+            m = package.generate(package.GeneratorSpec(seed=seed, **spec))
             for operator in operators:
                 for label, accelerator, checks in ACCELERATORS:
                     key = f"{shape}/{seed}/{operator}/{label}"
-                    config = mdpaccel.SolverConfig(
+                    config = package.SolverConfig(
                         operator=operator, accelerator=accelerator, membership_checks=checks,
                         epsilon=1e-3, max_iterations=20_000,
                     )
                     try:
-                        r = mdpaccel.solve(m, config)
+                        r = package.solve(m, config)
                     except Exception as exc:
                         yield f"{key} {type(exc).__name__}"
                         continue
                     yield f"{key} {r.iterations} {r.fallback_count} {digest(r)}"
 
 
+def load_package(src: str, name: str):
+    """The ``mdpaccel`` package under ``src``, imported as ``name``."""
+    init = Path(src) / "mdpaccel" / "__init__.py"
+    # submodules of an earlier load under this name would stand in for the new package's own
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def main(argv) -> int:
-    seeds = [int(s) for s in argv] or [100, 101]
-    for line in lines(seeds):
-        print(line)
-    return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="*", default=[100, 101])
+    parser.add_argument("--against", metavar="SRC",
+                        help="source directory of a second mdpaccel; print only the lines that differ")
+    args = parser.parse_args(argv)
+    ours = lines(args.seeds)
+    if not args.against:
+        for line in ours:
+            print(line)
+        return 0
+    theirs = lines(args.seeds, load_package(args.against, "mdpaccel_against"))
+    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
+    for a, b in differ:
+        print(f"- {a}")
+        print(f"+ {b}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -47,12 +47,10 @@ lines by the other copy's.  Run with one BLAS thread
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import time
-from pathlib import Path
 
-from iterate_digests import BENCHMARK_SHAPES as SHAPES
+from iterate_digests import BENCHMARK_SHAPES as SHAPES, load_package
 
 PHASES = ("all", "compacted", "two")
 CONFIGS = (
@@ -87,18 +85,6 @@ def shape_configs(shape: str) -> tuple:
     if shape in ANCHOR_SHAPES:
         return ANCHOR_CONFIGS
     return CONFIGS + MIX_CONFIGS.get(shape, ())
-
-def load_package(src: str, name: str):
-    """The ``mdpaccel`` package under ``src``, imported as ``name``."""
-    init = Path(src) / "mdpaccel" / "__init__.py"
-    # submodules of an earlier load under this name would stand in for the new package's own
-    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
-        del sys.modules[key]
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 class StepTimer:
